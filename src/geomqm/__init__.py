@@ -88,6 +88,7 @@ from .reconstruct import (
     reconstruct_connection,
     reconstruct_metric,
     reconstruct_potential,
+    reconstruction_report,
     roundtrip_report,
     tree_gauge_canonicalize,
     tree_gauge_potential,

@@ -34,7 +34,8 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -93,9 +94,47 @@ class LatticeSpec:
         return TOPOLOGIES[self.topology][1]
 
 
+def _stencil(ndim):
+    """Stencil steps in link order, with their link classes.
+
+    Axis steps +e_k, -e_k for each axis k, then the sign combinations
+    (+,+), (+,-), (-,+), (-,-) of every plane diagonal (k, l), k < l.
+    Returns (steps (n_steps, d), axes (n_steps, 2), diagonal signs).
+    """
+    e = np.eye(ndim, dtype=int)
+    steps = [sk * e[k] for k in range(ndim) for sk in (1, -1)]
+    axes = [(k, k) for k in range(ndim) for _ in (1, -1)]
+    signs = [1] * len(steps)
+    for k, l in combinations(range(ndim), 2):
+        for sk, sl in product((1, -1), repeat=2):
+            steps.append(sk * e[k] + sl * e[l])
+            axes.append((k, l))
+            signs.append(sk * sl)
+    return np.array(steps), np.array(axes), np.array(signs)
+
+
+_STENCILS = {d: _stencil(d) for d in (1, 2, 3)}
+# stencil step tuple -> column of Lattice.link_table (the tuple length
+# is the dimension, so one map serves every dimension)
+_STEP_COLUMN = {
+    tuple(int(v) for v in step): col
+    for steps, _, _ in _STENCILS.values()
+    for col, step in enumerate(steps)
+}
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A built lattice: sites, directed links, plaquettes, pi_1 cycles.
+
+    link_table[s, c] is the id of the link leaving site s along stencil
+    step c, or -1 where an open boundary cuts that step.  Stencil steps
+    are ordered as axis steps +e_0, -e_0, +e_1, -e_1, ..., then the four
+    sign combinations (+,+), (+,-), (-,+), (-,-) of each plane diagonal
+    (k, l), k < l; link ids run site-major in that step order.  It is
+    the only map from (site, step) to link: link_index reads it and
+    raises KeyError where no link exists (step off the stencil, step cut
+    by a boundary, site out of range).
 
     Link arrays are aligned: link i runs link_src[i] -> link_dst[i] with
     minimal-image displacement link_disp[i] (shape (d,)) and reverse
@@ -109,6 +148,7 @@ class Lattice:
     spec: LatticeSpec
     coords: np.ndarray        # (n_sites, d) int
     positions: np.ndarray     # (n_sites, d) float
+    link_table: np.ndarray    # (n_sites, n_steps) int, -1 where cut
     link_src: np.ndarray      # (n_links,) int
     link_dst: np.ndarray      # (n_links,) int
     link_disp: np.ndarray     # (n_links, d) float
@@ -118,7 +158,6 @@ class Lattice:
     plaq_links: np.ndarray    # (n_plaq, 4) int
     plaq_axes: np.ndarray     # (n_plaq, 2) int
     pi1_generators: tuple     # one closed link-index cycle per periodic axis
-    _link_lookup: dict = field(repr=False, default_factory=dict)
 
     @property
     def ndim(self):
@@ -148,8 +187,17 @@ class Lattice:
         return int(np.ravel_multi_index(tuple(coord), self.sizes))
 
     def link_index(self, site, step):
-        """Directed link leaving `site` with integer step vector `step`."""
-        return self._link_lookup[(int(site), tuple(int(s) for s in step))]
+        """Directed link leaving `site` with integer step vector `step`.
+
+        Raises KeyError where there is none (see the class docstring).
+        """
+        site, step = int(site), tuple(step)
+        col = _STEP_COLUMN.get(step) if len(step) == self.coords.shape[1] else None
+        if col is not None and 0 <= site < len(self.coords):
+            link = self.link_table.item(site, col)
+            if link >= 0:
+                return link
+        raise KeyError((site, step))
 
     def axis_extent(self, k):
         """Physical length of axis k (circumference when periodic)."""
@@ -165,51 +213,30 @@ class Lattice:
                 mask &= (c > 0) & (c < self.sizes[k] - 1)
         return mask
 
+    def _minimal_image_steps(self, i, j):
+        """Integer displacement from site(s) i to site(s) j, minimal image."""
+        delta = self.coords[j] - self.coords[i]
+        n = np.asarray(self.sizes)
+        return np.where(self.periodic, (delta + n // 2) % n - n // 2, delta)
+
     def graph_distance(self, i, j):
         """Distance in the link graph (axis steps and plane diagonals).
 
         Each move changes at most two coordinates by one unit, so the
         distance of a minimal-image integer displacement delta is
-        max(max_k |delta_k|, ceil(sum_k |delta_k| / 2)).
+        max(max_k |delta_k|, ceil(sum_k |delta_k| / 2)).  i and j may be
+        site index arrays; scalar sites give an int.
         """
-        delta = self.coords[j] - self.coords[i]
-        for k in range(self.ndim):
-            if self.periodic[k]:
-                n = self.sizes[k]
-                delta[k] = (delta[k] + n // 2) % n - n // 2
-        a = np.abs(delta)
-        return int(max(a.max(initial=0), -(-int(a.sum()) // 2)))
+        a = np.abs(self._minimal_image_steps(i, j))
+        dist = np.maximum(a.max(axis=-1), -(-a.sum(axis=-1) // 2))
+        return int(dist) if dist.ndim == 0 else dist
 
     def minimal_image_displacement(self, i, j):
-        """Physical displacement from site i to site j, minimal image."""
-        delta = (self.coords[j] - self.coords[i]).astype(float)
-        for k in range(self.ndim):
-            if self.periodic[k]:
-                n = self.sizes[k]
-                delta[k] = (delta[k] + n // 2) % n - n // 2
-        return delta * np.asarray(self.spacings)
+        """Physical displacement from site i to site j, minimal image.
 
-
-def _axis_steps(ndim):
-    steps = []
-    for k in range(ndim):
-        e = np.zeros(ndim, dtype=int)
-        e[k] = 1
-        steps.append((e.copy(), (k, k), 1))
-        steps.append((-e, (k, k), 1))
-    return steps
-
-
-def _diag_steps(ndim):
-    steps = []
-    for k in range(ndim):
-        for l in range(k + 1, ndim):
-            for sk in (1, -1):
-                for sl in (1, -1):
-                    e = np.zeros(ndim, dtype=int)
-                    e[k], e[l] = sk, sl
-                    steps.append((e, (k, l), sk * sl))
-    return steps
+        Shape (d,) for scalar sites, (n, d) for site index arrays.
+        """
+        return self._minimal_image_steps(i, j) * np.asarray(self.spacings)
 
 
 def build_lattice(spec):
@@ -232,106 +259,54 @@ def build_lattice(spec):
     positions = coords * spacings
     n_sites = len(coords)
 
-    def wrap(c):
-        out = []
-        for k in range(ndim):
-            v = c[k]
-            if periodic[k]:
-                v %= sizes[k]
-            elif v < 0 or v >= sizes[k]:
-                return None
-            out.append(int(v))
-        return tuple(out)
+    steps, step_axes, step_signs = _STENCILS[ndim]
+    target = coords[:, None, :] + steps[None, :, :]  # (n_sites, n_steps, d)
+    inside = np.all(((target >= 0) & (target < sizes)) | periodic, axis=-1)
+    target_site = np.ravel_multi_index(tuple(np.moveaxis(target, -1, 0)), sizes, mode="wrap")
+    src, col = np.nonzero(inside)  # site-major, then step order
+    link_table = np.full(inside.shape, -1, dtype=int)
+    link_table[src, col] = np.arange(len(src))
+    dst = target_site[src, col]
+    reverse_col = np.array([_STEP_COLUMN[tuple(int(v) for v in -s)] for s in steps])
+    reverse = link_table[dst, reverse_col[col]]
 
-    steps = _axis_steps(ndim) + _diag_steps(ndim)
-    src, dst, disp, axes, dsign = [], [], [], [], []
-    lookup = {}
-    for s in range(n_sites):
-        c = coords[s]
-        for step, ax, sg in steps:
-            target = wrap(c + step)
-            if target is None:
-                continue
-            j = int(np.ravel_multi_index(target, sizes))
-            lookup[(s, tuple(int(v) for v in step))] = len(src)
-            src.append(s)
-            dst.append(j)
-            disp.append(step * spacings)
-            axes.append(ax)
-            dsign.append(sg)
-    src = np.asarray(src, dtype=int)
-    dst = np.asarray(dst, dtype=int)
-    disp = np.asarray(disp, dtype=float).reshape(len(src), ndim)
-    axes = np.asarray(axes, dtype=int)
-    dsign = np.asarray(dsign, dtype=int)
+    # plaquette of plane (k, l) at site s: s -> s+e_k -> s+e_k+e_l -> s+e_l -> s,
+    # where steps +e_k and -e_k are link_table columns 2k and 2k + 1
+    planes = np.array(list(combinations(range(ndim), 2)), dtype=int).reshape(-1, 2)
+    cycles = np.empty((n_sites, len(planes), 4), dtype=int)
+    for p, (k, l) in enumerate(planes):
+        cycles[:, p, 0] = link_table[:, 2 * k]
+        cycles[:, p, 1] = link_table[dst[cycles[:, p, 0]], 2 * l]
+        cycles[:, p, 2] = link_table[dst[cycles[:, p, 1]], 2 * k + 1]
+        cycles[:, p, 3] = link_table[dst[cycles[:, p, 2]], 2 * l + 1]
+    has_plaq = (link_table[:, 2 * planes[:, 0]] >= 0) & (link_table[:, 2 * planes[:, 1]] >= 0)
+    plaq_links = cycles[has_plaq]
+    plaq_axes = np.broadcast_to(planes, cycles.shape[:2] + (2,))[has_plaq]
 
-    steps_int = {idx: key[1] for key, idx in lookup.items()}
-    reverse = np.empty(len(src), dtype=int)
-    for idx in range(len(src)):
-        neg = tuple(-v for v in steps_int[idx])
-        reverse[idx] = lookup[(int(dst[idx]), neg)]
-
-    plaq_links, plaq_axes = [], []
-    for s in range(n_sites):
-        c = coords[s]
-        for k in range(ndim):
-            for l in range(k + 1, ndim):
-                ek = np.zeros(ndim, dtype=int)
-                el = np.zeros(ndim, dtype=int)
-                ek[k], el[l] = 1, 1
-                if wrap(c + ek) is None or wrap(c + el) is None:
-                    continue
-                a = s
-                b = int(np.ravel_multi_index(wrap(c + ek), sizes))
-                d2 = int(np.ravel_multi_index(wrap(c + ek + el), sizes))
-                e2 = int(np.ravel_multi_index(wrap(c + el), sizes))
-                cyc = [
-                    lookup[(a, tuple(ek))],
-                    lookup[(b, tuple(el))],
-                    lookup[(d2, tuple(-ek))],
-                    lookup[(e2, tuple(-el))],
-                ]
-                plaq_links.append(cyc)
-                plaq_axes.append((k, l))
-    plaq_links = np.asarray(plaq_links, dtype=int).reshape(len(plaq_links), 4)
-    plaq_axes = np.asarray(plaq_axes, dtype=int).reshape(len(plaq_axes), 2)
-
-    gens = []
-    for k in range(ndim):
-        if not periodic[k]:
-            continue
-        cycle = []
-        c = np.zeros(ndim, dtype=int)
-        ek = np.zeros(ndim, dtype=int)
-        ek[k] = 1
-        for _ in range(sizes[k]):
-            s = int(np.ravel_multi_index(wrap(c), sizes))
-            cycle.append(lookup[(s, tuple(ek))])
-            c = c + ek
-        gens.append(np.asarray(cycle, dtype=int))
+    # pi_1 generator of periodic axis k: the +e_k links along the axis
+    # through the origin
+    gens = tuple(
+        link_table[np.arange(sizes[k]) * int(np.prod(sizes[k + 1:], dtype=int)), 2 * k]
+        for k in range(ndim)
+        if periodic[k]
+    )
 
     arrays = dict(
         coords=coords,
         positions=positions,
+        link_table=link_table,
         link_src=src,
         link_dst=dst,
-        link_disp=disp,
+        link_disp=steps[col] * spacings,
         link_reverse=reverse,
-        link_axes=axes,
-        link_diag_sign=dsign,
+        link_axes=step_axes[col],
+        link_diag_sign=step_signs[col],
         plaq_links=plaq_links,
         plaq_axes=plaq_axes,
     )
-    for arr in arrays.values():
+    for arr in (*arrays.values(), *gens):
         arr.setflags(write=False)
-    for cyc in gens:
-        cyc.setflags(write=False)
-    return Lattice(
-        spec=spec,
-        pi1_generators=tuple(gens),
-        _link_lookup=lookup,
-        **arrays,
-    )
+    return Lattice(spec=spec, pi1_generators=gens, **arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,17 @@ def _asmat(x):
     return sp.csr_matrix(np.asarray(x, dtype=complex))
 
 
+def _site_matrix(lattice, x):
+    """x as a sparse matrix, refused unless it is n_sites x n_sites."""
+    mat = _asmat(x)
+    if mat.shape != (lattice.n_sites, lattice.n_sites):
+        raise OperatorError(
+            f"operator is {mat.shape[0]}x{mat.shape[1]} but the lattice has "
+            f"{lattice.n_sites} sites"
+        )
+    return mat
+
+
 def _range_of(x):
     return x.stencil_range if isinstance(x, HermitianOperator) else 0
 
@@ -169,14 +180,12 @@ def validate_operator(lattice, M, tol=1e-12):
     sites, so M commutes with all multiplication operators iff it is
     diagonal.
     """
-    mat = _asmat(M).tocoo()
+    mat = _site_matrix(lattice, M).tocoo()
     herm = HermitianOperator(mat.tocsr()).hermiticity_defect()
 
     offdiag = mat.row != mat.col
     significant = offdiag & (np.abs(mat.data) > tol)
-    radius = 0
-    for i, j in zip(mat.row[significant], mat.col[significant]):
-        radius = max(radius, lattice.graph_distance(i, j))
+    radius = lattice.graph_distance(mat.row[significant], mat.col[significant]).max(initial=0)
     max_offdiag = np.max(np.abs(mat.data[offdiag]), initial=0.0)
 
     comm_max = 0.0

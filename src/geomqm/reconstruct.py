@@ -31,6 +31,7 @@ from .operators import (
     HermitianOperator,
     OperatorError,
     _asmat,
+    _site_matrix,
     build_hamiltonian,
     commutator,
     mult_op,
@@ -115,50 +116,70 @@ def _stencil_range(H):
     return H.stencil_range if isinstance(H, HermitianOperator) else 1
 
 
-def _link_lut(lattice):
-    return {
-        (int(i), int(j)): idx
-        for idx, (i, j) in enumerate(zip(lattice.link_src, lattice.link_dst))
-    }
+def _link_entries(lattice, H):
+    """Off-diagonal non-zeros of H as (rows, cols, values, link ids).
+
+    The link of an entry (i, j) is the one link leaving i whose
+    destination is j; its id is -1 where there is none.  Refuses an
+    operator whose size is not the lattice's site count.
+    """
+    mat = _site_matrix(lattice, H).tocoo()
+    keep = (mat.row != mat.col) & (mat.data != 0)
+    rows, cols = mat.row[keep], mat.col[keep]
+    out = lattice.link_table[rows]  # (nnz, n_steps) links leaving each row
+    hit = (out >= 0) & (lattice.link_dst[out] == cols[:, None])
+    return rows, cols, mat.data[keep], np.where(hit, out, -1).max(axis=1)
 
 
-def peierls_decompose(lattice, H, max_range=1):
+def _amplitudes(v):
+    """Real amplitudes c of link entries v = -c exp(-i theta), |theta| < pi/2."""
+    return -np.sign(v.real) * np.hypot(v.real, v.imag)
+
+
+def _link_couplings(lattice, entries):
+    """Amplitudes c on lattice links from _link_entries; other couplings ignored."""
+    _, _, vals, links = entries
+    on = links >= 0
+    if np.any(vals.real[on] == 0.0):
+        raise PhaseAmbiguity("phase on the pi/2 boundary")
+    c = np.zeros(lattice.n_links)
+    c[links[on]] = _amplitudes(vals[on])
+    return c
+
+
+def peierls_decompose(lattice, H):
     """Split H into link amplitudes, link phases and a diagonal.
 
-    Raises LocalityViolation if H couples sites beyond max_range in the
-    link graph (or off the link stencil entirely), and PhaseAmbiguity for
-    entries with exactly vanishing real part (phase on the +-pi/2
-    boundary).
+    Raises LocalityViolation if H couples sites off the range-1 link
+    stencil, and PhaseAmbiguity for entries with exactly vanishing real
+    part (phase on the +-pi/2 boundary); the first offending entry in
+    storage order is reported.
     """
-    mat = _asmat(H).tocoo()
+    mat = _site_matrix(lattice, H).tocoo()
     herm = np.max(np.abs((mat - mat.getH()).data), initial=0.0)
     if herm > 1e-10 * max(1.0, np.max(np.abs(mat.data), initial=0.0)):
         raise OperatorError(f"operator not Hermitian (defect {herm:g})")
 
-    lut = _link_lut(lattice)
+    rows, cols, vals, links = _link_entries(lattice, mat)
+    bad = np.flatnonzero((links < 0) | (vals.real == 0.0))
+    if bad.size:
+        i, j = rows[bad[0]], cols[bad[0]]
+        if links[bad[0]] < 0:
+            raise LocalityViolation(
+                f"coupling {i}->{j} at graph distance "
+                f"{lattice.graph_distance(i, j)} is outside the range-1 link stencil"
+            )
+        raise PhaseAmbiguity(
+            f"entry {i}->{j} is purely imaginary: phase on the pi/2 boundary"
+        )
     couplings = np.zeros(lattice.n_links)
     phases = np.zeros(lattice.n_links)
     diagonal = np.zeros(lattice.n_sites)
-    for i, j, v in zip(mat.row, mat.col, mat.data):
-        if i == j:
-            diagonal[i] = v.real
-            continue
-        if v == 0:
-            continue
-        link = lut.get((int(i), int(j)))
-        if link is None:
-            dist = lattice.graph_distance(i, j)
-            raise LocalityViolation(
-                f"coupling {i}->{j} at graph distance {dist} is outside the "
-                f"range-{max_range} link stencil"
-            )
-        if v.real == 0.0 and v.imag != 0.0:
-            raise PhaseAmbiguity(
-                f"entry {i}->{j} is purely imaginary: phase on the pi/2 boundary"
-            )
-        c = -np.sign(v.real) * abs(v)
-        couplings[link] = c
-        phases[link] = -np.angle(-v / c) if c != 0.0 else 0.0
+    ondiag = mat.row == mat.col
+    diagonal[mat.row[ondiag]] = mat.data[ondiag].real
+    c = _amplitudes(vals)
+    couplings[links] = c
+    phases[links] = -np.angle(-vals / c)
     return PeierlsDecomposition(couplings, phases, diagonal)
 
 
@@ -189,7 +210,6 @@ def reconstruct_metric(lattice, H, m, dec=None):
     """
     if dec is None:
         dec = peierls_decompose(lattice, H)
-    d = lattice.ndim
     k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
     h = np.asarray(lattice.spacings)
     axis = k == l
@@ -198,15 +218,7 @@ def reconstruct_metric(lattice, H, m, dec=None):
         2.0 * m * h[k] ** 2 * dec.couplings,
         4.0 * m * h[k] * h[l] * lattice.link_diag_sign * dec.couplings,
     )
-    g = np.zeros((lattice.n_sites, d, d))
-    counts = np.zeros((lattice.n_sites, d, d))
-    np.add.at(g, (lattice.link_src, k, l), gl)
-    np.add.at(counts, (lattice.link_src, k, l), 1.0)
-    g = np.where(counts > 0, g / np.maximum(counts, 1.0), 0.0)
-    for a in range(d):
-        for b in range(a + 1, d):
-            g[:, b, a] = g[:, a, b]
-    return g
+    return _incident_link_average(lattice, gl)
 
 
 def link_average_metric(lattice, g):
@@ -215,12 +227,20 @@ def link_average_metric(lattice, g):
     This is the part of g the stencil can see; reconstruction reproduces
     it exactly on round trips.
     """
-    d = lattice.ndim
     k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
     g = np.asarray(g, dtype=float)
-    gl = 0.5 * (g[lattice.link_src, k, l] + g[lattice.link_dst, k, l])
-    out = np.zeros_like(g)
-    counts = np.zeros_like(g)
+    return _incident_link_average(
+        lattice, 0.5 * (g[lattice.link_src, k, l] + g[lattice.link_dst, k, l])
+    )
+
+
+def _incident_link_average(lattice, gl):
+    """Metric field whose (k, l) entry at site i averages the per-link
+    values gl over the links of class (k, l) leaving i; symmetrized."""
+    d = lattice.ndim
+    k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
+    out = np.zeros((lattice.n_sites, d, d))
+    counts = np.zeros((lattice.n_sites, d, d))
     np.add.at(out, (lattice.link_src, k, l), gl)
     np.add.at(counts, (lattice.link_src, k, l), 1.0)
     out = np.where(counts > 0, out / np.maximum(counts, 1.0), 0.0)
@@ -285,13 +305,13 @@ def reconstruct_connection(lattice, dec, gauge="asis"):
     raise ValueError(f"unknown gauge {gauge!r}")
 
 
-def reconstruct_potential(lattice, dec, g_rec=None, A_rec=None, m=1.0):
+def reconstruct_potential(lattice, dec, m=1.0):
     """Scalar potential: operator diagonal minus the stencil diagonal.
 
     The stencil diagonal is the sum of the decomposed link amplitudes at
     each site, which is exactly the builder's diagonal, so round trips
-    invert the builder to rounding.  g_rec/A_rec are accepted for
-    interface parity; the amplitudes already determine the diagonal.
+    invert the builder to rounding.  The amplitudes already carry the
+    mass, so m does not enter.
     """
     stencil_diag = np.bincount(
         lattice.link_src, weights=dec.couplings, minlength=lattice.n_sites
@@ -312,23 +332,6 @@ def tree_gauge_canonicalize(lattice, H):
     dec = peierls_decompose(lattice, H)
     chi = tree_gauge_potential(lattice, dec.phases)
     return gauge_transform(H, chi)
-
-
-def _stencil_couplings(lattice, H):
-    """Amplitudes c on lattice links only; other couplings ignored."""
-    mat = _asmat(H).tocoo()
-    lut = _link_lut(lattice)
-    c = np.zeros(lattice.n_links)
-    for i, j, v in zip(mat.row, mat.col, mat.data):
-        if i == j or v == 0:
-            continue
-        link = lut.get((int(i), int(j)))
-        if link is None:
-            continue
-        if v.real == 0.0 and v.imag != 0.0:
-            raise PhaseAmbiguity("phase on the pi/2 boundary")
-        c[link] = -np.sign(v.real) * abs(v)
-    return c
 
 
 def _row_sum_field(lattice, c, da_link, db_link):
@@ -353,8 +356,8 @@ def cure_residual(lattice, H, a, b, psi):
         raise ValueError("test vector must be normalized")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    c = _link_couplings(lattice, _link_entries(lattice, H))
     M = commutator(mult_op(lattice, a).mat, commutator(_asmat(H), mult_op(lattice, b).mat))
-    c = _stencil_couplings(lattice, H)
     s = _row_sum_field(
         lattice, c,
         a[lattice.link_dst] - a[lattice.link_src],
@@ -373,24 +376,20 @@ def coordinate_cure_residual(lattice, H, k, l, psi):
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("test vector must be normalized")
-    mat = _asmat(H).tocoo()
-    off = mat.row != mat.col
-    rows, cols, vals = mat.row[off], mat.col[off], mat.data[off]
-    dak = np.empty(len(rows))
-    dbl = np.empty(len(rows))
-    for n, (i, j) in enumerate(zip(rows, cols)):
-        dx = lattice.minimal_image_displacement(i, j)
-        dak[n], dbl[n] = dx[k], dx[l]
+    entries = _link_entries(lattice, H)
+    rows, cols, vals, _ = entries
+    dx = lattice.minimal_image_displacement(rows, cols)
+    n = lattice.n_sites
     # [a,[H,b]]_ij = -(a_j - a_i)(b_j - b_i) H_ij, zero diagonal
-    M = sp.csr_matrix((-dak * dbl * vals, (rows, cols)), shape=mat.shape)
-    c = _stencil_couplings(lattice, H)
+    M = sp.csr_matrix((-dx[:, k] * dx[:, l] * vals, (rows, cols)), shape=(n, n))
+    c = _link_couplings(lattice, entries)
     s = _row_sum_field(lattice, c, lattice.link_disp[:, k], lattice.link_disp[:, l])
     return float(np.linalg.norm(M @ psi - s * psi))
 
 
 def metric_row_sum_field(lattice, H, m, k, l):
     """m * covariant row sums for coordinate pair (k, l): a g^kl witness."""
-    c = _stencil_couplings(lattice, H)
+    c = _link_couplings(lattice, _link_entries(lattice, H))
     return m * _row_sum_field(
         lattice, c, lattice.link_disp[:, k], lattice.link_disp[:, l]
     )
@@ -448,32 +447,28 @@ def axiom_report(lattice, H, m, tol=1e-10, psi=None):
     )
 
 
-def roundtrip_report(lattice, g, A, phi, m, reference="link_average"):
-    """Build H from (g, A, phi), reconstruct, and report sup-norm errors.
+def reconstruction_report(lattice, H, m, truth=None):
+    """Reconstruct (g, A, phi) from H, with axiom certificates.
 
-    reference="link_average" compares against the link-averaged input
-    (the discrete round trip, exact to rounding); "pointwise" compares
-    against the raw site values (continuum mode, O(h^2)).
+    truth=(g_ref, theta, phi) gives the sup-norm errors against those
+    fields (curvature compared through plaquette sums); without it the
+    errors are NaN.
     """
-    g = np.asarray(g, dtype=float)
-    phi = np.zeros(lattice.n_sites) if phi is None else np.asarray(phi, dtype=float)
-    H = build_hamiltonian(lattice, g, A, phi, m)
     dec = peierls_decompose(lattice, H)
     g_rec = reconstruct_metric(lattice, H, m, dec=dec)
     theta_rec = reconstruct_connection(lattice, dec)
     phi_rec = reconstruct_potential(lattice, dec, m=m)
-
-    g_ref = link_average_metric(lattice, g) if reference == "link_average" else g
-    e_g = float(np.max(np.abs(g_rec - g_ref)))
-    theta_in = np.zeros(lattice.n_links) if A is None else np.asarray(A, dtype=float)
-    if len(lattice.plaq_links):
-        e_F = float(
-            np.max(np.abs(plaquette_sums(lattice, theta_rec)
-                          - plaquette_sums(lattice, theta_in)))
-        )
-    else:
+    e_g = e_F = e_phi = float("nan")
+    if truth is not None:
+        g_ref, theta_in, phi_in = truth
+        e_g = float(np.max(np.abs(g_rec - g_ref)))
         e_F = 0.0
-    e_phi = float(np.max(np.abs(phi_rec - phi)))
+        if len(lattice.plaq_links):
+            e_F = float(
+                np.max(np.abs(plaquette_sums(lattice, theta_rec)
+                              - plaquette_sums(lattice, theta_in)))
+            )
+        e_phi = float(np.max(np.abs(phi_rec - phi_in)))
     return ReconstructionReport(
         g_rec=g_rec,
         A_rec=theta_rec,
@@ -484,3 +479,18 @@ def roundtrip_report(lattice, g, A, phi, m, reference="link_average"):
         e_phi=e_phi,
         axiom=axiom_report(lattice, H, m),
     )
+
+
+def roundtrip_report(lattice, g, A, phi, m, reference="link_average"):
+    """Build H from (g, A, phi), reconstruct, and report sup-norm errors.
+
+    reference="link_average" compares against the link-averaged input
+    (the discrete round trip, exact to rounding); "pointwise" compares
+    against the raw site values (continuum mode, O(h^2)).
+    """
+    g = np.asarray(g, dtype=float)
+    phi = np.zeros(lattice.n_sites) if phi is None else np.asarray(phi, dtype=float)
+    H = build_hamiltonian(lattice, g, A, phi, m)
+    g_ref = link_average_metric(lattice, g) if reference == "link_average" else g
+    theta_in = np.zeros(lattice.n_links) if A is None else np.asarray(A, dtype=float)
+    return reconstruction_report(lattice, H, m, truth=(g_ref, theta_in, phi))

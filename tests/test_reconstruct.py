@@ -5,12 +5,14 @@ import scipy.sparse as sp
 from geomqm import (
     LatticeSpec,
     LocalityViolation,
+    OperatorError,
     PhaseAmbiguity,
     axiom_report,
     build_hamiltonian,
     build_lattice,
     commutator,
     constant_metric,
+    coordinate_cure_residual,
     covariant_laplacian,
     cure_residual,
     d0,
@@ -32,6 +34,7 @@ from geomqm import (
     roundtrip_report,
     row_sum_field,
     tree_gauge_canonicalize,
+    validate_operator,
     velocity,
     wrap_angle,
 )
@@ -449,3 +452,24 @@ def test_row_sum_bilinearity_operator_level():
         commutator(mult_op(lat, 3.0 * x), commutator(H, mult_op(lat, x)))
     )
     assert np.max(np.abs(scaled - 3.0 * base)) < 1e-13
+
+
+# ---------------------------------------------------------------- operator size
+
+@pytest.mark.parametrize("op_sites, lattice_sites", [(64, 24), (24, 64)])
+def test_wrong_size_operator_names_both_sizes(op_sites, lattice_sites):
+    # a size mismatch is reported as such, not as an IndexError or as a
+    # locality violation of the wrapped-around links
+    lat = build_lattice(LatticeSpec("ring", (lattice_sites,), (0.5,)))
+    other = build_lattice(LatticeSpec("ring", (op_sites,), (0.5,)))
+    H = free_hamiltonian(other)
+    psi = default_test_vector(lat)
+    message = f"operator is {op_sites}x{op_sites} but the lattice has {lattice_sites} sites"
+    for call in (
+        lambda: peierls_decompose(lat, H),
+        lambda: validate_operator(lat, H),
+        lambda: coordinate_cure_residual(lat, H, 0, 0, psi),
+    ):
+        with pytest.raises(OperatorError, match=message) as info:
+            call()
+        assert type(info.value) is OperatorError

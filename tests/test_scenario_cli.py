@@ -295,3 +295,29 @@ def test_geodesic_task_time_dependent_residual_column(tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     # flat metric scaled by (1 + 0.02 t): residual = rate |v|^2 / 2
     assert abs(last[-1] - 0.5 * 0.02 * 0.25) < 1e-6
+
+
+def test_cli_reconstruct_wrong_size_operator_file(tmp_path, capsys):
+    # the shipped 24-site reconstruct scenario pointed at a 64-site dump
+    import pathlib
+
+    import yaml
+
+    from geomqm import (
+        LatticeSpec,
+        build_lattice,
+        constant_metric,
+        covariant_laplacian,
+        save_operator,
+    )
+
+    big = build_lattice(LatticeSpec("ring", (64,), (0.5,)))
+    dump = tmp_path / "ring64.txt"
+    save_operator(dump, covariant_laplacian(big, constant_metric(big), None, 1.0))
+    shipped = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "reconstruct.yaml"
+    doc = yaml.safe_load(shipped.read_text(encoding="utf-8"))
+    doc["params"] = {"hamiltonian_file": str(dump)}
+    path = write(tmp_path, "rec.yaml", yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "operator is 64x64 but the lattice has 24 sites" in err
