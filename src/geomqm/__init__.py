@@ -54,6 +54,7 @@ from .maxwell import (
     continuity_defect,
     current,
     d_cochain,
+    double_star_defect,
     hodge,
 )
 from .operators import (

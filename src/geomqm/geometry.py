@@ -222,7 +222,7 @@ def geodesic_integrate(metric, state0, dt, T, eta=None, record_every=1):
     return Trajectory(times, qs, vs, speed2, truncated)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpacetimeMetric:
     """Block spacetime metric diag(g00, g_t) on time samples.
 

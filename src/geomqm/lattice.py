@@ -123,7 +123,7 @@ _STEP_COLUMN = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
     """A built lattice: sites, directed links, plaquettes, pi_1 cycles.
 

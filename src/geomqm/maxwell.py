@@ -5,8 +5,8 @@ pairs; edges, faces and 3-cells are spanned by subsets of the spacetime
 axes, ordered (t, x, y, z), anchored at their lowest-corner vertex and
 oriented by increasing axis index.  Incidence follows
 
-    boundary[v; a_1 < ... < a_k] =
-        sum_i (-1)^i ([v; drop a_i] - [v + e_{a_i}; drop a_i])
+    boundary[v; a_0 < ... < a_{k-1}] =
+        sum_i (-1)^i ([v + e_{a_i}; drop a_i] - [v; drop a_i])
 
 so applying the coboundary twice annihilates every cochain by integer
 arithmetic alone.  Only axis links enter the complex (plane diagonals
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,7 @@ class ComplexError(ValueError):
     """Invalid cell complex construction or cochain algebra."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cochain:
     """Real values on the k-cells of a spacetime complex."""
 
@@ -51,18 +52,38 @@ class Cochain:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpacetimeComplex:
+    """Cubical complex on lattice x {0..n_t-1} time samples.
+
+    Vertex v = it * n_sites + site (time-major).  The k-cell [v; axes] is
+    spanned by an increasing axis combination at its anchor vertex v;
+    the combinations of degree k are those of
+    itertools.combinations(range(n), k), in that (lexicographic) order.
+    Per degree k = 0..3:
+
+      cell_table[k]   (n_verts, n_combos) int: id of the cell anchored at
+                      vertex v along combination c, -1 where a cut step
+                      leaves no cell
+      cell_anchor[k]  (n_cells,) anchor vertex of every cell
+      cell_axes[k]    (n_cells, k) int: the axes spanning every cell
+
+    Cell ids, which are the cell_id column of cochains.csv: vertices
+    time-major; spatial edges by (time, axis, site), then time edges by
+    (time, site); faces and 3-cells anchor-major, then axes in
+    lexicographic order.  incidence[k] is D_k, (k+1)-cells x k-cells;
+    edge_link holds the lattice link of every spatial edge, -1 on time
+    edges.
+    """
+
     lattice: object
     n_t: int
     dt: float
-    cell_axes: tuple      # per degree, list of axis tuples
-    cell_anchor: tuple    # per degree, int array of anchor vertices
-    cell_lookup: tuple    # per degree, dict (axes, anchor) -> index
-    incidence: tuple      # D_k: (k+1)-cells x k-cells, k = 0..2
-    edge_link: np.ndarray  # lattice link id for spatial edges, -1 for time
-    edge_time: np.ndarray  # time sample of each edge's anchor
-    edge_site: np.ndarray  # anchor site of each edge
+    cell_table: tuple
+    cell_anchor: tuple
+    cell_axes: tuple
+    incidence: tuple
+    edge_link: np.ndarray
 
     @property
     def n(self):
@@ -73,11 +94,7 @@ class SpacetimeComplex:
         return (self.dt,) + tuple(self.lattice.spacings)
 
     def n_cells(self, k):
-        if k == 0:
-            return self.n_t * self.lattice.n_sites
-        if 1 <= k <= 3:
-            return len(self.cell_anchor[k])
-        return 0
+        return len(self.cell_anchor[k]) if 0 <= k <= 3 else 0
 
     def content_hash(self):
         spec = self.lattice.spec
@@ -89,172 +106,81 @@ class SpacetimeComplex:
         return Cochain(self, k, vals)
 
 
+def _combos(n, k):
+    """Axis combinations of degree k, lexicographic, as a (count, k) array."""
+    combos = list(combinations(range(n), k))
+    return np.array(combos, dtype=int).reshape(len(combos), k)
+
+
 def build_spacetime_complex(lattice, n_t, dt):
     """Cubical complex on lattice x {0..n_t-1} time samples."""
     if n_t < 1:
         raise ComplexError("need at least one time sample")
     if dt <= 0:
         raise ComplexError("dt must be positive")
-    d = lattice.ndim
-    n_ax = d + 1
-    ns = lattice.n_sites
+    ns, n = lattice.n_sites, lattice.ndim + 1
+    verts = np.arange(ns * n_t)
+    it, site = np.divmod(verts, ns)
+    # links[k, v]: the +e_k link (link_table column 2k) from v's site;
+    # nxt[a, v]: the vertex one step from v along spacetime axis a, -1
+    # where the step is cut
+    links = lattice.link_table[site][:, 0:2 * lattice.ndim:2].T
+    nxt = np.vstack([
+        np.where(it + 1 < n_t, verts + ns, -1),
+        np.where(links >= 0, it * ns + lattice.link_dst[links], -1),
+    ])
 
-    def vert(site, it):
-        return it * ns + site
+    cell_table, cell_anchor, cell_axes = [verts[:, None]], [verts], [np.zeros((len(verts), 0), int)]
+    incidence = []
+    for k in range(1, 4):
+        combos = _combos(n, k)
+        # a cell exists where every spanning step from its anchor does
+        # (the complex is a product, so the far corners then exist too)
+        exists = np.all(nxt[combos] >= 0, axis=1).T
+        if k == 1:
+            # spatial edges by (time, axis, site), then time edges by (time, site)
+            grid = exists.reshape(n_t, ns, n)
+            t_s, axis, s_s = np.nonzero(grid[:, :, 1:].transpose(0, 2, 1))
+            t_t, s_t = np.nonzero(grid[:, :, 0])
+            anchor = np.concatenate([t_s * ns + s_s, t_t * ns + s_t])
+            combo = np.concatenate([axis + 1, np.zeros_like(s_t)])
+        else:
+            anchor, combo = np.nonzero(exists)
+        cells = np.arange(len(anchor))
+        table = np.full(exists.shape, -1)
+        table[anchor, combo] = cells
+        axes = combos[combo]
 
-    def step(v, axis):
-        """Vertex one cell over along a spacetime axis, or None."""
-        it, site = divmod(v, ns)
-        if axis == 0:
-            return v + ns if it + 1 < n_t else None
-        try:
-            link = lattice.link_index(site, _unit_step(d, axis - 1))
-        except KeyError:
-            return None
-        return vert(int(lattice.link_dst[link]), it)
+        # boundary of [v; a_0 < ... < a_{k-1}]: (-1)^(i+1) on [v; drop a_i]
+        # and (-1)^i on [v + e_{a_i}; drop a_i]
+        lower = {c: j for j, c in enumerate(combinations(range(n), k - 1))}
+        rows, cols, vals = [], [], []
+        for i in range(k):
+            face = np.array([lower[c[:i] + c[i + 1:]] for c in combinations(range(n), k)],
+                            dtype=int)[combo]
+            for corner, sign in ((anchor, (-1.0) ** (i + 1)), (nxt[axes[:, i], anchor], (-1.0) ** i)):
+                rows.append(cells)
+                cols.append(cell_table[k - 1][corner, face])
+                vals.append(np.full(len(cells), sign))
+        incidence.append(sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(cells), len(cell_anchor[k - 1])),
+        ))
+        cell_table.append(table)
+        cell_anchor.append(anchor)
+        cell_axes.append(axes)
 
-    n_verts = ns * n_t
-    edge_axes, edge_anchor, edge_lookup = [], [], {}
-    edge_link, edge_time, edge_site = [], [], []
-    d0_rows, d0_cols, d0_vals = [], [], []
-    for it in range(n_t):
-        for k in range(d):
-            stp = _unit_step(d, k)
-            for link in range(lattice.n_links):
-                if not _is_canonical_axis_link(lattice, link, k):
-                    continue
-                src, dst = int(lattice.link_src[link]), int(lattice.link_dst[link])
-                v = vert(src, it)
-                idx = len(edge_axes)
-                edge_axes.append((k + 1,))
-                edge_anchor.append(v)
-                edge_lookup[((k + 1,), v)] = idx
-                edge_link.append(link)
-                edge_time.append(it)
-                edge_site.append(src)
-                d0_rows += [idx, idx]
-                d0_cols += [vert(dst, it), v]
-                d0_vals += [1.0, -1.0]
-    for it in range(n_t - 1):
-        for site in range(ns):
-            v = vert(site, it)
-            idx = len(edge_axes)
-            edge_axes.append((0,))
-            edge_anchor.append(v)
-            edge_lookup[((0,), v)] = idx
-            edge_link.append(-1)
-            edge_time.append(it)
-            edge_site.append(site)
-            d0_rows += [idx, idx]
-            d0_cols += [v + ns, v]
-            d0_vals += [1.0, -1.0]
-
-    face_axes, face_anchor, face_lookup = [], [], {}
-    d1_rows, d1_cols, d1_vals = [], [], []
-    for v in range(n_verts):
-        for mu in range(n_ax):
-            v_mu = step(v, mu)
-            if v_mu is None:
-                continue
-            for nu in range(mu + 1, n_ax):
-                v_nu = step(v, nu)
-                if v_nu is None or step(v_mu, nu) is None:
-                    continue
-                idx = len(face_axes)
-                face_axes.append((mu, nu))
-                face_anchor.append(v)
-                face_lookup[((mu, nu), v)] = idx
-                for edge_key, sign in (
-                    (((mu,), v), 1.0),
-                    (((nu,), v_mu), 1.0),
-                    (((mu,), v_nu), -1.0),
-                    (((nu,), v), -1.0),
-                ):
-                    d1_rows.append(idx)
-                    d1_cols.append(edge_lookup[edge_key])
-                    d1_vals.append(sign)
-
-    cube_axes, cube_anchor, cube_lookup = [], [], {}
-    d2_rows, d2_cols, d2_vals = [], [], []
-    for v in range(n_verts):
-        for mu in range(n_ax):
-            v_mu = step(v, mu)
-            if v_mu is None:
-                continue
-            for nu in range(mu + 1, n_ax):
-                v_nu = step(v, nu)
-                if v_nu is None or step(v_mu, nu) is None:
-                    continue
-                for rho in range(nu + 1, n_ax):
-                    v_rho = step(v, rho)
-                    if v_rho is None:
-                        continue
-                    if step(v_mu, rho) is None or step(v_nu, rho) is None:
-                        continue
-                    if step(step(v_mu, nu), rho) is None:
-                        continue
-                    idx = len(cube_axes)
-                    cube_axes.append((mu, nu, rho))
-                    cube_anchor.append(v)
-                    cube_lookup[((mu, nu, rho), v)] = idx
-                    for face_key, sign in (
-                        (((nu, rho), v), -1.0),
-                        (((nu, rho), v_mu), 1.0),
-                        (((mu, rho), v), 1.0),
-                        (((mu, rho), v_nu), -1.0),
-                        (((mu, nu), v), -1.0),
-                        (((mu, nu), v_rho), 1.0),
-                    ):
-                        d2_rows.append(idx)
-                        d2_cols.append(face_lookup[face_key])
-                        d2_vals.append(sign)
-
-    n_edges, n_faces, n_cubes = len(edge_axes), len(face_axes), len(cube_axes)
-    D0 = sp.csr_matrix((d0_vals, (d0_rows, d0_cols)), shape=(n_edges, n_verts))
-    D1 = sp.csr_matrix((d1_vals, (d1_rows, d1_cols)), shape=(n_faces, n_edges))
-    D2 = sp.csr_matrix((d2_vals, (d2_rows, d2_cols)), shape=(n_cubes, n_faces))
-
+    axis = cell_axes[1][:, 0]
+    edge_link = np.where(axis > 0, links[axis - 1, cell_anchor[1]], -1)
     return SpacetimeComplex(
         lattice=lattice,
         n_t=n_t,
         dt=dt,
-        cell_axes=(
-            [()] * n_verts,
-            edge_axes,
-            face_axes,
-            cube_axes,
-        ),
-        cell_anchor=(
-            np.arange(n_verts),
-            np.asarray(edge_anchor, dtype=int),
-            np.asarray(face_anchor, dtype=int),
-            np.asarray(cube_anchor, dtype=int),
-        ),
-        cell_lookup=(
-            {((), v): v for v in range(n_verts)},
-            edge_lookup,
-            face_lookup,
-            cube_lookup,
-        ),
-        incidence=(D0, D1, D2),
-        edge_link=np.asarray(edge_link, dtype=int),
-        edge_time=np.asarray(edge_time, dtype=int),
-        edge_site=np.asarray(edge_site, dtype=int),
-    )
-
-
-def _unit_step(d, k):
-    e = [0] * d
-    e[k] = 1
-    return tuple(e)
-
-
-def _is_canonical_axis_link(lattice, link, axis):
-    ax = lattice.link_axes[link]
-    return (
-        ax[0] == axis
-        and ax[1] == axis
-        and lattice.link_disp[link][axis] > 0
+        cell_table=tuple(cell_table),
+        cell_anchor=tuple(cell_anchor),
+        cell_axes=tuple(cell_axes),
+        incidence=tuple(incidence),
+        edge_link=edge_link,
     )
 
 
@@ -273,12 +199,10 @@ def assemble_potential(cx, A_series, phi_series, dt=None):
             f"need {cx.n_t} samples, got {len(A_series)} connection and "
             f"{len(phi_series)} potential samples"
         )
-    vals = np.zeros(cx.n_cells(1))
-    spatial = cx.edge_link >= 0
-    for idx in np.flatnonzero(spatial):
-        vals[idx] = A_series[cx.edge_time[idx]][cx.edge_link[idx]]
-    for idx in np.flatnonzero(~spatial):
-        vals[idx] = phi_series[cx.edge_time[idx]][cx.edge_site[idx]] * cx.dt
+    it, site = np.divmod(cx.cell_anchor[1], cx.lattice.n_sites)
+    A = np.asarray(A_series, dtype=float)
+    phi = np.asarray(phi_series, dtype=float)
+    vals = np.where(cx.edge_link >= 0, A[it, cx.edge_link], phi[it, site] * cx.dt)
     return Cochain(cx, 1, vals)
 
 
@@ -300,17 +224,23 @@ def _permutation_sign(order):
     return sign
 
 
-def _diag_upper(cx, metric, site, it):
-    """Spacetime upper-metric diagonal (g00, g^11..) at a vertex."""
+def _upper_diagonal(cx, metric, anchors):
+    """Spacetime upper-metric diagonal (g00, g^11, ..) at every vertex.
+
+    Raises ComplexError where the spatial metric at one of the anchor
+    vertices `anchors` is not diagonal.
+    """
+    n_verts = cx.n_cells(0)
     if metric is None:
-        return (-1.0,) + (1.0,) * cx.lattice.ndim
+        return np.broadcast_to([-1.0] + [1.0] * cx.lattice.ndim, (n_verts, cx.n))
+    it, site = np.divmod(np.arange(n_verts), cx.lattice.n_sites)
     fields = metric.fields
-    sample = it if fields.shape[0] == cx.n_t else 0
-    g = fields[sample][site]
-    off = g - np.diag(np.diag(g))
-    if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(g))):
+    g = fields[it if fields.shape[0] == cx.n_t else 0, site]
+    size = np.abs(g)
+    off = np.where(np.eye(cx.lattice.ndim, dtype=bool), 0.0, size).max(axis=(1, 2))
+    if np.any(off[anchors] > 1e-12 * np.maximum(1.0, size[anchors].max(axis=(1, 2)))):
         raise ComplexError("Hodge star supports diagonal spatial metrics only")
-    return (metric.g00,) + tuple(np.diag(g))
+    return np.column_stack([np.full(n_verts, float(metric.g00)), np.diagonal(g, axis1=1, axis2=2)])
 
 
 def hodge_factors(cx, k, metric):
@@ -318,26 +248,38 @@ def hodge_factors(cx, k, metric):
 
     lambda = eps(S, S~) sqrt|det g| prod_{mu in S} g^mumu
              * prod_{nu in S~} h_nu / prod_{mu in S} h_mu
-    with all metric data at the cell's anchor vertex, so a cell and its
-    complement share factors and ** reduces to a pure sign.
+    with sqrt|det g| = 1 / sqrt(|g00| prod_k g^kk) and all metric data at
+    the cell's anchor vertex, so a cell and its complement share factors
+    and ** reduces to a pure sign.
     """
+    gup = _upper_diagonal(cx, metric, cx.cell_anchor[k])
+    sqrt_det = 1.0 / np.sqrt(np.abs(gup[:, 0]) * np.prod(gup[:, 1:], axis=1))
     h = np.asarray(cx.spacings)
-    ns = cx.lattice.n_sites
     out = np.empty(cx.n_cells(k))
-    for idx in range(cx.n_cells(k)):
-        axes = cx.cell_axes[k][idx]
-        anchor = int(cx.cell_anchor[k][idx])
-        it, site = divmod(anchor, ns)
-        gup = _diag_upper(cx, metric, site, it)
+    for c, axes in enumerate(combinations(range(cx.n), k)):
         comp = tuple(a for a in range(cx.n) if a not in axes)
-        sqrt_det = 1.0 / np.sqrt(np.prod(gup[1:]))
-        lam = _permutation_sign(axes + comp) * sqrt_det
+        cells = cx.cell_table[k][:, c]
+        at = np.flatnonzero(cells >= 0)
+        lam = _permutation_sign(axes + comp) * sqrt_det[at]
         for mu in axes:
-            lam *= gup[mu] / h[mu]
+            lam = lam * (gup[at, mu] / h[mu])
         for nu in comp:
-            lam *= h[nu]
-        out[idx] = lam
+            lam = lam * h[nu]
+        out[cells[at]] = lam
     return out
+
+
+def _dual_pairs(cx, k):
+    """Ids of the k-cells whose complement cell exists, and of those complements.
+
+    The complement of the c-th axis combination of degree k is the c-th
+    from last of degree n-k, and a cell and its complement share the
+    anchor.
+    """
+    table = cx.cell_table[k]
+    comp = cx.cell_table[cx.n - k][:, ::-1]
+    both = (table >= 0) & (comp >= 0)
+    return table[both], comp[both]
 
 
 def hodge(cx, omega, metric=None):
@@ -354,14 +296,9 @@ def hodge(cx, omega, metric=None):
     if nk < 0 or nk > 3:
         raise ComplexError(f"no degree-{nk} cells in this complex")
     lam = hodge_factors(cx, k, metric)
+    src, dst = _dual_pairs(cx, k)
     out = np.zeros(cx.n_cells(nk))
-    lookup = cx.cell_lookup[nk]
-    for idx in range(cx.n_cells(k)):
-        axes = cx.cell_axes[k][idx]
-        comp = tuple(a for a in range(cx.n) if a not in axes)
-        target = lookup.get((comp, int(cx.cell_anchor[k][idx])))
-        if target is not None:
-            out[target] += lam[idx] * omega.values[idx]
+    out[dst] += lam[src] * omega.values[src]
     return Cochain(cx, nk, out)
 
 
@@ -388,3 +325,20 @@ def continuity_defect(cx, j, metric=None):
     star1 = hodge_factors(cx, 1, metric)
     top = cx.incidence[0].T @ (star1 * j.values)
     return float(np.max(np.abs(top), initial=0.0))
+
+
+def double_star_defect(cx, omega, metric=None):
+    """max |**omega - (-1)^(k(n-k)) sign(g00) omega| / max |omega|.
+
+    Taken over the cells whose complement exists (the others drop out of
+    the star); zero up to rounding for a consistent diagonal star.
+    """
+    k = omega.degree
+    twice = hodge(cx, hodge(cx, omega, metric), metric).values
+    g00 = -1.0 if metric is None else metric.g00
+    want = (-1) ** (k * (cx.n - k)) * np.sign(g00) * omega.values
+    src, _ = _dual_pairs(cx, k)
+    scale = np.max(np.abs(omega.values), initial=0.0)
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(twice[src] - want[src]), initial=0.0) / scale)

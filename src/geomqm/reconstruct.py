@@ -422,8 +422,11 @@ def axiom_report(lattice, H, m, tol=1e-10, psi=None):
     entirely decoupled (an "unquantized" direction).  Includes cure
     residuals for all coordinate pairs and the commutant defect.
     """
-    dec = peierls_decompose(lattice, H)
-    g = reconstruct_metric(lattice, H, m, dec=dec)
+    return _axiom_report(lattice, H, reconstruct_metric(lattice, H, m), tol, psi)
+
+
+def _axiom_report(lattice, H, g, tol=1e-10, psi=None):
+    """axiom_report for H whose reconstructed metric g is already known."""
     mins = np.linalg.eigvalsh(g).min(axis=1) if lattice.ndim > 1 else g[:, 0, 0]
     positivity = bool(mins.min() > tol)
     unquantized = tuple(
@@ -477,7 +480,7 @@ def reconstruction_report(lattice, H, m, truth=None):
         e_g=e_g,
         e_F=e_F,
         e_phi=e_phi,
-        axiom=axiom_report(lattice, H, m),
+        axiom=_axiom_report(lattice, H, g_rec),
     )
 
 

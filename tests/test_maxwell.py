@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from geomqm import (
     hodge,
     lorentzian_lift,
 )
+from geomqm import maxwell
 
 
 def cylinder_complex(nx=6, ny=5, n_t=4, dt=0.5):
@@ -173,13 +176,14 @@ def test_hodge_n4_time_face_sign():
     # * (dt ^ dx) lands on (dy ^ dz) with the -1 of the time index
     lat = build_lattice(LatticeSpec("box3", (3, 3, 3), (1.0, 1.0, 1.0)))
     cx = build_spacetime_complex(lat, 3, 1.0)
-    anchor = int(cx.cell_lookup[2][((0, 1), lat.site_index((1, 1, 1)))])
+    faces = list(combinations(range(4), 2))
+    anchor = int(cx.cell_table[2][lat.site_index((1, 1, 1)), faces.index((0, 1))])
     F = cx.cochain(2)
     F.values[anchor] = 1.0
     dual = hodge(cx, F)
     comp, coeff = levi_civita_star_oracle((0, 1), (-1.0, 1.0, 1.0, 1.0), (1.0,) * 4)
     assert comp == (2, 3) and coeff == -1.0
-    target = cx.cell_lookup[2][((2, 3), lat.site_index((1, 1, 1)))]
+    target = cx.cell_table[2][lat.site_index((1, 1, 1)), faces.index((2, 3))]
     assert dual.values[target] == coeff
     others = np.delete(dual.values, target)
     assert np.max(np.abs(others)) == 0.0
@@ -191,13 +195,14 @@ def test_hodge_matches_oracle_with_anisotropic_spacings():
     cx = build_spacetime_complex(lat, 3, dt)
     site = lat.site_index((1, 1, 1))
     spac = (dt, 0.5, 0.8, 1.2)
+    faces = list(combinations(range(4), 2))
     for axes in ((0, 1), (0, 2), (1, 2), (2, 3)):
-        idx = cx.cell_lookup[2].get((axes, site))
+        idx = cx.cell_table[2][site, faces.index(axes)]
         F = cx.cochain(2)
         F.values[idx] = 1.0
         dual = hodge(cx, F)
         comp, coeff = levi_civita_star_oracle(axes, (-1.0, 1.0, 1.0, 1.0), spac)
-        target = cx.cell_lookup[2][(comp, site)]
+        target = cx.cell_table[2][site, faces.index(comp)]
         assert abs(dual.values[target] - coeff) < 1e-14
 
 
@@ -213,6 +218,42 @@ def test_hodge_time_face_dual_invariant_under_dt():
     v0 = duals[0][duals[0] != 0]
     v1 = duals[1][duals[1] != 0]
     assert np.allclose(np.sort(v0), np.sort(v1), atol=1e-14)
+
+
+def position_dependent_metric(lat, n_t, dt, g00):
+    g = constant_metric(lat)
+    g[:, 0, 0] = 1.0 + 0.3 * np.sin(2 * np.pi * lat.positions[:, 0] / lat.axis_extent(0))
+    g[:, 1, 1] = 1.5 + 0.2 * np.cos(2 * np.pi * lat.positions[:, 1] / lat.axis_extent(1))
+    series = np.array([g * (1.0 + 0.1 * s) for s in range(n_t)])
+    return lorentzian_lift(lat, series, np.arange(n_t) * dt, g00=g00)
+
+
+@pytest.mark.parametrize("g00", [-1.0, 1.0, -4.0])
+def test_double_star_is_a_sign_for_any_lapse(g00):
+    # ** = (-1)^(k(n-k)) sign(det g) on every cell whose complement exists;
+    # sqrt|det g| must include |g00| for this to hold off unit lapse
+    lat, cx = cylinder_complex()
+    met = position_dependent_metric(lat, cx.n_t, cx.dt, g00)
+    F = cx.cochain(2, np.random.default_rng(3).normal(size=cx.n_cells(2)))
+    FF = hodge(cx, hodge(cx, F, met), met).values
+    kept = hodge(cx, hodge(cx, cx.cochain(2, np.ones(cx.n_cells(2))))).values != 0.0
+    assert 0 < kept.sum() < cx.n_cells(2)
+    sign = (-1) ** (2 * (cx.n - 2)) * np.sign(g00)
+    assert np.max(np.abs(FF[kept] - sign * F.values[kept])) <= 1e-12
+    assert np.all(FF[~kept] == 0.0)
+
+
+@pytest.mark.parametrize("g00", [-1.0, 1.0, -4.0])
+def test_double_star_defect_measures_a_wrong_star(g00, monkeypatch):
+    lat, cx = cylinder_complex()
+    met = position_dependent_metric(lat, cx.n_t, cx.dt, g00)
+    F = cx.cochain(2, np.random.default_rng(4).normal(size=cx.n_cells(2)))
+    assert maxwell.double_star_defect(cx, F, met) <= 1e-12
+    assert maxwell.double_star_defect(cx, cx.cochain(2), met) == 0.0
+    # a star off by a factor 2 makes ** off by 4: the defect reads 3
+    factors = maxwell.hodge_factors
+    monkeypatch.setattr(maxwell, "hodge_factors", lambda cx, k, m: 2.0 * factors(cx, k, m))
+    assert abs(maxwell.double_star_defect(cx, F, met) - 3.0) <= 1e-12
 
 
 def test_hodge_rejects_nondiagonal_metric():
@@ -243,9 +284,7 @@ def test_uniform_flux_on_torus_time_is_sourceless():
     cx = build_spacetime_complex(lat, 4, 0.5)
     met = flat_metric(lat, 4, 0.5)
     F = cx.cochain(2)
-    for idx in range(cx.n_cells(2)):
-        if cx.cell_axes[2][idx] == (1, 2):
-            F.values[idx] = 0.7
+    F.values[np.all(cx.cell_axes[2] == (1, 2), axis=1)] = 0.7
     assert np.max(np.abs(cx.incidence[2] @ F.values)) <= 1e-12
     j = (cx.incidence[1].T @ (hodge_factors(cx, 2, met) * F.values))
     j = j / hodge_factors(cx, 1, met)
@@ -266,9 +305,10 @@ def test_localized_bump_current_support():
     j = current(cx, pot, met)
     support_edges = np.flatnonzero(np.abs(j.values) > 1e-14)
     # support touches only cells within one step of the excited column
+    _, edge_site = np.divmod(cx.cell_anchor[1], lat.n_sites)
     touched_sites = set()
     for e in support_edges:
-        touched_sites.add(int(cx.edge_site[e]))
+        touched_sites.add(int(edge_site[e]))
     allowed = set()
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
@@ -313,3 +353,15 @@ def test_dF_is_metric_independent():
     dF1 = d_cochain(cx, d_cochain(cx, pot)).values
     dF2 = d_cochain(cx, d_cochain(cx, pot)).values
     assert np.array_equal(dF1, dF2)
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # value equality over array fields is ambiguous; these compare and
+    # hash by identity instead of raising
+    lat, cx = cylinder_complex()
+    twin_lat, twin_cx = cylinder_complex()
+    met, twin_met = flat_metric(lat, cx.n_t, cx.dt), flat_metric(lat, cx.n_t, cx.dt)
+    pairs = [(lat, twin_lat), (cx, twin_cx), (cx.cochain(1), cx.cochain(1)), (met, twin_met)]
+    for obj, twin in pairs:
+        assert obj == obj and obj != twin
+        assert len({obj, twin, obj}) == 2

@@ -473,3 +473,25 @@ def test_wrong_size_operator_names_both_sizes(op_sites, lattice_sites):
         with pytest.raises(OperatorError, match=message) as info:
             call()
         assert type(info.value) is OperatorError
+
+
+# ---------------------------------------------------------------- decomposition count
+
+def test_roundtrip_report_decomposes_once(monkeypatch):
+    # the axiom certificates reuse the reconstruction's metric instead of
+    # decomposing H a second time
+    from geomqm import reconstruct
+
+    calls = []
+    decompose = reconstruct.peierls_decompose
+
+    def counting(lattice, H):
+        calls.append(1)
+        return decompose(lattice, H)
+
+    monkeypatch.setattr(reconstruct, "peierls_decompose", counting)
+    lat = build_lattice(LatticeSpec("torus", (6, 5), (1.0, 0.8)))
+    g = constant_metric(lat, np.array([[1.0, 0.1], [0.1, 1.2]]))
+    rep = roundtrip_report(lat, g, None, None, 1.0)
+    assert rep.axiom.positivity_ok
+    assert len(calls) == 1

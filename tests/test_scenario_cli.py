@@ -172,6 +172,7 @@ def test_maxwell_task_writes_cochains(tmp_path):
     path = write(tmp_path, "mx.yaml", text)
     report = run_scenario(path, tmp_path / "out")
     assert report.passed
+    assert [c.name for c in report.checks] == ["dF", "continuity", "double_star"]
     lines = (tmp_path / "out" / "cochains.csv").read_text().splitlines()
     assert lines[0].startswith("# complex=")
     assert lines[1] == "cochain,degree,cell_id,value"
