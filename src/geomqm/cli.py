@@ -5,7 +5,8 @@
     geomqm schema
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 config or
-schema error.
+schema error, 3 a numerical or domain error (OperatorError, TopologyError,
+LinAlgError, ...), printed as "error: <ErrorClass>: <message>".
 """
 
 from __future__ import annotations
@@ -47,16 +48,11 @@ def main(argv=None):
         print(SCHEMA, end="")
         return 0
 
-    if args.command == "validate":
-        try:
-            validate_config(load_config(args.scenario))
-        except (ConfigError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        print(f"{args.scenario}: OK")
-        return 0
-
     try:
+        if args.command == "validate":
+            validate_config(load_config(args.scenario))
+            print(f"{args.scenario}: OK")
+            return 0
         report = run_scenario(
             args.scenario, args.out, seed=args.seed, tol_scale=args.tol_scale
         )
@@ -64,10 +60,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # domain errors (bad phases, topology mismatches, ...) are config
-        # problems from the scenario's point of view
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.value:.3g} (tolerance {check.tolerance:.3g})")

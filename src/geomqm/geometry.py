@@ -1,8 +1,9 @@
 """Classical geometry induced by a metric: Christoffel symbols, geodesics,
 the Lorentzian spacetime lift, and the time-dependence obstruction.
 
-Metric evaluation goes through a small interface (``lower(q)`` returning
-the lower-index matrix g_ij at chart point q).  Two providers:
+Metric evaluation goes through a small batch interface: ``lower(q)``
+maps chart points q (..., d) to lower-index matrices g_ij (..., d, d)
+and raises ChartExit if any point lies outside the chart.  Two providers:
 
   * LatticeMetricInterpolant: per-site inversion of a reconstructed
     inverse-metric field followed by multilinear interpolation over
@@ -15,7 +16,8 @@ the lower-index matrix g_ij at chart point q).  Two providers:
 
 Geodesics integrate q_ddot^k + Gamma^k_ij q_dot^i q_dot^j = 0 with
 classic fixed-step 4th-order Runge-Kutta; Christoffel symbols come from
-central differences of the metric provider.
+central differences of the metric provider, its (2d+1)-point stencil
+evaluated in one ``lower`` call.
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ class ChartExit(ValueError):
     """Evaluation or trajectory left the open-boundary chart."""
 
 
+def _check_chart(q, lo, hi):
+    """Raise ChartExit unless every point of q (..., d) lies within the
+    per-axis bounds lo, hi (d,); non-finite coordinates never do."""
+    inside = np.isfinite(q) & (q >= lo) & (q <= hi)
+    if not inside.all():
+        where = tuple(np.argwhere(~inside)[0])
+        k = where[-1]
+        raise ChartExit(f"coordinate {k} = {q[where]:g} outside chart [{lo[k]:g}, {hi[k]:g}]")
+
+
 @dataclass(frozen=True)
 class GeodesicState:
     """Chart position and velocity."""
@@ -40,22 +52,22 @@ class GeodesicState:
 
 
 class AnalyticMetric:
-    """Metric provider backed by a closed-form q -> g_ij callable."""
+    """Metric provider backed by a closed-form callable q (..., d) ->
+    g_ij (..., d, d); a constant (d, d) result is broadcast."""
 
     def __init__(self, func, ndim, default_eta=1e-3, bounds=None):
         self._func = func
         self.ndim = ndim
         self.default_eta = default_eta
-        self.bounds = bounds  # optional ((lo, hi) or None) per axis
+        # bounds: optional ((lo, hi) or None) per axis
+        axes = bounds if bounds is not None else [None] * ndim
+        self.chart = np.array([(-np.inf, np.inf) if b is None else b for b in axes]).T
 
     def lower(self, q):
         q = np.asarray(q, dtype=float)
-        if self.bounds is not None:
-            for k, b in enumerate(self.bounds):
-                if b is not None and not (b[0] <= q[k] <= b[1]):
-                    raise ChartExit(f"coordinate {k} = {q[k]:g} outside {b}")
+        _check_chart(q, *self.chart)
         g = np.asarray(self._func(q), dtype=float)
-        return g
+        return g if g.ndim > q.ndim else np.broadcast_to(g, q.shape + (self.ndim,))
 
 
 class LatticeMetricInterpolant:
@@ -63,75 +75,63 @@ class LatticeMetricInterpolant:
 
     Site values are matched exactly at the nodes; convex combinations of
     positive-definite matrices keep the interpolant positive definite
-    everywhere it is evaluated.
+    everywhere it is evaluated.  The chart spans every periodic axis and
+    [0, (n - 1) h] (with a 1e-9 h margin) on every open one.
     """
 
     def __init__(self, lattice, g_inverse):
-        self.lattice = lattice
-        self.ndim = lattice.ndim
         g = np.asarray(g_inverse, dtype=float)
         if np.min(np.linalg.eigvalsh(g)) <= 0:
             raise LatticeError("inverse metric must be positive definite")
-        self._lower = np.linalg.inv(g)
-        self.default_eta = min(lattice.spacings) / 4.0
+        self._setup(lattice, np.linalg.inv(g))
 
     @classmethod
     def from_lower(cls, lattice, lower):
         """Interpolant over already-inverted (lower-index) site matrices."""
         obj = cls.__new__(cls)
-        obj.lattice = lattice
-        obj.ndim = lattice.ndim
-        obj._lower = np.asarray(lower, dtype=float)
-        obj.default_eta = min(lattice.spacings) / 4.0
+        obj._setup(lattice, np.asarray(lower, dtype=float))
         return obj
 
+    def _setup(self, lattice, lower):
+        self.lattice = lattice
+        self.ndim = lattice.ndim
+        self._lower = lower
+        self.default_eta = min(lattice.spacings) / 4.0
+        h = np.asarray(lattice.spacings, dtype=float)
+        edges = np.array([-1e-9 * h, (np.asarray(lattice.sizes) - 1 + 1e-9) * h])
+        self.chart = np.where(lattice.periodic, [[-np.inf], [np.inf]], edges)
+
     def _cell_weights(self, q):
+        """Corner sites (..., 2^d) and weights (..., 2^d) of the cells
+        holding the points q (..., d); corner bit k steps along axis k."""
         lat = self.lattice
-        idx0, frac = [], []
-        for k in range(self.ndim):
-            u = q[k] / lat.spacings[k]
-            n = lat.sizes[k]
-            if lat.periodic[k]:
-                u %= n
-                i0 = int(np.floor(u)) % n
-                f = u - np.floor(u)
-            else:
-                if u < -1e-9 or u > n - 1 + 1e-9:
-                    raise ChartExit(
-                        f"coordinate {k} = {q[k]:g} outside chart "
-                        f"[0, {(n - 1) * lat.spacings[k]:g}]"
-                    )
-                u = min(max(u, 0.0), float(n - 1))
-                i0 = min(int(np.floor(u)), n - 2)
-                f = u - i0
-            idx0.append(i0)
-            frac.append(f)
-        sites, weights = [], []
-        for corner in range(1 << self.ndim):
-            coord = []
-            w = 1.0
-            for k in range(self.ndim):
-                bit = (corner >> k) & 1
-                ik = idx0[k] + bit
-                if lat.periodic[k]:
-                    ik %= lat.sizes[k]
-                coord.append(ik)
-                w *= frac[k] if bit else 1.0 - frac[k]
-            sites.append(lat.site_index(coord))
-            weights.append(w)
-        return np.asarray(sites), np.asarray(weights)
+        n = np.asarray(lat.sizes)
+        periodic = np.asarray(lat.periodic)
+        u = q / np.asarray(lat.spacings, dtype=float)
+        u = np.where(periodic, u % n, np.clip(u, 0.0, n - 1.0))
+        base = np.floor(u).astype(int)
+        base = np.where(periodic, base, np.minimum(base, n - 2))
+        frac = u - base
+        bits = (np.arange(1 << self.ndim)[:, None] >> np.arange(self.ndim)) & 1
+        corner = base[..., None, :] + bits
+        corner = np.where(periodic, corner % n, corner)
+        sites = np.ravel_multi_index(tuple(np.moveaxis(corner, -1, 0)), lat.sizes)
+        weights = np.prod(np.where(bits, frac[..., None, :], 1.0 - frac[..., None, :]), axis=-1)
+        return sites, weights
 
     def lower(self, q):
         q = np.asarray(q, dtype=float)
+        _check_chart(q, *self.chart)
         sites, weights = self._cell_weights(q)
-        return np.einsum("c,cij->ij", weights, self._lower[sites])
+        return np.einsum("...c,...cij->...ij", weights, self._lower[sites])
 
 
 def christoffel(metric, q, eta=None):
     """Christoffel symbols Gamma^k_ij at q by central differencing.
 
     Gamma^k_ij = 1/2 sum_l g^kl (d_i g_lj + d_j g_li - d_l g_ij);
-    symmetric in the lower indices (torsion-free Levi-Civita).
+    symmetric in the lower indices (torsion-free Levi-Civita).  The
+    stencil q, q + eta e_l, q - eta e_l is evaluated in one lower call.
     """
     q = np.asarray(q, dtype=float)
     if eta is None:
@@ -139,20 +139,22 @@ def christoffel(metric, q, eta=None):
     if eta <= 0:
         raise ValueError("eta must be positive")
     d = metric.ndim
-    g0 = metric.lower(q)
-    dg = np.empty((d, d, d))
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = eta
-        dg[l] = (metric.lower(q + e) - metric.lower(q - e)) / (2.0 * eta)
-    ginv = np.linalg.inv(g0)
+    e = eta * np.eye(d)
+    g = metric.lower(np.concatenate([q[None], q + e, q - e]))
     # dg[l, i, j] = d_l g_ij
+    dg = (g[1:d + 1] - g[d + 1:]) / (2.0 * eta)
+    ginv = np.linalg.inv(g[0])
     bracket = (
         np.einsum("ilj->lij", dg)   # d_i g_lj
         + np.einsum("jli->lij", dg)  # d_j g_li
         - dg                         # d_l g_ij
     )
     return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+
+
+def _bilinear(a, g, b):
+    """a_i g_ij b_j for stacks a, b (n, d) and g (n, d, d)."""
+    return (a[:, None, :] @ g @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -212,14 +214,13 @@ def geodesic_integrate(metric, state0, dt, T, eta=None, record_every=1):
     times = np.asarray(times)
     qs = np.asarray(qs)
     vs = np.asarray(vs)
-    speed2 = np.empty(len(times))
-    for i in range(len(times)):
-        try:
-            g = metric.lower(qs[i])
-        except ChartExit:
-            g = np.eye(metric.ndim)
-        speed2[i] = vs[i] @ g @ vs[i]
-    return Trajectory(times, qs, vs, speed2, truncated)
+    try:
+        g = metric.lower(qs)
+    except ChartExit:
+        # every other recorded point started an evaluated step, so only the
+        # last can lie past an open chart's edge; it gets the identity
+        g = np.concatenate([metric.lower(qs[:-1]), np.eye(metric.ndim)[None]])
+    return Trajectory(times, qs, vs, _bilinear(vs, g, vs), truncated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +228,9 @@ class SpacetimeMetric:
     """Block spacetime metric diag(g00, g_t) on time samples.
 
     fields holds the spatial inverse-metric samples (M, n_sites, d, d);
-    g00 is the fixed lapse entry (-1 for the Lorentzian lift, +1 for the
-    Euclidean variant used in sign-independence checks).
+    g00 is the fixed upper lapse entry g^00 (-1 for the Lorentzian lift,
+    +1 for the Euclidean variant used in sign-independence checks), so
+    the lower entry is g_00 = 1 / g00.
     """
 
     lattice: object
@@ -246,7 +248,7 @@ class SpacetimeMetric:
     def lower_block(self, site, sample):
         d = self.lattice.ndim
         block = np.zeros((d + 1, d + 1))
-        block[0, 0] = self.g00
+        block[0, 0] = 1.0 / self.g00
         block[1:, 1:] = np.linalg.inv(self.fields[sample][site])
         return block
 
@@ -259,8 +261,8 @@ class SpacetimeMetric:
 def lorentzian_lift(lattice, samples, times=None, g00=-1.0):
     """Lift a series of spatial metric samples to a block spacetime metric.
 
-    Every sample must be positive definite; the lapse block is exactly
-    diag(g00) with zero shift.
+    Every sample must be positive definite; the upper lapse entry is
+    exactly g^00 = g00 with zero shift.
     """
     fields = np.asarray(samples, dtype=float)
     if fields.ndim == 3:
@@ -293,17 +295,16 @@ def zeroth_residual(st_metric, trajectory):
             "central differences"
         )
     lowers = st_metric.lower_fields()
-    interp = [
-        LatticeMetricInterpolant.from_lower(lat, lowers[s])
-        for s in range(st_metric.n_samples)
-    ]
     ts = st_metric.times
-    out = np.empty(len(trajectory.times))
-    for i, t in enumerate(trajectory.times):
-        s = int(round((t - ts[0]) / (ts[1] - ts[0])))
-        s = min(max(s, 1), st_metric.n_samples - 2)
-        q = trajectory.positions[i]
-        dg = (interp[s + 1].lower(q) - interp[s - 1].lower(q)) / (ts[s + 1] - ts[s - 1])
-        v = trajectory.velocities[i]
-        out[i] = 0.5 * v @ dg @ v
-    return out
+    s = np.rint((trajectory.times - ts[0]) / (ts[1] - ts[0])).astype(int)
+    s = np.clip(s, 1, st_metric.n_samples - 2)
+    ends = np.stack([s + 1, s - 1], axis=1)
+    g = np.empty(ends.shape + (lat.ndim, lat.ndim))
+    # one lower call per time sample, on the points whose difference uses it
+    for m in np.unique(ends):
+        hit = ends == m
+        g[hit] = LatticeMetricInterpolant.from_lower(lat, lowers[m]).lower(
+            trajectory.positions[hit.any(axis=1)]
+        )
+    dg = (g[:, 0] - g[:, 1]) / (ts[s + 1] - ts[s - 1])[:, None, None]
+    return _bilinear(0.5 * trajectory.velocities, dg, trajectory.velocities)

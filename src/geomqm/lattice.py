@@ -355,7 +355,8 @@ def generators_pi1(lattice):
 
 
 def connection_from_components(lattice, component_funcs):
-    """Integrated link phases from per-axis component functions A_k(x).
+    """Integrated link phases from per-axis component functions A_k(X),
+    each evaluated once on the (n_links, d) array of link midpoints.
 
     Midpoint rule: theta_l = sum_k A_k(midpoint) * disp_k.  Exactly
     antisymmetric because both directions share the midpoint.
@@ -365,7 +366,7 @@ def connection_from_components(lattice, component_funcs):
     for k, fn in enumerate(component_funcs):
         if fn is None:
             continue
-        theta += np.array([fn(m) for m in mid]) * lattice.link_disp[:, k]
+        theta += fn(mid) * lattice.link_disp[:, k]
     return theta
 
 

@@ -1,7 +1,8 @@
 """Named closed-form field profiles for scenario configs.
 
 Profiles are small dictionaries {profile: name, ...numeric parameters}
-resolved against a lattice into callables over chart positions.  No
+resolved against a lattice into array expressions: callables mapping
+chart points X of shape (..., d) to values of shape (...).  No
 expression language: every profile is a fixed closed form, which keeps
 scenario runs deterministic and the config schema finite.
 
@@ -27,9 +28,9 @@ class ProfileError(ValueError):
 
 
 def resolve_profile(spec, lattice, path="profile"):
-    """Profile dict -> callable(position vector) -> float."""
+    """Profile dict -> callable mapping points X (..., d) to values (...)."""
     if spec is None:
-        return lambda pos: 0.0
+        spec = {"profile": "zero"}
     if not isinstance(spec, dict) or "profile" not in spec:
         raise ProfileError(f"{path}: expected a dict with a 'profile' key")
     kind = spec["profile"]
@@ -44,9 +45,9 @@ def resolve_profile(spec, lattice, path="profile"):
 
     if kind == "constant":
         value = need("value")
-        fn = lambda pos: value  # noqa: E731
+        fn = lambda X: np.full(X.shape[:-1], value)  # noqa: E731
     elif kind == "zero":
-        fn = lambda pos: 0.0  # noqa: E731
+        fn = lambda X: np.zeros(X.shape[:-1])  # noqa: E731
     elif kind == "sine":
         base = need("base", 0.0)
         amplitude = need("amplitude")
@@ -54,8 +55,8 @@ def resolve_profile(spec, lattice, path="profile"):
         periods = need("periods", 1.0)
         phase = need("phase", 0.0)
         L = lattice.axis_extent(axis)
-        fn = lambda pos: base + amplitude * np.sin(  # noqa: E731
-            2.0 * np.pi * periods * pos[axis] / L + phase
+        fn = lambda X: base + amplitude * np.sin(  # noqa: E731
+            2.0 * np.pi * periods * X[..., axis] / L + phase
         )
     elif kind == "gaussian_bump":
         base = need("base", 0.0)
@@ -67,18 +68,18 @@ def resolve_profile(spec, lattice, path="profile"):
         periodic = lattice.periodic[axis]
         span = lattice.sizes[axis] * lattice.spacings[axis]
 
-        def fn(pos, _c=center, _w=width, _p=periodic, _s=span, _a=axis):
-            dx = pos[_a] - _c
-            if _p:
-                dx = (dx + _s / 2) % _s - _s / 2
-            return base + amplitude * np.exp(-0.5 * (dx / _w) ** 2)
+        def fn(X):
+            dx = X[..., axis] - center
+            if periodic:
+                dx = (dx + span / 2) % span - span / 2
+            return base + amplitude * np.exp(-0.5 * (dx / width) ** 2)
 
     elif kind == "polynomial":
         coeffs = [float(c) for c in params.pop("coeffs", [])]
         if not coeffs:
             raise ProfileError(f"{path}: polynomial needs nonempty coeffs")
         axis = int(need("axis", 0))
-        fn = lambda pos: float(np.polyval(coeffs[::-1], pos[axis]))  # noqa: E731
+        fn = lambda X: np.polyval(coeffs[::-1], X[..., axis])  # noqa: E731
     else:
         raise ProfileError(f"{path}: unknown profile {kind!r}")
 
@@ -88,51 +89,41 @@ def resolve_profile(spec, lattice, path="profile"):
 
 
 def scalar_from_profile(lattice, spec, path="field"):
-    fn = resolve_profile(spec, lattice, path)
-    return np.array([fn(p) for p in lattice.positions])
+    return resolve_profile(spec, lattice, path)(lattice.positions)
 
 
-def metric_from_profiles(lattice, component_specs, path="fields.metric"):
-    """MetricField from per-component profiles keyed 'k,l' (upper triangle).
+def metric_profile(lattice, component_specs, path="fields.metric"):
+    """Inverse metric from per-component profiles keyed 'k,l' (upper
+    triangle): a callable mapping points X (..., d) to g^kl (..., d, d).
 
-    Unspecified diagonal components default to 1, off-diagonals to 0.
+    Unspecified diagonal components are 1, off-diagonals 0.
     """
     d = lattice.ndim
-    g = np.zeros((lattice.n_sites, d, d))
-    for k in range(d):
-        g[:, k, k] = 1.0
-    if component_specs:
-        for key, spec in component_specs.items():
-            try:
-                k, l = (int(p) for p in str(key).split(","))
-            except ValueError as exc:
-                raise ProfileError(f"{path}: bad component key {key!r}") from exc
-            if not (0 <= k < d and 0 <= l < d):
-                raise ProfileError(f"{path}: component {key!r} outside dimension {d}")
-            fn = resolve_profile(spec, lattice, f"{path}.{key}")
-            vals = np.array([fn(p) for p in lattice.positions])
-            g[:, k, l] = vals
-            g[:, l, k] = vals
+    components = []
+    for key, spec in (component_specs or {}).items():
+        try:
+            k, l = (int(p) for p in str(key).split(","))
+        except ValueError as exc:
+            raise ProfileError(f"{path}: bad component key {key!r}") from exc
+        if not (0 <= k < d and 0 <= l < d):
+            raise ProfileError(f"{path}: component {key!r} outside dimension {d}")
+        components.append((k, l, resolve_profile(spec, lattice, f"{path}.{key}")))
+
+    def g(X):
+        out = np.empty(X.shape[:-1] + (d, d))
+        out[...] = np.eye(d)
+        for k, l, fn in components:
+            vals = fn(X)
+            out[..., k, l] = vals
+            out[..., l, k] = vals
+        return out
+
     return g
 
 
-def metric_function_from_profiles(lattice, component_specs, path="fields.metric"):
-    """Closed-form inverse-metric callable q -> g^kl(q) for analytic use."""
-    d = lattice.ndim
-    fns = {}
-    if component_specs:
-        for key, spec in component_specs.items():
-            k, l = (int(p) for p in str(key).split(","))
-            fns[(k, l)] = resolve_profile(spec, lattice, f"{path}.{key}")
-
-    def gfun(q):
-        g = np.eye(d)
-        for (k, l), fn in fns.items():
-            g[k, l] = fn(q)
-            g[l, k] = g[k, l]
-        return g
-
-    return gfun
+def metric_from_profiles(lattice, component_specs, path="fields.metric"):
+    """MetricField: the inverse-metric profile at the lattice sites."""
+    return metric_profile(lattice, component_specs, path)(lattice.positions)
 
 
 def connection_from_profiles(lattice, connection_spec, path="fields.connection"):

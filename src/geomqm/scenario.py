@@ -24,7 +24,7 @@ from .profiles import (
     ProfileError,
     connection_from_profiles,
     metric_from_profiles,
-    metric_function_from_profiles,
+    metric_profile,
     scalar_from_profile,
     time_scale_function,
 )
@@ -61,7 +61,9 @@ params:                       # task-specific, all optional
   duration: <float>                           # geodesic / evolve
   ensembles: <int>                            # maxwell random series
   amplitude: <float>                          # maxwell random series
+  eta: <float>                                # geodesic difference step, 1e-4
   alphas: {start: <f>, stop: <f>, count: <n>} # holonomy grid (or a list)
+  check_periodicity: <bool>                   # holonomy: alpha vs alpha + 2 pi
   chern_flux_quanta: <int>                    # holonomy, torus only
   steps: <int>                                # evolve
   probe_delta: <float>                        # evolve Heisenberg probe
@@ -76,7 +78,8 @@ profile ::= {profile: constant, value: <f>}
              center: <fraction>, width: <fraction>, axis: <k>}
           | {profile: polynomial, coeffs: [<f>...], axis: <k>}
 
-Exit codes: 0 all checks pass; 1 a check failed; 2 config error.
+Exit codes: 0 all checks pass; 1 a check failed; 2 config error;
+3 numerical or domain error (printed as error: <ErrorClass>: <message>).
 """
 
 
@@ -148,7 +151,8 @@ def _require(doc, key, kind, path):
 
 
 def validate_config(doc):
-    """Check the document against the schema; returns the built lattice."""
+    """Check the document against the schema; returns the built lattice
+    and its profile fields (g, theta, phi), each evaluated once."""
     lat_doc = _require(doc, "lattice", dict, "")
     topology = _require(lat_doc, "topology", str, "lattice")
     sizes = _require(lat_doc, "sizes", list, "lattice")
@@ -176,10 +180,10 @@ def validate_config(doc):
     try:
         # geodesic metrics are evaluated analytically along the path, not
         # at lattice sites, so sitewise positive definiteness is not required
-        _build_fields(lattice, doc.get("fields") or {}, require_pd=task != "geodesic")
+        fields = _build_fields(lattice, doc.get("fields") or {}, require_pd=task != "geodesic")
     except (ProfileError, LatticeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return lattice
+    return lattice, fields
 
 
 def _build_fields(lattice, fields_doc, require_pd=True):
@@ -196,8 +200,8 @@ def _build_fields(lattice, fields_doc, require_pd=True):
     dt = float(time_doc.get("dt", 1.0))
     if dt <= 0:
         raise ConfigError("fields.time.dt: must be positive")
-    scale = time_scale_function(time_doc.get("scale"))
-    return g, theta, phi, samples, dt, scale
+    time_scale_function(time_doc.get("scale"))  # raises on a bad scale profile
+    return g, theta, phi
 
 
 def scenario_hash(doc):
@@ -209,7 +213,7 @@ def scenario_hash(doc):
 def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
     """Execute a scenario config; returns the Report after writing files."""
     doc = load_config(config_path)
-    lattice = validate_config(doc)
+    lattice, fields = validate_config(doc)
     task = doc["task"]
     if seed is None:
         seed = int(doc.get("seed", 0))
@@ -219,7 +223,7 @@ def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
     started = time.perf_counter()
     report = Report(task=task, scenario_hash=scenario_hash(doc), seed=seed)
     runner = _TASK_RUNNERS[task]
-    runner(doc, lattice, seed, tol_scale, out, report)
+    runner(doc, lattice, fields, seed, tol_scale, out, report)
     report.wall_time_s = time.perf_counter() - started
 
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -237,8 +241,8 @@ def _check(report, name, value, tolerance):
     report.checks.append(Check(name, bool(value <= tolerance), float(value), tolerance))
 
 
-def _task_build(doc, lattice, seed, tol_scale, out, report):
-    g, theta, phi, *_ = _build_fields(lattice, doc.get("fields") or {})
+def _task_build(doc, lattice, fields, seed, tol_scale, out, report):
+    g, theta, phi = fields
     m = float(doc["mass"])
     H = operators.build_hamiltonian(lattice, g, theta, phi, m)
     operators.save_operator(out / "hamiltonian.txt", H)
@@ -259,14 +263,16 @@ def _task_build(doc, lattice, seed, tol_scale, out, report):
     _check(report, "spectrum_lower_bound", lower_defect, _tol(doc, "spectrum_lower_bound", 1e-9, tol_scale))
 
 
-def _task_reconstruct(doc, lattice, seed, tol_scale, out, report):
+def _task_reconstruct(doc, lattice, fields, seed, tol_scale, out, report):
     m = float(doc["mass"])
     params = doc.get("params") or {}
     if "hamiltonian_file" in params:
         H = operators.load_operator(params["hamiltonian_file"])
+        if H.dim != lattice.n_sites:
+            raise ConfigError(f"params.hamiltonian_file: operator is {H.dim}x{H.dim} "
+                              f"but the lattice has {lattice.n_sites} sites")
     else:
-        g, theta, phi, *_ = _build_fields(lattice, doc.get("fields") or {})
-        H = operators.build_hamiltonian(lattice, g, theta, phi, m)
+        H = operators.build_hamiltonian(lattice, *fields, m)
     rep = reconstruct.reconstruction_report(lattice, H, m)
     payload = rep.to_dict(lattice)
     payload.pop("errors")  # no reference fields in pure reconstruction mode
@@ -275,11 +281,10 @@ def _task_reconstruct(doc, lattice, seed, tol_scale, out, report):
     _check(report, "nondegeneracy", 0.0 if rep.axiom.nondegenerate else 1.0, 0.5)
 
 
-def _task_roundtrip(doc, lattice, seed, tol_scale, out, report):
+def _task_roundtrip(doc, lattice, fields, seed, tol_scale, out, report):
     m = float(doc["mass"])
-    g, theta, phi, *_ = _build_fields(lattice, doc.get("fields") or {})
     reference = (doc.get("params") or {}).get("reference", "link_average")
-    rep = reconstruct.roundtrip_report(lattice, g, theta, phi, m, reference=reference)
+    rep = reconstruct.roundtrip_report(lattice, *fields, m, reference=reference)
     report.payload = rep.to_dict(lattice)
     tol_default = 1e-9 if reference == "link_average" else 1e-2
     _check(report, "e_g", rep.e_g, _tol(doc, "e_g", tol_default, tol_scale))
@@ -288,13 +293,12 @@ def _task_roundtrip(doc, lattice, seed, tol_scale, out, report):
     _check(report, "positivity", 0.0 if rep.axiom.positivity_ok else 1.0, 0.5)
 
 
-def _task_geodesic(doc, lattice, seed, tol_scale, out, report):
+def _task_geodesic(doc, lattice, fields, seed, tol_scale, out, report):
     params = doc.get("params") or {}
     fields_doc = doc.get("fields") or {}
-    metric_doc = (fields_doc.get("metric") or {}).get("components")
-    gfun = metric_function_from_profiles(lattice, metric_doc)
+    g_inverse = metric_profile(lattice, (fields_doc.get("metric") or {}).get("components"))
     metric = geometry.AnalyticMetric(
-        lambda q: np.linalg.inv(gfun(q)), ndim=lattice.ndim,
+        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim,
         default_eta=float(params.get("eta", 1e-4)),
     )
     initial = params.get("initial") or {}
@@ -312,8 +316,7 @@ def _task_geodesic(doc, lattice, seed, tol_scale, out, report):
         scale = time_scale_function(time_doc.get("scale"))
         dts = float(time_doc.get("dt", duration / (samples - 1)))
         times = np.arange(samples) * dts
-        base = metric_from_profiles(lattice, metric_doc)
-        series = np.array([base / scale(t) for t in times])
+        series = np.array([fields[0] / scale(t) for t in times])
         st = geometry.lorentzian_lift(lattice, series, times)
         residual = geometry.zeroth_residual(st, traj)
     else:
@@ -348,7 +351,7 @@ def _write_trajectory_csv(path, traj, residual):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _task_maxwell(doc, lattice, seed, tol_scale, out, report):
+def _task_maxwell(doc, lattice, fields, seed, tol_scale, out, report):
     params = doc.get("params") or {}
     fields_doc = doc.get("fields") or {}
     time_doc = fields_doc.get("time") or {}
@@ -359,7 +362,7 @@ def _task_maxwell(doc, lattice, seed, tol_scale, out, report):
     amplitude = float(params.get("amplitude", 0.3))
     rng = np.random.default_rng(seed)
 
-    g = metric_from_profiles(lattice, (fields_doc.get("metric") or {}).get("components"))
+    g = fields[0]
     series = np.broadcast_to(g, (samples,) + g.shape).copy()
     metric_minus = geometry.lorentzian_lift(lattice, series, np.arange(samples) * dt, g00=-1.0)
     metric_plus = geometry.lorentzian_lift(lattice, series, np.arange(samples) * dt, g00=+1.0)
@@ -428,7 +431,7 @@ def _write_cochains_csv(path, named_cochains):
                 fh.write(f"{name},{omega.degree},{i},{v:.17g}\n")
 
 
-def _task_holonomy(doc, lattice, seed, tol_scale, out, report):
+def _task_holonomy(doc, lattice, fields, seed, tol_scale, out, report):
     params = doc.get("params") or {}
     m = float(doc["mass"])
     payload = {}
@@ -470,6 +473,10 @@ def _task_holonomy(doc, lattice, seed, tol_scale, out, report):
 
 def _uniform_flux_connection(lattice, quanta):
     """Torus connection with uniform flux 2 pi quanta / n_plaquettes."""
+    if lattice.spec.topology != "torus":
+        raise holonomy.TopologyError(
+            f"params.chern_flux_quanta needs a torus lattice, got {lattice.spec.topology}"
+        )
     nx, ny = lattice.sizes
     flux = 2 * np.pi * quanta / (nx * ny)
     theta = np.zeros(lattice.n_links)
@@ -494,11 +501,10 @@ def _write_spectral_flow_csv(path, grid, table):
             fh.write(",".join(f"{v:.17g}" for v in [alpha, *row]) + "\n")
 
 
-def _task_evolve(doc, lattice, seed, tol_scale, out, report):
+def _task_evolve(doc, lattice, fields, seed, tol_scale, out, report):
     m = float(doc["mass"])
     params = doc.get("params") or {}
-    g, theta, phi, *_ = _build_fields(lattice, doc.get("fields") or {})
-    H = operators.build_hamiltonian(lattice, g, theta, phi, m)
+    H = operators.build_hamiltonian(lattice, *fields, m)
     duration = float(params.get("duration", 1.0))
     steps = int(params.get("steps", 0)) or evolution.suggested_steps(H, 0.0, duration)
     steps += steps % 2  # even count so the composition check aligns

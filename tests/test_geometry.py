@@ -22,7 +22,8 @@ from geomqm.geometry import ChartExit
 def polar_like_metric():
     """Lower metric diag(1, x^2): the flat plane in polar-style coordinates."""
     return AnalyticMetric(
-        lambda q: np.array([[1.0, 0.0], [0.0, q[0] ** 2]]), ndim=2, default_eta=1e-4
+        lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0]),
+        ndim=2, default_eta=1e-4,
     )
 
 
@@ -63,12 +64,14 @@ def test_christoffel_matches_symbolic_oracle():
 
 
 def test_christoffel_symmetric_lower_indices():
-    met = AnalyticMetric(
-        lambda q: np.array(
-            [[1.0 + 0.1 * q[1] ** 2, 0.2 * q[0]], [0.2 * q[0], 2.0 + np.sin(q[0])]]
-        ),
-        ndim=2,
-    )
+    def gfun(q):
+        x, y = q[..., 0], q[..., 1]
+        return np.stack(
+            [np.stack([1.0 + 0.1 * y ** 2, 0.2 * x], -1),
+             np.stack([0.2 * x, 2.0 + np.sin(x)], -1)], -2
+        )
+
+    met = AnalyticMetric(gfun, ndim=2)
     gamma = christoffel(met, np.array([0.8, -0.3]))
     assert np.max(np.abs(gamma - np.transpose(gamma, (0, 2, 1)))) < 1e-12
 
@@ -227,12 +230,12 @@ def test_zeroth_residual_needs_three_samples():
 def test_lift_geodesics_project_to_spatial_geodesics():
     # static g, launch orthogonal to time slices: spatial components follow
     # the spatial geodesic flow
-    gfun = lambda q: np.array([[1.0, 0.0], [0.0, q[0] ** 2]])  # noqa: E731
+    gfun = lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0])  # noqa: E731
 
     def lifted(q):
-        out = np.zeros((3, 3))
-        out[0, 0] = -1.0
-        out[1:, 1:] = gfun(q[1:])
+        out = np.zeros(q.shape[:-1] + (3, 3))
+        out[..., 0, 0] = -1.0
+        out[..., 1:, 1:] = gfun(q[..., 1:])
         return out
 
     met_space = AnalyticMetric(gfun, ndim=2, default_eta=1e-4)
@@ -274,3 +277,60 @@ def test_interpolant_christoffel_converges_second_order():
 
     e1, e2 = gamma_err(16), gamma_err(32)
     assert 3.0 < e1 / e2 < 5.5
+
+
+def test_christoffel_evaluates_its_stencil_in_one_lower_call():
+    calls = []
+
+    class Counting(AnalyticMetric):
+        def lower(self, q):
+            calls.append(np.shape(q))
+            return super().lower(q)
+
+    met = Counting(
+        lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0]),
+        ndim=2, default_eta=1e-4,
+    )
+    christoffel(met, np.array([2.0, 0.7]))
+    assert calls == [(5, 2)]
+
+
+def test_metric_providers_take_point_batches():
+    # a constant (d, d) result is broadcast over the batch
+    met = AnalyticMetric(lambda q: np.array([[2.0, 0.3], [0.3, 1.0]]), ndim=2,
+                         bounds=[None, (0.0, 1.0)])
+    g = met.lower(np.zeros((3, 4, 2)))
+    assert g.shape == (3, 4, 2, 2) and np.all(g == np.array([[2.0, 0.3], [0.3, 1.0]]))
+    with pytest.raises(ChartExit, match="coordinate 1 = 1.5 outside chart"):
+        met.lower(np.array([[0.0, 0.5], [7.0, 1.5]]))
+    lat = build_lattice(LatticeSpec("cylinder", (6, 5), (1.0, 0.8)))
+    interp = LatticeMetricInterpolant(lat, constant_metric(lat, np.diag([2.0, 4.0])))
+    assert interp.lower(lat.positions.reshape(5, 6, 2)).shape == (5, 6, 2, 2)
+    with pytest.raises(ChartExit, match="coordinate 1 = -0.1 outside chart"):
+        interp.lower(np.array([[-7.0, 0.5], [1.0, -0.1]]))  # axis 0 wraps
+
+
+def test_zeroth_residual_makes_one_lower_call_per_time_sample(monkeypatch):
+    calls = []
+    original = LatticeMetricInterpolant.lower
+
+    def counting(self, q):
+        calls.append(len(q))
+        return original(self, q)
+
+    monkeypatch.setattr(LatticeMetricInterpolant, "lower", counting)
+    lat = build_lattice(LatticeSpec("rectangle", (8, 8), (1.0, 1.0)))
+    times = np.linspace(0.0, 2.0, 9)
+    st = lorentzian_lift(lat, np.array([constant_metric(lat) / (1.0 + 0.01 * t)
+                                        for t in times]), times)
+    traj = straight_line_trajectory(np.array([2.0, 2.0]), np.array([0.5, 0.3]), 2.0, 41)
+    zeroth_residual(st, traj)
+    assert len(calls) <= len(times)
+    assert sum(calls) == 2 * 41  # each point is read at the two samples around it
+
+
+def test_lower_block_lapse_is_the_upper_entry():
+    # g00 is g^00 (as in fields and the Hodge star): g_00 = 1 / g00
+    lat = build_lattice(LatticeSpec("ring", (5,), (1.0,)))
+    st = lorentzian_lift(lat, constant_metric(lat)[None], g00=-4.0)
+    assert st.lower_block(2, 0)[0, 0] == -0.25

@@ -322,3 +322,81 @@ def test_cli_reconstruct_wrong_size_operator_file(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "operator is 64x64 but the lattice has 24 sites" in err
+
+
+@pytest.mark.parametrize("topology, sizes", [("ring", "[8]"), ("cylinder", "[4, 4]")])
+def test_chern_task_needs_a_torus(tmp_path, capsys, topology, sizes):
+    from geomqm import TopologyError
+
+    spacings = ", ".join(["1.0"] * sizes.count(",") + ["1.0"])
+    path = write(tmp_path, "chern.yaml",
+                 f"lattice: {{topology: {topology}, sizes: {sizes}, spacings: [{spacings}]}}\n"
+                 "mass: 1.0\ntask: holonomy\nparams: {chern_flux_quanta: 1}\n")
+    with pytest.raises(TopologyError, match="needs a torus lattice, got " + topology):
+        run_scenario(path, tmp_path / "out")
+    assert main(["run", str(path), "--out", str(tmp_path / "out2")]) == 3
+    assert "error: TopologyError: " in capsys.readouterr().err
+
+
+def test_cli_domain_error_exits_three(tmp_path, capsys):
+    # a link phase of 2.0 rad (>= pi/2) is outside the Peierls branch
+    path = write(tmp_path, "build.yaml",
+                 "lattice: {topology: ring, sizes: [8], spacings: [1.0]}\n"
+                 "mass: 1.0\ntask: build\n"
+                 "fields:\n"
+                 "  connection:\n"
+                 "    components: [{profile: constant, value: 2.0}]\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: OperatorError: ")
+
+
+def test_schema_names_every_param_and_exit_code(capsys):
+    assert main(["schema"]) == 0
+    out = capsys.readouterr().out
+    assert "  eta: <float>" in out and "  check_periodicity: <bool>" in out
+    assert "3 numerical or domain error" in out
+
+
+def test_roundtrip_run_evaluates_profiles_once(tmp_path, monkeypatch):
+    import geomqm.profiles as profiles
+
+    evaluations = []
+    original = profiles.resolve_profile
+
+    def counting(spec, lattice, path="profile"):
+        fn = original(spec, lattice, path)
+
+        def counted(X):
+            evaluations.append(path)
+            return fn(X)
+
+        return counted
+
+    monkeypatch.setattr(profiles, "resolve_profile", counting)
+    run_scenario(write(tmp_path, "rt.yaml", ROUNDTRIP_YAML), tmp_path / "out")
+    # 3 metric components, 2 connection components, 1 potential
+    assert sorted(evaluations) == sorted(set(evaluations)) and len(evaluations) == 6
+
+
+def test_geodesic_run_metric_lower_calls(tmp_path, monkeypatch):
+    from geomqm import geometry
+
+    calls = []
+    for cls in (geometry.AnalyticMetric, geometry.LatticeMetricInterpolant):
+        def counting(self, q, _original=cls.lower):
+            calls.append(1)
+            return _original(self, q)
+
+        monkeypatch.setattr(cls, "lower", counting)
+    text = (
+        "lattice: {topology: torus, sizes: [8, 8], spacings: [1.0, 1.0]}\n"
+        "mass: 1.0\ntask: geodesic\n"
+        "fields:\n"
+        "  metric: {components: {\"0,0\": {profile: sine, base: 1.0, amplitude: 0.2, axis: 0}}}\n"
+        "  time: {samples: 5, scale: {profile: linear, rate: 0.1}}\n"
+        "params: {initial: {position: [1.0, 2.0], velocity: [0.3, 0.1]}, dt: 0.01, duration: 0.5}\n"
+    )
+    run_scenario(write(tmp_path, "geo.yaml", text), tmp_path / "out")
+    # 4 christoffel calls per RK4 step, one each; speed^2; one per time sample
+    assert len(calls) <= 4 * 50 + 1 + 5
