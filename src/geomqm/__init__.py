@@ -22,7 +22,6 @@ from .geometry import (
     zeroth_residual,
 )
 from .holonomy import (
-    HolonomyClass,
     TopologyError,
     ab_spectrum,
     chern_number,
@@ -40,10 +39,8 @@ from .lattice import (
     d0,
     generators_pi1,
     link_field,
-    metric_field,
     plaquette_sums,
     scalar_field,
-    zero_link_field,
 )
 from .maxwell import (
     Cochain,

@@ -47,15 +47,15 @@ def _sample(h_sampler, t):
     return _asmat(H).toarray()
 
 
-def suggested_steps(H, t1, t2, budget=0.1):
-    """Step count keeping ||H|| * delta below the budget.
+def suggested_steps(H, t1, t2):
+    """Step count keeping ||H|| * delta below 0.1.
 
     Uses the row-sum bound on the spectral norm (exact enough for step
     selection and cheap on sparse operators).
     """
     mat = _asmat(H)
     norm = float(np.max(np.abs(mat).sum(axis=1)))
-    return max(1, int(np.ceil(norm * (t2 - t1) / budget)))
+    return max(1, int(np.ceil(norm * (t2 - t1) / 0.1)))
 
 
 def propagator(h_sampler, t1, t2, steps):

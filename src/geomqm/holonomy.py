@@ -10,32 +10,15 @@ though the field strength on the lattice vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lattice import LatticeError, plaquette_sums
+from .lattice import LatticeError, constant_metric, plaquette_sums
 from .operators import build_hamiltonian, eigenvalues
 from .reconstruct import wrap_angle
 
 
 class TopologyError(LatticeError):
     """Operation requires periodic directions the lattice does not have."""
-
-
-@dataclass(frozen=True)
-class HolonomyClass:
-    """One canonical-branch angle per fundamental-group generator."""
-
-    angles: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "angles", tuple(float(wrap_angle(a)) for a in self.angles)
-        )
-
-    def __len__(self):
-        return len(self.angles)
 
 
 def loop_holonomy(lattice, theta, cycle):
@@ -53,14 +36,10 @@ def flat_connection(lattice, target):
 
     Each angle is spread uniformly along its periodic axis: every +axis
     link carries angle / N_k, so all plaquette sums cancel exactly.
-    Raw angles are spread literally (alpha and alpha + 2 pi give distinct,
-    gauge-equivalent connections); pass a HolonomyClass to spread the
-    canonical-branch representative instead.
+    Angles are spread literally: alpha and alpha + 2 pi give distinct,
+    gauge-equivalent connections.
     """
-    if isinstance(target, HolonomyClass):
-        angles = target.angles
-    else:
-        angles = tuple(float(a) for a in np.atleast_1d(target))
+    angles = tuple(float(a) for a in np.atleast_1d(target))
     n_gen = len(lattice.pi1_generators)
     if len(angles) != n_gen:
         raise TopologyError(
@@ -86,8 +65,9 @@ def flatness_defect(lattice, theta):
     return float(np.max(np.abs(s), initial=0.0))
 
 
-def ab_spectrum(lattice, m, alphas, g=None, phi=None):
-    """Spectral flow: eigenvalues of H(flat connection with holonomy alpha).
+def ab_spectrum(lattice, m, alphas):
+    """Spectral flow: eigenvalues of H(flat connection with holonomy alpha)
+    for the identity metric and no potential.
 
     The lattice must have exactly one periodic axis (ring or cylinder).
     Returns an array of shape (len(alphas), n_sites) with each row sorted.
@@ -96,15 +76,12 @@ def ab_spectrum(lattice, m, alphas, g=None, phi=None):
         raise TopologyError(
             "spectral flow needs exactly one periodic direction (ring or cylinder)"
         )
-    from .lattice import constant_metric
-
-    if g is None:
-        g = constant_metric(lattice)
+    g = constant_metric(lattice)
     alphas = np.asarray(alphas, dtype=float)
     table = np.empty((len(alphas), lattice.n_sites))
     for row, alpha in enumerate(alphas):
         theta = flat_connection(lattice, (alpha,))
-        H = build_hamiltonian(lattice, g, theta, phi, m)
+        H = build_hamiltonian(lattice, g, theta, None, m)
         table[row] = eigenvalues(H)
     return table
 

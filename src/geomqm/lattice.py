@@ -240,13 +240,12 @@ class Lattice:
 
 
 def build_lattice(spec):
-    """Construct a Lattice from its spec.
+    """Construct a Lattice from its LatticeSpec.
 
-    Rejects site counts below 3 (stencils would be underdetermined and
-    periodic wrap links would coincide with their reverses).
+    The spec has already refused site counts below 3 (stencils would be
+    underdetermined and periodic wrap links would coincide with their
+    reverses).
     """
-    if not isinstance(spec, LatticeSpec):
-        spec = LatticeSpec(**spec) if isinstance(spec, dict) else LatticeSpec(*spec)
     ndim = spec.ndim
     sizes = spec.sizes
     spacings = np.asarray(spec.spacings)
@@ -335,10 +334,6 @@ def link_field(lattice, values):
     return w
 
 
-def zero_link_field(lattice):
-    return np.zeros(lattice.n_links)
-
-
 def d0(lattice, f):
     """Discrete differential of a scalar field: value f_j - f_i on link i->j.
 
@@ -364,23 +359,8 @@ def connection_from_components(lattice, component_funcs):
     mid = lattice.positions[lattice.link_src] + 0.5 * lattice.link_disp
     theta = np.zeros(lattice.n_links)
     for k, fn in enumerate(component_funcs):
-        if fn is None:
-            continue
         theta += fn(mid) * lattice.link_disp[:, k]
     return theta
-
-
-def metric_field(lattice, values):
-    """Validate a MetricField: symmetric positive definite at every site."""
-    g = np.asarray(values, dtype=float)
-    d = lattice.ndim
-    if g.shape != (lattice.n_sites, d, d):
-        raise LatticeError(f"metric field shape {g.shape} != ({lattice.n_sites}, {d}, {d})")
-    if np.max(np.abs(g - np.swapaxes(g, 1, 2))) > 1e-12 * max(1.0, np.max(np.abs(g))):
-        raise LatticeError("metric field not symmetric")
-    if np.min(np.linalg.eigvalsh(g)) <= 0:
-        raise LatticeError("metric field not positive definite")
-    return g
 
 
 def constant_metric(lattice, matrix=None):

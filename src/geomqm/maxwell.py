@@ -184,14 +184,12 @@ def build_spacetime_complex(lattice, n_t, dt):
     )
 
 
-def assemble_potential(cx, A_series, phi_series, dt=None):
+def assemble_potential(cx, A_series, phi_series):
     """Spacetime connection 1-cochain from per-sample (A, phi) data.
 
     Spatial edges carry the integrated link phase of their sample; time
     edges carry phi * dt at the source vertex.
     """
-    if dt is not None and abs(dt - cx.dt) > 1e-15 * max(1.0, cx.dt):
-        raise ComplexError("dt does not match the complex")
     A_series = list(A_series)
     phi_series = list(phi_series)
     if len(A_series) != cx.n_t or len(phi_series) != cx.n_t:

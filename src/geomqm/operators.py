@@ -37,10 +37,9 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Sparse complex self-adjoint matrix with a declared stencil range."""
+    """Sparse complex self-adjoint matrix over lattice sites."""
 
     mat: sp.csr_matrix
-    stencil_range: int = 1
 
     @property
     def dim(self):
@@ -54,10 +53,7 @@ class HermitianOperator:
         return np.max(np.abs(d.data), initial=0.0)
 
     def __matmul__(self, other):
-        return HermitianOperator(
-            (self.mat @ _asmat(other)).tocsr(),
-            self.stencil_range + _range_of(other),
-        )
+        return HermitianOperator((self.mat @ _asmat(other)).tocsr())
 
 
 def _asmat(x):
@@ -79,24 +75,20 @@ def _site_matrix(lattice, x):
     return mat
 
 
-def _range_of(x):
-    return x.stencil_range if isinstance(x, HermitianOperator) else 0
-
-
 def mult_op(lattice, f):
     """Multiplication operator: the diagonal matrix of a scalar field."""
     f = np.asarray(f, dtype=float)
     if f.shape != (lattice.n_sites,):
         raise OperatorError("field length does not match site count")
-    return HermitianOperator(sp.diags(f.astype(complex)).tocsr(), stencil_range=0)
+    return HermitianOperator(sp.diags(f.astype(complex)).tocsr())
 
 
 def identity_op(lattice):
-    return HermitianOperator(sp.identity(lattice.n_sites, dtype=complex, format="csr"), 0)
+    return HermitianOperator(sp.identity(lattice.n_sites, dtype=complex, format="csr"))
 
 
 def commutator(x, y):
-    """XY - YX as a sparse matrix; stencil range adds."""
+    """XY - YX as a sparse matrix."""
     xm, ym = _asmat(x), _asmat(y)
     if xm.shape != ym.shape:
         raise OperatorError(f"dimension mismatch {xm.shape} vs {ym.shape}")
@@ -149,7 +141,7 @@ def covariant_laplacian(lattice, g, A=None, m=1.0):
     diag = np.bincount(lattice.link_src, weights=c, minlength=n)
     mat = (off + sp.diags(diag.astype(complex))).tocsr()
     mat.eliminate_zeros()
-    return HermitianOperator(mat, stencil_range=1)
+    return HermitianOperator(mat)
 
 
 def build_hamiltonian(lattice, g, A, phi, m):
@@ -158,9 +150,7 @@ def build_hamiltonian(lattice, g, A, phi, m):
     if phi is None:
         return lap
     phi = np.asarray(phi, dtype=float)
-    return HermitianOperator(
-        (lap.mat + sp.diags(phi.astype(complex))).tocsr(), stencil_range=1
-    )
+    return HermitianOperator((lap.mat + sp.diags(phi.astype(complex))).tocsr())
 
 
 def row_sum_field(op):
@@ -171,20 +161,21 @@ def row_sum_field(op):
     return s.real
 
 
-def validate_operator(lattice, M, tol=1e-12):
+def validate_operator(lattice, M):
     """Structural report: hermiticity, locality radius, commutant defect.
 
-    commutant_defect is the pair (max off-diagonal magnitude, max over
-    the d raveled coordinate fields a of max |[M, mult(a)]_ij|).  The two
-    vanish together: coordinate fields separate every pair of distinct
-    sites, so M commutes with all multiplication operators iff it is
-    diagonal.
+    locality_radius is the largest graph distance of an off-diagonal
+    entry above 1e-12 in magnitude.  commutant_defect is the pair (max
+    off-diagonal magnitude, max over the d raveled coordinate fields a of
+    max |[M, mult(a)]_ij|).  The two vanish together: coordinate fields
+    separate every pair of distinct sites, so M commutes with all
+    multiplication operators iff it is diagonal.
     """
     mat = _site_matrix(lattice, M).tocoo()
     herm = HermitianOperator(mat.tocsr()).hermiticity_defect()
 
     offdiag = mat.row != mat.col
-    significant = offdiag & (np.abs(mat.data) > tol)
+    significant = offdiag & (np.abs(mat.data) > 1e-12)
     radius = lattice.graph_distance(mat.row[significant], mat.col[significant]).max(initial=0)
     max_offdiag = np.max(np.abs(mat.data[offdiag]), initial=0.0)
 
@@ -214,7 +205,8 @@ def save_operator(path, op):
             fh.write(f"{i} {j} {v.real:.17g} {v.imag:.17g}\n")
 
 
-def load_operator(path, stencil_range=1):
+def load_operator(path):
+    """Read the sparse triplet text format written by save_operator."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().split()
         if len(first) != 2:
@@ -233,7 +225,7 @@ def load_operator(path, stencil_range=1):
     if len(vals) != nnz:
         raise OperatorError(f"triplet row count {len(vals)} != header nnz {nnz}")
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return HermitianOperator(mat, stencil_range=stencil_range)
+    return HermitianOperator(mat)
 
 
 def eigenvalues(op):

@@ -43,6 +43,12 @@ def resolve_profile(spec, lattice, path="profile"):
             return float(default)
         raise ProfileError(f"{path}: profile {kind!r} needs parameter {name!r}")
 
+    def need_axis():
+        axis = int(need("axis", 0))
+        if not 0 <= axis < lattice.ndim:
+            raise ProfileError(f"{path}: axis {axis} outside 0..{lattice.ndim - 1}")
+        return axis
+
     if kind == "constant":
         value = need("value")
         fn = lambda X: np.full(X.shape[:-1], value)  # noqa: E731
@@ -51,7 +57,7 @@ def resolve_profile(spec, lattice, path="profile"):
     elif kind == "sine":
         base = need("base", 0.0)
         amplitude = need("amplitude")
-        axis = int(need("axis", 0))
+        axis = need_axis()
         periods = need("periods", 1.0)
         phase = need("phase", 0.0)
         L = lattice.axis_extent(axis)
@@ -61,7 +67,7 @@ def resolve_profile(spec, lattice, path="profile"):
     elif kind == "gaussian_bump":
         base = need("base", 0.0)
         amplitude = need("amplitude")
-        axis = int(need("axis", 0))
+        axis = need_axis()
         L = lattice.axis_extent(axis)
         center = need("center", 0.5) * L
         width = need("width", 1.0 / 6.0) * L
@@ -78,7 +84,7 @@ def resolve_profile(spec, lattice, path="profile"):
         coeffs = [float(c) for c in params.pop("coeffs", [])]
         if not coeffs:
             raise ProfileError(f"{path}: polynomial needs nonempty coeffs")
-        axis = int(need("axis", 0))
+        axis = need_axis()
         fn = lambda X: np.polyval(coeffs[::-1], X[..., axis])  # noqa: E731
     else:
         raise ProfileError(f"{path}: unknown profile {kind!r}")
@@ -92,7 +98,7 @@ def scalar_from_profile(lattice, spec, path="field"):
     return resolve_profile(spec, lattice, path)(lattice.positions)
 
 
-def metric_profile(lattice, component_specs, path="fields.metric"):
+def metric_profile(lattice, component_specs):
     """Inverse metric from per-component profiles keyed 'k,l' (upper
     triangle): a callable mapping points X (..., d) to g^kl (..., d, d).
 
@@ -104,10 +110,10 @@ def metric_profile(lattice, component_specs, path="fields.metric"):
         try:
             k, l = (int(p) for p in str(key).split(","))
         except ValueError as exc:
-            raise ProfileError(f"{path}: bad component key {key!r}") from exc
+            raise ProfileError(f"fields.metric: bad component key {key!r}") from exc
         if not (0 <= k < d and 0 <= l < d):
-            raise ProfileError(f"{path}: component {key!r} outside dimension {d}")
-        components.append((k, l, resolve_profile(spec, lattice, f"{path}.{key}")))
+            raise ProfileError(f"fields.metric: component {key!r} outside dimension {d}")
+        components.append((k, l, resolve_profile(spec, lattice, f"fields.metric.{key}")))
 
     def g(X):
         out = np.empty(X.shape[:-1] + (d, d))
@@ -121,12 +127,12 @@ def metric_profile(lattice, component_specs, path="fields.metric"):
     return g
 
 
-def metric_from_profiles(lattice, component_specs, path="fields.metric"):
+def metric_from_profiles(lattice, component_specs):
     """MetricField: the inverse-metric profile at the lattice sites."""
-    return metric_profile(lattice, component_specs, path)(lattice.positions)
+    return metric_profile(lattice, component_specs)(lattice.positions)
 
 
-def connection_from_profiles(lattice, connection_spec, path="fields.connection"):
+def connection_from_profiles(lattice, connection_spec):
     """LinkField of integrated phases from component profiles + holonomies."""
     if not connection_spec:
         return np.zeros(lattice.n_links)
@@ -135,10 +141,10 @@ def connection_from_profiles(lattice, connection_spec, path="fields.connection")
     if comps:
         if len(comps) != lattice.ndim:
             raise ProfileError(
-                f"{path}.components: need {lattice.ndim} per-axis profiles"
+                f"fields.connection.components: need {lattice.ndim} per-axis profiles"
             )
         fns = [
-            resolve_profile(c, lattice, f"{path}.components[{k}]")
+            resolve_profile(c, lattice, f"fields.connection.components[{k}]")
             for k, c in enumerate(comps)
         ]
         theta = connection_from_components(lattice, fns)
@@ -148,20 +154,13 @@ def connection_from_profiles(lattice, connection_spec, path="fields.connection")
     return theta
 
 
-def time_scale_function(spec, path="fields.time.scale"):
-    """Scalar scale factor profile over time: constant, linear or explicit."""
+def time_scale_function(spec):
+    """Scale factor over time: 1 without a spec, 1 + rate * t for
+    {profile: linear, rate}."""
     if spec is None:
         return lambda t: 1.0
-    if isinstance(spec, (list, tuple)):
-        vals = [float(v) for v in spec]
-        return lambda t, _v=vals: _v[int(round(t))] if 0 <= int(round(t)) < len(_v) else 1.0
-    if not isinstance(spec, dict):
-        raise ProfileError(f"{path}: expected dict or list")
-    kind = spec.get("profile")
-    if kind == "constant":
-        v = float(spec.get("value", 1.0))
-        return lambda t: v
-    if kind == "linear":
-        rate = float(spec.get("rate", 0.0))
-        return lambda t: 1.0 + rate * t
-    raise ProfileError(f"{path}: unknown time scale profile {kind!r}")
+    if not isinstance(spec, dict) or spec.get("profile") != "linear":
+        raise ProfileError(f"fields.time.scale: expected {{profile: linear, rate: <float>}}, "
+                           f"got {spec!r}")
+    rate = float(spec.get("rate", 0.0))
+    return lambda t: 1.0 + rate * t

@@ -40,7 +40,7 @@ from .operators import (
 
 
 class LocalityViolation(OperatorError):
-    """Operator couples sites beyond the allowed stencil range."""
+    """Operator couples sites outside the range-1 link stencil."""
 
 
 class PhaseAmbiguity(OperatorError):
@@ -109,11 +109,7 @@ def velocity(H, a):
     """Heisenberg velocity of a multiplication operator: i [H, mult(a)]."""
     d = sp.diags(np.asarray(a, dtype=float).astype(complex))
     mat = (1j * commutator(H, d)).tocsr()
-    return HermitianOperator(mat, stencil_range=_stencil_range(H))
-
-
-def _stencil_range(H):
-    return H.stencil_range if isinstance(H, HermitianOperator) else 1
+    return HermitianOperator(mat)
 
 
 def _link_entries(lattice, H):
@@ -155,8 +151,9 @@ def peierls_decompose(lattice, H):
     part (phase on the +-pi/2 boundary); the first offending entry in
     storage order is reported.
     """
-    mat = _site_matrix(lattice, H).tocoo()
-    herm = np.max(np.abs((mat - mat.getH()).data), initial=0.0)
+    mat = _site_matrix(lattice, H)
+    herm = HermitianOperator(mat).hermiticity_defect()
+    mat = mat.tocoo()
     if herm > 1e-10 * max(1.0, np.max(np.abs(mat.data), initial=0.0)):
         raise OperatorError(f"operator not Hermitian (defect {herm:g})")
 
@@ -194,9 +191,7 @@ def reassemble(lattice, dec):
         ),
         shape=(n, n),
     )
-    return HermitianOperator(
-        (off + sp.diags(dec.diagonal.astype(complex))).tocsr(), stencil_range=1
-    )
+    return HermitianOperator((off + sp.diags(dec.diagonal.astype(complex))).tocsr())
 
 
 def reconstruct_metric(lattice, H, m, dec=None):
@@ -305,13 +300,13 @@ def reconstruct_connection(lattice, dec, gauge="asis"):
     raise ValueError(f"unknown gauge {gauge!r}")
 
 
-def reconstruct_potential(lattice, dec, m=1.0):
+def reconstruct_potential(lattice, dec):
     """Scalar potential: operator diagonal minus the stencil diagonal.
 
     The stencil diagonal is the sum of the decomposed link amplitudes at
     each site, which is exactly the builder's diagonal, so round trips
     invert the builder to rounding.  The amplitudes already carry the
-    mass, so m does not enter.
+    mass.
     """
     stencil_diag = np.bincount(
         lattice.link_src, weights=dec.couplings, minlength=lattice.n_sites
@@ -324,7 +319,7 @@ def gauge_transform(H, chi):
     mat = _asmat(H)
     u = np.exp(1j * np.asarray(chi, dtype=float))
     out = sp.diags(u) @ mat @ sp.diags(u.conj())
-    return HermitianOperator(out.tocsr(), stencil_range=_stencil_range(H))
+    return HermitianOperator(out.tocsr())
 
 
 def tree_gauge_canonicalize(lattice, H):
@@ -395,13 +390,14 @@ def metric_row_sum_field(lattice, H, m, k, l):
     )
 
 
-def default_test_vector(lattice, width_fraction=1.0 / 6.0):
-    """Normalized discrete Gaussian centered mid-domain."""
+def default_test_vector(lattice):
+    """Normalized discrete Gaussian centered mid-domain, its width a sixth
+    of each axis extent."""
     center = np.array(
         [0.5 * (n - 1) * h for n, h in zip(lattice.sizes, lattice.spacings)]
     )
     widths = np.array(
-        [n * h * width_fraction for n, h in zip(lattice.sizes, lattice.spacings)]
+        [n * h * (1.0 / 6.0) for n, h in zip(lattice.sizes, lattice.spacings)]
     )
     r2 = np.zeros(lattice.n_sites)
     for k in range(lattice.ndim):
@@ -414,27 +410,28 @@ def default_test_vector(lattice, width_fraction=1.0 / 6.0):
     return psi / np.linalg.norm(psi)
 
 
-def axiom_report(lattice, H, m, tol=1e-10, psi=None):
+def axiom_report(lattice, H, m):
     """Certify the quantum-mechanics axioms at the stencil level.
 
     positivity_ok: the reconstructed metric is positive definite at every
-    site beyond tol.  nondegenerate additionally requires that no axis is
-    entirely decoupled (an "unquantized" direction).  Includes cure
-    residuals for all coordinate pairs and the commutant defect.
+    site beyond 1e-10.  nondegenerate additionally requires that no axis
+    is entirely decoupled (an "unquantized" direction, |g^kk| <= 1e-10
+    everywhere).  Includes cure residuals for all coordinate pairs, on
+    default_test_vector, and the commutant defect.
     """
-    return _axiom_report(lattice, H, reconstruct_metric(lattice, H, m), tol, psi)
+    return _axiom_report(lattice, H, reconstruct_metric(lattice, H, m))
 
 
-def _axiom_report(lattice, H, g, tol=1e-10, psi=None):
+def _axiom_report(lattice, H, g):
     """axiom_report for H whose reconstructed metric g is already known."""
+    tol = 1e-10
     mins = np.linalg.eigvalsh(g).min(axis=1) if lattice.ndim > 1 else g[:, 0, 0]
     positivity = bool(mins.min() > tol)
     unquantized = tuple(
         k for k in range(lattice.ndim) if np.max(np.abs(g[:, k, k])) <= tol
     )
     nondegenerate = positivity and not unquantized
-    if psi is None:
-        psi = default_test_vector(lattice)
+    psi = default_test_vector(lattice)
     cures = []
     for k in range(lattice.ndim):
         for l in range(k, lattice.ndim):
@@ -460,7 +457,7 @@ def reconstruction_report(lattice, H, m, truth=None):
     dec = peierls_decompose(lattice, H)
     g_rec = reconstruct_metric(lattice, H, m, dec=dec)
     theta_rec = reconstruct_connection(lattice, dec)
-    phi_rec = reconstruct_potential(lattice, dec, m=m)
+    phi_rec = reconstruct_potential(lattice, dec)
     e_g = e_F = e_phi = float("nan")
     if truth is not None:
         g_ref, theta_in, phi_in = truth
@@ -489,8 +486,11 @@ def roundtrip_report(lattice, g, A, phi, m, reference="link_average"):
 
     reference="link_average" compares against the link-averaged input
     (the discrete round trip, exact to rounding); "pointwise" compares
-    against the raw site values (continuum mode, O(h^2)).
+    against the raw site values (continuum mode, O(h^2)); any other
+    value is a ValueError.
     """
+    if reference not in ("link_average", "pointwise"):
+        raise ValueError(f"unknown reference {reference!r}")
     g = np.asarray(g, dtype=float)
     phi = np.zeros(lattice.n_sites) if phi is None else np.asarray(phi, dtype=float)
     H = build_hamiltonian(lattice, g, A, phi, m)

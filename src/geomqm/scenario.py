@@ -170,30 +170,42 @@ def validate_config(doc):
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed: expected int")
-    tol = doc.get("tolerances", {}) or {}
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances: expected mapping")
-    for name, value in tol.items():
+    for name, value in _mapping(doc.get("tolerances"), "tolerances").items():
         if not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerances.{name}: must be a positive number")
+    reference = _mapping(doc.get("params"), "params").get("reference", "link_average")
+    if reference not in ("link_average", "pointwise"):
+        raise ConfigError(
+            f"params.reference: expected link_average or pointwise, got {reference!r}"
+        )
     lattice = build_lattice(spec)
     try:
         # geodesic metrics are evaluated analytically along the path, not
         # at lattice sites, so sitewise positive definiteness is not required
-        fields = _build_fields(lattice, doc.get("fields") or {}, require_pd=task != "geodesic")
+        fields = _build_fields(lattice, _mapping(doc.get("fields"), "fields"),
+                               require_pd=task != "geodesic")
     except (ProfileError, LatticeError) as exc:
         raise ConfigError(str(exc)) from exc
     return lattice, fields
 
 
+def _mapping(value, path):
+    """A mapping-valued field, {} when absent or empty."""
+    value = value or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected mapping, got {type(value).__name__}")
+    return value
+
+
 def _build_fields(lattice, fields_doc, require_pd=True):
-    metric_doc = (fields_doc.get("metric") or {}).get("components")
+    metric_doc = _mapping(fields_doc.get("metric"), "fields.metric").get("components")
     g = metric_from_profiles(lattice, metric_doc)
     if require_pd and np.min(np.linalg.eigvalsh(g)) <= 0:
         raise ConfigError("fields.metric: profiles give a non-positive-definite metric")
-    theta = connection_from_profiles(lattice, fields_doc.get("connection"))
+    theta = connection_from_profiles(
+        lattice, _mapping(fields_doc.get("connection"), "fields.connection"))
     phi = scalar_from_profile(lattice, fields_doc.get("potential"), "fields.potential")
-    time_doc = fields_doc.get("time") or {}
+    time_doc = _mapping(fields_doc.get("time"), "fields.time")
     samples = int(time_doc.get("samples", 1))
     if samples < 1:
         raise ConfigError("fields.time.samples: must be >= 1")
@@ -322,7 +334,11 @@ def _task_geodesic(doc, lattice, fields, seed, tol_scale, out, report):
     else:
         residual = np.zeros(len(traj.times))
 
-    _write_trajectory_csv(out / "trajectory.csv", traj, residual)
+    d = traj.positions.shape[1]
+    header = ",".join(["t", *(f"q_{k+1}" for k in range(d)), *(f"v_{k+1}" for k in range(d)),
+                       "speed2", "residual0"])
+    table = np.column_stack([traj.times, traj.positions, traj.velocities, traj.speed2, residual])
+    _write_csv(out / "trajectory.csv", header + "\n", [("", table)])
     report.payload = {
         "samples": int(len(traj.times)),
         "speed2_drift": traj.speed2_drift(),
@@ -334,21 +350,18 @@ def _task_geodesic(doc, lattice, fields, seed, tol_scale, out, report):
     _check(report, "truncated", float(traj.truncated), 0.5)
 
 
-def _write_trajectory_csv(path, traj, residual):
-    d = traj.positions.shape[1]
-    header = (
-        "t,"
-        + ",".join(f"q_{k+1}" for k in range(d))
-        + ","
-        + ",".join(f"v_{k+1}" for k in range(d))
-        + ",speed2,residual0"
-    )
+def _write_csv(path, header, blocks):
+    """Write the header text, then one line per row of each (prefix, rows)
+    block: the prefix, then the row's numbers as '%.17g', comma-separated."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(len(traj.times)):
-            row = [traj.times[i], *traj.positions[i], *traj.velocities[i],
-                   traj.speed2[i], residual[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(header)
+        for prefix, rows in blocks:
+            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            # rows go through Python floats in chunks, so no block is held
+            # as one large list
+            for start in range(0, len(rows), 1024):
+                chunk = rows[start:start + 1024].tolist()
+                fh.writelines(prefix + fmt % tuple(row) for row in chunk)
 
 
 def _task_maxwell(doc, lattice, fields, seed, tol_scale, out, report):
@@ -392,7 +405,12 @@ def _task_maxwell(doc, lattice, fields, seed, tol_scale, out, report):
         last = (pot, F, j_minus)
 
     pot, F, j = last
-    _write_cochains_csv(out / "cochains.csv", [("potential", pot), ("field_strength", F), ("current", j)])
+    header = (f"# complex={cx.content_hash()} orientation=t,x,y,z;increasing-pairs\n"
+              "cochain,degree,cell_id,value\n")
+    _write_csv(out / "cochains.csv", header, (
+        (f"{name},{omega.degree},", np.column_stack([np.arange(len(omega.values)), omega.values]))
+        for name, omega in (("potential", pot), ("field_strength", F), ("current", j))
+    ))
     report.payload = {
         "time_samples": samples,
         "ensembles": ensembles,
@@ -418,19 +436,6 @@ def _random_series(lattice, samples, amplitude, rng):
     return A_series, phi_series
 
 
-def _write_cochains_csv(path, named_cochains):
-    with open(path, "w", encoding="utf-8") as fh:
-        first = named_cochains[0][1]
-        fh.write(
-            f"# complex={first.complex.content_hash()} "
-            "orientation=t,x,y,z;increasing-pairs\n"
-        )
-        fh.write("cochain,degree,cell_id,value\n")
-        for name, omega in named_cochains:
-            for i, v in enumerate(omega.values):
-                fh.write(f"{name},{omega.degree},{i},{v:.17g}\n")
-
-
 def _task_holonomy(doc, lattice, fields, seed, tol_scale, out, report):
     params = doc.get("params") or {}
     m = float(doc["mass"])
@@ -454,7 +459,8 @@ def _task_holonomy(doc, lattice, fields, seed, tol_scale, out, report):
     else:
         grid = np.asarray([float(a) for a in alphas])
     table = holonomy.ab_spectrum(lattice, m, grid)
-    _write_spectral_flow_csv(out / "spectral_flow.csv", grid, table)
+    header = ",".join(["alpha", *(f"lambda_{k+1}" for k in range(table.shape[1]))])
+    _write_csv(out / "spectral_flow.csv", header + "\n", [("", np.column_stack([grid, table]))])
     payload.update(
         {
             "alpha_count": int(len(grid)),
@@ -494,13 +500,6 @@ def _uniform_flux_connection(lattice, quanta):
     return theta
 
 
-def _write_spectral_flow_csv(path, grid, table):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha," + ",".join(f"lambda_{k+1}" for k in range(table.shape[1])) + "\n")
-        for alpha, row in zip(grid, table):
-            fh.write(",".join(f"{v:.17g}" for v in [alpha, *row]) + "\n")
-
-
 def _task_evolve(doc, lattice, fields, seed, tol_scale, out, report):
     m = float(doc["mass"])
     params = doc.get("params") or {}
@@ -509,9 +508,9 @@ def _task_evolve(doc, lattice, fields, seed, tol_scale, out, report):
     steps = int(params.get("steps", 0)) or evolution.suggested_steps(H, 0.0, duration)
     steps += steps % 2  # even count so the composition check aligns
     U = evolution.propagator(H, 0.0, duration, steps)
+    # H is static, so the propagator of the second half equals the first's
     half = evolution.propagator(H, 0.0, duration / 2, steps // 2)
-    second = evolution.propagator(H, duration / 2, duration, steps // 2)
-    composition = float(np.max(np.abs((second @ half).mat - U.mat)))
+    composition = float(np.max(np.abs((half @ half).mat - U.mat)))
     defect = U.unitarity_defect()
     x = lattice.positions[:, 0]
     xt = evolution.heisenberg_evolve(x, U)

@@ -294,7 +294,7 @@ def test_acceptance_11_gauge_program():
         dec0 = peierls_decompose(lat, H)
         g0 = reconstruct_metric(lat, H, 1.0, dec=dec0)
         F0 = plaquette_sums(lat, reconstruct_connection(lat, dec0))
-        phi0 = reconstruct_potential(lat, dec0, m=1.0)
+        phi0 = reconstruct_potential(lat, dec0)
         C0 = tree_gauge_canonicalize(lat, H)
         rng = np.random.default_rng(11)
         worst = {"g": 0.0, "F": 0.0, "phi": 0.0, "shift": 0.0, "canon": 0.0}
@@ -307,7 +307,7 @@ def test_acceptance_11_gauge_program():
             worst["F"] = max(worst["F"], float(np.max(np.abs(
                 plaquette_sums(lat, reconstruct_connection(lat, dec)) - F0))))
             worst["phi"] = max(worst["phi"], float(np.max(np.abs(
-                reconstruct_potential(lat, dec, m=1.0) - phi0))))
+                reconstruct_potential(lat, dec) - phi0))))
             worst["shift"] = max(worst["shift"], float(np.max(np.abs(
                 (dec.phases - dec0.phases) - d0(lat, chi)))))
             Cg = tree_gauge_canonicalize(lat, Hg)

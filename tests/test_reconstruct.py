@@ -214,7 +214,7 @@ def test_potential_of_pure_laplacian_is_zero():
     lat = build_lattice(LatticeSpec("cylinder", (6, 6), (1.0, 1.0)))
     g = constant_metric(lat, np.array([[1.0, 0.1], [0.1, 1.2]]))
     H = covariant_laplacian(lat, g, None, 1.0)
-    phi = reconstruct_potential(lat, peierls_decompose(lat, H), m=1.0)
+    phi = reconstruct_potential(lat, peierls_decompose(lat, H))
     assert np.max(np.abs(phi)) < 1e-10
 
 
@@ -222,14 +222,14 @@ def test_quadratic_potential_recovered():
     lat = interval(12)
     x = lat.positions[:, 0]
     H = build_hamiltonian(lat, constant_metric(lat), None, x**2, 1.0)
-    phi = reconstruct_potential(lat, peierls_decompose(lat, H), m=1.0)
+    phi = reconstruct_potential(lat, peierls_decompose(lat, H))
     assert np.max(np.abs(phi - x**2)) < 1e-10
 
 
 def test_constant_potential_recovered():
     lat = interval(8)
     H = build_hamiltonian(lat, constant_metric(lat), None, np.full(8, 5.0), 1.0)
-    phi = reconstruct_potential(lat, peierls_decompose(lat, H), m=1.0)
+    phi = reconstruct_potential(lat, peierls_decompose(lat, H))
     assert np.max(np.abs(phi - 5.0)) < 1e-12
 
 
@@ -347,7 +347,7 @@ def test_observables_gauge_invariant():
     dec0 = peierls_decompose(lat, H)
     g0 = reconstruct_metric(lat, H, 1.0, dec=dec0)
     F0 = plaquette_sums(lat, dec0.phases)
-    phi0 = reconstruct_potential(lat, dec0, m=1.0)
+    phi0 = reconstruct_potential(lat, dec0)
     rng = np.random.default_rng(8)
     for _ in range(5):
         chi = rng.uniform(-0.3, 0.3, lat.n_sites)
@@ -355,7 +355,7 @@ def test_observables_gauge_invariant():
         dec = peierls_decompose(lat, Hg)
         assert np.max(np.abs(reconstruct_metric(lat, Hg, 1.0, dec=dec) - g0)) < 1e-10
         assert np.max(np.abs(plaquette_sums(lat, dec.phases) - F0)) < 1e-10
-        assert np.max(np.abs(reconstruct_potential(lat, dec, m=1.0) - phi0)) < 1e-10
+        assert np.max(np.abs(reconstruct_potential(lat, dec) - phi0)) < 1e-10
 
 
 def test_gauge_equivalent_operators_canonicalize_equal():

@@ -400,3 +400,37 @@ def test_geodesic_run_metric_lower_calls(tmp_path, monkeypatch):
     run_scenario(write(tmp_path, "geo.yaml", text), tmp_path / "out")
     # 4 christoffel calls per RK4 step, one each; speed^2; one per time sample
     assert len(calls) <= 4 * 50 + 1 + 5
+
+
+def test_unknown_roundtrip_reference_is_a_config_error(tmp_path, capsys):
+    # a typo used to run the pointwise comparison at its loose tolerances
+    path = write(tmp_path, "rt.yaml",
+                 "lattice: {topology: torus, sizes: [6, 6], spacings: [1.0, 1.0]}\n"
+                 "mass: 1.0\ntask: roundtrip\nparams: {reference: link-average}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "params.reference" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis", [2, -1])
+def test_profile_axis_outside_the_lattice_is_a_config_error(tmp_path, capsys, axis):
+    path = write(tmp_path, "build.yaml",
+                 "lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
+                 "mass: 1.0\ntask: build\n"
+                 f"fields: {{potential: {{profile: sine, amplitude: 0.1, axis: {axis}}}}}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "fields.potential" in err and "axis" in err
+
+
+@pytest.mark.parametrize("field, text", [
+    ("params", "params: 3\n"),
+    ("fields", "fields: 3\n"),
+    ("fields.time", "fields: {time: [4]}\n"),
+])
+def test_non_mapping_section_is_a_config_error(tmp_path, capsys, field, text):
+    path = write(tmp_path, "evolve.yaml",
+                 "lattice: {topology: interval, sizes: [8], spacings: [1.0]}\n"
+                 "mass: 1.0\ntask: evolve\n" + text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}: expected mapping" in capsys.readouterr().err
