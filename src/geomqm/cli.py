@@ -5,7 +5,7 @@
     geomqm schema
 
 Exit codes: 0 all checks pass, 1 a numerical check failed, 2 config or
-schema error, 3 a numerical or domain error (OperatorError, TopologyError,
+schema error, 3 any other exception (OperatorError, TopologyError,
 LinAlgError, ...), printed as "error: <ErrorClass>: <message>".
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .scenario import SCHEMA, ConfigError, load_config, run_scenario, validate_config
 
@@ -59,8 +60,10 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except Exception as exc:  # exit status 1 is kept for a failed check
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if not isinstance(exc, ValueError):  # not a domain error: a defect to locate
+            traceback.print_exc()
         return 3
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

@@ -1,76 +1,98 @@
 """Named closed-form field profiles for scenario configs.
 
-Profiles are small dictionaries {profile: name, ...numeric parameters}
-resolved against a lattice into array expressions: callables mapping
-chart points X of shape (..., d) to values of shape (...).  No
-expression language: every profile is a fixed closed form, which keeps
-scenario runs deterministic and the config schema finite.
+Profiles are small dictionaries {profile: name, ...parameters} resolved
+against a lattice into array expressions: callables mapping chart points
+X of shape (..., d) to values of shape (...).  No expression language:
+every profile is a fixed closed form, which keeps scenario runs
+deterministic and the config schema finite.  `_PROFILES` lists every
+kind's parameters; the grammar in `geomqm schema` is printed from it.
 
-    constant       {value}
-    zero           {}
-    sine           {base, amplitude, axis, periods, phase}
-                   base + amplitude * sin(2 pi periods x_axis / L + phase)
-    gaussian_bump  {base, amplitude, center, width, axis}
-                   center/width are fractions of the axis extent
-    polynomial     {coeffs, axis}     sum_i coeffs[i] * x_axis^i
+    constant       value
+    zero
+    sine           base + amplitude * sin(2 pi periods x_axis / L + phase)
+    gaussian_bump  base + amplitude * exp(-((x_axis - center) / width)^2 / 2),
+                   center and width are fractions of the axis extent L
+    polynomial     sum_i coeffs[i] * x_axis^i
+    linear         1 + rate * t: the time scale, for fields.time.scale only
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._config import REQUIRED, ConfigError, Key, read_keys
 from .holonomy import flat_connection
 from .lattice import connection_from_components
 
 
-class ProfileError(ValueError):
+class ProfileError(ConfigError):
     """Unknown profile name or bad profile parameters."""
+
+
+_PROFILES = {  # every axis lies in 0..d-1
+    "constant": [Key("value", "float", REQUIRED)],
+    "zero": [],
+    "sine": [Key("base", "float", 0.0), Key("amplitude", "float", REQUIRED),
+             Key("axis", "int", 0), Key("periods", "float", 1.0), Key("phase", "float", 0.0)],
+    "gaussian_bump": [Key("base", "float", 0.0), Key("amplitude", "float", REQUIRED),
+                      Key("center", "float", 0.5), Key("width", "float", 1.0 / 6.0),
+                      Key("axis", "int", 0)],
+    "polynomial": [Key("coeffs", "list of float", REQUIRED, ("nonempty", bool)),
+                   Key("axis", "int", 0)],
+    "linear": [Key("rate", "float", 0.0)],
+}
+_SPACE_KINDS = tuple(kind for kind in _PROFILES if kind != "linear")
+
+
+def _read_profile(spec, path, kinds):
+    """(kind, parameters with defaults filled in) of a profile dict."""
+    if not isinstance(spec, dict) or "profile" not in spec:
+        raise ProfileError(f"{path}: expected a dict with a 'profile' key")
+    kind = spec["profile"]
+    if kind not in kinds:
+        raise ProfileError(f"{path}: unknown profile {kind!r}, expected one of {', '.join(kinds)}")
+    params = {name: value for name, value in spec.items() if name != "profile"}
+    return kind, read_keys(params, _PROFILES[kind], f"{path}.")
+
+
+def _grammar(name, kinds):
+    alternatives = []
+    for kind in kinds:
+        params = "".join(f", {key.path}: <{key.kind}"
+                         f"{'' if key.default is REQUIRED else f' = {key.default}'}>"
+                         for key in _PROFILES[kind])
+        alternatives.append(f"{{profile: {kind}{params}}}")
+    return f"{name} ::= " + f"\n{' ' * len(name)}   | ".join(alternatives) + "\n"
+
+
+# The `profile ::=` and `scale ::=` lines of `geomqm schema`.
+GRAMMAR = _grammar("profile", _SPACE_KINDS) + _grammar("scale", ("linear",))
 
 
 def resolve_profile(spec, lattice, path="profile"):
     """Profile dict -> callable mapping points X (..., d) to values (...)."""
     if spec is None:
         spec = {"profile": "zero"}
-    if not isinstance(spec, dict) or "profile" not in spec:
-        raise ProfileError(f"{path}: expected a dict with a 'profile' key")
-    kind = spec["profile"]
-    params = {k: v for k, v in spec.items() if k != "profile"}
-
-    def need(name, default=None):
-        if name in params:
-            return float(params.pop(name))
-        if default is not None:
-            return float(default)
-        raise ProfileError(f"{path}: profile {kind!r} needs parameter {name!r}")
-
-    def need_axis():
-        axis = int(need("axis", 0))
-        if not 0 <= axis < lattice.ndim:
-            raise ProfileError(f"{path}: axis {axis} outside 0..{lattice.ndim - 1}")
-        return axis
-
+    kind, p = _read_profile(spec, path, _SPACE_KINDS)
     if kind == "constant":
-        value = need("value")
-        fn = lambda X: np.full(X.shape[:-1], value)  # noqa: E731
-    elif kind == "zero":
-        fn = lambda X: np.zeros(X.shape[:-1])  # noqa: E731
-    elif kind == "sine":
-        base = need("base", 0.0)
-        amplitude = need("amplitude")
-        axis = need_axis()
-        periods = need("periods", 1.0)
-        phase = need("phase", 0.0)
+        value = p["value"]
+        return lambda X: np.full(X.shape[:-1], value)
+    if kind == "zero":
+        return lambda X: np.zeros(X.shape[:-1])
+    axis = p["axis"]
+    if not 0 <= axis < lattice.ndim:
+        raise ProfileError(f"{path}.axis: {axis} outside 0..{lattice.ndim - 1}")
+    if kind == "sine":
+        base, amplitude, periods, phase = p["base"], p["amplitude"], p["periods"], p["phase"]
         L = lattice.axis_extent(axis)
-        fn = lambda X: base + amplitude * np.sin(  # noqa: E731
+        return lambda X: base + amplitude * np.sin(
             2.0 * np.pi * periods * X[..., axis] / L + phase
         )
-    elif kind == "gaussian_bump":
-        base = need("base", 0.0)
-        amplitude = need("amplitude")
-        axis = need_axis()
+    if kind == "gaussian_bump":
+        base, amplitude = p["base"], p["amplitude"]
         L = lattice.axis_extent(axis)
-        center = need("center", 0.5) * L
-        width = need("width", 1.0 / 6.0) * L
+        center = p["center"] * L
+        width = p["width"] * L
         periodic = lattice.periodic[axis]
         span = lattice.sizes[axis] * lattice.spacings[axis]
 
@@ -80,18 +102,9 @@ def resolve_profile(spec, lattice, path="profile"):
                 dx = (dx + span / 2) % span - span / 2
             return base + amplitude * np.exp(-0.5 * (dx / width) ** 2)
 
-    elif kind == "polynomial":
-        coeffs = [float(c) for c in params.pop("coeffs", [])]
-        if not coeffs:
-            raise ProfileError(f"{path}: polynomial needs nonempty coeffs")
-        axis = need_axis()
-        fn = lambda X: np.polyval(coeffs[::-1], X[..., axis])  # noqa: E731
-    else:
-        raise ProfileError(f"{path}: unknown profile {kind!r}")
-
-    if params:
-        raise ProfileError(f"{path}: unused parameters {sorted(params)}")
-    return fn
+        return fn
+    coeffs = p["coeffs"]
+    return lambda X: np.polyval(coeffs[::-1], X[..., axis])
 
 
 def scalar_from_profile(lattice, spec, path="field"):
@@ -159,8 +172,6 @@ def time_scale_function(spec):
     {profile: linear, rate}."""
     if spec is None:
         return lambda t: 1.0
-    if not isinstance(spec, dict) or spec.get("profile") != "linear":
-        raise ProfileError(f"fields.time.scale: expected {{profile: linear, rate: <float>}}, "
-                           f"got {spec!r}")
-    rate = float(spec.get("rate", 0.0))
+    _, p = _read_profile(spec, "fields.time.scale", ("linear",))
+    rate = p["rate"]
     return lambda t: 1.0 + rate * t

@@ -1,16 +1,19 @@
 """Scenario-driven orchestration: parse a config, run a task, emit reports.
 
-Configs are YAML documents (human-writable, comment-friendly) validated
-against the schema printed by `geomqm schema`.  Every task writes
-report.json into the output directory plus task-specific CSVs; embedded
-numerical checks decide the exit status.  Reports are deterministic for
-a fixed scenario and seed up to the wall-time field.
+Configs are YAML documents (human-writable, comment-friendly).  One
+table, `_KEYS`, lists every settable value: validation, the typed values
+the task runners read and the schema printed by `geomqm schema` all come
+from it.  Every task writes report.json into the output directory plus
+task-specific CSVs; embedded numerical checks decide the exit status.
+Reports are deterministic for a fixed scenario and seed up to the
+wall-time field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,9 +22,10 @@ import numpy as np
 import yaml
 
 from . import evolution, geometry, holonomy, maxwell, operators, reconstruct
-from .lattice import LatticeError, LatticeSpec, build_lattice
+from ._config import COUNT, POSITIVE, REQUIRED, ConfigError, Key, read_keys
+from .lattice import TOPOLOGIES, LatticeError, LatticeSpec, build_lattice
 from .profiles import (
-    ProfileError,
+    GRAMMAR,
     connection_from_profiles,
     metric_from_profiles,
     metric_profile,
@@ -31,60 +35,92 @@ from .profiles import (
 
 TASKS = ("build", "reconstruct", "roundtrip", "geodesic", "maxwell", "holonomy", "evolve")
 
-SCHEMA = """\
-# geomqm scenario schema (YAML).  <angle brackets> mark values to fill in.
-lattice:                      # required
-  topology: <interval|ring|rectangle|cylinder|torus|box3>
-  sizes: [<int >= 3 per axis>]
-  spacings: [<float > 0 per axis>]
-mass: <float > 0>             # required
-task: <build|reconstruct|roundtrip|geodesic|maxwell|holonomy|evolve>
-seed: <int>                   # optional, default 0; echoed in the report
-fields:                       # optional; profiles are named closed forms
-  metric:
-    components:               # inverse-metric entries, upper triangle
-      "<k>,<l>": <profile>    # e.g. "0,0": {profile: sine, base: 1.0,
-                              #              amplitude: 0.3, axis: 0}
-  connection:
-    components: [<profile per axis>]    # integrated by midpoint rule
-    holonomies: [<angle per periodic axis>]
-  potential: <profile>
-  time:
-    samples: <int >= 1>
-    dt: <float > 0>
-    scale: {profile: linear, rate: <float>}   # lower metric scale s(t)
-params:                       # task-specific, all optional
-  reference: <link_average|pointwise>         # roundtrip
-  hamiltonian_file: <path>                    # reconstruct input dump
-  initial: {position: [...], velocity: [...]} # geodesic
-  dt: <float>                                 # geodesic step
-  duration: <float>                           # geodesic / evolve
-  ensembles: <int>                            # maxwell random series
-  amplitude: <float>                          # maxwell random series
-  eta: <float>                                # geodesic difference step, 1e-4
-  alphas: {start: <f>, stop: <f>, count: <n>} # holonomy grid (or a list)
-  check_periodicity: <bool>                   # holonomy: alpha vs alpha + 2 pi
-  chern_flux_quanta: <int>                    # holonomy, torus only
-  steps: <int>                                # evolve
-  probe_delta: <float>                        # evolve Heisenberg probe
-tolerances:                   # optional overrides for embedded checks
-  <check name>: <float>
 
-profile ::= {profile: constant, value: <f>}
-          | {profile: zero}
-          | {profile: sine, base: <f>, amplitude: <f>, axis: <k>,
-             periods: <f>, phase: <f>}
-          | {profile: gaussian_bump, base: <f>, amplitude: <f>,
-             center: <fraction>, width: <fraction>, axis: <k>}
-          | {profile: polynomial, coeffs: [<f>...], axis: <k>}
+def _one_of(*names):
+    return ("one of " + ", ".join(names), lambda v: v in names)
 
+
+_PER_AXIS = ("one per lattice axis", lambda v: True)  # validate_config checks the length
+_LOOSE = "default 1.0e-9, 1.0e-2 for reference pointwise"
+
+# Every settable value of a scenario document.  params and tolerances rows
+# name the tasks that read them.  A default that depends on other values
+# is None here and set by the one task runner that reads it.
+_KEYS = (
+    Key("lattice.topology", "str", REQUIRED, _one_of(*TOPOLOGIES)),
+    Key("lattice.sizes", "list of int", REQUIRED, note="sites per axis, each >= 3"),
+    Key("lattice.spacings", "list of float", REQUIRED, note="per axis, each > 0"),
+    Key("mass", "float", REQUIRED, POSITIVE),
+    Key("task", "str", REQUIRED, _one_of(*TASKS)),
+    Key("seed", "int", 0, note="echoed in the report"),
+    Key("fields.metric.components", "mapping", note='inverse metric: a profile per "k,l", k <= l'),
+    Key("fields.connection.components", "list of profile", note="one per axis"),
+    Key("fields.connection.holonomies", "list of float", note="one per periodic axis"),
+    Key("fields.potential", "profile", note="default zero"),
+    Key("fields.time.samples", "int", None, COUNT, note="default 4 for maxwell, else 1"),
+    Key("fields.time.dt", "float", None, POSITIVE, note="default 1.0, geodesic: duration / "
+        "(samples - 1)"),
+    Key("fields.time.scale", "scale", note="lower metric scale s(t)"),
+    Key("params.reference", "str", "link_average", _one_of("link_average", "pointwise"),
+        ("roundtrip",)),
+    Key("params.hamiltonian_file", "str", None, None, ("reconstruct",)),
+    Key("params.initial.position", "list of float", None, _PER_AXIS, ("geodesic",), "default 0"),
+    Key("params.initial.velocity", "list of float", None, _PER_AXIS, ("geodesic",),
+        "default the unit vector of axis 0"),
+    Key("params.dt", "float", 1e-3, POSITIVE, ("geodesic",)),
+    Key("params.duration", "float", 1.0, POSITIVE, ("geodesic", "evolve")),
+    Key("params.eta", "float", 1e-4, POSITIVE, ("geodesic",), "metric difference step"),
+    Key("params.ensembles", "int", 1, COUNT, ("maxwell",)),
+    Key("params.amplitude", "float", 0.3, ("finite, >= 0", lambda v: 0 <= v < math.inf),
+        ("maxwell",)),
+    Key("params.alphas.start", "float", 0.0, None, ("holonomy",)),
+    Key("params.alphas.stop", "float", 2 * np.pi, None, ("holonomy",)),
+    Key("params.alphas.count", "int", 17, COUNT, ("holonomy",)),
+    Key("params.check_periodicity", "bool", False, None, ("holonomy",), "alpha vs alpha + 2 pi"),
+    Key("params.chern_flux_quanta", "int", None, None, ("holonomy",), "torus only"),
+    Key("params.steps", "int", None, COUNT, ("evolve",), "default from ||H||"),
+    Key("params.probe_delta", "float", None, POSITIVE, ("evolve",), "default duration / steps"),
+    # positivity, nondegeneracy, truncated and chern_number are pass/fail
+    # flags with the fixed tolerance 0.5: they have no row
+    Key("tolerances.hermiticity", "float", 1e-12, POSITIVE, ("build",)),
+    Key("tolerances.spectrum_lower_bound", "float", 1e-9, POSITIVE, ("build",)),
+    Key("tolerances.e_g", "float", None, POSITIVE, ("roundtrip",), _LOOSE),
+    Key("tolerances.e_F", "float", 1e-9, POSITIVE, ("roundtrip",)),
+    Key("tolerances.e_phi", "float", None, POSITIVE, ("roundtrip",), _LOOSE),
+    Key("tolerances.speed2_drift", "float", 1e-8, POSITIVE, ("geodesic",)),
+    Key("tolerances.dF", "float", 1e-12, POSITIVE, ("maxwell",)),
+    Key("tolerances.continuity", "float", 1e-12, POSITIVE, ("maxwell",)),
+    Key("tolerances.double_star", "float", 1e-12, POSITIVE, ("maxwell",)),
+    Key("tolerances.periodicity", "float", 1e-9, POSITIVE, ("holonomy",)),
+    Key("tolerances.unitarity", "float", 1e-10, POSITIVE, ("evolve",)),
+    Key("tolerances.composition", "float", 1e-12, POSITIVE, ("evolve",)),
+)
+
+
+def _schema():
+    lines = ["# geomqm scenario schema (YAML), generated from its config table:",
+             "# key: <type>  # rule; default; the tasks that read it.  Any other key is",
+             "# a config error, as is a params or tolerances key the task does not read."]
+    shown = []
+    for key in _KEYS:
+        *sections, name = key.path.split(".")
+        for depth in range(len(sections)):
+            if shown[:depth + 1] != sections[:depth + 1]:
+                lines.append("  " * depth + sections[depth] + ":")
+        shown = sections
+        default = key.default not in (None, REQUIRED) and yaml.safe_dump(key.default).split("\n")[0]
+        notes = [key.default is REQUIRED and REQUIRED, key.rule and key.rule[0],
+                 default and f"default {default}", key.tasks and ", ".join(key.tasks), key.note]
+        entry = f"{'  ' * len(sections)}{name}: <{key.kind}>"
+        lines.append(f"{entry:<36}# " + "; ".join(note for note in notes if note))
+    return "\n".join(lines) + "\n\n" + GRAMMAR + """
 Exit codes: 0 all checks pass; 1 a check failed; 2 config error;
-3 numerical or domain error (printed as error: <ErrorClass>: <message>).
+3 numerical or domain error, or any other exception (printed as
+error: <ErrorClass>: <message>).
 """
 
 
-class ConfigError(ValueError):
-    """Scenario document violates the schema; message names the field."""
+SCHEMA = _schema()
 
 
 @dataclass
@@ -139,81 +175,37 @@ def load_config(path):
     return doc
 
 
-def _require(doc, key, kind, path):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    value = doc[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def validate_config(doc):
-    """Check the document against the schema; returns the built lattice
+    """Check the document against the config table; returns its values
+    typed, by dotted path, with the defaults filled in, the built lattice
     and its profile fields (g, theta, phi), each evaluated once."""
-    lat_doc = _require(doc, "lattice", dict, "")
-    topology = _require(lat_doc, "topology", str, "lattice")
-    sizes = _require(lat_doc, "sizes", list, "lattice")
-    spacings = _require(lat_doc, "spacings", list, "lattice")
+    cfg = read_keys(doc, _KEYS, task=doc.get("task"))  # task is read before any task row
     try:
-        spec = LatticeSpec(topology, tuple(sizes), tuple(spacings))
+        spec = LatticeSpec(cfg["lattice.topology"], tuple(cfg["lattice.sizes"]),
+                           tuple(cfg["lattice.spacings"]))
     except LatticeError as exc:
         raise ConfigError(f"lattice: {exc}") from exc
-    mass = _require(doc, "mass", float, "")
-    if mass <= 0:
-        raise ConfigError(f"mass: must be positive, got {mass}")
-    task = _require(doc, "task", str, "")
-    if task not in TASKS:
-        raise ConfigError(f"task: unknown task {task!r}, expected one of {TASKS}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: expected int")
-    for name, value in _mapping(doc.get("tolerances"), "tolerances").items():
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerances.{name}: must be a positive number")
-    reference = _mapping(doc.get("params"), "params").get("reference", "link_average")
-    if reference not in ("link_average", "pointwise"):
-        raise ConfigError(
-            f"params.reference: expected link_average or pointwise, got {reference!r}"
-        )
+    for key in _KEYS:
+        value = cfg.get(key.path)
+        if key.rule is _PER_AXIS and value is not None and len(value) != spec.ndim:
+            raise ConfigError(f"{key.path}: expected {spec.ndim} values, one per lattice axis, "
+                              f"got {len(value)}")
     lattice = build_lattice(spec)
-    try:
-        # geodesic metrics are evaluated analytically along the path, not
-        # at lattice sites, so sitewise positive definiteness is not required
-        fields = _build_fields(lattice, _mapping(doc.get("fields"), "fields"),
-                               require_pd=task != "geodesic")
-    except (ProfileError, LatticeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return lattice, fields
-
-
-def _mapping(value, path):
-    """A mapping-valued field, {} when absent or empty."""
-    value = value or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected mapping, got {type(value).__name__}")
-    return value
-
-
-def _build_fields(lattice, fields_doc, require_pd=True):
-    metric_doc = _mapping(fields_doc.get("metric"), "fields.metric").get("components")
-    g = metric_from_profiles(lattice, metric_doc)
-    if require_pd and np.min(np.linalg.eigvalsh(g)) <= 0:
+    g = metric_from_profiles(lattice, cfg["fields.metric.components"])
+    # geodesic metrics are evaluated analytically along the path, not
+    # at lattice sites, so sitewise positive definiteness is not required
+    if cfg["task"] != "geodesic" and np.min(np.linalg.eigvalsh(g)) <= 0:
         raise ConfigError("fields.metric: profiles give a non-positive-definite metric")
-    theta = connection_from_profiles(
-        lattice, _mapping(fields_doc.get("connection"), "fields.connection"))
-    phi = scalar_from_profile(lattice, fields_doc.get("potential"), "fields.potential")
-    time_doc = _mapping(fields_doc.get("time"), "fields.time")
-    samples = int(time_doc.get("samples", 1))
-    if samples < 1:
-        raise ConfigError("fields.time.samples: must be >= 1")
-    dt = float(time_doc.get("dt", 1.0))
-    if dt <= 0:
-        raise ConfigError("fields.time.dt: must be positive")
-    time_scale_function(time_doc.get("scale"))  # raises on a bad scale profile
-    return g, theta, phi
+    try:
+        theta = connection_from_profiles(lattice, {
+            "components": cfg["fields.connection.components"],
+            "holonomies": cfg["fields.connection.holonomies"],
+        })
+    except LatticeError as exc:  # a holonomy count that is not the generator count
+        raise ConfigError(f"fields.connection.holonomies: {exc}") from exc
+    phi = scalar_from_profile(lattice, cfg["fields.potential"], "fields.potential")
+    time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
+    return cfg, lattice, (g, theta, phi)
 
 
 def scenario_hash(doc):
@@ -224,18 +216,20 @@ def scenario_hash(doc):
 
 def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
     """Execute a scenario config; returns the Report after writing files."""
+    if not POSITIVE[1](tol_scale):
+        raise ConfigError(f"--tol-scale: must be {POSITIVE[0]}, got {tol_scale!r}")
     doc = load_config(config_path)
-    lattice, fields = validate_config(doc)
-    task = doc["task"]
+    cfg, lattice, fields = validate_config(doc)
+    task = cfg["task"]
     if seed is None:
-        seed = int(doc.get("seed", 0))
+        seed = cfg["seed"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     report = Report(task=task, scenario_hash=scenario_hash(doc), seed=seed)
     runner = _TASK_RUNNERS[task]
-    runner(doc, lattice, fields, seed, tol_scale, out, report)
+    runner(cfg, lattice, fields, seed, tol_scale, out, report)
     report.wall_time_s = time.perf_counter() - started
 
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -244,18 +238,18 @@ def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
     return report
 
 
-def _tol(doc, name, default, tol_scale):
-    value = float((doc.get("tolerances") or {}).get(name, default))
-    return value * tol_scale
+def _tol(cfg, name, tol_scale, derived=None):
+    value = cfg[f"tolerances.{name}"]
+    return (derived if value is None else value) * tol_scale
 
 
 def _check(report, name, value, tolerance):
     report.checks.append(Check(name, bool(value <= tolerance), float(value), tolerance))
 
 
-def _task_build(doc, lattice, fields, seed, tol_scale, out, report):
+def _task_build(cfg, lattice, fields, seed, tol_scale, out, report):
     g, theta, phi = fields
-    m = float(doc["mass"])
+    m = cfg["mass"]
     H = operators.build_hamiltonian(lattice, g, theta, phi, m)
     operators.save_operator(out / "hamiltonian.txt", H)
     val = operators.validate_operator(lattice, H)
@@ -270,16 +264,15 @@ def _task_build(doc, lattice, fields, seed, tol_scale, out, report):
         "spectrum_max": float(spectrum[-1]),
         "operator_file": "hamiltonian.txt",
     }
-    _check(report, "hermiticity", val["hermiticity_defect"], _tol(doc, "hermiticity", 1e-12, tol_scale))
+    _check(report, "hermiticity", val["hermiticity_defect"], _tol(cfg, "hermiticity", tol_scale))
     lower_defect = max(0.0, float(np.min(phi)) - float(spectrum[0]))
-    _check(report, "spectrum_lower_bound", lower_defect, _tol(doc, "spectrum_lower_bound", 1e-9, tol_scale))
+    _check(report, "spectrum_lower_bound", lower_defect, _tol(cfg, "spectrum_lower_bound", tol_scale))
 
 
-def _task_reconstruct(doc, lattice, fields, seed, tol_scale, out, report):
-    m = float(doc["mass"])
-    params = doc.get("params") or {}
-    if "hamiltonian_file" in params:
-        H = operators.load_operator(params["hamiltonian_file"])
+def _task_reconstruct(cfg, lattice, fields, seed, tol_scale, out, report):
+    m = cfg["mass"]
+    if cfg["params.hamiltonian_file"] is not None:
+        H = operators.load_operator(cfg["params.hamiltonian_file"])
         if H.dim != lattice.n_sites:
             raise ConfigError(f"params.hamiltonian_file: operator is {H.dim}x{H.dim} "
                               f"but the lattice has {lattice.n_sites} sites")
@@ -293,40 +286,36 @@ def _task_reconstruct(doc, lattice, fields, seed, tol_scale, out, report):
     _check(report, "nondegeneracy", 0.0 if rep.axiom.nondegenerate else 1.0, 0.5)
 
 
-def _task_roundtrip(doc, lattice, fields, seed, tol_scale, out, report):
-    m = float(doc["mass"])
-    reference = (doc.get("params") or {}).get("reference", "link_average")
+def _task_roundtrip(cfg, lattice, fields, seed, tol_scale, out, report):
+    m = cfg["mass"]
+    reference = cfg["params.reference"]
     rep = reconstruct.roundtrip_report(lattice, *fields, m, reference=reference)
     report.payload = rep.to_dict(lattice)
-    tol_default = 1e-9 if reference == "link_average" else 1e-2
-    _check(report, "e_g", rep.e_g, _tol(doc, "e_g", tol_default, tol_scale))
-    _check(report, "e_F", rep.e_F, _tol(doc, "e_F", 1e-9, tol_scale))
-    _check(report, "e_phi", rep.e_phi, _tol(doc, "e_phi", tol_default, tol_scale))
+    loose = 1e-9 if reference == "link_average" else 1e-2
+    _check(report, "e_g", rep.e_g, _tol(cfg, "e_g", tol_scale, loose))
+    _check(report, "e_F", rep.e_F, _tol(cfg, "e_F", tol_scale))
+    _check(report, "e_phi", rep.e_phi, _tol(cfg, "e_phi", tol_scale, loose))
     _check(report, "positivity", 0.0 if rep.axiom.positivity_ok else 1.0, 0.5)
 
 
-def _task_geodesic(doc, lattice, fields, seed, tol_scale, out, report):
-    params = doc.get("params") or {}
-    fields_doc = doc.get("fields") or {}
-    g_inverse = metric_profile(lattice, (fields_doc.get("metric") or {}).get("components"))
+def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
+    g_inverse = metric_profile(lattice, cfg["fields.metric.components"])
     metric = geometry.AnalyticMetric(
-        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim,
-        default_eta=float(params.get("eta", 1e-4)),
+        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim, default_eta=cfg["params.eta"],
     )
-    initial = params.get("initial") or {}
-    q0 = np.asarray(initial.get("position", [0.0] * lattice.ndim), dtype=float)
-    v0 = np.asarray(initial.get("velocity", [1.0] + [0.0] * (lattice.ndim - 1)), dtype=float)
-    dt = float(params.get("dt", 1e-3))
-    duration = float(params.get("duration", 1.0))
+    # the table's rules exclude 0 and empty values, so `or` only fills unset ones
+    q0 = np.asarray(cfg["params.initial.position"] or [0.0] * lattice.ndim, dtype=float)
+    v0 = np.asarray(cfg["params.initial.velocity"] or [1.0] + [0.0] * (lattice.ndim - 1),
+                    dtype=float)
+    duration = cfg["params.duration"]
     traj = geometry.geodesic_integrate(
-        metric, geometry.GeodesicState(q0, v0), dt, duration
+        metric, geometry.GeodesicState(q0, v0), cfg["params.dt"], duration
     )
 
-    time_doc = fields_doc.get("time") or {}
-    samples = int(time_doc.get("samples", 1))
+    samples = cfg["fields.time.samples"] or 1
     if samples >= 3:
-        scale = time_scale_function(time_doc.get("scale"))
-        dts = float(time_doc.get("dt", duration / (samples - 1)))
+        scale = time_scale_function(cfg["fields.time.scale"])
+        dts = cfg["fields.time.dt"] or duration / (samples - 1)
         times = np.arange(samples) * dts
         series = np.array([fields[0] / scale(t) for t in times])
         st = geometry.lorentzian_lift(lattice, series, times)
@@ -346,7 +335,7 @@ def _task_geodesic(doc, lattice, fields, seed, tol_scale, out, report):
         "final_position": traj.positions[-1].tolist(),
         "trajectory_file": "trajectory.csv",
     }
-    _check(report, "speed2_drift", traj.speed2_drift(), _tol(doc, "speed2_drift", 1e-8, tol_scale))
+    _check(report, "speed2_drift", traj.speed2_drift(), _tol(cfg, "speed2_drift", tol_scale))
     _check(report, "truncated", float(traj.truncated), 0.5)
 
 
@@ -364,15 +353,12 @@ def _write_csv(path, header, blocks):
                 fh.writelines(prefix + fmt % tuple(row) for row in chunk)
 
 
-def _task_maxwell(doc, lattice, fields, seed, tol_scale, out, report):
-    params = doc.get("params") or {}
-    fields_doc = doc.get("fields") or {}
-    time_doc = fields_doc.get("time") or {}
-    samples = int(time_doc.get("samples", 4))
-    dt = float(time_doc.get("dt", 1.0))
+def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
+    samples = cfg["fields.time.samples"] or 4
+    dt = cfg["fields.time.dt"] or 1.0
     cx = maxwell.build_spacetime_complex(lattice, samples, dt)
-    ensembles = int(params.get("ensembles", 1))
-    amplitude = float(params.get("amplitude", 0.3))
+    ensembles = cfg["params.ensembles"]
+    amplitude = cfg["params.amplitude"]
     rng = np.random.default_rng(seed)
 
     g = fields[0]
@@ -384,7 +370,7 @@ def _task_maxwell(doc, lattice, fields, seed, tol_scale, out, report):
     worst_cont = 0.0
     worst_star = 0.0
     last = None
-    for _ in range(max(1, ensembles)):
+    for _ in range(ensembles):
         A_series, phi_series = _random_series(lattice, samples, amplitude, rng)
         pot = maxwell.assemble_potential(cx, A_series, phi_series)
         F = maxwell.d_cochain(cx, pot)
@@ -418,9 +404,9 @@ def _task_maxwell(doc, lattice, fields, seed, tol_scale, out, report):
         "max_continuity_defect": worst_cont,
         "cochains_file": "cochains.csv",
     }
-    _check(report, "dF", worst_dF, _tol(doc, "dF", 1e-12, tol_scale))
-    _check(report, "continuity", worst_cont, _tol(doc, "continuity", 1e-12, tol_scale))
-    _check(report, "double_star", worst_star, _tol(doc, "double_star", 1e-12, tol_scale))
+    _check(report, "dF", worst_dF, _tol(cfg, "dF", tol_scale))
+    _check(report, "continuity", worst_cont, _tol(cfg, "continuity", tol_scale))
+    _check(report, "double_star", worst_star, _tol(cfg, "double_star", tol_scale))
 
 
 def _random_series(lattice, samples, amplitude, rng):
@@ -436,12 +422,11 @@ def _random_series(lattice, samples, amplitude, rng):
     return A_series, phi_series
 
 
-def _task_holonomy(doc, lattice, fields, seed, tol_scale, out, report):
-    params = doc.get("params") or {}
-    m = float(doc["mass"])
+def _task_holonomy(cfg, lattice, fields, seed, tol_scale, out, report):
+    m = cfg["mass"]
     payload = {}
-    if params.get("chern_flux_quanta") is not None:
-        k = int(params["chern_flux_quanta"])
+    k = cfg["params.chern_flux_quanta"]
+    if k is not None:
         theta = _uniform_flux_connection(lattice, k)
         got = holonomy.chern_number(lattice, theta)
         payload["chern_number"] = got
@@ -449,15 +434,8 @@ def _task_holonomy(doc, lattice, fields, seed, tol_scale, out, report):
         _check(report, "chern_number", float(abs(got - k)), 0.5)
         report.payload = payload
         return
-    alphas = params.get("alphas", {"start": 0.0, "stop": 2 * np.pi, "count": 17})
-    if isinstance(alphas, dict):
-        grid = np.linspace(
-            float(alphas.get("start", 0.0)),
-            float(alphas.get("stop", 2 * np.pi)),
-            int(alphas.get("count", 17)),
-        )
-    else:
-        grid = np.asarray([float(a) for a in alphas])
+    grid = np.linspace(cfg["params.alphas.start"], cfg["params.alphas.stop"],
+                       cfg["params.alphas.count"])
     table = holonomy.ab_spectrum(lattice, m, grid)
     header = ",".join(["alpha", *(f"lambda_{k+1}" for k in range(table.shape[1]))])
     _write_csv(out / "spectral_flow.csv", header + "\n", [("", np.column_stack([grid, table]))])
@@ -469,11 +447,11 @@ def _task_holonomy(doc, lattice, fields, seed, tol_scale, out, report):
             "spectral_flow_file": "spectral_flow.csv",
         }
     )
-    if params.get("check_periodicity", False):
+    if cfg["params.check_periodicity"]:
         shifted = holonomy.ab_spectrum(lattice, m, grid + 2 * np.pi)
         defect = float(np.max(np.abs(table - shifted)))
         payload["periodicity_defect"] = defect
-        _check(report, "periodicity", defect, _tol(doc, "periodicity", 1e-9, tol_scale))
+        _check(report, "periodicity", defect, _tol(cfg, "periodicity", tol_scale))
     report.payload = payload
 
 
@@ -500,12 +478,11 @@ def _uniform_flux_connection(lattice, quanta):
     return theta
 
 
-def _task_evolve(doc, lattice, fields, seed, tol_scale, out, report):
-    m = float(doc["mass"])
-    params = doc.get("params") or {}
+def _task_evolve(cfg, lattice, fields, seed, tol_scale, out, report):
+    m = cfg["mass"]
     H = operators.build_hamiltonian(lattice, *fields, m)
-    duration = float(params.get("duration", 1.0))
-    steps = int(params.get("steps", 0)) or evolution.suggested_steps(H, 0.0, duration)
+    duration = cfg["params.duration"]
+    steps = cfg["params.steps"] or evolution.suggested_steps(H, 0.0, duration)
     steps += steps % 2  # even count so the composition check aligns
     U = evolution.propagator(H, 0.0, duration, steps)
     # H is static, so the propagator of the second half equals the first's
@@ -516,7 +493,7 @@ def _task_evolve(doc, lattice, fields, seed, tol_scale, out, report):
     xt = evolution.heisenberg_evolve(x, U)
     x0 = np.diag(x.astype(complex))
     noncomm = float(np.linalg.norm(x0 @ xt - xt @ x0, 2))
-    probe = float(params.get("probe_delta", duration / steps))
+    probe = cfg["params.probe_delta"] or duration / steps
     residual = evolution.heisenberg_residual(H, x, duration / 2.0, probe)
     report.payload = {
         "steps": steps,
@@ -525,8 +502,8 @@ def _task_evolve(doc, lattice, fields, seed, tol_scale, out, report):
         "slice_noncommutation": noncomm,
         "heisenberg_residual": residual,
     }
-    _check(report, "unitarity", defect, _tol(doc, "unitarity", 1e-10, tol_scale))
-    _check(report, "composition", composition, _tol(doc, "composition", 1e-12, tol_scale))
+    _check(report, "unitarity", defect, _tol(cfg, "unitarity", tol_scale))
+    _check(report, "composition", composition, _tol(cfg, "composition", tol_scale))
 
 
 _TASK_RUNNERS = {

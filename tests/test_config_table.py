@@ -1,0 +1,146 @@
+"""The config table: bad documents are config errors naming their path,
+every shipped and benchmark document validates, the tolerance rows are
+exactly the checks each task can have overridden, and the schema lists
+every row."""
+
+import importlib
+import pathlib
+
+import pytest
+
+import geomqm.scenario as scenario
+from geomqm.cli import main
+from geomqm.profiles import _PROFILES
+from geomqm.scenario import load_config, run_scenario, validate_config
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+RING_BUILD = "lattice: {topology: ring, sizes: [8], spacings: [1.0]}\nmass: 1.0\ntask: build\n"
+TORUS_BUILD = ("lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
+               "mass: 1.0\ntask: build\n")
+EVOLVE = "lattice: {topology: interval, sizes: [8], spacings: [1.0]}\nmass: 1.0\ntask: evolve\n"
+MAXWELL = "lattice: {topology: interval, sizes: [4], spacings: [1.0]}\nmass: 1.0\ntask: maxwell\n"
+HOLONOMY = "lattice: {topology: ring, sizes: [4], spacings: [1.0]}\nmass: 1.0\ntask: holonomy\n"
+GEODESIC = ("lattice: {topology: rectangle, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
+            "mass: 1.0\ntask: geodesic\n")
+
+BAD_CONFIGS = [
+    ("params.duration", EVOLVE + "params: {duration: long}\n"),
+    ("fields.time.samples", MAXWELL + "fields: {time: {samples: four}}\n"),
+    ("fields.connection.components", RING_BUILD + "fields: {connection: {components: 3}}\n"),
+    ("fields.potential.axis",
+     TORUS_BUILD + "fields: {potential: {profile: sine, amplitude: 0.1, axis: 1.5}}\n"),
+    ("params.duratoin", EVOLVE + "params: {duratoin: 2.0}\n"),
+    ("tolerances.hermiticty", RING_BUILD + "tolerances: {hermiticty: 1.0e-6}\n"),
+    ("feilds", RING_BUILD + "feilds: {potential: {profile: constant, value: 1.0}}\n"),
+    ("fields.time.scale.rat",
+     GEODESIC + "fields: {time: {samples: 3, scale: {profile: linear, rat: 0.3}}}\n"),
+    ("params.check_periodicity", HOLONOMY + "params: {check_periodicity: 'no'}\n"),
+    ("seed", RING_BUILD + "seed: true\n"),
+    ("params.alphas.count", HOLONOMY + "params: {alphas: {count: 0}}\n"),
+    ("params.alphas", HOLONOMY + "params: {alphas: [0.0, 1.0]}\n"),
+    ("params.initial.position", GEODESIC + "params: {initial: {position: [1.0]}}\n"),
+    ("fields.potential.amplitude", RING_BUILD + "fields: {potential: {profile: sine, amplitude: abc}}\n"),
+    ("params.ensembles", MAXWELL + "params: {ensembles: 0}\n"),
+    ("tolerances.hermiticity", RING_BUILD + "tolerances: {hermiticity: .nan}\n"),
+    ("params.eta", EVOLVE + "params: {eta: 1.0e-4}\n"),
+]
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field, text", BAD_CONFIGS, ids=[f for f, _ in BAD_CONFIGS])
+def test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command, field, text):
+    path = write(tmp_path, "bad.yaml", text)
+    args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", ["-1", "nan", "0", "inf"])
+def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
+    path = write(tmp_path, "build.yaml", RING_BUILD)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--tol-scale", scale]) == 2
+    assert capsys.readouterr().err.startswith("config error: --tol-scale: ")
+
+
+@pytest.mark.parametrize("exc", [TypeError("boom"), KeyError("boom")])
+def test_any_exception_during_a_run_exits_three(tmp_path, capsys, monkeypatch, exc):
+    def runner(*args):
+        raise exc
+
+    monkeypatch.setitem(scenario._TASK_RUNNERS, "build", runner)
+    path = write(tmp_path, "build.yaml", RING_BUILD)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {type(exc).__name__}: ")
+
+
+def test_shipped_and_benchmark_documents_validate(monkeypatch):
+    paths = sorted((ROOT / "scenarios").glob("*.yaml"))
+    assert len(paths) >= 8
+    for path in paths:
+        validate_config(load_config(path))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        for seed in range(3):
+            for op in workloads.generate(name, seed):
+                validate_config(op.doc)
+
+
+# Pass/fail flags with a fixed tolerance of 0.5: not overridable.
+FIXED_CHECKS = {"positivity", "nondegeneracy", "truncated", "chern_number"}
+
+TASK_DOCS = {
+    "build": [RING_BUILD],
+    "reconstruct": [RING_BUILD.replace("build", "reconstruct")],
+    "roundtrip": [RING_BUILD.replace("build", "roundtrip")],
+    "geodesic": [GEODESIC + "params: {initial: {position: [1.5, 1.5]}, dt: 0.01, duration: 0.05}\n"],
+    "maxwell": [MAXWELL + "fields: {time: {samples: 2}}\n"],
+    "holonomy": [HOLONOMY.replace("[4]", "[16]")
+                 + "params: {alphas: {count: 3}, check_periodicity: true}\n",
+                 TORUS_BUILD.replace("build", "holonomy") + "params: {chern_flux_quanta: 1}\n"],
+    "evolve": [EVOLVE + "params: {steps: 4}\n"],
+}
+
+
+def test_tolerance_rows_are_the_overridable_checks_of_each_task(tmp_path):
+    assert set(TASK_DOCS) == set(scenario.TASKS)
+    overridable = 0
+    for task, texts in TASK_DOCS.items():
+        emitted = set()
+        for i, text in enumerate(texts):
+            report = run_scenario(write(tmp_path, f"{task}{i}.yaml", text), tmp_path / f"{task}{i}")
+            emitted |= {c.name for c in report.checks}
+        rows = {key.path.split(".", 1)[1] for key in scenario._KEYS
+                if key.path.startswith("tolerances.") and task in key.tasks}
+        assert emitted - FIXED_CHECKS == rows, task
+        overridable += len(rows)
+    assert overridable == 12
+
+
+def test_schema_lists_every_table_path_and_profile_parameter(capsys):
+    assert main(["schema"]) == 0
+    out = capsys.readouterr().out
+    keys, grammar = out.split("\n\n", 1)
+    listed, sections = set(), []
+    for line in keys.splitlines():
+        if line.startswith("#"):
+            continue
+        depth = (len(line) - len(line.lstrip())) // 2
+        name, rest = line.strip().split(":", 1)
+        sections[depth:] = [name]
+        if rest.strip().startswith("<"):
+            listed.add(".".join(sections))
+    assert listed == {key.path for key in scenario._KEYS}
+    for kind, params in _PROFILES.items():
+        line = next(g for g in grammar.splitlines() if f"{{profile: {kind}" in g)
+        for key in params:
+            assert f"{key.path}: <{key.kind}" in line, kind
