@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import LatticeError, constant_metric, plaquette_sums
-from .operators import build_hamiltonian, eigenvalues
+from .operators import _assemble, _stencil_diagonal, eigenvalues, link_couplings
 from .reconstruct import wrap_angle
 
 
@@ -49,11 +49,7 @@ def flat_connection(lattice, target):
     theta = np.zeros(lattice.n_links)
     periodic_axes = [k for k in range(lattice.ndim) if lattice.periodic[k]]
     for angle, k in zip(angles, periodic_axes):
-        plus = (
-            (lattice.link_axes[:, 0] == k)
-            & (lattice.link_axes[:, 1] == k)
-            & (lattice.link_disp[:, k] > 0)
-        )
+        plus = lattice.link_table[:, 2 * k]  # the +e_k links, none cut on a periodic axis
         theta[plus] = angle / lattice.sizes[k]
         theta[lattice.link_reverse[plus]] = -angle / lattice.sizes[k]
     return theta
@@ -70,19 +66,22 @@ def ab_spectrum(lattice, m, alphas):
     for the identity metric and no potential.
 
     The lattice must have exactly one periodic axis (ring or cylinder).
-    Returns an array of shape (len(alphas), n_sites) with each row sorted.
+    Any flux is accepted: only the link phases change with alpha, and a
+    spectrum needs no amplitude/phase split, so the builder's phase
+    window does not apply.  Returns an array of shape (len(alphas),
+    n_sites) with each row sorted.
     """
     if len(lattice.pi1_generators) != 1:
         raise TopologyError(
             "spectral flow needs exactly one periodic direction (ring or cylinder)"
         )
-    g = constant_metric(lattice)
+    c = link_couplings(lattice, constant_metric(lattice), m)
+    diagonal = _stencil_diagonal(lattice, c)
     alphas = np.asarray(alphas, dtype=float)
     table = np.empty((len(alphas), lattice.n_sites))
     for row, alpha in enumerate(alphas):
         theta = flat_connection(lattice, (alpha,))
-        H = build_hamiltonian(lattice, g, theta, None, m)
-        table[row] = eigenvalues(H)
+        table[row] = eigenvalues(_assemble(lattice, c, theta, diagonal))
     return table
 
 

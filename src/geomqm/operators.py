@@ -77,10 +77,14 @@ def _site_matrix(lattice, x):
 
 def mult_op(lattice, f):
     """Multiplication operator: the diagonal matrix of a scalar field."""
+    return HermitianOperator(sp.diags(_site_field(lattice, f).astype(complex)).tocsr())
+
+
+def _site_field(lattice, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (lattice.n_sites,):
         raise OperatorError("field length does not match site count")
-    return HermitianOperator(sp.diags(f.astype(complex)).tocsr())
+    return f
 
 
 def identity_op(lattice):
@@ -122,9 +126,17 @@ def covariant_laplacian(lattice, g, A=None, m=1.0):
 
     g is an inverse-metric field (n_sites, d, d); A is a LinkField of
     integrated connection phases (None means zero).  Raises if g is not
-    positive definite or any |phase| reaches pi/2 (the amplitude-sign /
-    phase decomposition would become ambiguous).
+    positive definite or any |phase| reaches pi/2.  That phase window is a
+    contract of the builder and of saved operators: inside it every entry
+    splits uniquely into an amplitude sign and a phase, which is what
+    `reconstruct.peierls_decompose` inverts.
     """
+    return build_hamiltonian(lattice, g, A, None, m)
+
+
+def build_hamiltonian(lattice, g, A, phi, m):
+    """H = Delta(A, g) + multiplication by phi (None means zero), under
+    the checks and the phase window of covariant_laplacian."""
     c = link_couplings(lattice, g, m)
     theta = np.zeros(lattice.n_links) if A is None else np.asarray(A, dtype=float)
     worst = np.max(np.abs(theta), initial=0.0)
@@ -133,24 +145,26 @@ def covariant_laplacian(lattice, g, A=None, m=1.0):
             f"link phase magnitude {worst:g} >= pi/2; refine the lattice "
             "or reduce the connection"
         )
+    diagonal = _stencil_diagonal(lattice, c)
+    if phi is not None:
+        diagonal = diagonal + _site_field(lattice, phi)
+    return _assemble(lattice, c, theta, diagonal)
+
+
+def _stencil_diagonal(lattice, c):
+    """Sum of the link amplitudes leaving each site (zero row sums of Delta(0, g))."""
+    return np.bincount(lattice.link_src, weights=c, minlength=lattice.n_sites)
+
+
+def _assemble(lattice, couplings, phases, diagonal):
+    """The operator with -c * exp(-i*theta) on every link and the given
+    diagonal.  Any phase is accepted; the sparse add drops zero entries."""
     n = lattice.n_sites
     off = sp.csr_matrix(
-        (-c * np.exp(-1j * theta), (lattice.link_src, lattice.link_dst)),
+        (-couplings * np.exp(-1j * phases), (lattice.link_src, lattice.link_dst)),
         shape=(n, n),
     )
-    diag = np.bincount(lattice.link_src, weights=c, minlength=n)
-    mat = (off + sp.diags(diag.astype(complex))).tocsr()
-    mat.eliminate_zeros()
-    return HermitianOperator(mat)
-
-
-def build_hamiltonian(lattice, g, A, phi, m):
-    """H = Delta(A, g) + multiplication by phi."""
-    lap = covariant_laplacian(lattice, g, A, m)
-    if phi is None:
-        return lap
-    phi = np.asarray(phi, dtype=float)
-    return HermitianOperator((lap.mat + sp.diags(phi.astype(complex))).tocsr())
+    return HermitianOperator((off + sp.diags(diagonal.astype(complex))).tocsr())
 
 
 def row_sum_field(op):
@@ -206,26 +220,58 @@ def save_operator(path, op):
 
 
 def load_operator(path):
-    """Read the sparse triplet text format written by save_operator."""
+    """Read the sparse triplet text format written by save_operator.
+
+    Blank lines are skipped.  A file may not contain (OperatorError
+    naming the file and the line): a header other than two non-negative
+    integers, a row other than four numbers, a non-finite value, an
+    index that is not an integer in 0..dim-1, or a repeated (i, j); nor
+    a row count other than the header's nnz.
+    """
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline().split()
-        if len(first) != 2:
-            raise OperatorError(f"bad triplet header in {path}")
-        dim, nnz = int(first[0]), int(first[1])
-        rows, cols, vals = [], [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise OperatorError(f"bad triplet row {line!r}")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(complex(float(parts[2]), float(parts[3])))
-    if len(vals) != nnz:
-        raise OperatorError(f"triplet row count {len(vals)} != header nnz {nnz}")
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return HermitianOperator(mat)
+        header = fh.readline().split()
+        body = fh.read()
+    if len(header) != 2 or not all(v.isdecimal() for v in header):
+        raise OperatorError(f"{path}, line 1: bad triplet header, expected `dim nnz`")
+    dim, nnz = int(header[0]), int(header[1])
+    lines = body.splitlines()
+    try:
+        data = np.loadtxt(lines, ndmin=2, comments=None) if body.strip() else np.empty((0, 4))
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 4:
+        bad = next(r for r, line in enumerate(lines) if line.split() and not _is_row(line))
+        raise OperatorError(f"{path}, line {bad + 2}: expected `i j re im`, got "
+                            f"{lines[bad]!r}") from None
+    ij = data[:, :2]
+
+    def refuse(bad, why):
+        if bad.any():
+            row = [r for r, line in enumerate(lines) if line.split()][np.argmax(bad)]
+            raise OperatorError(f"{path}, line {row + 2}: {why}: {lines[row]!r}")
+
+    refuse(~np.isfinite(data).all(axis=1), "non-finite value")
+    refuse(((ij != np.floor(ij)) | (ij < 0) | (ij >= dim)).any(axis=1),
+           f"index not an integer in 0..{dim - 1}")
+    key = ij[:, 0] * dim + ij[:, 1]
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(key), dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    refuse(repeated, "repeated (i, j)")
+    if len(data) != nnz:
+        raise OperatorError(f"{path}: triplet row count {len(data)} != header nnz {nnz}")
+    vals = np.empty(len(data), dtype=complex)
+    vals.real, vals.imag = data[:, 2], data[:, 3]  # re + 1j * im would turn -0.0 into 0.0
+    ij = ij.astype(int)
+    return HermitianOperator(sp.csr_matrix((vals, (ij[:, 0], ij[:, 1])), shape=(dim, dim)))
+
+
+def _is_row(line):
+    """Whether np.loadtxt reads the line as four numbers."""
+    try:
+        return np.loadtxt([line], comments=None).shape == (4,)
+    except ValueError:
+        return False
 
 
 def eigenvalues(op):

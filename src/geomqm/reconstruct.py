@@ -31,7 +31,9 @@ from .operators import (
     HermitianOperator,
     OperatorError,
     _asmat,
+    _assemble,
     _site_matrix,
+    _stencil_diagonal,
     build_hamiltonian,
     commutator,
     mult_op,
@@ -182,16 +184,7 @@ def peierls_decompose(lattice, H):
 
 def reassemble(lattice, dec):
     """Operator with entries -c * exp(-i*theta) plus the stored diagonal."""
-    n = lattice.n_sites
-    mask = dec.couplings != 0.0
-    off = sp.csr_matrix(
-        (
-            -dec.couplings[mask] * np.exp(-1j * dec.phases[mask]),
-            (lattice.link_src[mask], lattice.link_dst[mask]),
-        ),
-        shape=(n, n),
-    )
-    return HermitianOperator((off + sp.diags(dec.diagonal.astype(complex))).tocsr())
+    return _assemble(lattice, dec.couplings, dec.phases, dec.diagonal)
 
 
 def reconstruct_metric(lattice, H, m, dec=None):
@@ -248,29 +241,25 @@ def _incident_link_average(lattice, gl):
 def tree_gauge_potential(lattice, theta):
     """Gauge function chi that zeroes the phases on a BFS spanning tree.
 
-    Deterministic: breadth-first from site 0 over axis links in axis
-    order.  Transformed phases are theta + d0(chi).
+    Deterministic: breadth-first from site 0 over axis links; a site
+    joins the tree by the first link that reaches it in (frontier order,
+    step order).  Transformed phases are theta + d0(chi).
     """
     theta = np.asarray(theta, dtype=float)
     chi = np.zeros(lattice.n_sites)
     seen = np.zeros(lattice.n_sites, dtype=bool)
     seen[0] = True
-    frontier = [0]
-    axis_links = np.flatnonzero(lattice.link_axes[:, 0] == lattice.link_axes[:, 1])
-    by_src = {}
-    for idx in axis_links:
-        by_src.setdefault(int(lattice.link_src[idx]), []).append(int(idx))
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for idx in by_src.get(s, ()):
-                j = int(lattice.link_dst[idx])
-                if not seen[j]:
-                    seen[j] = True
-                    # tree link s->j gets phase theta + chi_j - chi_s = 0
-                    chi[j] = chi[s] - theta[idx]
-                    nxt.append(j)
-        frontier = nxt
+    frontier = np.array([0])
+    while frontier.size:
+        links = lattice.link_table[frontier, : 2 * lattice.ndim].ravel()  # axis steps
+        links = links[links >= 0]
+        links = links[~seen[lattice.link_dst[links]]]
+        _, first = np.unique(lattice.link_dst[links], return_index=True)
+        tree = links[np.sort(first)]
+        frontier = lattice.link_dst[tree]
+        seen[frontier] = True
+        # tree link s->j gets phase theta + chi_j - chi_s = 0
+        chi[frontier] = chi[lattice.link_src[tree]] - theta[tree]
     if not seen.all():
         raise OperatorError("lattice is not connected by axis links")
     return chi
@@ -308,10 +297,7 @@ def reconstruct_potential(lattice, dec):
     invert the builder to rounding.  The amplitudes already carry the
     mass.
     """
-    stencil_diag = np.bincount(
-        lattice.link_src, weights=dec.couplings, minlength=lattice.n_sites
-    )
-    return dec.diagonal - stencil_diag
+    return dec.diagonal - _stencil_diagonal(lattice, dec.couplings)
 
 
 def gauge_transform(H, chi):

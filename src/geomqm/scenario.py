@@ -60,7 +60,8 @@ _KEYS = (
     Key("fields.time.samples", "int", None, COUNT, note="default 4 for maxwell, else 1"),
     Key("fields.time.dt", "float", None, POSITIVE, note="default 1.0, geodesic: duration / "
         "(samples - 1)"),
-    Key("fields.time.scale", "scale", note="lower metric scale s(t)"),
+    Key("fields.time.scale", "scale", None, None, ("geodesic",),
+        "lower metric scale s(t); needs fields.time.samples >= 3"),
     Key("params.reference", "str", "link_average", _one_of("link_average", "pointwise"),
         ("roundtrip",)),
     Key("params.hamiltonian_file", "str", None, None, ("reconstruct",)),
@@ -204,7 +205,11 @@ def validate_config(doc):
     except LatticeError as exc:  # a holonomy count that is not the generator count
         raise ConfigError(f"fields.connection.holonomies: {exc}") from exc
     phi = scalar_from_profile(lattice, cfg["fields.potential"], "fields.potential")
-    time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
+    if cfg.get("fields.time.scale") is not None:
+        time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
+        samples = cfg["fields.time.samples"] or 1
+        if samples < 3:
+            raise ConfigError(f"fields.time.scale: needs fields.time.samples >= 3, got {samples}")
     return cfg, lattice, (g, theta, phi)
 
 

@@ -44,6 +44,9 @@ BAD_CONFIGS = [
     ("params.ensembles", MAXWELL + "params: {ensembles: 0}\n"),
     ("tolerances.hermiticity", RING_BUILD + "tolerances: {hermiticity: .nan}\n"),
     ("params.eta", EVOLVE + "params: {eta: 1.0e-4}\n"),
+    ("fields.time.scale",
+     GEODESIC + "fields: {time: {samples: 2, scale: {profile: linear, rate: 0.2}}}\n"),
+    ("fields.time.scale", MAXWELL + "fields: {time: {scale: {profile: linear, rate: 0.2}}}\n"),
 ]
 
 

@@ -173,6 +173,43 @@ def test_ab_spectrum_matches_oracle_on_grid():
         assert np.max(np.abs(row - ring_spectrum_oracle(8, 0.5, 2.0, alpha))) < 1e-10
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_ab_ring_oracle_past_the_builder_phase_window(n):
+    # alpha / n reaches pi/2 and beyond: the flux grid is not a saved operator
+    grid = np.linspace(0.0, 4 * np.pi, 9)
+    table = ab_spectrum(ring(n, h=0.8), 1.7, grid)
+    for row, alpha in zip(table, grid):
+        assert np.max(np.abs(row - ring_spectrum_oracle(n, 0.8, 1.7, alpha))) < 1e-10
+
+
+def test_ab_cylinder_is_ring_plus_open_chain():
+    nx, ny, hx, hy, m = 6, 5, 1.0, 0.7, 1.3
+    lat = build_lattice(LatticeSpec("cylinder", (nx, ny), (hx, hy)))
+    grid = np.linspace(0.0, 4 * np.pi, 7)
+    chain = (1.0 - np.cos(np.pi * np.arange(ny) / ny)) / (m * hy * hy)
+    for row, alpha in zip(ab_spectrum(lat, m, grid), grid):
+        expect = np.sort(np.add.outer(ring_spectrum_oracle(nx, hx, m, alpha), chain).ravel())
+        assert np.max(np.abs(row - expect)) < 1e-10
+
+
+def test_ab_spectrum_evaluates_couplings_once_and_builds_no_hamiltonian(monkeypatch):
+    import geomqm.holonomy
+    import geomqm.operators
+
+    calls = []
+    for module in (geomqm.operators, geomqm.holonomy):
+        for name in ("link_couplings", "build_hamiltonian"):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                def counted(*args, _fn=fn, _name=name):
+                    calls.append(_name)
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    ab_spectrum(ring(6), 1.0, np.linspace(0.0, 1.0, 5))
+    assert calls == ["link_couplings"]
+
+
 def test_ab_spectrum_needs_cyclic_topology():
     lat = build_lattice(LatticeSpec("interval", (8,), (1.0,)))
     with pytest.raises(TopologyError):

@@ -1,8 +1,9 @@
 """Array code against per-site / per-entry loop reference implementations.
 
 The loops below are the straightforward definitions of the lattice link
-structure and of the Peierls split: one site or one matrix entry at a
-time, with a dict from (site, step) or (i, j) to link id.  At small n
+structure, of the Peierls split and of the tree-gauge BFS: one site or
+one matrix entry at a time, with a dict from (site, step), (i, j) or
+site to link ids.  At small n
 they are the oracle: every array the vectorized code produces must equal
 theirs bit for bit, on all six topologies (including ring (3,) and
 torus (3, 3), where every pair of distinct sites is joined by a link)
@@ -26,10 +27,14 @@ from geomqm import (
     coordinate_cure_residual,
     covariant_laplacian,
     cure_residual,
+    d0,
     default_test_vector,
     mult_op,
     peierls_decompose,
+    reconstruct_connection,
+    tree_gauge_potential,
     validate_operator,
+    wrap_angle,
 )
 from geomqm.operators import HermitianOperator, _asmat
 from geomqm.reconstruct import _link_entries
@@ -207,6 +212,28 @@ def loop_peierls_decompose(lat, H):
         couplings[link] = c
         phases[link] = -np.angle(-v / c) if c != 0.0 else 0.0
     return PeierlsDecomposition(couplings, phases, diagonal)
+
+
+def loop_tree_gauge_potential(lat, theta):
+    chi = np.zeros(lat.n_sites)
+    seen = np.zeros(lat.n_sites, dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    axis_links = np.flatnonzero(lat.link_axes[:, 0] == lat.link_axes[:, 1])
+    by_src = {}
+    for idx in axis_links:
+        by_src.setdefault(int(lat.link_src[idx]), []).append(int(idx))
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for idx in by_src.get(s, ()):
+                j = int(lat.link_dst[idx])
+                if not seen[j]:
+                    seen[j] = True
+                    chi[j] = chi[s] - theta[idx]
+                    nxt.append(j)
+        frontier = nxt
+    return chi
 
 
 def _loop_stencil_couplings(lat, H):
@@ -429,3 +456,13 @@ def test_range2_operator_matches_loop(n):
     got = outcome(peierls_decompose, lat, H)
     assert got == outcome(loop_peierls_decompose, lat, H)
     assert got[0] is LocalityViolation
+
+
+@pytest.mark.parametrize("case", LATTICES, ids=LATTICE_IDS)
+def test_tree_gauge_matches_loop(case):
+    lat = lattice(case)
+    dec = peierls_decompose(lat, seeded_hamiltonian(lat, seed=2))
+    assert_bits(tree_gauge_potential(lat, dec.phases), loop_tree_gauge_potential(lat, dec.phases))
+    want = wrap_angle(dec.phases + d0(lat, loop_tree_gauge_potential(lat, dec.phases)))
+    want[dec.couplings == 0.0] = 0.0
+    assert_bits(reconstruct_connection(lat, dec, gauge="tree"), want)

@@ -213,3 +213,21 @@ def test_triplet_serialization_roundtrip(tmp_path, ring4):
     assert first[0] == "4"  # header is `dim nnz`
     loaded = load_operator(path)
     assert np.max(np.abs((loaded.mat - H.mat).toarray())) == 0.0
+
+
+def test_header_only_and_blank_lines_load_and_signed_zeros_survive(tmp_path):
+    path = tmp_path / "op.txt"
+    path.write_text("3 0\n", encoding="utf-8")
+    assert load_operator(path).mat.nnz == 0
+    path.write_text("3 2\n\n0 0 -0.0 1.5\n\n2 1 0.25 -0.0\n\n", encoding="utf-8")
+    data = load_operator(path).mat.tocoo().data
+    assert np.signbit(data.real).tolist() == [True, False]
+    assert np.signbit(data.imag).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("rows", ["0 1 1\n", "0 1 1 0 0\n1 0 1 0 0\n"])
+def test_rows_of_one_wrong_width_are_refused(tmp_path, rows):
+    path = tmp_path / "op.txt"
+    path.write_text(f"2 {rows.count(chr(10))}\n{rows}", encoding="utf-8")
+    with pytest.raises(OperatorError, match="op.txt, line 2: expected `i j re im`"):
+        load_operator(path)

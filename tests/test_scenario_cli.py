@@ -434,3 +434,58 @@ def test_non_mapping_section_is_a_config_error(tmp_path, capsys, field, text):
                  "mass: 1.0\ntask: evolve\n" + text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}: expected mapping" in capsys.readouterr().err
+
+
+# a row of the 8x8 torus dump of scenarios/build.yaml, keyed by "i j",
+# replaced or appended; the error names the first edited line
+MALFORMED_OPERATOR_ROWS = {
+    "nan_diagonal": ({"0 0": "0 0 nan 0"}, []),
+    "nan_pair": ({"0 1": "0 1 nan 0", "1 0": "1 0 nan 0"}, []),
+    "repeated_row": ({}, ["0 0"]),
+    "non_numeric": ({}, ["x 0 1 0"]),
+    "index_out_of_range": ({}, ["64 0 1 0"]),
+    "fractional_index": ({}, ["1.5 0 1 0"]),
+    "field_count": ({"0 1": "0 1 0.5"}, []),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_OPERATOR_ROWS)
+def test_malformed_operator_file_exits_three_naming_the_line(tmp_path, capsys, case):
+    import pathlib
+
+    import yaml
+
+    shipped = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "build.yaml"
+    run_scenario(shipped, tmp_path / "built")
+    header, *rows = (tmp_path / "built" / "hamiltonian.txt").read_text().splitlines()
+    at = {" ".join(row.split()[:2]): r for r, row in enumerate(rows)}
+    replace, append = MALFORMED_OPERATOR_ROWS[case]
+    for key, row in replace.items():
+        rows[at[key]] = row
+    rows += [rows[at[row]] if row in at else row for row in append]
+    first = min([at[key] for key in replace] or [len(rows) - 1])
+    dump = tmp_path / "edited.txt"
+    dump.write_text(f"{header.split()[0]} {len(rows)}\n" + "\n".join(rows) + "\n")
+    doc = yaml.safe_load(shipped.read_text(encoding="utf-8"))
+    doc.update(task="reconstruct", params={"hamiltonian_file": str(dump)})
+    path = write(tmp_path, "rec.yaml", yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: OperatorError: ") and "edited.txt" in err
+    assert f"line {first + 2}:" in err, err
+
+
+@pytest.mark.parametrize("lattice, params", [
+    ("{topology: ring, sizes: [4], spacings: [1.0]}", "{}"),
+    ("{topology: ring, sizes: [8], spacings: [1.0]}", "{check_periodicity: true}"),
+    ("{topology: cylinder, sizes: [4, 5], spacings: [1.0, 1.0]}", "{}"),
+], ids=["ring4", "ring8-periodicity", "cylinder4x5"])
+def test_holonomy_flux_past_the_builder_phase_window(tmp_path, lattice, params):
+    # the default grid reaches alpha / N >= pi/2 on these lattices
+    path = write(tmp_path, "hol.yaml",
+                 f"lattice: {lattice}\nmass: 1.0\ntask: holonomy\nparams: {params}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    checks = {c["name"]: c["value"] for c in report["checks"]}
+    assert checks.keys() == ({"periodicity"} if "check_periodicity" in params else set())
+    assert checks.get("periodicity", 0.0) <= 1e-9
