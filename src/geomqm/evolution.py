@@ -7,7 +7,8 @@ Propagators are ordered products of Cayley (Crank-Nicolson) steps
 with the Hamiltonian sampled at step midpoints.  Each step is exactly
 unitary up to the linear-solve tolerance, so unitarity never drifts with
 the step count; the error against exp(-i H T) is O(delta^2).  Dense
-matrices throughout: desk scale caps sites at a few thousand.
+matrices throughout, so dimensions above operators.DENSE_LIMIT are
+refused before any n x n matrix is made.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .operators import OperatorError, _asmat
+from .operators import OperatorError, _asmat, _dense, _dense_size
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,7 @@ class Unitary:
 
 
 def _sample(h_sampler, t):
-    H = h_sampler(t) if callable(h_sampler) else h_sampler
-    return _asmat(H).toarray()
+    return _dense(h_sampler(t) if callable(h_sampler) else h_sampler)
 
 
 def suggested_steps(H, t1, t2):
@@ -105,6 +105,7 @@ def heisenberg_residual(h_sampler, a, t, delta):
     """
     if delta <= 0:
         raise OperatorError("delta must be positive")
+    _dense_size(len(a))
     n_minus = max(0, int(round((t - delta) / delta)))
     u_minus = (
         propagator(h_sampler, 0.0, t - delta, n_minus)

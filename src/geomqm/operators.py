@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 PHASE_LIMIT = np.pi / 2  # per-link phases must stay inside (-pi/2, pi/2)
+DENSE_LIMIT = 4096  # largest dimension of a dense spectrum or propagator
 
 
 class OperatorError(ValueError):
@@ -191,19 +192,21 @@ def validate_operator(lattice, M):
     offdiag = mat.row != mat.col
     significant = offdiag & (np.abs(mat.data) > 1e-12)
     radius = lattice.graph_distance(mat.row[significant], mat.col[significant]).max(initial=0)
-    max_offdiag = np.max(np.abs(mat.data[offdiag]), initial=0.0)
-
-    comm_max = 0.0
-    for k in range(lattice.ndim):
-        a = lattice.positions[:, k]
-        cm = commutator(M, sp.diags(a.astype(complex)))
-        comm_max = max(comm_max, np.max(np.abs(cm.data), initial=0.0))
-
     return {
         "hermiticity_defect": float(herm),
         "locality_radius": int(radius),
-        "commutant_defect": (float(max_offdiag), float(comm_max)),
+        "commutant_defect": _commutant_defect(
+            lattice, mat.row[offdiag], mat.col[offdiag], mat.data[offdiag]),
     }
+
+
+def _commutant_defect(lattice, rows, cols, vals):
+    """validate_operator's commutant pair from the off-diagonal entries of M."""
+    comm_max = 0.0
+    for k in range(lattice.ndim):
+        a = lattice.positions[:, k]
+        comm_max = max(comm_max, np.max(np.abs(vals * a[cols] - a[rows] * vals), initial=0.0))
+    return float(np.max(np.abs(vals), initial=0.0)), float(comm_max)
 
 
 def save_operator(path, op):
@@ -275,5 +278,19 @@ def _is_row(line):
 
 
 def eigenvalues(op):
-    """Dense sorted spectrum (desk scale: dimensions <= a few thousand)."""
-    return np.linalg.eigvalsh(_asmat(op).toarray())
+    """Dense sorted spectrum; dimensions above DENSE_LIMIT are refused."""
+    return np.linalg.eigvalsh(_dense(op))
+
+
+def _dense(op):
+    """op as a dense array, refused above DENSE_LIMIT before it is made."""
+    mat = _asmat(op)
+    _dense_size(mat.shape[0])
+    return mat.toarray()
+
+
+def _dense_size(n):
+    """Refuse a dimension n above DENSE_LIMIT: an n x n complex matrix
+    takes 16 n^2 bytes, and the dense paths hold several."""
+    if n > DENSE_LIMIT:
+        raise OperatorError(f"dimension {n} exceeds the dense limit {DENSE_LIMIT}")

@@ -21,7 +21,7 @@ sign and positive-definite metrics give positive row sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +32,12 @@ from .operators import (
     OperatorError,
     _asmat,
     _assemble,
+    _commutant_defect,
     _site_matrix,
     _stencil_diagonal,
     build_hamiltonian,
     commutator,
     mult_op,
-    validate_operator,
 )
 
 
@@ -56,6 +56,8 @@ class PeierlsDecomposition:
     couplings: np.ndarray  # (n_links,) real, symmetric under reversal
     phases: np.ndarray     # (n_links,) real, antisymmetric under reversal
     diagonal: np.ndarray   # (n_sites,) real
+    # the _link_entries table the split read (None if made by hand); axiom certificates reuse it
+    entries: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def peierls_decompose(lattice, H):
     if herm > 1e-10 * max(1.0, np.max(np.abs(mat.data), initial=0.0)):
         raise OperatorError(f"operator not Hermitian (defect {herm:g})")
 
-    rows, cols, vals, links = _link_entries(lattice, mat)
+    rows, cols, vals, links = entries = _link_entries(lattice, mat)
     bad = np.flatnonzero((links < 0) | (vals.real == 0.0))
     if bad.size:
         i, j = rows[bad[0]], cols[bad[0]]
@@ -179,7 +181,7 @@ def peierls_decompose(lattice, H):
     c = _amplitudes(vals)
     couplings[links] = c
     phases[links] = -np.angle(-vals / c)
-    return PeierlsDecomposition(couplings, phases, diagonal)
+    return PeierlsDecomposition(couplings, phases, diagonal, entries)
 
 
 def reassemble(lattice, dec):
@@ -335,15 +337,9 @@ def cure_residual(lattice, H, a, b, psi):
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("test vector must be normalized")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     c = _link_couplings(lattice, _link_entries(lattice, H))
     M = commutator(mult_op(lattice, a).mat, commutator(_asmat(H), mult_op(lattice, b).mat))
-    s = _row_sum_field(
-        lattice, c,
-        a[lattice.link_dst] - a[lattice.link_src],
-        b[lattice.link_dst] - b[lattice.link_src],
-    )
+    s = _row_sum_field(lattice, c, d0(lattice, a), d0(lattice, b))
     return float(np.linalg.norm(M @ psi - s * psi))
 
 
@@ -358,14 +354,22 @@ def coordinate_cure_residual(lattice, H, k, l, psi):
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("test vector must be normalized")
     entries = _link_entries(lattice, H)
+    return _coordinate_cures(lattice, entries, _link_couplings(lattice, entries), psi,
+                             [(k, l)])[0][1]
+
+
+def _coordinate_cures(lattice, entries, c, psi, pairs):
+    """((k, l), coordinate_cure_residual) per coordinate pair, from the
+    link entries of H (_link_entries) and its link amplitudes c."""
     rows, cols, vals, _ = entries
     dx = lattice.minimal_image_displacement(rows, cols)
-    n = lattice.n_sites
-    # [a,[H,b]]_ij = -(a_j - a_i)(b_j - b_i) H_ij, zero diagonal
-    M = sp.csr_matrix((-dx[:, k] * dx[:, l] * vals, (rows, cols)), shape=(n, n))
-    c = _link_couplings(lattice, entries)
-    s = _row_sum_field(lattice, c, lattice.link_disp[:, k], lattice.link_disp[:, l])
-    return float(np.linalg.norm(M @ psi - s * psi))
+    n, out = lattice.n_sites, []
+    for k, l in pairs:
+        # [a,[H,b]]_ij = -(a_j - a_i)(b_j - b_i) H_ij, zero diagonal
+        M = sp.csr_matrix((-dx[:, k] * dx[:, l] * vals, (rows, cols)), shape=(n, n))
+        s = _row_sum_field(lattice, c, lattice.link_disp[:, k], lattice.link_disp[:, l])
+        out.append(((k, l), float(np.linalg.norm(M @ psi - s * psi))))
+    return tuple(out)
 
 
 def metric_row_sum_field(lattice, H, m, k, l):
@@ -405,31 +409,25 @@ def axiom_report(lattice, H, m):
     everywhere).  Includes cure residuals for all coordinate pairs, on
     default_test_vector, and the commutant defect.
     """
-    return _axiom_report(lattice, H, reconstruct_metric(lattice, H, m))
+    return reconstruction_report(lattice, H, m).axiom
 
 
-def _axiom_report(lattice, H, g):
-    """axiom_report for H whose reconstructed metric g is already known."""
+def _axiom_report(lattice, entries, couplings, g):
+    """axiom_report from the link entries of H (_link_entries), its link
+    amplitudes and its reconstructed metric g."""
     tol = 1e-10
     mins = np.linalg.eigvalsh(g).min(axis=1) if lattice.ndim > 1 else g[:, 0, 0]
     positivity = bool(mins.min() > tol)
-    unquantized = tuple(
-        k for k in range(lattice.ndim) if np.max(np.abs(g[:, k, k])) <= tol
-    )
-    nondegenerate = positivity and not unquantized
+    unquantized = tuple(k for k in range(lattice.ndim) if np.max(np.abs(g[:, k, k])) <= tol)
     psi = default_test_vector(lattice)
-    cures = []
-    for k in range(lattice.ndim):
-        for l in range(k, lattice.ndim):
-            cures.append(((k, l), coordinate_cure_residual(lattice, H, k, l, psi)))
-    report = validate_operator(lattice, H)
+    pairs = [(k, l) for k in range(lattice.ndim) for l in range(k, lattice.ndim)]
     return AxiomReport(
         metric_min_eigenvalue=np.asarray(mins),
         positivity_ok=positivity,
-        nondegenerate=nondegenerate,
+        nondegenerate=positivity and not unquantized,
         unquantized_axes=unquantized,
-        cure_residuals=tuple(cures),
-        commutant_defect=report["commutant_defect"],
+        cure_residuals=_coordinate_cures(lattice, entries, couplings, psi, pairs),
+        commutant_defect=_commutant_defect(lattice, *entries[:3]),
     )
 
 
@@ -463,7 +461,7 @@ def reconstruction_report(lattice, H, m, truth=None):
         e_g=e_g,
         e_F=e_F,
         e_phi=e_phi,
-        axiom=_axiom_report(lattice, H, g_rec),
+        axiom=_axiom_report(lattice, dec.entries, dec.couplings, g_rec),
     )
 
 

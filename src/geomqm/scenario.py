@@ -42,10 +42,11 @@ def _one_of(*names):
 
 _PER_AXIS = ("one per lattice axis", lambda v: True)  # validate_config checks the length
 _LOOSE = "default 1.0e-9, 1.0e-2 for reference pointwise"
+_FIELD_TASKS = ("build", "reconstruct", "roundtrip", "evolve")  # read every field
 
-# Every settable value of a scenario document.  params and tolerances rows
-# name the tasks that read them.  A default that depends on other values
-# is None here and set by the one task runner that reads it.
+# Every settable value of a scenario document.  fields, params and
+# tolerances rows name the tasks that read them.  A default that depends
+# on other values is None here and set by the one task runner that reads it.
 _KEYS = (
     Key("lattice.topology", "str", REQUIRED, _one_of(*TOPOLOGIES)),
     Key("lattice.sizes", "list of int", REQUIRED, note="sites per axis, each >= 3"),
@@ -53,13 +54,17 @@ _KEYS = (
     Key("mass", "float", REQUIRED, POSITIVE),
     Key("task", "str", REQUIRED, _one_of(*TASKS)),
     Key("seed", "int", 0, note="echoed in the report"),
-    Key("fields.metric.components", "mapping", note='inverse metric: a profile per "k,l", k <= l'),
-    Key("fields.connection.components", "list of profile", note="one per axis"),
-    Key("fields.connection.holonomies", "list of float", note="one per periodic axis"),
-    Key("fields.potential", "profile", note="default zero"),
-    Key("fields.time.samples", "int", None, COUNT, note="default 4 for maxwell, else 1"),
-    Key("fields.time.dt", "float", None, POSITIVE, note="default 1.0, geodesic: duration / "
-        "(samples - 1)"),
+    Key("fields.metric.components", "mapping", None, None, _FIELD_TASKS + ("geodesic", "maxwell"),
+        'inverse metric: a profile per "k,l", k <= l'),
+    Key("fields.connection.components", "list of profile", None, None, _FIELD_TASKS,
+        "one per axis"),
+    Key("fields.connection.holonomies", "list of float", None, None, _FIELD_TASKS,
+        "one per periodic axis"),
+    Key("fields.potential", "profile", None, None, _FIELD_TASKS, "default zero"),
+    Key("fields.time.samples", "int", None, COUNT, ("geodesic", "maxwell"),
+        "default 4 for maxwell, 1 for geodesic"),
+    Key("fields.time.dt", "float", None, POSITIVE, ("geodesic", "maxwell"),
+        "default 1.0, geodesic: duration / (samples - 1)"),
     Key("fields.time.scale", "scale", None, None, ("geodesic",),
         "lower metric scale s(t); needs fields.time.samples >= 3"),
     Key("params.reference", "str", "link_average", _one_of("link_average", "pointwise"),
@@ -101,7 +106,7 @@ _KEYS = (
 def _schema():
     lines = ["# geomqm scenario schema (YAML), generated from its config table:",
              "# key: <type>  # rule; default; the tasks that read it.  Any other key is",
-             "# a config error, as is a params or tolerances key the task does not read."]
+             "# a config error, as is a key that the document's task does not read."]
     shown = []
     for key in _KEYS:
         *sections, name = key.path.split(".")
@@ -192,19 +197,19 @@ def validate_config(doc):
             raise ConfigError(f"{key.path}: expected {spec.ndim} values, one per lattice axis, "
                               f"got {len(value)}")
     lattice = build_lattice(spec)
-    g = metric_from_profiles(lattice, cfg["fields.metric.components"])
+    g = metric_from_profiles(lattice, cfg.get("fields.metric.components"))
     # geodesic metrics are evaluated analytically along the path, not
     # at lattice sites, so sitewise positive definiteness is not required
     if cfg["task"] != "geodesic" and np.min(np.linalg.eigvalsh(g)) <= 0:
         raise ConfigError("fields.metric: profiles give a non-positive-definite metric")
     try:
         theta = connection_from_profiles(lattice, {
-            "components": cfg["fields.connection.components"],
-            "holonomies": cfg["fields.connection.holonomies"],
+            "components": cfg.get("fields.connection.components"),
+            "holonomies": cfg.get("fields.connection.holonomies"),
         })
     except LatticeError as exc:  # a holonomy count that is not the generator count
         raise ConfigError(f"fields.connection.holonomies: {exc}") from exc
-    phi = scalar_from_profile(lattice, cfg["fields.potential"], "fields.potential")
+    phi = scalar_from_profile(lattice, cfg.get("fields.potential"), "fields.potential")
     if cfg.get("fields.time.scale") is not None:
         time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
         samples = cfg["fields.time.samples"] or 1

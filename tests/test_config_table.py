@@ -67,6 +67,31 @@ def test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+# A fields key the task does not read, one document per task, keyed by
+# the task: two of the paths are BAD_CONFIGS ids already, and a repeated
+# id would rename those tests.
+UNREAD_FIELDS = {
+    "holonomy": ("fields.metric.components",
+                 HOLONOMY + "fields: {metric: {components: {'0,0': {profile: constant, "
+                 "value: 4.0}}},\n         potential: {profile: constant, value: 2.0}}\n"),
+    "maxwell": ("fields.connection.components",
+                GEODESIC.replace("rectangle", "cylinder").replace("geodesic", "maxwell")
+                + "fields: {connection: {components: [{profile: constant, value: 0.1}, "
+                "{profile: zero}]},\n         potential: {profile: constant, value: 1.0}}\n"),
+    "build": ("fields.time.samples", RING_BUILD + "fields: {time: {samples: 5, dt: 0.3}}\n"),
+    "geodesic": ("fields.connection.holonomies",
+                 GEODESIC.replace("rectangle", "torus")
+                 + "fields: {potential: {profile: constant, value: 1.0},\n"
+                 "         connection: {holonomies: [0.5, 0.2]}}\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field, text", list(UNREAD_FIELDS.values()), ids=list(UNREAD_FIELDS))
+def test_field_the_task_does_not_read_is_a_config_error(tmp_path, capsys, command, field, text):
+    test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command, field, text)
+
+
 @pytest.mark.parametrize("scale", ["-1", "nan", "0", "inf"])
 def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
     path = write(tmp_path, "build.yaml", RING_BUILD)

@@ -9,11 +9,13 @@ from geomqm import (
     build_lattice,
     constant_metric,
     covariant_laplacian,
+    eigenvalues,
     heisenberg_evolve,
     heisenberg_residual,
     mult_op,
     propagator,
 )
+from geomqm.operators import DENSE_LIMIT
 
 
 def interval(n):
@@ -132,3 +134,22 @@ def test_heisenberg_residual_diagonal_hamiltonian():
     a = rng.normal(size=12)
     # diagonal H commutes with mult(a) evolution: a_t = a for all t
     assert heisenberg_residual(H, a, 1.0, 0.1) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda H, a: eigenvalues(H),
+    lambda H, a: propagator(H, 0.0, 1.0, 2),
+    lambda H, a: propagator(lambda t: H, 0.0, 1.0, 2),
+    lambda H, a: heisenberg_residual(H, a, 0.5, 0.5),  # t = delta: the identity branch
+], ids=["eigenvalues", "propagator", "propagator-sampler", "heisenberg_residual"])
+def test_dense_paths_refuse_above_the_dense_limit_before_allocating(monkeypatch, call):
+    n = DENSE_LIMIT + 1
+    H = sp.identity(n, dtype=complex, format="csr")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x n dense matrix was made")
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
+    with pytest.raises(OperatorError, match=f"dimension {n} exceeds the dense limit 4096"):
+        call(H, np.zeros(n))

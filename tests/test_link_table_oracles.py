@@ -32,6 +32,8 @@ from geomqm import (
     mult_op,
     peierls_decompose,
     reconstruct_connection,
+    reconstruct_metric,
+    reconstruction_report,
     tree_gauge_potential,
     validate_operator,
     wrap_angle,
@@ -466,3 +468,28 @@ def test_tree_gauge_matches_loop(case):
     want = wrap_angle(dec.phases + d0(lat, loop_tree_gauge_potential(lat, dec.phases)))
     want[dec.couplings == 0.0] = 0.0
     assert_bits(reconstruct_connection(lat, dec, gauge="tree"), want)
+
+
+def composed_axiom_report(lat, H, m):
+    """The axiom report composed from public calls: the metric's
+    eigenvalues, one coordinate_cure_residual per coordinate pair, and the
+    commutant pair of the commutator loop in loop_validate_operator."""
+    g = reconstruct_metric(lat, H, m)
+    mins = np.linalg.eigvalsh(g).min(axis=1) if lat.ndim > 1 else g[:, 0, 0]
+    psi = default_test_vector(lat)
+    cures = tuple(((k, l), coordinate_cure_residual(lat, H, k, l, psi))
+                  for k in range(lat.ndim) for l in range(k, lat.ndim))
+    return mins, cures, loop_validate_operator(lat, H)["commutant_defect"]
+
+
+@pytest.mark.parametrize("case", LATTICES, ids=LATTICE_IDS)
+def test_axiom_report_matches_composition(case):
+    lat = lattice(case)
+    H = seeded_hamiltonian(lat, seed=3)
+    got = reconstruction_report(lat, H, 1.3).axiom
+    mins, cures, commutant = composed_axiom_report(lat, H, 1.3)
+    assert_bits(got.metric_min_eigenvalue, mins)
+    assert [pair for pair, _ in got.cure_residuals] == [pair for pair, _ in cures]
+    assert_bits([r for _, r in got.cure_residuals], [r for _, r in cures])
+    assert_bits(got.commutant_defect, commutant)
+    assert got.positivity_ok == bool(mins.min() > 1e-10)

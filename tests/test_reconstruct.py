@@ -495,3 +495,31 @@ def test_roundtrip_report_decomposes_once(monkeypatch):
     rep = roundtrip_report(lat, g, None, None, 1.0)
     assert rep.axiom.positivity_ok
     assert len(calls) == 1
+
+
+def test_reports_split_h_once_and_skip_the_public_checks(monkeypatch):
+    # one link-entry table per report: the decomposition, the cure
+    # residuals and the commutant all read it
+    from collections import Counter
+
+    from geomqm import operators, reconstruct
+
+    calls = Counter()
+    for name in ("_link_entries", "coordinate_cure_residual", "validate_operator", "commutator"):
+        for module in (operators, reconstruct):  # wherever the name is bound
+            if hasattr(module, name):
+                def counted(*args, _name=name, _original=getattr(module, name)):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    lat = build_lattice(LatticeSpec("torus", (6, 5), (1.0, 0.8)))
+    g = constant_metric(lat, np.array([[1.0, 0.1], [0.1, 1.2]]))
+    H = covariant_laplacian(lat, g, None, 1.0)
+    for report in (reconstruct.reconstruction_report, reconstruct.axiom_report):
+        calls.clear()
+        report(lat, H, 1.0)
+        assert calls == {"_link_entries": 1}, report.__name__
+    calls.clear()
+    operators.validate_operator(lat, H)
+    assert calls == {"validate_operator": 1}

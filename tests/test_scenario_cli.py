@@ -489,3 +489,35 @@ def test_holonomy_flux_past_the_builder_phase_window(tmp_path, lattice, params):
     checks = {c["name"]: c["value"] for c in report["checks"]}
     assert checks.keys() == ({"periodicity"} if "check_periodicity" in params else set())
     assert checks.get("periodicity", 0.0) <= 1e-9
+
+
+def test_cli_build_above_the_dense_limit_exits_three(tmp_path, capsys):
+    # the spectrum is dense; 4097 sites is refused before the eigensolve
+    path = write(tmp_path, "build.yaml",
+                 "lattice: {topology: ring, sizes: [4097], spacings: [1.0]}\n"
+                 "mass: 1.0\ntask: build\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: OperatorError: dimension 4097 exceeds the dense limit 4096")
+
+
+def test_cli_reconstruct_of_a_flipped_coupling_fails_its_checks(tmp_path, capsys):
+    # negative control: a saved build with the (0, 1) coupling's sign
+    # flipped gives a negative metric on that link
+    from geomqm import load_operator, save_operator
+
+    ring = "lattice: {topology: ring, sizes: [8], spacings: [1.0]}\nmass: 1.0\n"
+    build = write(tmp_path, "build.yaml", ring + "task: build\n")
+    assert main(["run", str(build), "--out", str(tmp_path / "built")]) == 0
+    mat = load_operator(tmp_path / "built" / "hamiltonian.txt").mat.tocoo()
+    pair = ((mat.row == 0) & (mat.col == 1)) | ((mat.row == 1) & (mat.col == 0))
+    assert pair.sum() == 2
+    mat.data[pair] = -mat.data[pair].real + 1j * mat.data[pair].imag
+    flipped = tmp_path / "flipped.txt"
+    save_operator(flipped, mat)
+    rec = write(tmp_path, "rec.yaml",
+                ring + f"task: reconstruct\nparams: {{hamiltonian_file: '{flipped}'}}\n")
+    capsys.readouterr()
+    assert main(["run", str(rec), "--out", str(tmp_path / "rec")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL positivity:" in out and "FAIL nondegeneracy:" in out
