@@ -9,10 +9,9 @@ and derive the induced spacetime structures (geodesics of the Lorentzian
 lift, homogeneous Maxwell identities, Aharonov-Bohm holonomies).
 """
 
-from .evolution import Unitary, heisenberg_evolve, heisenberg_residual, propagator
+from .evolution import heisenberg_evolve, heisenberg_residual, propagator, unitarity_defect
 from .geometry import (
     AnalyticMetric,
-    GeodesicState,
     LatticeMetricInterpolant,
     SpacetimeMetric,
     Trajectory,

@@ -1,4 +1,4 @@
-"""Unitary time evolution and Heisenberg-picture checks.
+"""Time evolution by unitary Cayley steps, and Heisenberg-picture checks.
 
 Propagators are ordered products of Cayley (Crank-Nicolson) steps
 
@@ -13,34 +13,10 @@ refused before any n x n matrix is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 
 from .operators import OperatorError, _asmat, _dense, _dense_size
-
-
-@dataclass(frozen=True)
-class Unitary:
-    """Dense complex matrix with U^dagger U = 1 to rounding."""
-
-    mat: np.ndarray
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def unitarity_defect(self):
-        n = self.dim
-        return float(np.max(np.abs(self.mat.conj().T @ self.mat - np.eye(n))))
-
-    def __matmul__(self, other):
-        o = other.mat if isinstance(other, Unitary) else other
-        return Unitary(self.mat @ o)
-
-    def dagger(self):
-        return Unitary(self.mat.conj().T.copy())
 
 
 def _sample(h_sampler, t):
@@ -59,7 +35,8 @@ def suggested_steps(H, t1, t2):
 
 
 def propagator(h_sampler, t1, t2, steps):
-    """Ordered product of midpoint Cayley steps from t1 to t2.
+    """Ordered product of midpoint Cayley steps from t1 to t2, as a dense
+    complex ndarray.
 
     h_sampler is either a fixed operator or a callable t -> operator.
     Composition is exact when step boundaries align:
@@ -81,18 +58,21 @@ def propagator(h_sampler, t1, t2, steps):
             plus = np.eye(n) + 0.5j * delta * Hd
             minus = np.eye(n) - 0.5j * delta * Hd
             lu = sla.lu_factor(plus)
-        step = sla.lu_solve(lu, minus if u is None else minus @ u)
-        u = step
-    return Unitary(u)
+        u = sla.lu_solve(lu, minus if u is None else minus @ u)
+    return u
+
+
+def unitarity_defect(u):
+    """Max-entry defect of U^dagger U = 1."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def heisenberg_evolve(a, U):
     """Heisenberg-picture observable a_t = U^dagger mult(a) U (dense)."""
     a = np.asarray(a, dtype=float)
-    mat = U.mat if isinstance(U, Unitary) else np.asarray(U)
-    if mat.shape[0] != len(a):
+    if U.shape[0] != len(a):
         raise OperatorError("dimension mismatch between field and unitary")
-    return mat.conj().T @ (a[:, None] * mat)
+    return U.conj().T @ (a[:, None] * U)
 
 
 def heisenberg_residual(h_sampler, a, t, delta):
@@ -110,10 +90,10 @@ def heisenberg_residual(h_sampler, a, t, delta):
     u_minus = (
         propagator(h_sampler, 0.0, t - delta, n_minus)
         if n_minus
-        else Unitary(np.eye(len(a), dtype=complex))
+        else np.eye(len(a), dtype=complex)
     )
-    u_t = _extend(h_sampler, u_minus, t - delta, t, 1)
-    u_plus = _extend(h_sampler, u_t, t, t + delta, 1)
+    u_t = propagator(h_sampler, t - delta, t, 1) @ u_minus
+    u_plus = propagator(h_sampler, t, t + delta, 1) @ u_t
     a_minus = heisenberg_evolve(a, u_minus)
     a_t = heisenberg_evolve(a, u_t)
     a_plus = heisenberg_evolve(a, u_plus)
@@ -121,7 +101,3 @@ def heisenberg_residual(h_sampler, a, t, delta):
     Ht = _sample(h_sampler, t)
     rhs = 1j * (Ht @ a_t - a_t @ Ht)
     return float(np.max(np.abs(fd - rhs)))
-
-
-def _extend(h_sampler, u, t1, t2, steps):
-    return propagator(h_sampler, t1, t2, steps) @ u

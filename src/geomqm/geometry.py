@@ -43,14 +43,6 @@ def _check_chart(q, lo, hi):
         raise ChartExit(f"coordinate {k} = {q[where]:g} outside chart [{lo[k]:g}, {hi[k]:g}]")
 
 
-@dataclass(frozen=True)
-class GeodesicState:
-    """Chart position and velocity."""
-
-    q: np.ndarray
-    v: np.ndarray
-
-
 class AnalyticMetric:
     """Metric provider backed by a closed-form callable q (..., d) ->
     g_ij (..., d, d); a constant (d, d) result is broadcast."""
@@ -126,16 +118,16 @@ class LatticeMetricInterpolant:
         return np.einsum("...c,...cij->...ij", weights, self._lower[sites])
 
 
-def christoffel(metric, q, eta=None):
+def christoffel(metric, q):
     """Christoffel symbols Gamma^k_ij at q by central differencing.
 
     Gamma^k_ij = 1/2 sum_l g^kl (d_i g_lj + d_j g_li - d_l g_ij);
     symmetric in the lower indices (torsion-free Levi-Civita).  The
-    stencil q, q + eta e_l, q - eta e_l is evaluated in one lower call.
+    stencil q, q + eta e_l, q - eta e_l, eta = metric.default_eta, is
+    evaluated in one lower call.
     """
     q = np.asarray(q, dtype=float)
-    if eta is None:
-        eta = metric.default_eta
+    eta = metric.default_eta
     if eta <= 0:
         raise ValueError("eta must be positive")
     d = metric.ndim
@@ -157,7 +149,7 @@ def _bilinear(a, g, b):
     return (a[:, None, :] @ g @ b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled geodesic; truncated marks an open-chart exit."""
 
@@ -171,8 +163,9 @@ class Trajectory:
         return float(np.max(np.abs(self.speed2 - self.speed2[0])))
 
 
-def geodesic_integrate(metric, state0, dt, T, eta=None, record_every=1):
-    """Integrate the geodesic equation with classic RK4.
+def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
+    """Integrate the geodesic equation from position q0 and velocity v0
+    with classic RK4.
 
     Returns a Trajectory sampled every record_every steps (plus start and
     final point); speed2 tracks g(q_dot, q_dot) along the way.  On open
@@ -181,11 +174,11 @@ def geodesic_integrate(metric, state0, dt, T, eta=None, record_every=1):
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
-    q = np.asarray(state0.q, dtype=float).copy()
-    v = np.asarray(state0.v, dtype=float).copy()
+    q = np.asarray(q0, dtype=float).copy()
+    v = np.asarray(v0, dtype=float).copy()
 
     def acc(qq, vv):
-        gamma = christoffel(metric, qq, eta)
+        gamma = christoffel(metric, qq)
         return -np.einsum("kij,i,j->k", gamma, vv, vv)
 
     n_steps = int(round(T / dt))

@@ -36,7 +36,7 @@ class OperatorError(ValueError):
     """Invalid operator construction or algebra."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Sparse complex self-adjoint matrix over lattice sites."""
 

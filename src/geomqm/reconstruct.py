@@ -49,7 +49,7 @@ class PhaseAmbiguity(OperatorError):
     """An entry sits exactly on the theta = +-pi/2 branch boundary."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeierlsDecomposition:
     """Amplitude/phase/diagonal split of a stencil-local Hamiltonian."""
 
@@ -57,10 +57,10 @@ class PeierlsDecomposition:
     phases: np.ndarray     # (n_links,) real, antisymmetric under reversal
     diagonal: np.ndarray   # (n_sites,) real
     # the _link_entries table the split read (None if made by hand); axiom certificates reuse it
-    entries: tuple = field(default=None, compare=False, repr=False)
+    entries: tuple = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiomReport:
     metric_min_eigenvalue: np.ndarray  # per site
     positivity_ok: bool
@@ -80,7 +80,7 @@ class AxiomReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionReport:
     g_rec: np.ndarray
     A_rec: np.ndarray            # phase LinkField as decomposed

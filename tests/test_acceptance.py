@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from geomqm import (
     AnalyticMetric,
-    GeodesicState,
     LatticeSpec,
     Trajectory,
     ab_spectrum,
@@ -46,6 +45,7 @@ from geomqm import (
     roundtrip_report,
     row_sum_field,
     tree_gauge_canonicalize,
+    unitarity_defect,
     velocity,
     zeroth_residual,
 )
@@ -229,7 +229,7 @@ def test_acceptance_09_geodesics():
     with _Timer() as t:
         flat = AnalyticMetric(lambda q: np.eye(2), ndim=2)
         q0, v0 = np.array([0.0, 0.0]), np.array([0.7, -0.4])
-        traj = geodesic_integrate(flat, GeodesicState(q0, v0), 1e-2, 10.0, record_every=10)
+        traj = geodesic_integrate(flat, q0, v0, 1e-2, 10.0, record_every=10)
         straight = np.max(np.abs(traj.positions - (q0 + traj.times[:, None] * v0)))
         assert straight <= 1e-8
 
@@ -237,13 +237,13 @@ def test_acceptance_09_geodesics():
             lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0]),
             ndim=2, default_eta=1e-4,
         )
-        st = GeodesicState(np.array([2.0, 0.0]), np.array([-0.1, 0.15]))
-        cons = geodesic_integrate(polar, st, 1e-3, 10.0, record_every=100)
+        st = (np.array([2.0, 0.0]), np.array([-0.1, 0.15]))
+        cons = geodesic_integrate(polar, *st, 1e-3, 10.0, record_every=100)
         assert cons.speed2_drift() <= 1e-8
 
-        st2 = GeodesicState(np.array([2.0, 0.0]), np.array([-0.5, 0.4]))
+        st2 = (np.array([2.0, 0.0]), np.array([-0.5, 0.4]))
         runs = {
-            dt: geodesic_integrate(polar, st2, dt, 2.0, record_every=int(round(0.2 / dt)))
+            dt: geodesic_integrate(polar, *st2, dt, 2.0, record_every=int(round(0.2 / dt)))
             for dt in (0.04, 0.02, 0.01)
         }
         e1 = np.max(np.abs(runs[0.04].positions - runs[0.02].positions))
@@ -345,7 +345,7 @@ def test_acceptance_13_evolution():
         lat = build_lattice(LatticeSpec("interval", (64,), (1.0,)))
         H = covariant_laplacian(lat, constant_metric(lat), None, 1.0)
         U = propagator(H, 0.0, 1.0, 40)
-        defect = U.unitarity_defect()
+        defect = unitarity_defect(U)
         assert defect <= 1e-10
         x = lat.positions[:, 0]
         xt = heisenberg_evolve(x, U)

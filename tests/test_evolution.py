@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from geomqm import (
     LatticeSpec,
     OperatorError,
-    Unitary,
     build_lattice,
     constant_metric,
     covariant_laplacian,
@@ -14,6 +13,7 @@ from geomqm import (
     heisenberg_residual,
     mult_op,
     propagator,
+    unitarity_defect,
 )
 from geomqm.operators import DENSE_LIMIT
 
@@ -35,7 +35,7 @@ def test_diagonal_propagator_matches_exponential_oracle():
     errs = []
     for steps in (20, 40):
         U = propagator(H, 0.0, T, steps)
-        errs.append(np.max(np.abs(U.mat - exact)))
+        errs.append(np.max(np.abs(U - exact)))
     assert 3.2 < errs[0] / errs[1] < 4.8  # O(delta^2), ratio ~ 4
 
 
@@ -44,7 +44,7 @@ def test_unitarity_defect_many_steps():
     M = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
     H = sp.csr_matrix(M + M.conj().T)
     U = propagator(H, 0.0, 1.0, 1000)
-    assert U.unitarity_defect() <= 1e-10
+    assert unitarity_defect(U) <= 1e-10
 
 
 def test_composition_with_aligned_steps():
@@ -53,14 +53,14 @@ def test_composition_with_aligned_steps():
     U02 = propagator(H, 0.0, 2.0, 20)
     U01 = propagator(H, 0.0, 1.0, 10)
     U12 = propagator(H, 1.0, 2.0, 10)
-    assert np.max(np.abs((U12 @ U01).mat - U02.mat)) <= 1e-12
+    assert np.max(np.abs(U12 @ U01 - U02)) <= 1e-12
 
 
 def test_cyclicity_backward_is_dagger():
     lat = interval(16)
     H = free_hamiltonian(lat)
     U = propagator(H, 0.0, 1.5, 15)
-    eye = (U.dagger() @ U).mat
+    eye = U.conj().T @ U
     assert np.max(np.abs(eye - np.eye(16))) <= 1e-10
 
 
@@ -81,13 +81,13 @@ def test_time_dependent_sampler():
         return (1.0 + 0.5 * t) * base.mat
 
     U = propagator(sampler, 0.0, 1.0, 50)
-    assert U.unitarity_defect() <= 1e-10
+    assert unitarity_defect(U) <= 1e-10
 
 
 def test_heisenberg_identity_evolution():
     lat = interval(8)
     a = np.arange(8.0)
-    at = heisenberg_evolve(a, Unitary(np.eye(8, dtype=complex)))
+    at = heisenberg_evolve(a, np.eye(8, dtype=complex))
     assert np.allclose(at, np.diag(a))
 
 

@@ -4,7 +4,6 @@ import sympy
 
 from geomqm import (
     AnalyticMetric,
-    GeodesicState,
     LatticeError,
     LatticeMetricInterpolant,
     LatticeSpec,
@@ -110,7 +109,7 @@ def test_lattice_interpolant_chart_bounds():
 def test_flat_geodesics_are_straight():
     met = AnalyticMetric(lambda q: np.eye(2), ndim=2)
     q0, v0 = np.array([0.3, -0.2]), np.array([0.7, 0.4])
-    traj = geodesic_integrate(met, GeodesicState(q0, v0), 1e-2, 10.0)
+    traj = geodesic_integrate(met, q0, v0, 1e-2, 10.0)
     expect = q0[None, :] + traj.times[:, None] * v0[None, :]
     assert np.max(np.abs(traj.positions - expect)) < 1e-8
     assert traj.speed2_drift() < 1e-12
@@ -118,10 +117,10 @@ def test_flat_geodesics_are_straight():
 
 def test_geodesic_fourth_order_self_convergence():
     met = polar_like_metric()
-    st = GeodesicState(np.array([2.0, 0.0]), np.array([-0.5, 0.4]))
+    st = (np.array([2.0, 0.0]), np.array([-0.5, 0.4]))
     runs = {}
     for dt in (0.04, 0.02, 0.01):
-        runs[dt] = geodesic_integrate(met, st, dt, 2.0, record_every=int(round(0.2 / dt)))
+        runs[dt] = geodesic_integrate(met, *st, dt, 2.0, record_every=int(round(0.2 / dt)))
     e1 = np.max(np.abs(runs[0.04].positions - runs[0.02].positions))
     e2 = np.max(np.abs(runs[0.02].positions - runs[0.01].positions))
     assert e1 / e2 >= 12.0
@@ -129,8 +128,8 @@ def test_geodesic_fourth_order_self_convergence():
 
 def test_geodesic_speed_conservation():
     met = polar_like_metric()
-    st = GeodesicState(np.array([2.0, 0.0]), np.array([-0.1, 0.15]))
-    traj = geodesic_integrate(met, st, 1e-3, 10.0, record_every=100)
+    st = (np.array([2.0, 0.0]), np.array([-0.1, 0.15]))
+    traj = geodesic_integrate(met, *st, 1e-3, 10.0, record_every=100)
     assert traj.speed2_drift() <= 1e-8
 
 
@@ -140,8 +139,8 @@ def test_geodesic_reparametrization():
     q0 = np.array([2.0, 0.1])
     v0 = np.array([-0.2, 0.1])
     lam = 2.0
-    t1 = geodesic_integrate(met, GeodesicState(q0, v0), 1e-3, 4.0, record_every=1000)
-    t2 = geodesic_integrate(met, GeodesicState(q0, lam * v0), 5e-4, 2.0, record_every=1000)
+    t1 = geodesic_integrate(met, q0, v0, 1e-3, 4.0, record_every=1000)
+    t2 = geodesic_integrate(met, q0, lam * v0, 5e-4, 2.0, record_every=1000)
     assert np.max(np.abs(t1.positions - t2.positions)) < 1e-8
 
 
@@ -149,7 +148,7 @@ def test_geodesic_truncates_at_open_boundary():
     lat = build_lattice(LatticeSpec("rectangle", (5, 5), (1.0, 1.0)))
     interp = LatticeMetricInterpolant(lat, constant_metric(lat))
     traj = geodesic_integrate(
-        interp, GeodesicState(np.array([2.0, 2.0]), np.array([1.0, 0.0])), 0.01, 10.0
+        interp, np.array([2.0, 2.0]), np.array([1.0, 0.0]), 0.01, 10.0
     )
     assert traj.truncated
     assert traj.positions[-1, 0] <= 4.0 + 1e-9
@@ -241,12 +240,12 @@ def test_lift_geodesics_project_to_spatial_geodesics():
     met_space = AnalyticMetric(gfun, ndim=2, default_eta=1e-4)
     met_lift = AnalyticMetric(lifted, ndim=3, default_eta=1e-4)
     ts = geodesic_integrate(
-        met_space, GeodesicState(np.array([2.0, 0.0]), np.array([-0.1, 0.15])),
+        met_space, np.array([2.0, 0.0]), np.array([-0.1, 0.15]),
         1e-3, 5.0, record_every=200,
     )
     tl = geodesic_integrate(
         met_lift,
-        GeodesicState(np.array([0.0, 2.0, 0.0]), np.array([1.0, -0.1, 0.15])),
+        np.array([0.0, 2.0, 0.0]), np.array([1.0, -0.1, 0.15]),
         1e-3, 5.0, record_every=200,
     )
     assert np.max(np.abs(tl.positions[:, 1:] - ts.positions)) <= 1e-6

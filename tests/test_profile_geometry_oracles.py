@@ -22,7 +22,6 @@ import pytest
 
 from geomqm import (
     AnalyticMetric,
-    GeodesicState,
     LatticeMetricInterpolant,
     LatticeSpec,
     Trajectory,
@@ -403,7 +402,7 @@ def test_speed2_matches_loop_oracle(case):
     gfun = loop_metric_function(lat, comps)
     analytic = AnalyticMetric(lambda q: np.linalg.inv(g_inverse(q)), ndim=2, default_eta=1e-4)
     traj = geodesic_integrate(
-        analytic, GeodesicState(np.array([0.6, 0.9]), np.array([0.3, -0.2])), 0.01, 0.5
+        analytic, np.array([0.6, 0.9]), np.array([0.3, -0.2]), 0.01, 0.5
     )
     want = loop_speed2(lambda x: np.linalg.inv(gfun(x)), 2, traj.positions, traj.velocities)
     assert np.array_equal(traj.speed2, want)
@@ -417,7 +416,7 @@ def test_speed2_identity_fallback_matches_loop_oracle():
     lower = random_lower_field(lat, rng)
     interp = LatticeMetricInterpolant.from_lower(lat, lower)
     v0 = np.array([0.4, -0.7])
-    traj = geodesic_integrate(interp, GeodesicState(np.array([4.5, 2.0]), v0), 0.01, 1.0)
+    traj = geodesic_integrate(interp, np.array([4.5, 2.0]), v0, 0.01, 1.0)
     assert traj.truncated and len(traj.times) == 1
     want = loop_speed2(loop_interp_lower(lat, lower), 2, traj.positions, traj.velocities)
     assert np.array_equal(traj.speed2, want)

@@ -523,3 +523,22 @@ def test_reports_split_h_once_and_skip_the_public_checks(monkeypatch):
     calls.clear()
     operators.validate_operator(lat, H)
     assert calls == {"validate_operator": 1}
+
+
+def test_array_holding_records_compare_by_identity():
+    # value equality over array fields is ambiguous; these compare and
+    # hash by identity instead of raising
+    from geomqm import AnalyticMetric, geodesic_integrate, reconstruction_report
+
+    lat = build_lattice(LatticeSpec("ring", (5,), (1.0,)))
+
+    def make():
+        H = free_hamiltonian(lat)
+        traj = geodesic_integrate(AnalyticMetric(lambda q: np.eye(1), ndim=1),
+                                  np.zeros(1), np.ones(1), 0.5, 1.0)
+        return [peierls_decompose(lat, H), reconstruction_report(lat, H, 1.0),
+                axiom_report(lat, H, 1.0), H, traj]
+
+    for obj, twin in zip(make(), make()):
+        assert obj == obj and obj != twin
+        assert len({obj, twin, obj}) == 2

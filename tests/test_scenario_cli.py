@@ -521,3 +521,46 @@ def test_cli_reconstruct_of_a_flipped_coupling_fails_its_checks(tmp_path, capsys
     assert main(["run", str(rec), "--out", str(tmp_path / "rec")]) == 1
     out = capsys.readouterr().out
     assert "FAIL positivity:" in out and "FAIL nondegeneracy:" in out
+
+
+def test_cli_coarse_geodesic_fails_speed2_drift(tmp_path, capsys):
+    # negative control: an RK4 step of 1 on a metric that varies over 16
+    # sites drifts g(q_dot, q_dot) by 1.1e-7 against 1e-8
+    path = write(tmp_path, "geo.yaml", """\
+lattice: {topology: torus, sizes: [16, 16], spacings: [1.0, 1.0]}
+mass: 1.0
+task: geodesic
+fields:
+  metric:
+    components:
+      "0,0": {profile: sine, base: 1.0, amplitude: 0.6, axis: 0}
+      "1,1": {profile: sine, base: 1.0, amplitude: 0.3, axis: 1}
+params:
+  initial: {position: [3.0, 1.0], velocity: [0.5, 0.3]}
+  dt: 1.0
+  duration: 40.0
+""")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL speed2_drift:" in out and "PASS truncated:" in out
+
+
+def test_cli_pointwise_roundtrip_fails_e_g(tmp_path, capsys):
+    # negative control: the metric is recovered as link averages, which
+    # miss the site values by O(h^2); with six sites to a sine period that
+    # is 0.108 against 0.01
+    path = write(tmp_path, "rt.yaml", """\
+lattice: {topology: ring, sizes: [6], spacings: [1.0]}
+mass: 1.0
+task: roundtrip
+fields:
+  metric:
+    components:
+      "0,0": {profile: sine, base: 1.0, amplitude: 0.5, axis: 0}
+  potential: {profile: sine, amplitude: 0.5, axis: 0}
+params: {reference: pointwise}
+""")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL e_g:" in out
+    assert all(f"PASS {name}:" in out for name in ("e_F", "e_phi", "positivity"))
