@@ -43,17 +43,29 @@ def _check_chart(q, lo, hi):
         raise ChartExit(f"coordinate {k} = {q[where]:g} outside chart [{lo[k]:g}, {hi[k]:g}]")
 
 
+def _lattice_bounds(lattice, margin=0.0):
+    """Chart bounds of a lattice, one (lo, hi) or None (unbounded) per
+    axis: periodic axes are unbounded, an open axis spans [0, (n - 1) h]
+    widened by 1e-9 h plus margin at each end."""
+    return [None if periodic else (-1e-9 * h - margin, (n - 1 + 1e-9) * h + margin)
+            for n, h, periodic in zip(lattice.sizes, lattice.spacings, lattice.periodic)]
+
+
+def _chart(bounds):
+    """Per-axis (lo, hi) rows (2, d) of bounds, None meaning unbounded."""
+    return np.array([(-np.inf, np.inf) if b is None else b for b in bounds], dtype=float).T
+
+
 class AnalyticMetric:
     """Metric provider backed by a closed-form callable q (..., d) ->
-    g_ij (..., d, d); a constant (d, d) result is broadcast."""
+    g_ij (..., d, d); a constant (d, d) result is broadcast.  bounds are
+    optional chart bounds, (lo, hi) or None (unbounded) per axis."""
 
     def __init__(self, func, ndim, default_eta=1e-3, bounds=None):
         self._func = func
         self.ndim = ndim
         self.default_eta = default_eta
-        # bounds: optional ((lo, hi) or None) per axis
-        axes = bounds if bounds is not None else [None] * ndim
-        self.chart = np.array([(-np.inf, np.inf) if b is None else b for b in axes]).T
+        self.chart = _chart(bounds if bounds is not None else [None] * ndim)
 
     def lower(self, q):
         q = np.asarray(q, dtype=float)
@@ -89,9 +101,7 @@ class LatticeMetricInterpolant:
         self.ndim = lattice.ndim
         self._lower = lower
         self.default_eta = min(lattice.spacings) / 4.0
-        h = np.asarray(lattice.spacings, dtype=float)
-        edges = np.array([-1e-9 * h, (np.asarray(lattice.sizes) - 1 + 1e-9) * h])
-        self.chart = np.where(lattice.periodic, [[-np.inf], [np.inf]], edges)
+        self.chart = _chart(_lattice_bounds(lattice))
 
     def _cell_weights(self, q):
         """Corner sites (..., 2^d) and weights (..., 2^d) of the cells

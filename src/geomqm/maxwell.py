@@ -226,13 +226,17 @@ def _upper_diagonal(cx, metric, anchors):
     """Spacetime upper-metric diagonal (g00, g^11, ..) at every vertex.
 
     Raises ComplexError where the spatial metric at one of the anchor
-    vertices `anchors` is not diagonal.
+    vertices `anchors` is not diagonal, or where the lift has neither
+    one sample (a static metric) nor one per time slice.
     """
     n_verts = cx.n_cells(0)
     if metric is None:
         return np.broadcast_to([-1.0] + [1.0] * cx.lattice.ndim, (n_verts, cx.n))
     it, site = np.divmod(np.arange(n_verts), cx.lattice.n_sites)
     fields = metric.fields
+    if fields.shape[0] not in (1, cx.n_t):
+        raise ComplexError(f"metric lift has {fields.shape[0]} samples; the complex has "
+                           f"{cx.n_t} time slices, so 1 or {cx.n_t} are needed")
     g = fields[it if fields.shape[0] == cx.n_t else 0, site]
     size = np.abs(g)
     off = np.where(np.eye(cx.lattice.ndim, dtype=bool), 0.0, size).max(axis=(1, 2))

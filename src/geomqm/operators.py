@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 PHASE_LIMIT = np.pi / 2  # per-link phases must stay inside (-pi/2, pi/2)
@@ -278,8 +279,52 @@ def _is_row(line):
 
 
 def eigenvalues(op):
-    """Dense sorted spectrum; dimensions above DENSE_LIMIT are refused."""
-    return np.linalg.eigvalsh(_dense(op))
+    """Sorted spectrum of a Hermitian operator; dimensions above
+    DENSE_LIMIT are refused.
+
+    Sites are ordered breadth-first from site 0 over the sparsity
+    pattern (Cuthill & McKee).  When that ordering gives a half-bandwidth
+    b with b^2 <= n, as on chain-like lattices (ring, interval, thin
+    cylinders and tori), LAPACK's Hermitian band solver finds the spectrum
+    in O(b n^2) work, O(n^2) on rings and intervals.  Wider bands and
+    disconnected patterns take the dense O(n^3) eigvalsh.
+    """
+    mat = _asmat(op)
+    _dense_size(mat.shape[0])
+    band = _lower_band(mat)
+    if band is None:
+        return np.linalg.eigvalsh(mat.toarray())
+    return sla.eigvals_banded(band, lower=True, overwrite_a_band=True)
+
+
+def _lower_band(mat):
+    """The lower band (b + 1, n) of mat with its sites in breadth-first
+    order, band[i - j, j] = mat[i, j]; None when the pattern from site 0
+    does not reach every site or b^2 > n."""
+    n = mat.shape[0]
+    if n == 0:
+        return None
+    indptr, indices = mat.indptr.tolist(), mat.indices.tolist()
+    seen = [True] + [False] * (n - 1)
+    order = [0]
+    for i in order:  # the loop also visits the sites appended while it runs
+        for j in indices[indptr[i]:indptr[i + 1]]:
+            if not seen[j]:
+                seen[j] = True
+                order.append(j)
+    if len(order) < n:
+        return None
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    coo = mat.tocoo()
+    rows, cols = rank[coo.row], rank[coo.col]
+    b = int(np.max(np.abs(rows - cols), initial=0))
+    if b * b > n:
+        return None
+    band = np.zeros((b + 1, n), dtype=np.result_type(coo.data, float))
+    lower = rows >= cols
+    np.add.at(band, (rows[lower] - cols[lower], cols[lower]), coo.data[lower])
+    return band
 
 
 def _dense(op):

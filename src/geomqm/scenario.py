@@ -311,8 +311,13 @@ def _task_roundtrip(cfg, lattice, fields, seed, tol_scale, out, report):
 
 def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
     g_inverse = metric_profile(lattice, cfg["fields.metric.components"])
+    # the chart reaches eta past an open edge, so the difference stencil of
+    # a point on the edge stays in it while a step that starts past the edge
+    # leaves it; the closed-form metric is defined there
+    eta = cfg["params.eta"]
     metric = geometry.AnalyticMetric(
-        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim, default_eta=cfg["params.eta"],
+        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim, default_eta=eta,
+        bounds=geometry._lattice_bounds(lattice, margin=eta),
     )
     # the table's rules exclude 0 and empty values, so `or` only fills unset ones
     q0 = np.asarray(cfg["params.initial.position"] or [0.0] * lattice.ndim, dtype=float)

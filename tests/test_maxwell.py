@@ -266,6 +266,17 @@ def test_hodge_rejects_nondiagonal_metric():
         hodge(cx, F, met)
 
 
+def test_hodge_rejects_a_lift_whose_sample_count_is_not_the_slice_count():
+    lat = build_lattice(LatticeSpec("ring", (5,), (1.0,)))
+    cx = build_spacetime_complex(lat, 4, 1.0)
+    g = constant_metric(lat)
+    with pytest.raises(ComplexError, match="2 samples.*4 time slices"):
+        maxwell.hodge_factors(cx, 1, lorentzian_lift(lat, [g, 2 * g], [0, 1]))
+    static = maxwell.hodge_factors(cx, 1, lorentzian_lift(lat, g))
+    per_slice = maxwell.hodge_factors(cx, 1, lorentzian_lift(lat, [g] * 4))
+    assert np.array_equal(static, per_slice)
+
+
 # ------------------------------------------------------------ current
 
 def test_zero_potential_zero_current():

@@ -545,6 +545,47 @@ params:
     assert "FAIL speed2_drift:" in out and "PASS truncated:" in out
 
 
+@pytest.mark.parametrize("topology, sizes", [
+    ("interval", [4]), ("rectangle", [4, 4]), ("cylinder", [4, 4]),
+])
+def test_cli_default_geodesic_from_an_open_corner_stays_in_the_chart(tmp_path, capsys,
+                                                                      topology, sizes):
+    # the default run starts at the origin, on every open edge, and moves
+    # along axis 0 to x = 1; the difference stencil there reaches eta past
+    # the edge, which must not count as leaving the lattice
+    spacings = [1.0] * len(sizes)
+    path = write(tmp_path, "geo.yaml", f"""\
+lattice: {{topology: {topology}, sizes: {sizes}, spacings: {spacings}}}
+mass: 1.0
+task: geodesic
+""")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "PASS truncated:" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["payload"]["truncated"] is False
+    assert np.allclose(report["payload"]["final_position"], [1.0] + [0.0] * (len(sizes) - 1))
+
+
+def test_cli_geodesic_leaving_an_open_lattice_fails_truncated(tmp_path, capsys):
+    # negative control: on the flat metric the geodesic would reach x = 23,
+    # far past the rectangle's edge at x = 7
+    path = write(tmp_path, "geo.yaml", """\
+lattice: {topology: rectangle, sizes: [8, 8], spacings: [1.0, 1.0]}
+mass: 1.0
+task: geodesic
+params:
+  initial: {position: [3.0, 1.0], velocity: [5.0, 0.0]}
+  dt: 0.01
+  duration: 4.0
+""")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL truncated:" in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["payload"]["truncated"] is True
+    assert report["payload"]["final_position"][0] <= 7.0
+
+
 def test_cli_pointwise_roundtrip_fails_e_g(tmp_path, capsys):
     # negative control: the metric is recovered as link averages, which
     # miss the site values by O(h^2); with six sites to a sine period that
