@@ -86,7 +86,8 @@ _KEYS = (
     Key("params.check_periodicity", "bool", False, None, ("holonomy",), "alpha vs alpha + 2 pi"),
     Key("params.chern_flux_quanta", "int", None, None, ("holonomy",), "torus only"),
     Key("params.steps", "int", None, COUNT, ("evolve",), "default from ||H||"),
-    Key("params.probe_delta", "float", None, POSITIVE, ("evolve",), "default duration / steps"),
+    Key("params.probe_delta", "float", None, POSITIVE, ("evolve",),
+        "default duration / steps; at most duration / 2"),
     # positivity, nondegeneracy, truncated and chern_number are pass/fail
     # flags with the fixed tolerance 0.5: they have no row
     Key("tolerances.hermiticity", "float", 1e-12, POSITIVE, ("build",), _IDENTITY),
@@ -216,6 +217,11 @@ def validate_config(doc):
         samples = cfg["fields.time.samples"] or 1
         if samples < 3:
             raise ConfigError(f"fields.time.scale: needs fields.time.samples >= 3, got {samples}")
+    probe = cfg.get("params.probe_delta")
+    if probe is not None and probe > cfg["params.duration"] / 2:
+        # the residual is taken at duration / 2 and reaches back to t - probe_delta
+        raise ConfigError(f"params.probe_delta: must be <= params.duration / 2 = "
+                          f"{cfg['params.duration'] / 2}, got {probe}")
     return cfg, lattice, (g, theta, phi)
 
 
@@ -505,6 +511,7 @@ def _task_evolve(cfg, lattice, fields, seed, tol_scale, out, report):
     x = lattice.positions[:, 0]
     xt = evolution.heisenberg_evolve(x, U)
     x0 = np.diag(x.astype(complex))
+    # informational (no check reads it), and a dense 2-norm: an SVD of n x n
     noncomm = float(np.linalg.norm(x0 @ xt - xt @ x0, 2))
     probe = cfg["params.probe_delta"] or duration / steps
     residual = evolution.heisenberg_residual(H, x, duration / 2.0, probe)

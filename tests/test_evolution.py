@@ -5,10 +5,12 @@ import scipy.sparse as sp
 from geomqm import (
     LatticeSpec,
     OperatorError,
+    build_hamiltonian,
     build_lattice,
     constant_metric,
     covariant_laplacian,
     eigenvalues,
+    flat_connection,
     heisenberg_evolve,
     heisenberg_residual,
     mult_op,
@@ -67,10 +69,58 @@ def test_cyclicity_backward_is_dagger():
 def test_propagator_preconditions():
     lat = interval(8)
     H = free_hamiltonian(lat)
-    with pytest.raises(OperatorError):
-        propagator(H, 0.0, 1.0, 0)
-    with pytest.raises(OperatorError):
-        propagator(H, 1.0, 1.0, 4)
+    for h in (H, lambda t: H):
+        for steps in (0, -3, 4.0, 2.5):
+            with pytest.raises(OperatorError, match="steps must be an integer >= 1"):
+                propagator(h, 0.0, 1.0, steps)
+        with pytest.raises(OperatorError):
+            propagator(h, 1.0, 1.0, 4)
+    assert np.array_equal(propagator(H, 0.0, 1.0, np.int64(4)), propagator(H, 0.0, 1.0, 4))
+
+
+def _ring_with_flux():
+    lat = build_lattice(LatticeSpec("ring", (48,), (1.0,)))
+    return build_hamiltonian(lat, constant_metric(lat), flat_connection(lat, (0.7,)), None, 1.0)
+
+
+def _torus_with_random_potential():
+    lat = build_lattice(LatticeSpec("torus", (8, 8), (1.0, 1.0)))
+    phi = np.random.default_rng(5).uniform(-0.5, 0.5, lat.n_sites)
+    return build_hamiltonian(lat, constant_metric(lat), None, phi, 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: free_hamiltonian(interval(64)),
+    _ring_with_flux,
+    _torus_with_random_potential,
+], ids=["interval64", "ring48-flux", "torus8x8-potential"])
+def test_static_propagator_matches_the_sequential_oracle(make):
+    H = make()
+    spectral = propagator(H, 0.0, 1.0, 40)
+    sequential = propagator(lambda t: H, 0.0, 1.0, 40)
+    assert np.max(np.abs(spectral - sequential)) <= 1e-12
+
+
+def test_ring_eigenphases_are_cayley_phases_of_the_bloch_levels():
+    n, alpha, steps, T = 48, 0.7, 25, 1.0
+    U = propagator(_ring_with_flux(), 0.0, T, steps)
+    bloch = 1.0 - np.cos((2 * np.pi * np.arange(n) - alpha) / n)
+    expect = -2 * steps * np.arctan(0.5 * (T / steps) * bloch)  # in [-2, 0]: no wrap
+    got = np.angle(np.linalg.eigvals(U))
+    assert np.max(np.abs(np.sort(got) - np.sort(expect))) <= 1e-12
+
+
+def test_diagonal_phase_error_within_the_cayley_bound():
+    lat = interval(12)
+    vals = np.linspace(-1.5, 1.2, 12)
+    T, steps = 2.0, 20
+    delta = T / steps
+    U = propagator(mult_op(lat, vals), 0.0, T, steps)
+    # arctan(x) >= x - x^3/3 bounds the lag behind exp(-i lambda T)
+    lag = np.angle(np.diag(U) * np.exp(1j * vals * T))
+    bound = T * delta**2 * np.abs(vals) ** 3 / 12
+    assert np.all(np.abs(lag) <= bound + 1e-13)
+    assert np.abs(lag[0]) >= 0.95 * bound[0]  # and it is the leading term
 
 
 def test_time_dependent_sampler():
@@ -134,6 +184,23 @@ def test_heisenberg_residual_diagonal_hamiltonian():
     a = rng.normal(size=12)
     # diagonal H commutes with mult(a) evolution: a_t = a for all t
     assert heisenberg_residual(H, a, 1.0, 0.1) <= 1e-12
+
+
+def test_heisenberg_residual_reaches_back_to_t_minus_delta():
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    H = sp.csr_matrix(M + M.conj().T)
+    a = rng.normal(size=12)
+    at_delta = heisenberg_residual(H, a, 0.1, 0.1)
+    values = set()
+    for t in (0.11, 0.12, 0.14, 0.149):
+        static = heisenberg_residual(H, a, t, 0.1)
+        assert abs(static - heisenberg_residual(lambda s: H, a, t, 0.1)) <= 1e-10 * static
+        values.add(static)
+    assert len(values) == 4 and at_delta not in values
+    for t in (0.05, 0.0999):
+        with pytest.raises(OperatorError, match="need t >= delta"):
+            heisenberg_residual(H, a, t, 0.1)
 
 
 @pytest.mark.parametrize("call", [

@@ -38,6 +38,15 @@ params:
 """
 
 
+EVOLVE_YAML = """\
+lattice: {topology: interval, sizes: [24], spacings: [1.0]}
+mass: 1.0
+task: evolve
+fields: {potential: {profile: gaussian_bump, amplitude: 0.5, axis: 0}}
+params: {duration: 1.0, steps: 10, probe_delta: 0.1}
+"""
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -83,14 +92,15 @@ def test_roundtrip_scenario_passes(tmp_path):
 
 
 def test_report_deterministic_modulo_wall_time(tmp_path):
-    path = write(tmp_path, "rt.yaml", ROUNDTRIP_YAML)
-    docs = []
-    for sub in ("a", "b"):
-        run_scenario(path, tmp_path / sub)
-        doc = json.loads((tmp_path / sub / "report.json").read_text())
-        doc.pop("wall_time_s")
-        docs.append(json.dumps(doc, sort_keys=True))
-    assert docs[0] == docs[1]
+    for name, text in (("rt.yaml", ROUNDTRIP_YAML), ("evolve.yaml", EVOLVE_YAML)):
+        path = write(tmp_path, name, text)
+        docs = []
+        for sub in ("a", "b"):
+            run_scenario(path, tmp_path / f"{name}.{sub}")
+            doc = json.loads((tmp_path / f"{name}.{sub}" / "report.json").read_text())
+            doc.pop("wall_time_s")
+            docs.append(json.dumps(doc, sort_keys=True))
+        assert docs[0] == docs[1]
 
 
 def test_holonomy_spectral_flow_row_at_pi(tmp_path):
@@ -605,3 +615,17 @@ params: {reference: pointwise}
     out = capsys.readouterr().out
     assert "FAIL e_g:" in out
     assert all(f"PASS {name}:" in out for name in ("e_F", "e_phi", "positivity"))
+
+
+def test_probe_delta_above_half_the_duration_is_a_config_error(tmp_path, capsys):
+    text = EVOLVE_YAML.replace("probe_delta: 0.1", "probe_delta: 0.6")
+    path = write(tmp_path, "evolve.yaml", text)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: params.probe_delta: must be <= params.duration / 2" in err
+    # at exactly half the duration the residual starts from t - probe_delta = 0
+    path = write(tmp_path, "edge.yaml", EVOLVE_YAML.replace("probe_delta: 0.1", "probe_delta: 0.5"))
+    assert main(["run", str(path), "--out", str(tmp_path / "edge")]) == 0
+    payload = json.loads((tmp_path / "edge" / "report.json").read_text())["payload"]
+    assert 0 < payload["heisenberg_residual"] < 1
