@@ -82,12 +82,12 @@ from .reconstruct import (
     metric_row_sum_field,
     peierls_decompose,
     reassemble,
-    reconstruct_connection,
     reconstruct_metric,
     reconstruct_potential,
     reconstruction_report,
     roundtrip_report,
     tree_gauge_canonicalize,
+    tree_gauge_connection,
     tree_gauge_potential,
     velocity,
     wrap_angle,

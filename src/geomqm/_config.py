@@ -35,13 +35,16 @@ _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "mapping"
 def typed(value, kind, path):
     """`value` read as `kind`, "list of <kind>" for a list; a profile
     grammar name passes unchecked.  A bool or a string is not a number;
-    an int is read as a float where a float is expected."""
+    an int is read as a float where a float is expected, and a float must
+    be finite (YAML's .nan and .inf are refused)."""
     base = kind.split()[0]
     if base not in _TYPES:
         return value
     if isinstance(value, _TYPES[base]) and (base == "bool") == isinstance(value, bool):
         if base == "list":
             return [typed(v, kind[len("list of "):], f"{path}[{i}]") for i, v in enumerate(value)]
+        if base == "float" and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite float, got {value!r}")
         return float(value) if base == "float" else value
     raise ConfigError(f"{path}: expected {kind}, got {type(value).__name__} {value!r}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeError
+from .lattice import LatticeError, _positive_definite
 
 
 class ChartExit(ValueError):
@@ -85,7 +85,7 @@ class LatticeMetricInterpolant:
 
     def __init__(self, lattice, g_inverse):
         g = np.asarray(g_inverse, dtype=float)
-        if np.min(np.linalg.eigvalsh(g)) <= 0:
+        if not _positive_definite(g):
             raise LatticeError("inverse metric must be positive definite")
         self._setup(lattice, np.linalg.inv(g))
 
@@ -270,7 +270,7 @@ def lorentzian_lift(lattice, samples, times=None, g00=-1.0):
     fields = np.asarray(samples, dtype=float)
     if fields.ndim == 3:
         fields = fields[None]
-    if np.min(np.linalg.eigvalsh(fields)) <= 0:
+    if not _positive_definite(fields):
         raise LatticeError("all metric samples must be positive definite")
     if times is None:
         times = np.arange(fields.shape[0], dtype=float)

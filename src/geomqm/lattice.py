@@ -156,7 +156,6 @@ class Lattice:
     link_axes: np.ndarray     # (n_links, 2) int
     link_diag_sign: np.ndarray  # (n_links,) int
     plaq_links: np.ndarray    # (n_plaq, 4) int
-    plaq_axes: np.ndarray     # (n_plaq, 2) int
     pi1_generators: tuple     # one closed link-index cycle per periodic axis
 
     @property
@@ -280,7 +279,6 @@ def build_lattice(spec):
         cycles[:, p, 3] = link_table[dst[cycles[:, p, 2]], 2 * l + 1]
     has_plaq = (link_table[:, 2 * planes[:, 0]] >= 0) & (link_table[:, 2 * planes[:, 1]] >= 0)
     plaq_links = cycles[has_plaq]
-    plaq_axes = np.broadcast_to(planes, cycles.shape[:2] + (2,))[has_plaq]
 
     # pi_1 generator of periodic axis k: the +e_k links along the axis
     # through the origin
@@ -301,7 +299,6 @@ def build_lattice(spec):
         link_axes=step_axes[col],
         link_diag_sign=step_signs[col],
         plaq_links=plaq_links,
-        plaq_axes=plaq_axes,
     )
     for arr in (*arrays.values(), *gens):
         arr.setflags(write=False)
@@ -361,6 +358,12 @@ def connection_from_components(lattice, component_funcs):
     for k, fn in enumerate(component_funcs):
         theta += fn(mid) * lattice.link_disp[:, k]
     return theta
+
+
+def _positive_definite(g):
+    """Whether every matrix of a (..., d, d) stack is finite and positive
+    definite; a NaN entry fails (eigvalsh does not reliably return NaN for it)."""
+    return bool(np.isfinite(g).all() and np.min(np.linalg.eigvalsh(g)) > 0)
 
 
 def constant_metric(lattice, matrix=None):

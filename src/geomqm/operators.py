@@ -29,6 +29,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .lattice import _positive_definite, scalar_field
+
 PHASE_LIMIT = np.pi / 2  # per-link phases must stay inside (-pi/2, pi/2)
 DENSE_LIMIT = 4096  # largest dimension of a dense spectrum or propagator
 
@@ -79,14 +81,7 @@ def _site_matrix(lattice, x):
 
 def mult_op(lattice, f):
     """Multiplication operator: the diagonal matrix of a scalar field."""
-    return HermitianOperator(sp.diags(_site_field(lattice, f).astype(complex)).tocsr())
-
-
-def _site_field(lattice, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (lattice.n_sites,):
-        raise OperatorError("field length does not match site count")
-    return f
+    return HermitianOperator(sp.diags(scalar_field(lattice, f).astype(complex)).tocsr())
 
 
 def identity_op(lattice):
@@ -108,19 +103,23 @@ def link_couplings(lattice, g, m):
     if m <= 0:
         raise OperatorError(f"mass must be positive, got {m}")
     g = np.asarray(g, dtype=float)
-    if np.min(np.linalg.eigvalsh(g)) <= 0:
+    if not _positive_definite(g):
         raise OperatorError("inverse metric must be positive definite at every site")
-    i, j = lattice.link_src, lattice.link_dst
+    return _link_mean(lattice, g) / _link_weights(lattice, m)
+
+
+def _link_mean(lattice, g):
+    """Per-link mean (g^kl_i + g^kl_j) / 2 of the metric entry of the link's class."""
+    k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
+    return 0.5 * (g[lattice.link_src, k, l] + g[lattice.link_dst, k, l])
+
+
+def _link_weights(lattice, m):
+    """Stencil weight w, with c = link mean / w: 2 m h_k^2 on axis links,
+    4 m h_k h_l s on diagonals (s = +-1, so dividing by it is exact)."""
     k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
     h = np.asarray(lattice.spacings)
-    gbar = 0.5 * (g[i, k, l] + g[j, k, l])
-    axis = k == l
-    c = np.where(
-        axis,
-        gbar / (2.0 * m * h[k] ** 2),
-        lattice.link_diag_sign * gbar / (4.0 * m * h[k] * h[l]),
-    )
-    return c
+    return np.where(k == l, 2.0 * m * h[k] ** 2, 4.0 * m * h[k] * h[l] * lattice.link_diag_sign)
 
 
 def covariant_laplacian(lattice, g, A=None, m=1.0):
@@ -149,12 +148,13 @@ def build_hamiltonian(lattice, g, A, phi, m):
         )
     diagonal = _stencil_diagonal(lattice, c)
     if phi is not None:
-        diagonal = diagonal + _site_field(lattice, phi)
+        diagonal = diagonal + scalar_field(lattice, phi)
     return _assemble(lattice, c, theta, diagonal)
 
 
 def _stencil_diagonal(lattice, c):
-    """Sum of the link amplitudes leaving each site (zero row sums of Delta(0, g))."""
+    """Sum of a link field over the links leaving each site; of the link
+    amplitudes, the diagonal that gives Delta(0, g) zero row sums."""
     return np.bincount(lattice.link_src, weights=c, minlength=lattice.n_sites)
 
 

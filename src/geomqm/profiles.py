@@ -126,7 +126,8 @@ def metric_profile(lattice, component_specs):
             raise ProfileError(f"fields.metric: bad component key {key!r}") from exc
         if not (0 <= k < d and 0 <= l < d):
             raise ProfileError(f"fields.metric: component {key!r} outside dimension {d}")
-        components.append((k, l, resolve_profile(spec, lattice, f"fields.metric.{key}")))
+        path = f"fields.metric.components.{key}"
+        components.append((k, l, resolve_profile(spec, lattice, path)))
 
     def g(X):
         out = np.empty(X.shape[:-1] + (d, d))

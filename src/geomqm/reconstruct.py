@@ -33,6 +33,8 @@ from .operators import (
     _asmat,
     _assemble,
     _commutant_defect,
+    _link_mean,
+    _link_weights,
     _site_matrix,
     _stencil_diagonal,
     build_hamiltonian,
@@ -189,26 +191,16 @@ def reassemble(lattice, dec):
     return _assemble(lattice, dec.couplings, dec.phases, dec.diagonal)
 
 
-def reconstruct_metric(lattice, H, m, dec=None):
-    """Inverse-metric field from the covariant double-commutator row sums.
+def reconstruct_metric(lattice, dec, m):
+    """Inverse-metric field of a decomposition, for mass m.
 
     Per site and component: g^kl(i) is the average over the incident
-    links of class (k, l) of the per-link value m * dx_k dx_l c / w,
-    with w the stencil weight (h_k^2 / 2 on axis links, s h_k h_l / 4 on
-    diagonals).  This recovers exactly the link-averaged metric the
-    builder consumed.  Result symmetrized into both triangles.
+    links of class (k, l) of the link mean w * c, with w the builder's
+    stencil weight (2 m h_k^2 on axis links, 4 m h_k h_l s on diagonals).
+    This recovers exactly the link-averaged metric the builder consumed.
+    Result symmetrized into both triangles.
     """
-    if dec is None:
-        dec = peierls_decompose(lattice, H)
-    k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
-    h = np.asarray(lattice.spacings)
-    axis = k == l
-    gl = np.where(
-        axis,
-        2.0 * m * h[k] ** 2 * dec.couplings,
-        4.0 * m * h[k] * h[l] * lattice.link_diag_sign * dec.couplings,
-    )
-    return _incident_link_average(lattice, gl)
+    return _incident_link_average(lattice, _link_weights(lattice, m) * dec.couplings)
 
 
 def link_average_metric(lattice, g):
@@ -217,11 +209,7 @@ def link_average_metric(lattice, g):
     This is the part of g the stencil can see; reconstruction reproduces
     it exactly on round trips.
     """
-    k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
-    g = np.asarray(g, dtype=float)
-    return _incident_link_average(
-        lattice, 0.5 * (g[lattice.link_src, k, l] + g[lattice.link_dst, k, l])
-    )
+    return _incident_link_average(lattice, _link_mean(lattice, np.asarray(g, dtype=float)))
 
 
 def _incident_link_average(lattice, gl):
@@ -273,22 +261,14 @@ def wrap_angle(x):
     return np.where(w == -np.pi, np.pi, w)
 
 
-def reconstruct_connection(lattice, dec, gauge="asis"):
-    """Connection phase LinkField from a decomposition.
-
-    gauge="asis" returns the decomposed phases; gauge="tree" returns the
-    canonical tree-gauge representative (phases wrapped to (-pi, pi]).
-    """
-    theta = dec.phases.copy()
-    if gauge == "asis":
-        return theta
-    if gauge == "tree":
-        chi = tree_gauge_potential(lattice, theta)
-        out = wrap_angle(theta + d0(lattice, chi))
-        # phases are only determined on the coupling support
-        out[dec.couplings == 0.0] = 0.0
-        return out
-    raise ValueError(f"unknown gauge {gauge!r}")
+def tree_gauge_connection(lattice, dec):
+    """The canonical tree-gauge representative of a decomposition's
+    phases, wrapped to (-pi, pi]; the decomposed phases themselves are
+    dec.phases."""
+    out = wrap_angle(dec.phases + d0(lattice, tree_gauge_potential(lattice, dec.phases)))
+    # phases are only determined on the coupling support
+    out[dec.couplings == 0.0] = 0.0
+    return out
 
 
 def reconstruct_potential(lattice, dec):
@@ -317,14 +297,6 @@ def tree_gauge_canonicalize(lattice, H):
     return gauge_transform(H, chi)
 
 
-def _row_sum_field(lattice, c, da_link, db_link):
-    return np.bincount(
-        lattice.link_src,
-        weights=da_link * db_link * c,
-        minlength=lattice.n_sites,
-    )
-
-
 def cure_residual(lattice, H, a, b, psi):
     """Multiplication-operator defect of [mult(a), [H, mult(b)]] on psi.
 
@@ -339,7 +311,7 @@ def cure_residual(lattice, H, a, b, psi):
         raise ValueError("test vector must be normalized")
     c = _link_couplings(lattice, _link_entries(lattice, H))
     M = commutator(mult_op(lattice, a).mat, commutator(_asmat(H), mult_op(lattice, b).mat))
-    s = _row_sum_field(lattice, c, d0(lattice, a), d0(lattice, b))
+    s = _stencil_diagonal(lattice, d0(lattice, a) * d0(lattice, b) * c)
     return float(np.linalg.norm(M @ psi - s * psi))
 
 
@@ -367,7 +339,7 @@ def _coordinate_cures(lattice, entries, c, psi, pairs):
     for k, l in pairs:
         # [a,[H,b]]_ij = -(a_j - a_i)(b_j - b_i) H_ij, zero diagonal
         M = sp.csr_matrix((-dx[:, k] * dx[:, l] * vals, (rows, cols)), shape=(n, n))
-        s = _row_sum_field(lattice, c, lattice.link_disp[:, k], lattice.link_disp[:, l])
+        s = _stencil_diagonal(lattice, lattice.link_disp[:, k] * lattice.link_disp[:, l] * c)
         out.append(((k, l), float(np.linalg.norm(M @ psi - s * psi))))
     return tuple(out)
 
@@ -375,9 +347,7 @@ def _coordinate_cures(lattice, entries, c, psi, pairs):
 def metric_row_sum_field(lattice, H, m, k, l):
     """m * covariant row sums for coordinate pair (k, l): a g^kl witness."""
     c = _link_couplings(lattice, _link_entries(lattice, H))
-    return m * _row_sum_field(
-        lattice, c, lattice.link_disp[:, k], lattice.link_disp[:, l]
-    )
+    return m * _stencil_diagonal(lattice, lattice.link_disp[:, k] * lattice.link_disp[:, l] * c)
 
 
 def default_test_vector(lattice):
@@ -439,8 +409,7 @@ def reconstruction_report(lattice, H, m, truth=None):
     errors are NaN.
     """
     dec = peierls_decompose(lattice, H)
-    g_rec = reconstruct_metric(lattice, H, m, dec=dec)
-    theta_rec = reconstruct_connection(lattice, dec)
+    g_rec = reconstruct_metric(lattice, dec, m)
     phi_rec = reconstruct_potential(lattice, dec)
     e_g = e_F = e_phi = float("nan")
     if truth is not None:
@@ -449,14 +418,14 @@ def reconstruction_report(lattice, H, m, truth=None):
         e_F = 0.0
         if len(lattice.plaq_links):
             e_F = float(
-                np.max(np.abs(plaquette_sums(lattice, theta_rec)
+                np.max(np.abs(plaquette_sums(lattice, dec.phases)
                               - plaquette_sums(lattice, theta_in)))
             )
         e_phi = float(np.max(np.abs(phi_rec - phi_in)))
     return ReconstructionReport(
         g_rec=g_rec,
-        A_rec=theta_rec,
-        A_rec_tree_gauge=reconstruct_connection(lattice, dec, gauge="tree"),
+        A_rec=dec.phases,
+        A_rec_tree_gauge=tree_gauge_connection(lattice, dec),
         phi_rec=phi_rec,
         e_g=e_g,
         e_F=e_F,

@@ -23,7 +23,7 @@ import yaml
 
 from . import evolution, geometry, holonomy, maxwell, operators, reconstruct
 from ._config import COUNT, POSITIVE, REQUIRED, ConfigError, Key, read_keys
-from .lattice import TOPOLOGIES, LatticeError, LatticeSpec, build_lattice
+from .lattice import TOPOLOGIES, LatticeError, LatticeSpec, _positive_definite, build_lattice
 from .profiles import (
     GRAMMAR,
     connection_from_profiles,
@@ -202,7 +202,7 @@ def validate_config(doc):
     g = metric_from_profiles(lattice, cfg.get("fields.metric.components"))
     # geodesic metrics are evaluated analytically along the path, not
     # at lattice sites, so sitewise positive definiteness is not required
-    if cfg["task"] != "geodesic" and np.min(np.linalg.eigvalsh(g)) <= 0:
+    if cfg["task"] != "geodesic" and not _positive_definite(g):
         raise ConfigError("fields.metric: profiles give a non-positive-definite metric")
     try:
         theta = connection_from_profiles(lattice, {
@@ -264,6 +264,12 @@ def _check(report, name, value, tolerance):
     report.checks.append(Check(name, bool(value <= tolerance), float(value), tolerance))
 
 
+def _worst(*values):
+    """The largest value as a float, NaN if any is NaN, so the check it
+    feeds fails (Python's max drops a NaN that is not its first argument)."""
+    return float(np.max(values))
+
+
 def _task_build(cfg, lattice, fields, seed, tol_scale, out, report):
     g, theta, phi = fields
     m = cfg["mass"]
@@ -282,7 +288,7 @@ def _task_build(cfg, lattice, fields, seed, tol_scale, out, report):
         "operator_file": "hamiltonian.txt",
     }
     _check(report, "hermiticity", val["hermiticity_defect"], _tol(cfg, "hermiticity", tol_scale))
-    lower_defect = max(0.0, float(np.min(phi)) - float(spectrum[0]))
+    lower_defect = _worst(float(np.min(phi)) - float(spectrum[0]), 0.0)
     _check(report, "spectrum_lower_bound", lower_defect, _tol(cfg, "spectrum_lower_bound", tol_scale))
 
 
@@ -394,15 +400,15 @@ def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
         pot = maxwell.assemble_potential(cx, A_series, phi_series)
         F = maxwell.d_cochain(cx, pot)
         dF = maxwell.d_cochain(cx, F)
-        worst_dF = max(worst_dF, float(np.max(np.abs(dF.values), initial=0.0)))
+        worst_dF = _worst(worst_dF, np.max(np.abs(dF.values), initial=0.0))
         j_minus = maxwell.current(cx, pot, metric_minus)
         j_plus = maxwell.current(cx, pot, metric_plus)
-        worst_cont = max(
+        worst_cont = _worst(
             worst_cont,
             maxwell.continuity_defect(cx, j_minus, metric_minus),
             maxwell.continuity_defect(cx, j_plus, metric_plus),
         )
-        worst_star = max(
+        worst_star = _worst(
             worst_star,
             maxwell.double_star_defect(cx, F, metric_minus),
             maxwell.double_star_defect(cx, F, metric_plus),

@@ -31,9 +31,9 @@ from geomqm import (
     default_test_vector,
     mult_op,
     peierls_decompose,
-    reconstruct_connection,
     reconstruct_metric,
     reconstruction_report,
+    tree_gauge_connection,
     tree_gauge_potential,
     validate_operator,
     wrap_angle,
@@ -110,7 +110,7 @@ def loop_build_lattice(spec):
     steps_of = {idx: key[1] for key, idx in lookup.items()}
     reverse = [lookup[(dst[idx], tuple(-v for v in steps_of[idx]))] for idx in range(len(src))]
 
-    plaq_links, plaq_axes = [], []
+    plaq_links = []
     for s in range(n_sites):
         c = coords[s]
         for k in range(ndim):
@@ -129,7 +129,6 @@ def loop_build_lattice(spec):
                     lookup[(d2, tuple(-ek))],
                     lookup[(e2, tuple(-el))],
                 ])
-                plaq_axes.append((k, l))
 
     gens = []
     for k in range(ndim):
@@ -153,7 +152,6 @@ def loop_build_lattice(spec):
         link_axes=np.asarray(axes, dtype=int),
         link_diag_sign=np.asarray(dsign, dtype=int),
         plaq_links=np.asarray(plaq_links, dtype=int).reshape(len(plaq_links), 4),
-        plaq_axes=np.asarray(plaq_axes, dtype=int).reshape(len(plaq_axes), 2),
     )
     return arrays, lookup, gens
 
@@ -467,14 +465,14 @@ def test_tree_gauge_matches_loop(case):
     assert_bits(tree_gauge_potential(lat, dec.phases), loop_tree_gauge_potential(lat, dec.phases))
     want = wrap_angle(dec.phases + d0(lat, loop_tree_gauge_potential(lat, dec.phases)))
     want[dec.couplings == 0.0] = 0.0
-    assert_bits(reconstruct_connection(lat, dec, gauge="tree"), want)
+    assert_bits(tree_gauge_connection(lat, dec), want)
 
 
 def composed_axiom_report(lat, H, m):
     """The axiom report composed from public calls: the metric's
     eigenvalues, one coordinate_cure_residual per coordinate pair, and the
     commutant pair of the commutator loop in loop_validate_operator."""
-    g = reconstruct_metric(lat, H, m)
+    g = reconstruct_metric(lat, peierls_decompose(lat, H), m)
     mins = np.linalg.eigvalsh(g).min(axis=1) if lat.ndim > 1 else g[:, 0, 0]
     psi = default_test_vector(lat)
     cures = tuple(((k, l), coordinate_cure_residual(lat, H, k, l, psi))

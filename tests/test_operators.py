@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from geomqm import (
+    LatticeError,
     LatticeSpec,
     OperatorError,
     build_hamiltonian,
@@ -110,6 +111,16 @@ def test_constant_potential_shifts_spectrum(ring4):
     base = eigenvalues(build_hamiltonian(ring4, g, None, None, 1.0))
     shifted = eigenvalues(build_hamiltonian(ring4, g, None, np.full(4, 2.5), 1.0))
     assert np.allclose(shifted, base + 2.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_potential_is_refused(ring4, bad):
+    phi = np.zeros(4)
+    phi[2] = bad
+    with pytest.raises(LatticeError, match="non-finite"):
+        build_hamiltonian(ring4, constant_metric(ring4), None, phi, 1.0)
+    with pytest.raises(LatticeError, match="non-finite"):
+        mult_op(ring4, phi)
 
 
 @pytest.mark.parametrize("alpha", [0.7, np.pi, -1.2])

@@ -28,12 +28,12 @@ from geomqm import (
     peierls_decompose,
     plaquette_sums,
     reassemble,
-    reconstruct_connection,
     reconstruct_metric,
     reconstruct_potential,
     roundtrip_report,
     row_sum_field,
     tree_gauge_canonicalize,
+    tree_gauge_connection,
     validate_operator,
     velocity,
     wrap_angle,
@@ -127,7 +127,7 @@ def test_peierls_phase_ambiguity():
 
 def test_flat_ring_metric_exact():
     lat = build_lattice(LatticeSpec("ring", (8,), (1.0,)))
-    g = reconstruct_metric(lat, free_hamiltonian(lat), 1.0)
+    g = reconstruct_metric(lat, peierls_decompose(lat, free_hamiltonian(lat)), 1.0)
     assert np.max(np.abs(g[:, 0, 0] - 1.0)) == 0.0
 
 
@@ -139,7 +139,8 @@ def test_sine_metric_pointwise_convergence():
         x = lat.positions[:, 0]
         g = (1.0 + 0.3 * np.sin(2 * np.pi * x)).reshape(-1, 1, 1)
         H = covariant_laplacian(lat, g, None, 1.0)
-        errs.append(np.max(np.abs(reconstruct_metric(lat, H, 1.0)[:, 0, 0] - g[:, 0, 0])))
+        g_rec = reconstruct_metric(lat, peierls_decompose(lat, H), 1.0)
+        errs.append(np.max(np.abs(g_rec[:, 0, 0] - g[:, 0, 0])))
     assert 3.2 < errs[0] / errs[1] < 4.8
     assert 3.2 < errs[1] / errs[2] < 4.8
 
@@ -148,7 +149,7 @@ def test_torus_constant_cross_term_exact():
     lat = build_lattice(LatticeSpec("torus", (6, 6), (1.0, 1.0)))
     g = constant_metric(lat, np.array([[1.0, 0.2], [0.2, 1.0]]))
     H = covariant_laplacian(lat, g, None, 1.0)
-    g_rec = reconstruct_metric(lat, H, 1.0)
+    g_rec = reconstruct_metric(lat, peierls_decompose(lat, H), 1.0)
     assert np.max(np.abs(g_rec[:, 0, 1] - 0.2)) < 1e-10
     assert np.max(np.abs(g_rec[:, 1, 0] - 0.2)) < 1e-10
 
@@ -185,7 +186,7 @@ def test_row_sum_bilinearity_constant_rescale():
 def test_zero_connection_reconstructs_zero():
     lat = interval(8)
     dec = peierls_decompose(lat, free_hamiltonian(lat))
-    assert np.max(np.abs(reconstruct_connection(lat, dec))) == 0.0
+    assert np.max(np.abs(dec.phases)) == 0.0
 
 
 def test_pure_gauge_tree_representative_vanishes():
@@ -193,7 +194,7 @@ def test_pure_gauge_tree_representative_vanishes():
     chi = np.sin(np.arange(lat.n_sites) * 0.61)
     H = build_hamiltonian(lat, constant_metric(lat), 0.4 * d0(lat, chi), None, 1.0)
     dec = peierls_decompose(lat, H)
-    tree = reconstruct_connection(lat, dec, gauge="tree")
+    tree = tree_gauge_connection(lat, dec)
     assert np.max(np.abs(tree)) < 1e-12
     assert np.max(np.abs(plaquette_sums(lat, dec.phases))) < 1e-13
 
@@ -204,7 +205,7 @@ def test_ring_flux_holonomy_recovered():
     H = build_hamiltonian(lat, constant_metric(lat), flat_connection(lat, (alpha,)), None, 1.0)
     dec = peierls_decompose(lat, H)
     (cycle,) = generators_pi1(lat)
-    hol = loop_holonomy(lat, reconstruct_connection(lat, dec), cycle)
+    hol = loop_holonomy(lat, dec.phases, cycle)
     assert abs(hol - alpha) < 1e-12
 
 
@@ -333,8 +334,8 @@ def test_gauge_transform_shifts_connection_by_exact_form():
     H = build_hamiltonian(lat, constant_metric(lat), flat_connection(lat, (0.4,)), None, 1.0)
     rng = np.random.default_rng(6)
     chi = rng.uniform(-0.4, 0.4, lat.n_sites)
-    t0 = reconstruct_connection(lat, peierls_decompose(lat, H))
-    t1 = reconstruct_connection(lat, peierls_decompose(lat, gauge_transform(H, chi)))
+    t0 = peierls_decompose(lat, H).phases
+    t1 = peierls_decompose(lat, gauge_transform(H, chi)).phases
     assert np.max(np.abs((t1 - t0) - d0(lat, chi))) < 1e-12
 
 
@@ -345,7 +346,7 @@ def test_observables_gauge_invariant():
     phi = 0.3 * np.cos(2 * np.pi * lat.positions[:, 0] / 6)
     H = build_hamiltonian(lat, g, theta, phi, 1.0)
     dec0 = peierls_decompose(lat, H)
-    g0 = reconstruct_metric(lat, H, 1.0, dec=dec0)
+    g0 = reconstruct_metric(lat, dec0, 1.0)
     F0 = plaquette_sums(lat, dec0.phases)
     phi0 = reconstruct_potential(lat, dec0)
     rng = np.random.default_rng(8)
@@ -353,7 +354,7 @@ def test_observables_gauge_invariant():
         chi = rng.uniform(-0.3, 0.3, lat.n_sites)
         Hg = gauge_transform(H, chi)
         dec = peierls_decompose(lat, Hg)
-        assert np.max(np.abs(reconstruct_metric(lat, Hg, 1.0, dec=dec) - g0)) < 1e-10
+        assert np.max(np.abs(reconstruct_metric(lat, dec, 1.0) - g0)) < 1e-10
         assert np.max(np.abs(plaquette_sums(lat, dec.phases) - F0)) < 1e-10
         assert np.max(np.abs(reconstruct_potential(lat, dec) - phi0)) < 1e-10
 
@@ -419,7 +420,7 @@ def test_link_average_reference_matches_reconstruction():
     g[:, 1, 1] = 1.0 + 0.2 * rng.random(lat.n_sites)
     g[:, 0, 1] = g[:, 1, 0] = 0.1 * rng.random(lat.n_sites)
     H = covariant_laplacian(lat, g, None, 1.0)
-    g_rec = reconstruct_metric(lat, H, 1.0)
+    g_rec = reconstruct_metric(lat, peierls_decompose(lat, H), 1.0)
     assert np.max(np.abs(g_rec - link_average_metric(lat, g))) < 1e-12
 
 

@@ -2,8 +2,23 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from geomqm import (
+    LatticeError,
+    LatticeMetricInterpolant,
+    LatticeSpec,
+    OperatorError,
+    build_lattice,
+    constant_metric,
+    lorentzian_lift,
+    maxwell,
+    operators,
+    reconstruct,
+    scenario,
+)
 from geomqm.cli import main
+from geomqm.operators import HermitianOperator, link_couplings
 from geomqm.scenario import ConfigError, load_config, run_scenario, validate_config
 
 ROUNDTRIP_YAML = """\
@@ -629,3 +644,108 @@ def test_probe_delta_above_half_the_duration_is_a_config_error(tmp_path, capsys)
     assert main(["run", str(path), "--out", str(tmp_path / "edge")]) == 0
     payload = json.loads((tmp_path / "edge" / "report.json").read_text())["payload"]
     assert 0 < payload["heisenberg_residual"] < 1
+
+
+RING6 = "lattice: {topology: ring, sizes: [6], spacings: [1.0]}\nmass: 1.0\n"
+NAN_METRIC = 'fields: {metric: {components: {"0,0": {profile: constant, value: .nan}}}}\n'
+
+
+@pytest.mark.parametrize("task, fields, path", [
+    ("maxwell", NAN_METRIC, "fields.metric.components.0,0.value"),
+    ("roundtrip", NAN_METRIC, "fields.metric.components.0,0.value"),
+    ("build", NAN_METRIC, "fields.metric.components.0,0.value"),
+    ("roundtrip", "fields: {potential: {profile: sine, amplitude: .inf, axis: 0}}\n",
+     "fields.potential.amplitude"),
+])
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, task, fields, path):
+    # YAML's .nan and .inf used to reach the numerics: maxwell passed,
+    # roundtrip failed e_g or e_phi with nan, build died inside scipy
+    doc = write(tmp_path, "doc.yaml", RING6 + f"task: {task}\n" + fields)
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: expected a finite float" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _nan_metric(topology, sizes, entries):
+    lat = build_lattice(LatticeSpec(topology, sizes, (1.0,) * len(sizes)))
+    g = constant_metric(lat)
+    for k, l in entries:
+        g[1, k, l] = np.nan
+    return lat, g
+
+
+def _validate_with_metric(monkeypatch, lat, g):
+    monkeypatch.setattr(scenario, "metric_from_profiles", lambda lattice, spec: g)
+    spec = lat.spec
+    validate_config({"lattice": {"topology": spec.topology, "sizes": list(spec.sizes),
+                                 "spacings": list(spec.spacings)},
+                     "mass": 1.0, "task": "build"})
+
+
+@pytest.mark.parametrize("refuse, error", [
+    (lambda mp, lat, g: link_couplings(lat, g, 1.0), OperatorError),
+    (lambda mp, lat, g: LatticeMetricInterpolant(lat, g), LatticeError),
+    (lambda mp, lat, g: lorentzian_lift(lat, g), LatticeError),
+    (_validate_with_metric, ConfigError),
+], ids=["link_couplings", "interpolant", "lorentzian_lift", "validate_config"])
+@pytest.mark.parametrize("topology, sizes, entries", [
+    ("ring", (6,), [(0, 0)]),
+    ("torus", (4, 4), [(0, 1), (1, 0)]),
+], ids=["ring", "torus-cross"])
+def test_nan_metric_entry_fails_every_positivity_test(monkeypatch, refuse, error,
+                                                       topology, sizes, entries):
+    # np.min(eigvalsh(g)) <= 0 is False for a NaN minimum, which eigvalsh
+    # returns for both of these
+    lat, g = _nan_metric(topology, sizes, entries)
+    with pytest.raises(error, match="positive"):
+        refuse(monkeypatch, lat, g)
+
+
+def test_nan_continuity_defect_fails_the_maxwell_check(tmp_path, capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: a worst-of accumulator must keep the NaN
+    monkeypatch.setattr(maxwell, "continuity_defect", lambda *args: float("nan"))
+    doc = write(tmp_path, "mx.yaml", RING6 + "task: maxwell\n")
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL continuity: nan" in out and "PASS dF:" in out
+
+
+def _anti_hermitian_diagonal(assemble):
+    def faulty(lattice, couplings, phases, diagonal):
+        op = assemble(lattice, couplings, phases, diagonal)
+        return HermitianOperator(op.mat + 1e-6j * sp.identity(op.dim, format="csr"))
+    return faulty
+
+
+def _shifted_down(eigenvalues):
+    return lambda op: eigenvalues(op) - 1.0
+
+
+def _one_phase_perturbed(decompose):
+    def faulty(lattice, H):
+        dec = decompose(lattice, H)
+        dec.phases[0] += 0.1
+        dec.phases[lattice.link_reverse[0]] -= 0.1
+        return dec
+    return faulty
+
+
+def _offset(potential):
+    return lambda lattice, dec: potential(lattice, dec) + 0.1
+
+
+@pytest.mark.parametrize("check, task, module, name, fault", [
+    ("hermiticity", "build", operators, "_assemble", _anti_hermitian_diagonal),
+    ("spectrum_lower_bound", "build", operators, "eigenvalues", _shifted_down),
+    ("e_F", "roundtrip", reconstruct, "peierls_decompose", _one_phase_perturbed),
+    ("e_phi", "roundtrip", reconstruct, "reconstruct_potential", _offset),
+], ids=["hermiticity", "spectrum_lower_bound", "e_F", "e_phi"])
+def test_injected_fault_fails_its_check(tmp_path, capsys, monkeypatch, check, task, module,
+                                        name, fault):
+    # negative controls: each fault breaks exactly what its check measures
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    doc = write(tmp_path, "doc.yaml",
+                "lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
+                f"mass: 1.0\ntask: {task}\n")
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 1
+    assert f"FAIL {check}:" in capsys.readouterr().out
