@@ -86,7 +86,7 @@ class LatticeMetricInterpolant:
     def __init__(self, lattice, g_inverse):
         g = np.asarray(g_inverse, dtype=float)
         if not _positive_definite(g):
-            raise LatticeError("inverse metric must be positive definite")
+            raise LatticeError("inverse metric must be symmetric positive definite")
         self._setup(lattice, np.linalg.inv(g))
 
     @classmethod
@@ -271,7 +271,7 @@ def lorentzian_lift(lattice, samples, times=None, g00=-1.0):
     if fields.ndim == 3:
         fields = fields[None]
     if not _positive_definite(fields):
-        raise LatticeError("all metric samples must be positive definite")
+        raise LatticeError("all metric samples must be symmetric positive definite")
     if times is None:
         times = np.arange(fields.shape[0], dtype=float)
     times = np.asarray(times, dtype=float)

@@ -34,6 +34,7 @@ threads.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -94,13 +95,14 @@ class LatticeSpec:
         return TOPOLOGIES[self.topology][1]
 
 
-def _stencil(ndim):
-    """Stencil steps in link order, with their link classes.
+_Stencil = namedtuple("_Stencil", "steps axes signs column")
 
-    Axis steps +e_k, -e_k for each axis k, then the sign combinations
-    (+,+), (+,-), (-,+), (-,-) of every plane diagonal (k, l), k < l.
-    Returns (steps (n_steps, d), axes (n_steps, 2), diagonal signs).
-    """
+
+def _stencil(ndim):
+    """Stencil steps in link order, their axis pairs and diagonal signs:
+    axis steps +e_k, -e_k for each axis k, then the sign combinations
+    (+,+), (+,-), (-,+), (-,-) of every plane diagonal (k, l), k < l;
+    column[s + 1] is the link_table column of step s, -1 off the stencil."""
     e = np.eye(ndim, dtype=int)
     steps = [sk * e[k] for k in range(ndim) for sk in (1, -1)]
     axes = [(k, k) for k in range(ndim) for _ in (1, -1)]
@@ -110,17 +112,15 @@ def _stencil(ndim):
             steps.append(sk * e[k] + sl * e[l])
             axes.append((k, l))
             signs.append(sk * sl)
-    return np.array(steps), np.array(axes), np.array(signs)
+    column = np.full((3,) * ndim, -1)
+    column[tuple(np.transpose(steps) + 1)] = np.arange(len(steps))
+    stencil = _Stencil(np.array(steps), np.array(axes), np.array(signs), column)
+    for arr in stencil:  # shared by every lattice of the dimension
+        arr.setflags(write=False)
+    return stencil
 
 
 _STENCILS = {d: _stencil(d) for d in (1, 2, 3)}
-# stencil step tuple -> column of Lattice.link_table (the tuple length
-# is the dimension, so one map serves every dimension)
-_STEP_COLUMN = {
-    tuple(int(v) for v in step): col
-    for steps, _, _ in _STENCILS.values()
-    for col, step in enumerate(steps)
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +136,11 @@ class Lattice:
     raises KeyError where no link exists (step off the stencil, step cut
     by a boundary, site out of range).
 
-    Link arrays are aligned: link i runs link_src[i] -> link_dst[i] with
-    minimal-image displacement link_disp[i] (shape (d,)) and reverse
-    partner link_reverse[i].  link_axes[i] = (k, k) for an axis-k link
-    and (k, l), k < l, for a plane diagonal; link_diag_sign[i] is the
-    product of the two step signs on a diagonal (+1 on axis links).
+    Link arrays are aligned: link i runs link_src[i] -> link_dst[i] along
+    stencil column link_step[i], with reverse partner link_reverse[i].
+    Row link_step[i] of the stencil tables is the link's class: its step
+    (times the spacings, its minimal-image displacement), axis pair ((k, k)
+    or (k, l), k < l) and diagonal sign (+1 on axis links).
     plaq_links[p] holds the four directed links traversing plaquette p's
     boundary (all with coefficient +1 against antisymmetric LinkFields).
     """
@@ -151,12 +151,11 @@ class Lattice:
     link_table: np.ndarray    # (n_sites, n_steps) int, -1 where cut
     link_src: np.ndarray      # (n_links,) int
     link_dst: np.ndarray      # (n_links,) int
-    link_disp: np.ndarray     # (n_links, d) float
+    link_step: np.ndarray     # (n_links,) int, link_table column
     link_reverse: np.ndarray  # (n_links,) int
-    link_axes: np.ndarray     # (n_links, 2) int
-    link_diag_sign: np.ndarray  # (n_links,) int
     plaq_links: np.ndarray    # (n_plaq, 4) int
     pi1_generators: tuple     # one closed link-index cycle per periodic axis
+    stencil: tuple            # per-step tables steps, axes, signs, column (_stencil)
 
     @property
     def ndim(self):
@@ -191,10 +190,9 @@ class Lattice:
         Raises KeyError where there is none (see the class docstring).
         """
         site, step = int(site), tuple(step)
-        col = _STEP_COLUMN.get(step) if len(step) == self.coords.shape[1] else None
-        if col is not None and 0 <= site < len(self.coords):
-            link = self.link_table.item(site, col)
-            if link >= 0:
+        if len(step) == self.ndim and set(step) <= {-1, 0, 1} and 0 <= site < self.n_sites:
+            col = self.stencil.column[tuple(int(v) + 1 for v in step)]
+            if col >= 0 and (link := self.link_table.item(site, col)) >= 0:
                 return link
         raise KeyError((site, step))
 
@@ -257,7 +255,7 @@ def build_lattice(spec):
     positions = coords * spacings
     n_sites = len(coords)
 
-    steps, step_axes, step_signs = _STENCILS[ndim]
+    steps, _, _, column = _STENCILS[ndim]
     target = coords[:, None, :] + steps[None, :, :]  # (n_sites, n_steps, d)
     inside = np.all(((target >= 0) & (target < sizes)) | periodic, axis=-1)
     target_site = np.ravel_multi_index(tuple(np.moveaxis(target, -1, 0)), sizes, mode="wrap")
@@ -265,8 +263,7 @@ def build_lattice(spec):
     link_table = np.full(inside.shape, -1, dtype=int)
     link_table[src, col] = np.arange(len(src))
     dst = target_site[src, col]
-    reverse_col = np.array([_STEP_COLUMN[tuple(int(v) for v in -s)] for s in steps])
-    reverse = link_table[dst, reverse_col[col]]
+    reverse = link_table[dst, column[tuple(1 - steps.T)][col]]
 
     # plaquette of plane (k, l) at site s: s -> s+e_k -> s+e_k+e_l -> s+e_l -> s,
     # where steps +e_k and -e_k are link_table columns 2k and 2k + 1
@@ -294,15 +291,13 @@ def build_lattice(spec):
         link_table=link_table,
         link_src=src,
         link_dst=dst,
-        link_disp=steps[col] * spacings,
+        link_step=col,
         link_reverse=reverse,
-        link_axes=step_axes[col],
-        link_diag_sign=step_signs[col],
         plaq_links=plaq_links,
     )
     for arr in (*arrays.values(), *gens):
         arr.setflags(write=False)
-    return Lattice(spec=spec, pi1_generators=gens, **arrays)
+    return Lattice(spec=spec, pi1_generators=gens, stencil=_STENCILS[ndim], **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +348,19 @@ def connection_from_components(lattice, component_funcs):
     Midpoint rule: theta_l = sum_k A_k(midpoint) * disp_k.  Exactly
     antisymmetric because both directions share the midpoint.
     """
-    mid = lattice.positions[lattice.link_src] + 0.5 * lattice.link_disp
+    disp = lattice.stencil.steps[lattice.link_step] * np.asarray(lattice.spacings)
+    mid = lattice.positions[lattice.link_src] + 0.5 * disp
     theta = np.zeros(lattice.n_links)
     for k, fn in enumerate(component_funcs):
-        theta += fn(mid) * lattice.link_disp[:, k]
+        theta += fn(mid) * disp[:, k]
     return theta
 
 
 def _positive_definite(g):
-    """Whether every matrix of a (..., d, d) stack is finite and positive
-    definite; a NaN entry fails (eigvalsh does not reliably return NaN for it)."""
-    return bool(np.isfinite(g).all() and np.min(np.linalg.eigvalsh(g)) > 0)
+    """Whether every matrix of a (..., d, d) stack is finite, symmetric to link_field's
+    tolerance and positive definite: eigvalsh reads one triangle and may pass a NaN."""
+    return bool(np.isfinite(g).all() and np.min(np.linalg.eigvalsh(g)) > 0
+                and np.abs(g - np.swapaxes(g, -1, -2)).max() <= 1e-12 * max(1.0, np.abs(g).max()))
 
 
 def constant_metric(lattice, matrix=None):

@@ -104,22 +104,23 @@ def link_couplings(lattice, g, m):
         raise OperatorError(f"mass must be positive, got {m}")
     g = np.asarray(g, dtype=float)
     if not _positive_definite(g):
-        raise OperatorError("inverse metric must be positive definite at every site")
+        raise OperatorError("inverse metric must be symmetric positive definite at every site")
     return _link_mean(lattice, g) / _link_weights(lattice, m)
 
 
 def _link_mean(lattice, g):
     """Per-link mean (g^kl_i + g^kl_j) / 2 of the metric entry of the link's class."""
-    k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
+    k, l = lattice.stencil.axes[lattice.link_step].T
     return 0.5 * (g[lattice.link_src, k, l] + g[lattice.link_dst, k, l])
 
 
 def _link_weights(lattice, m):
     """Stencil weight w, with c = link mean / w: 2 m h_k^2 on axis links,
     4 m h_k h_l s on diagonals (s = +-1, so dividing by it is exact)."""
-    k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
+    k, l = lattice.stencil.axes.T
     h = np.asarray(lattice.spacings)
-    return np.where(k == l, 2.0 * m * h[k] ** 2, 4.0 * m * h[k] * h[l] * lattice.link_diag_sign)
+    w = np.where(k == l, 2.0 * m * h[k] ** 2, 4.0 * m * h[k] * h[l] * lattice.stencil.signs)
+    return w[lattice.link_step]
 
 
 def covariant_laplacian(lattice, g, A=None, m=1.0):

@@ -119,33 +119,31 @@ def velocity(H, a):
 
 
 def _link_entries(lattice, H):
-    """Off-diagonal non-zeros of H as (rows, cols, values, link ids).
+    """Off-diagonal non-zeros of H as (rows, cols, values, link ids, steps).
 
-    The link of an entry (i, j) is the one link leaving i whose
-    destination is j; its id is -1 where there is none.  Refuses an
-    operator whose size is not the lattice's site count.
+    steps are the minimal-image integer steps (nnz, d) from row to column;
+    an entry's link leaves its row along its step, -1 where there is
+    none.  Refuses an operator whose size is not the lattice's site count.
     """
     mat = _site_matrix(lattice, H).tocoo()
     keep = (mat.row != mat.col) & (mat.data != 0)
     rows, cols = mat.row[keep], mat.col[keep]
-    out = lattice.link_table[rows]  # (nnz, n_steps) links leaving each row
-    hit = (out >= 0) & (lattice.link_dst[out] == cols[:, None])
-    return rows, cols, mat.data[keep], np.where(hit, out, -1).max(axis=1)
-
-
-def _amplitudes(v):
-    """Real amplitudes c of link entries v = -c exp(-i theta), |theta| < pi/2."""
-    return -np.sign(v.real) * np.hypot(v.real, v.imag)
+    steps = lattice._minimal_image_steps(rows, cols)
+    col = lattice.stencil.column[tuple(np.clip(steps, -1, 1).T + 1)]
+    links = np.where((col >= 0) & (np.abs(steps) <= 1).all(axis=1), lattice.link_table[rows, col], -1)
+    return rows, cols, mat.data[keep], links, steps
 
 
 def _link_couplings(lattice, entries):
-    """Amplitudes c on lattice links from _link_entries; other couplings ignored."""
-    _, _, vals, links = entries
+    """Real amplitudes c on lattice links of the _link_entries values
+    v = -c exp(-i theta), |theta| < pi/2; couplings off the stencil are ignored."""
+    _, _, vals, links, _ = entries
     on = links >= 0
-    if np.any(vals.real[on] == 0.0):
+    v = vals[on]
+    if np.any(v.real == 0.0):
         raise PhaseAmbiguity("phase on the pi/2 boundary")
     c = np.zeros(lattice.n_links)
-    c[links[on]] = _amplitudes(vals[on])
+    c[links[on]] = -np.sign(v.real) * np.hypot(v.real, v.imag)
     return c
 
 
@@ -163,7 +161,7 @@ def peierls_decompose(lattice, H):
     if herm > 1e-10 * max(1.0, np.max(np.abs(mat.data), initial=0.0)):
         raise OperatorError(f"operator not Hermitian (defect {herm:g})")
 
-    rows, cols, vals, links = entries = _link_entries(lattice, mat)
+    rows, cols, vals, links, _ = entries = _link_entries(lattice, mat)
     bad = np.flatnonzero((links < 0) | (vals.real == 0.0))
     if bad.size:
         i, j = rows[bad[0]], cols[bad[0]]
@@ -175,14 +173,12 @@ def peierls_decompose(lattice, H):
         raise PhaseAmbiguity(
             f"entry {i}->{j} is purely imaginary: phase on the pi/2 boundary"
         )
-    couplings = np.zeros(lattice.n_links)
+    couplings = _link_couplings(lattice, entries)
     phases = np.zeros(lattice.n_links)
+    phases[links] = -np.angle(-vals / couplings[links])
     diagonal = np.zeros(lattice.n_sites)
     ondiag = mat.row == mat.col
     diagonal[mat.row[ondiag]] = mat.data[ondiag].real
-    c = _amplitudes(vals)
-    couplings[links] = c
-    phases[links] = -np.angle(-vals / c)
     return PeierlsDecomposition(couplings, phases, diagonal, entries)
 
 
@@ -216,15 +212,14 @@ def _incident_link_average(lattice, gl):
     """Metric field whose (k, l) entry at site i averages the per-link
     values gl over the links of class (k, l) leaving i; symmetrized."""
     d = lattice.ndim
-    k, l = lattice.link_axes[:, 0], lattice.link_axes[:, 1]
+    k, l = lattice.stencil.axes[lattice.link_step].T
     out = np.zeros((lattice.n_sites, d, d))
     counts = np.zeros((lattice.n_sites, d, d))
     np.add.at(out, (lattice.link_src, k, l), gl)
     np.add.at(counts, (lattice.link_src, k, l), 1.0)
     out = np.where(counts > 0, out / np.maximum(counts, 1.0), 0.0)
-    for a in range(d):
-        for b in range(a + 1, d):
-            out[:, b, a] = out[:, a, b]
+    a, b = np.triu_indices(d, 1)
+    out[:, b, a] = out[:, a, b]
     return out
 
 
@@ -333,13 +328,13 @@ def coordinate_cure_residual(lattice, H, k, l, psi):
 def _coordinate_cures(lattice, entries, c, psi, pairs):
     """((k, l), coordinate_cure_residual) per coordinate pair, from the
     link entries of H (_link_entries) and its link amplitudes c."""
-    rows, cols, vals, _ = entries
-    dx = lattice.minimal_image_displacement(rows, cols)
-    n, out = lattice.n_sites, []
+    rows, cols, vals, _, steps = entries
+    h, n, out = lattice.spacings, lattice.n_sites, []
     for k, l in pairs:
         # [a,[H,b]]_ij = -(a_j - a_i)(b_j - b_i) H_ij, zero diagonal
-        M = sp.csr_matrix((-dx[:, k] * dx[:, l] * vals, (rows, cols)), shape=(n, n))
-        s = _stencil_diagonal(lattice, lattice.link_disp[:, k] * lattice.link_disp[:, l] * c)
+        dxx_vals = -(steps[:, k] * h[k]) * (steps[:, l] * h[l]) * vals
+        M = sp.csr_matrix((dxx_vals, (rows, cols)), shape=(n, n))
+        s = _covariant_row_sums(lattice, c, k, l)
         out.append(((k, l), float(np.linalg.norm(M @ psi - s * psi))))
     return tuple(out)
 
@@ -347,7 +342,13 @@ def _coordinate_cures(lattice, entries, c, psi, pairs):
 def metric_row_sum_field(lattice, H, m, k, l):
     """m * covariant row sums for coordinate pair (k, l): a g^kl witness."""
     c = _link_couplings(lattice, _link_entries(lattice, H))
-    return m * _stencil_diagonal(lattice, lattice.link_disp[:, k] * lattice.link_disp[:, l] * c)
+    return m * _covariant_row_sums(lattice, c, k, l)
+
+
+def _covariant_row_sums(lattice, c, k, l):
+    """Sum of x_k x_l c over the links leaving each site, x the link displacement."""
+    x = lattice.stencil.steps * np.asarray(lattice.spacings)
+    return _stencil_diagonal(lattice, (x[:, k] * x[:, l])[lattice.link_step] * c)
 
 
 def default_test_vector(lattice):

@@ -203,7 +203,7 @@ def validate_config(doc):
     # geodesic metrics are evaluated analytically along the path, not
     # at lattice sites, so sitewise positive definiteness is not required
     if cfg["task"] != "geodesic" and not _positive_definite(g):
-        raise ConfigError("fields.metric: profiles give a non-positive-definite metric")
+        raise ConfigError("fields.metric: profile metric is not symmetric positive definite")
     try:
         theta = connection_from_profiles(lattice, {
             "components": cfg.get("fields.connection.components"),

@@ -141,7 +141,8 @@ def test_acceptance_05_axiom_detection():
         rep1 = axiom_report(lat, flipped.tocsr(), 1.0)
         assert not rep1.positivity_ok
         decoupled = base.mat.tolil()
-        axis1 = (lat.link_axes[:, 0] == 1) & (lat.link_axes[:, 1] == 1)
+        k, l = lat.stencil.axes[lat.link_step].T
+        axis1 = (k == 1) & (l == 1)
         for idx in np.flatnonzero(axis1):
             decoupled[int(lat.link_src[idx]), int(lat.link_dst[idx])] = 0.0
         rep2 = axiom_report(lat, decoupled.tocsr(), 1.0)

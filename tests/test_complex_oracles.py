@@ -51,8 +51,9 @@ def _unit_step(d, k):
 
 
 def _is_canonical_axis_link(lattice, link, axis):
-    ax = lattice.link_axes[link]
-    return ax[0] == axis and ax[1] == axis and lattice.link_disp[link][axis] > 0
+    step = lattice.link_step[link]
+    ax = lattice.stencil.axes[step]
+    return ax[0] == axis and ax[1] == axis and lattice.stencil.steps[step][axis] > 0
 
 
 def loop_complex(lattice, n_t, dt):

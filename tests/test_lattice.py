@@ -52,19 +52,22 @@ def test_link_reversal_invariants():
     rev = lat.link_reverse
     assert np.all(lat.link_src[rev] == lat.link_dst)
     assert np.all(lat.link_dst[rev] == lat.link_src)
-    assert np.max(np.abs(lat.link_disp[rev] + lat.link_disp)) == 0.0
+    disp = lat.stencil.steps[lat.link_step] * np.asarray(lat.spacings)
+    assert np.max(np.abs(disp[rev] + disp)) == 0.0
     # minimal-image components bounded by half a period
     for k in range(lat.ndim):
         bound = lat.sizes[k] * lat.spacings[k] / 2
-        assert np.all(np.abs(lat.link_disp[:, k]) <= bound + 1e-12)
+        assert np.all(np.abs(disp[:, k]) <= bound + 1e-12)
 
 
 def test_diagonal_links_only_in_2d_planes():
     lat1 = ring(5)
-    assert np.all(lat1.link_axes[:, 0] == lat1.link_axes[:, 1])
+    axes1 = lat1.stencil.axes[lat1.link_step]
+    assert np.all(axes1[:, 0] == axes1[:, 1])
     lat3 = build_lattice(LatticeSpec("box3", (3, 3, 3), (1.0, 1.0, 1.0)))
-    diag = lat3.link_axes[:, 0] != lat3.link_axes[:, 1]
-    disp = lat3.link_disp[diag]
+    axes3 = lat3.stencil.axes[lat3.link_step]
+    diag = axes3[:, 0] != axes3[:, 1]
+    disp = lat3.stencil.steps[lat3.link_step][diag] * np.asarray(lat3.spacings)
     # every diagonal displacement touches exactly two axes
     assert np.all((disp != 0).sum(axis=1) == 2)
 
@@ -125,7 +128,7 @@ def test_pi1_cycles_closed_with_full_period():
             # closed chain of links, start site = end site
             assert np.all(lat.link_dst[cycle[:-1]] == lat.link_src[cycle[1:]])
             assert lat.link_dst[cycle[-1]] == lat.link_src[cycle[0]]
-            total = lat.link_disp[cycle].sum(axis=0)
+            total = (lat.stencil.steps[lat.link_step[cycle]] * np.asarray(spacings)).sum(axis=0)
             expect = np.zeros(lat.ndim)
             expect[k] = sizes[k] * spacings[k]
             assert np.allclose(total, expect, rtol=0, atol=1e-12)
@@ -161,6 +164,7 @@ def test_minimal_image_matches_link_displacement():
     for idx in range(0, lat.n_links, 7):
         i, j = int(lat.link_src[idx]), int(lat.link_dst[idx])
         assert np.allclose(
-            lat.minimal_image_displacement(i, j), lat.link_disp[idx], atol=1e-14
+            lat.minimal_image_displacement(i, j),
+            lat.stencil.steps[lat.link_step[idx]] * np.asarray(lat.spacings), atol=1e-14
         )
         assert lat.graph_distance(i, j) == 1

@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from geomqm import (
+    Lattice,
     LatticeSpec,
     LocalityViolation,
     OperatorError,
@@ -94,19 +95,17 @@ def loop_build_lattice(spec):
             out.append(int(v))
         return tuple(out)
 
-    src, dst, disp, axes, dsign = [], [], [], [], []
+    src, dst, columns = [], [], []
     lookup = {}
     for s in range(n_sites):
-        for step, ax, sg in _loop_steps(ndim):
+        for col, (step, _, _) in enumerate(_loop_steps(ndim)):
             target = wrap(coords[s] + step)
             if target is None:
                 continue
             lookup[(s, tuple(int(v) for v in step))] = len(src)
             src.append(s)
             dst.append(int(np.ravel_multi_index(target, sizes)))
-            disp.append(step * spacings)
-            axes.append(ax)
-            dsign.append(sg)
+            columns.append(col)
     steps_of = {idx: key[1] for key, idx in lookup.items()}
     reverse = [lookup[(dst[idx], tuple(-v for v in steps_of[idx]))] for idx in range(len(src))]
 
@@ -147,10 +146,8 @@ def loop_build_lattice(spec):
         positions=coords * spacings,
         link_src=np.asarray(src, dtype=int),
         link_dst=np.asarray(dst, dtype=int),
-        link_disp=np.asarray(disp, dtype=float).reshape(len(src), ndim),
+        link_step=np.asarray(columns, dtype=int),
         link_reverse=np.asarray(reverse, dtype=int),
-        link_axes=np.asarray(axes, dtype=int),
-        link_diag_sign=np.asarray(dsign, dtype=int),
         plaq_links=np.asarray(plaq_links, dtype=int).reshape(len(plaq_links), 4),
     )
     return arrays, lookup, gens
@@ -219,7 +216,8 @@ def loop_tree_gauge_potential(lat, theta):
     seen = np.zeros(lat.n_sites, dtype=bool)
     seen[0] = True
     frontier = [0]
-    axis_links = np.flatnonzero(lat.link_axes[:, 0] == lat.link_axes[:, 1])
+    axes = np.array([ax for _, ax, _ in _loop_steps(lat.ndim)])[lat.link_step]
+    axis_links = np.flatnonzero(axes[:, 0] == axes[:, 1])
     by_src = {}
     for idx in axis_links:
         by_src.setdefault(int(lat.link_src[idx]), []).append(int(idx))
@@ -276,7 +274,8 @@ def loop_coordinate_cure_residual(lat, H, k, l, psi):
         dak[n], dbl[n] = dx[k], dx[l]
     M = sp.csr_matrix((-dak * dbl * vals, (rows, cols)), shape=mat.shape)
     c = _loop_stencil_couplings(lat, H)
-    s = _row_sums(lat, c, lat.link_disp[:, k], lat.link_disp[:, l])
+    disp = np.array([step * np.asarray(lat.spacings) for step, _, _ in _loop_steps(lat.ndim)])
+    s = _row_sums(lat, c, disp[lat.link_step, k], disp[lat.link_step, l])
     return float(np.linalg.norm(M @ psi - s * psi))
 
 
@@ -349,6 +348,9 @@ def test_lattice_arrays_match_loop(case):
     arrays, _, gens = loop_build_lattice(lat.spec)
     for name, want in arrays.items():
         assert_bits(getattr(lat, name), want)
+    steps, axes, signs = zip(*_loop_steps(lat.ndim))
+    for got, want in zip(lat.stencil[:3], (steps, axes, signs)):
+        assert_bits(got, np.array(want))
     assert len(lat.pi1_generators) == len(gens)
     for got, want in zip(lat.pi1_generators, gens):
         assert_bits(got, want)
@@ -397,10 +399,52 @@ def test_entry_links_match_loop_lookup(case):
     # an operator coupling every pair of distinct sites
     lat = lattice(case)
     H = np.ones((lat.n_sites, lat.n_sites)) - np.eye(lat.n_sites)
-    rows, cols, _, links = _link_entries(lat, H)
+    rows, cols, _, links, _ = _link_entries(lat, H)
     lut = _loop_lut(lat)
     assert len(rows) == lat.n_sites * (lat.n_sites - 1)
     assert_bits(links, np.array([lut.get((int(p), int(q)), -1) for p, q in zip(rows, cols)]))
+
+
+def loop_entry_links(lat, rows, cols):
+    """Per-entry Lattice.link_index along the minimal-image step, -1 where it raises."""
+    links = []
+    for i, j in zip(rows, cols):
+        try:
+            links.append(lat.link_index(i, tuple(_loop_min_image(lat, i, j))))
+        except KeyError:
+            links.append(-1)
+    return np.array(links)
+
+
+@pytest.mark.parametrize("case", [
+    ("ring", (3,), (1.0,)),
+    ("torus", (3, 3), (1.0, 0.8)),
+    ("cylinder", (3, 5), (0.5, 1.0)),
+    ("box3", (3, 3, 3), (1.0, 0.5, 0.25)),
+], ids=["ring(3,)", "torus(3, 3)", "cylinder(3, 5)", "box3(3, 3, 3)"])
+def test_entry_links_match_link_index(case, monkeypatch):
+    # shapes where a step code could alias: periodic axes of 3 sites, and
+    # box3's off-stencil steps like (1, 1, 1) with every component in
+    # {-1, 0, 1}; a 0.1 coupling joins every pair at graph distance 2
+    # (there are none on ring (3,) and torus (3, 3))
+    lat = lattice(case)
+    n = lat.n_sites
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    far = lat.graph_distance(i, j) == 2
+    H = (seeded_hamiltonian(lat, seed=4).mat
+         + sp.csr_matrix((np.full(far.sum(), 0.1), (i[far], j[far])), shape=(n, n)))
+    with monkeypatch.context() as mp:
+        mp.setattr(Lattice, "link_index", lambda *args: pytest.fail("link_index called"))
+        rows, cols, _, links, _ = _link_entries(build_lattice(lat.spec), H)
+    assert_bits(links, loop_entry_links(lat, rows, cols))
+    off = lat.graph_distance(rows, cols) == 2
+    assert np.all(links[off] == -1) and np.all(links[~off] >= 0)
+    assert off.any() == (lat.spec.topology in ("cylinder", "box3"))
+    got = outcome(peierls_decompose, lat, H)
+    if off.any():
+        assert got[0] is LocalityViolation
+    else:
+        assert isinstance(got, PeierlsDecomposition)
 
 
 def test_every_neighbour_adjacent_on_smallest_periodic_lattices():

@@ -81,7 +81,8 @@ def sample_points(lattice, rng, count=60):
     the sites and the link midpoints."""
     ext = np.array([lattice.axis_extent(k) for k in range(lattice.ndim)])
     rand = rng.uniform(-1.0, 2.0, (count, lattice.ndim)) * ext
-    mid = lattice.positions[lattice.link_src] + 0.5 * lattice.link_disp
+    disp = lattice.stencil.steps[lattice.link_step] * np.asarray(lattice.spacings)
+    mid = lattice.positions[lattice.link_src] + 0.5 * disp
     return np.concatenate([lattice.positions, mid, rand])
 
 
@@ -190,11 +191,12 @@ def loop_metric(lattice, component_specs):
 
 
 def loop_connection(lattice, component_specs):
-    mid = lattice.positions[lattice.link_src] + 0.5 * lattice.link_disp
+    disp = lattice.stencil.steps[lattice.link_step] * np.asarray(lattice.spacings)
+    mid = lattice.positions[lattice.link_src] + 0.5 * disp
     theta = np.zeros(lattice.n_links)
     for k, spec in enumerate(component_specs):
         fn = point_profile(spec, lattice)
-        theta += np.array([fn(m) for m in mid]) * lattice.link_disp[:, k]
+        theta += np.array([fn(m) for m in mid]) * disp[:, k]
     return theta
 
 

@@ -303,7 +303,8 @@ def test_axiom_report_flags_flipped_coupling():
 def test_axiom_report_flags_unquantized_axis():
     lat = build_lattice(LatticeSpec("torus", (16, 16), (1.0, 1.0)))
     H = free_hamiltonian(lat).mat.tolil()
-    axis1 = (lat.link_axes[:, 0] == 1) & (lat.link_axes[:, 1] == 1)
+    k, l = lat.stencil.axes[lat.link_step].T
+    axis1 = (k == 1) & (l == 1)
     for idx in np.flatnonzero(axis1):
         H[int(lat.link_src[idx]), int(lat.link_dst[idx])] = 0.0
     rep = axiom_report(lat, H.tocsr(), 1.0)

@@ -11,6 +11,8 @@ from geomqm import (
     OperatorError,
     build_lattice,
     constant_metric,
+    evolution,
+    holonomy,
     lorentzian_lift,
     maxwell,
     operators,
@@ -666,11 +668,11 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, task, fiel
     assert not (tmp_path / "out").exists()
 
 
-def _nan_metric(topology, sizes, entries):
+def _bad_metric(topology, sizes, entries, value):
     lat = build_lattice(LatticeSpec(topology, sizes, (1.0,) * len(sizes)))
     g = constant_metric(lat)
     for k, l in entries:
-        g[1, k, l] = np.nan
+        g[1, k, l] = value
     return lat, g
 
 
@@ -688,16 +690,18 @@ def _validate_with_metric(monkeypatch, lat, g):
     (lambda mp, lat, g: lorentzian_lift(lat, g), LatticeError),
     (_validate_with_metric, ConfigError),
 ], ids=["link_couplings", "interpolant", "lorentzian_lift", "validate_config"])
-@pytest.mark.parametrize("topology, sizes, entries", [
-    ("ring", (6,), [(0, 0)]),
-    ("torus", (4, 4), [(0, 1), (1, 0)]),
-], ids=["ring", "torus-cross"])
+@pytest.mark.parametrize("topology, sizes, entries, value", [
+    ("ring", (6,), [(0, 0)], np.nan),
+    ("torus", (4, 4), [(0, 1), (1, 0)], np.nan),
+    ("torus", (4, 4), [(0, 1)], 5.0),
+], ids=["ring", "torus-cross", "torus-asymmetric"])
 def test_nan_metric_entry_fails_every_positivity_test(monkeypatch, refuse, error,
-                                                       topology, sizes, entries):
+                                                       topology, sizes, entries, value):
     # np.min(eigvalsh(g)) <= 0 is False for a NaN minimum, which eigvalsh
-    # returns for both of these
-    lat, g = _nan_metric(topology, sizes, entries)
-    with pytest.raises(error, match="positive"):
+    # returns for the first two; eigvalsh reads only the lower triangle, so
+    # it passes the third, whose upper entry the diagonal links read
+    lat, g = _bad_metric(topology, sizes, entries, value)
+    with pytest.raises(error, match="symmetric positive definite"):
         refuse(monkeypatch, lat, g)
 
 
@@ -734,18 +738,59 @@ def _offset(potential):
     return lambda lattice, dec: potential(lattice, dec) + 0.1
 
 
-@pytest.mark.parametrize("check, task, module, name, fault", [
-    ("hermiticity", "build", operators, "_assemble", _anti_hermitian_diagonal),
-    ("spectrum_lower_bound", "build", operators, "eigenvalues", _shifted_down),
-    ("e_F", "roundtrip", reconstruct, "peierls_decompose", _one_phase_perturbed),
-    ("e_phi", "roundtrip", reconstruct, "reconstruct_potential", _offset),
-], ids=["hermiticity", "spectrum_lower_bound", "e_F", "e_phi"])
-def test_injected_fault_fails_its_check(tmp_path, capsys, monkeypatch, check, task, module,
+def _one_value_perturbed(degree):
+    def fault(fn):
+        def faulty(*args):
+            out = fn(*args)
+            if out.degree == degree:
+                out.values[0] += 0.1
+            return out
+        return faulty
+    return fault
+
+
+def _one_quantum_dropped(connection):
+    return lambda lattice, quanta: connection(lattice, quanta - 1)
+
+
+def _alpha_proportional_shift(spectrum):
+    return lambda lattice, m, alphas: spectrum(lattice, m, alphas) + 1e-3 * alphas[:, None]
+
+
+def _scaled(propagator):
+    return lambda *args: 1.001 * propagator(*args)
+
+
+def _quadratic_global_phase(propagator):
+    # exp(-i eps (t2 - t1)^2) is unitary, but the two half-duration factors
+    # carry half the phase of the full-duration one
+    return lambda H, t1, t2, steps: np.exp(-1e-3j * (t2 - t1) ** 2) * propagator(H, t1, t2, steps)
+
+
+TORUS44 = "lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\nmass: 1.0\n"
+
+
+@pytest.mark.parametrize("check, doc, module, name, fault", [
+    ("hermiticity", TORUS44 + "task: build\n", operators, "_assemble", _anti_hermitian_diagonal),
+    ("spectrum_lower_bound", TORUS44 + "task: build\n", operators, "eigenvalues", _shifted_down),
+    ("e_F", TORUS44 + "task: roundtrip\n", reconstruct, "peierls_decompose",
+     _one_phase_perturbed),
+    ("e_phi", TORUS44 + "task: roundtrip\n", reconstruct, "reconstruct_potential", _offset),
+    ("dF", TORUS44 + "task: maxwell\n", maxwell, "d_cochain", _one_value_perturbed(2)),
+    ("continuity", TORUS44 + "task: maxwell\n", maxwell, "current", _one_value_perturbed(1)),
+    ("chern_number", TORUS44 + "task: holonomy\nparams: {chern_flux_quanta: 1}\n", scenario,
+     "_uniform_flux_connection", _one_quantum_dropped),
+    ("periodicity", RING6 + "task: holonomy\nparams: {check_periodicity: true}\n", holonomy,
+     "ab_spectrum", _alpha_proportional_shift),
+    ("unitarity", TORUS44 + "task: evolve\n", evolution, "propagator", _scaled),
+    ("composition", TORUS44 + "task: evolve\n", evolution, "propagator",
+     _quadratic_global_phase),
+], ids=["hermiticity", "spectrum_lower_bound", "e_F", "e_phi", "dF", "continuity",
+        "chern_number", "periodicity", "unitarity", "composition"])
+def test_injected_fault_fails_its_check(tmp_path, capsys, monkeypatch, check, doc, module,
                                         name, fault):
-    # negative controls: each fault breaks exactly what its check measures
+    # negative controls: each fault breaks what its check measures
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    doc = write(tmp_path, "doc.yaml",
-                "lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
-                f"mass: 1.0\ntask: {task}\n")
+    doc = write(tmp_path, "doc.yaml", doc)
     assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 1
     assert f"FAIL {check}:" in capsys.readouterr().out
