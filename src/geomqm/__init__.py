@@ -44,6 +44,7 @@ from .lattice import (
 from .maxwell import (
     Cochain,
     ComplexError,
+    HodgeStar,
     SpacetimeComplex,
     assemble_potential,
     build_spacetime_complex,
@@ -52,6 +53,7 @@ from .maxwell import (
     d_cochain,
     double_star_defect,
     hodge,
+    hodge_factors,
 )
 from .operators import (
     HermitianOperator,

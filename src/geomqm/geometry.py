@@ -3,7 +3,8 @@ the Lorentzian spacetime lift, and the time-dependence obstruction.
 
 Metric evaluation goes through a small batch interface: ``lower(q)``
 maps chart points q (..., d) to lower-index matrices g_ij (..., d, d)
-and raises ChartExit if any point lies outside the chart.  Two providers:
+and raises ChartExit if any point lies outside the chart, whose per-axis
+bounds are the (2, d) rows ``chart``.  Two providers:
 
   * LatticeMetricInterpolant: per-site inversion of a reconstructed
     inverse-metric field followed by multilinear interpolation over
@@ -17,7 +18,8 @@ and raises ChartExit if any point lies outside the chart.  Two providers:
 Geodesics integrate q_ddot^k + Gamma^k_ij q_dot^i q_dot^j = 0 with
 classic fixed-step 4th-order Runge-Kutta; Christoffel symbols come from
 central differences of the metric provider, its (2d+1)-point stencil
-evaluated in one ``lower`` call.
+evaluated in one ``lower`` call, one-sided within the step of an open
+chart edge.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ def _check_chart(q, lo, hi):
         raise ChartExit(f"coordinate {k} = {q[where]:g} outside chart [{lo[k]:g}, {hi[k]:g}]")
 
 
-def _lattice_bounds(lattice, margin=0.0):
+def _lattice_bounds(lattice):
     """Chart bounds of a lattice, one (lo, hi) or None (unbounded) per
     axis: periodic axes are unbounded, an open axis spans [0, (n - 1) h]
-    widened by 1e-9 h plus margin at each end."""
-    return [None if periodic else (-1e-9 * h - margin, (n - 1 + 1e-9) * h + margin)
+    widened by 1e-9 h at each end."""
+    return [None if periodic else (-1e-9 * h, (n - 1 + 1e-9) * h)
             for n, h, periodic in zip(lattice.sizes, lattice.spacings, lattice.periodic)]
 
 
@@ -134,7 +136,10 @@ def christoffel(metric, q):
     Gamma^k_ij = 1/2 sum_l g^kl (d_i g_lj + d_j g_li - d_l g_ij);
     symmetric in the lower indices (torsion-free Levi-Civita).  The
     stencil q, q + eta e_l, q - eta e_l, eta = metric.default_eta, is
-    evaluated in one lower call.
+    evaluated in one lower call.  Where a stencil point leaves the chart
+    (q within eta of an open edge) it is moved back onto the edge and the
+    difference is taken over the distance left; q itself must lie in the
+    chart.
     """
     q = np.asarray(q, dtype=float)
     eta = metric.default_eta
@@ -142,9 +147,16 @@ def christoffel(metric, q):
         raise ValueError("eta must be positive")
     d = metric.ndim
     e = eta * np.eye(d)
-    g = metric.lower(np.concatenate([q[None], q + e, q - e]))
+    plus, minus, width = q + e, q - e, 2.0 * eta
+    try:
+        g = metric.lower(np.concatenate([q[None], plus, minus]))
+    except ChartExit:
+        # one-sided at an open edge; q, kept unclipped, still raises outside
+        plus, minus = np.clip(plus, *metric.chart), np.clip(minus, *metric.chart)
+        width = np.diagonal(plus - minus)[:, None, None]
+        g = metric.lower(np.concatenate([q[None], plus, minus]))
     # dg[l, i, j] = d_l g_ij
-    dg = (g[1:d + 1] - g[d + 1:]) / (2.0 * eta)
+    dg = (g[1:d + 1] - g[d + 1:]) / width
     ginv = np.linalg.inv(g[0])
     bracket = (
         np.einsum("ilj->lij", dg)   # d_i g_lj
@@ -184,6 +196,8 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
+    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     q = np.asarray(q0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
 

@@ -13,12 +13,14 @@ arithmetic alone.  Only axis links enter the complex (plane diagonals
 are stencil decoration, not 1-cells).
 
 The connection 1-cochain is assembled as spatial link phases plus
-potential * dt on time edges.  Sources come from the codifferential
-route j = *d*F implemented with diagonal Hodge matrices whose volume
-factors are evaluated at each cell's anchor vertex; a cell and its
-complement then share the anchor, the two Hodge factors cancel to a pure
-sign, and the continuity identity d*j = 0 reduces to the structural
-d.d = 0 even on open boundaries.  Spatial metrics must be diagonal.
+potential * dt on time edges.  The metric enters only through the Hodge
+star: hodge_factors builds one HodgeStar per metric, the diagonal
+factors of every degree, and hodge, current (j = *d*F),
+continuity_defect and double_star_defect read it.  The factors are
+evaluated at each cell's anchor vertex; a cell and its complement share
+it, the two factors cancel to a pure sign, and continuity d*j = 0
+reduces to the structural d.d = 0 even on open boundaries.  Spatial
+metrics must be diagonal.
 """
 
 from __future__ import annotations
@@ -106,12 +108,6 @@ class SpacetimeComplex:
         return Cochain(self, k, vals)
 
 
-def _combos(n, k):
-    """Axis combinations of degree k, lexicographic, as a (count, k) array."""
-    combos = list(combinations(range(n), k))
-    return np.array(combos, dtype=int).reshape(len(combos), k)
-
-
 def build_spacetime_complex(lattice, n_t, dt):
     """Cubical complex on lattice x {0..n_t-1} time samples."""
     if n_t < 1:
@@ -133,7 +129,7 @@ def build_spacetime_complex(lattice, n_t, dt):
     cell_table, cell_anchor, cell_axes = [verts[:, None]], [verts], [np.zeros((len(verts), 0), int)]
     incidence = []
     for k in range(1, 4):
-        combos = _combos(n, k)
+        combos = np.array(list(combinations(range(n), k)), dtype=int).reshape(-1, k)
         # a cell exists where every spanning step from its anchor does
         # (the complex is a product, so the far corners then exist too)
         exists = np.all(nxt[combos] >= 0, axis=1).T
@@ -212,63 +208,64 @@ def d_cochain(cx, omega):
     return Cochain(cx, k + 1, cx.incidence[k] @ omega.values)
 
 
-def _permutation_sign(order):
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
+@dataclass(frozen=True, eq=False)
+class HodgeStar:
+    """Diagonal Hodge factors of one complex under one spacetime metric:
+    factors[k] holds lambda for every k-cell, k = 0..3, and g00 is the
+    metric's upper lapse entry, whose sign is that of det g."""
+
+    complex: SpacetimeComplex
+    factors: tuple
+    g00: float
 
 
-def _upper_diagonal(cx, metric, anchors):
-    """Spacetime upper-metric diagonal (g00, g^11, ..) at every vertex.
-
-    Raises ComplexError where the spatial metric at one of the anchor
-    vertices `anchors` is not diagonal, or where the lift has neither
-    one sample (a static metric) nor one per time slice.
-    """
-    n_verts = cx.n_cells(0)
-    if metric is None:
-        return np.broadcast_to([-1.0] + [1.0] * cx.lattice.ndim, (n_verts, cx.n))
-    it, site = np.divmod(np.arange(n_verts), cx.lattice.n_sites)
-    fields = metric.fields
-    if fields.shape[0] not in (1, cx.n_t):
-        raise ComplexError(f"metric lift has {fields.shape[0]} samples; the complex has "
-                           f"{cx.n_t} time slices, so 1 or {cx.n_t} are needed")
-    g = fields[it if fields.shape[0] == cx.n_t else 0, site]
-    size = np.abs(g)
-    off = np.where(np.eye(cx.lattice.ndim, dtype=bool), 0.0, size).max(axis=(1, 2))
-    if np.any(off[anchors] > 1e-12 * np.maximum(1.0, size[anchors].max(axis=(1, 2)))):
-        raise ComplexError("Hodge star supports diagonal spatial metrics only")
-    return np.column_stack([np.full(n_verts, float(metric.g00)), np.diagonal(g, axis1=1, axis2=2)])
-
-
-def hodge_factors(cx, k, metric):
-    """Diagonal Hodge coefficients lambda for every k-cell.
+def hodge_factors(cx, metric=None):
+    """The Hodge star of every degree of cx under metric, a SpacetimeMetric
+    over cx's lattice with one sample (static) or one per time slice and a
+    diagonal spatial part at every vertex; None is flat Lorentzian.  Per cell
 
     lambda = eps(S, S~) sqrt|det g| prod_{mu in S} g^mumu
              * prod_{nu in S~} h_nu / prod_{mu in S} h_mu
+
     with sqrt|det g| = 1 / sqrt(|g00| prod_k g^kk) and all metric data at
     the cell's anchor vertex, so a cell and its complement share factors
     and ** reduces to a pure sign.
     """
-    gup = _upper_diagonal(cx, metric, cx.cell_anchor[k])
+    n_verts, ns, d = cx.n_cells(0), cx.lattice.n_sites, cx.lattice.ndim
+    g00, fields = -1.0, np.broadcast_to(np.eye(d), (1, ns, d, d))
+    if metric is not None:
+        g00, fields = float(metric.g00), metric.fields
+    if fields.shape[0] not in (1, cx.n_t):
+        raise ComplexError(f"metric lift has {fields.shape[0]} samples; the complex has "
+                           f"{cx.n_t} time slices, so 1 or {cx.n_t} are needed")
+    if fields.shape[1:] != (ns, d, d):
+        raise ComplexError(f"metric lift has {fields.shape[1]} sites in {fields.shape[2]}-d; "
+                           f"the complex's lattice has {ns} sites in {d}-d")
+    it, site = np.divmod(np.arange(n_verts), ns)
+    g = fields[it if fields.shape[0] == cx.n_t else 0, site]
+    size = np.abs(g)
+    off = np.where(np.eye(d, dtype=bool), 0.0, size).max(axis=(1, 2))
+    if np.any(off > 1e-12 * np.maximum(1.0, size.max(axis=(1, 2)))):
+        raise ComplexError("Hodge star supports diagonal spatial metrics only")
+    gup = np.column_stack([np.full(n_verts, g00), np.diagonal(g, axis1=1, axis2=2)])
     sqrt_det = 1.0 / np.sqrt(np.abs(gup[:, 0]) * np.prod(gup[:, 1:], axis=1))
     h = np.asarray(cx.spacings)
-    out = np.empty(cx.n_cells(k))
-    for c, axes in enumerate(combinations(range(cx.n), k)):
-        comp = tuple(a for a in range(cx.n) if a not in axes)
-        cells = cx.cell_table[k][:, c]
-        at = np.flatnonzero(cells >= 0)
-        lam = _permutation_sign(axes + comp) * sqrt_det[at]
-        for mu in axes:
-            lam = lam * (gup[at, mu] / h[mu])
-        for nu in comp:
-            lam = lam * h[nu]
-        out[cells[at]] = lam
-    return out
+    factors = []
+    for k in range(4):
+        out = np.empty(cx.n_cells(k))
+        for c, axes in enumerate(combinations(range(cx.n), k)):
+            comp = tuple(a for a in range(cx.n) if a not in axes)
+            cells = cx.cell_table[k][:, c]
+            at = np.flatnonzero(cells >= 0)
+            # eps(S, S~): the sign of the permutation axes + comp
+            lam = (-1) ** sum(nu < mu for mu in axes for nu in comp) * sqrt_det[at]
+            for mu in axes:
+                lam = lam * (gup[at, mu] / h[mu])
+            for nu in comp:
+                lam = lam * h[nu]
+            out[cells[at]] = lam
+        factors.append(out)
+    return HodgeStar(cx, tuple(factors), g00)
 
 
 def _dual_pairs(cx, k):
@@ -284,7 +281,16 @@ def _dual_pairs(cx, k):
     return table[both], comp[both]
 
 
-def hodge(cx, omega, metric=None):
+def _complex_of(star, omega, degree=None):
+    """The star's complex, once omega is a cochain of it (of the given degree)."""
+    if omega.complex is not star.complex:
+        raise ComplexError("cochain and Hodge star belong to different complexes")
+    if degree is not None and omega.degree != degree:
+        raise ComplexError(f"need a {degree}-cochain, got degree {omega.degree}")
+    return star.complex
+
+
+def hodge(star, omega):
     """Diagonal Hodge dual: k-cochain -> (n-k)-cochain.
 
     Dual cells are identified with the complementary-axes cell at the
@@ -293,52 +299,44 @@ def hodge(cx, omega, metric=None):
     (-1)^(k(n-k)) * sign(det g) exactly.  Cells whose complement is
     missing (open boundary at the top) drop out.
     """
-    k = omega.degree
+    cx, k = _complex_of(star, omega), omega.degree
     nk = cx.n - k
-    if nk < 0 or nk > 3:
+    if not (0 <= k <= 3 and 0 <= nk <= 3):
         raise ComplexError(f"no degree-{nk} cells in this complex")
-    lam = hodge_factors(cx, k, metric)
     src, dst = _dual_pairs(cx, k)
     out = np.zeros(cx.n_cells(nk))
-    out[dst] += lam[src] * omega.values[src]
+    out[dst] += star.factors[k][src] * omega.values[src]
     return Cochain(cx, nk, out)
 
 
-def current(cx, potential, metric=None):
+def current(star, potential):
     """External sources j = *d*F for F = d(potential).
 
     Computed as the codifferential (star1^-1 D1^T star2) F so the
     continuity identity holds structurally; j is a 1-cochain on primal
     edges.
     """
-    if potential.degree != 1:
-        raise ComplexError("potential must be a 1-cochain")
+    cx = _complex_of(star, potential, 1)
     F = d_cochain(cx, potential)
-    star2 = hodge_factors(cx, 2, metric)
-    star1 = hodge_factors(cx, 1, metric)
-    w = cx.incidence[1].T @ (star2 * F.values)
-    return Cochain(cx, 1, w / star1)
+    w = cx.incidence[1].T @ (star.factors[2] * F.values)
+    return Cochain(cx, 1, w / star.factors[1])
 
 
-def continuity_defect(cx, j, metric=None):
+def continuity_defect(star, j):
     """max |d * j|: exact zero up to rounding for j = current(...)."""
-    if j.degree != 1:
-        raise ComplexError("current must be a 1-cochain")
-    star1 = hodge_factors(cx, 1, metric)
-    top = cx.incidence[0].T @ (star1 * j.values)
+    top = _complex_of(star, j, 1).incidence[0].T @ (star.factors[1] * j.values)
     return float(np.max(np.abs(top), initial=0.0))
 
 
-def double_star_defect(cx, omega, metric=None):
+def double_star_defect(star, omega):
     """max |**omega - (-1)^(k(n-k)) sign(g00) omega| / max |omega|.
 
     Taken over the cells whose complement exists (the others drop out of
     the star); zero up to rounding for a consistent diagonal star.
     """
-    k = omega.degree
-    twice = hodge(cx, hodge(cx, omega, metric), metric).values
-    g00 = -1.0 if metric is None else metric.g00
-    want = (-1) ** (k * (cx.n - k)) * np.sign(g00) * omega.values
+    cx, k = _complex_of(star, omega), omega.degree
+    twice = hodge(star, hodge(star, omega)).values
+    want = (-1) ** (k * (cx.n - k)) * np.sign(star.g00) * omega.values
     src, _ = _dual_pairs(cx, k)
     scale = np.max(np.abs(omega.values), initial=0.0)
     if scale == 0.0:

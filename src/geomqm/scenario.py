@@ -323,13 +323,10 @@ def _task_roundtrip(cfg, lattice, fields, seed, tol_scale, out, report):
 
 def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
     g_inverse = metric_profile(lattice, cfg["fields.metric.components"])
-    # the chart reaches eta past an open edge, so the difference stencil of
-    # a point on the edge stays in it while a step that starts past the edge
-    # leaves it; the closed-form metric is defined there
-    eta = cfg["params.eta"]
+    # the lattice's chart: a step that starts past an open edge leaves it
     metric = geometry.AnalyticMetric(
-        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim, default_eta=eta,
-        bounds=geometry._lattice_bounds(lattice, margin=eta),
+        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim,
+        default_eta=cfg["params.eta"], bounds=geometry._lattice_bounds(lattice),
     )
     # the table's rules exclude 0 and empty values, so `or` only fills unset ones
     q0 = np.asarray(cfg["params.initial.position"] or [0.0] * lattice.ndim, dtype=float)
@@ -387,9 +384,12 @@ def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
     amplitude = cfg["params.amplitude"]
     rng = np.random.default_rng(seed)
 
-    # the metric is static: one sample stands for every time slice
-    metric_minus = geometry.lorentzian_lift(lattice, fields[0], g00=-1.0)
-    metric_plus = geometry.lorentzian_lift(lattice, fields[0], g00=+1.0)
+    # one star per lift sign; the metric is static, so one sample stands
+    # for every time slice
+    star_minus, star_plus = (
+        maxwell.hodge_factors(cx, geometry.lorentzian_lift(lattice, fields[0], g00=g00))
+        for g00 in (-1.0, +1.0)
+    )
 
     worst_dF = 0.0
     worst_cont = 0.0
@@ -401,17 +401,17 @@ def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
         F = maxwell.d_cochain(cx, pot)
         dF = maxwell.d_cochain(cx, F)
         worst_dF = _worst(worst_dF, np.max(np.abs(dF.values), initial=0.0))
-        j_minus = maxwell.current(cx, pot, metric_minus)
-        j_plus = maxwell.current(cx, pot, metric_plus)
+        j_minus = maxwell.current(star_minus, pot)
+        j_plus = maxwell.current(star_plus, pot)
         worst_cont = _worst(
             worst_cont,
-            maxwell.continuity_defect(cx, j_minus, metric_minus),
-            maxwell.continuity_defect(cx, j_plus, metric_plus),
+            maxwell.continuity_defect(star_minus, j_minus),
+            maxwell.continuity_defect(star_plus, j_plus),
         )
         worst_star = _worst(
             worst_star,
-            maxwell.double_star_defect(cx, F, metric_minus),
-            maxwell.double_star_defect(cx, F, metric_plus),
+            maxwell.double_star_defect(star_minus, F),
+            maxwell.double_star_defect(star_plus, F),
         )
         last = (pot, F, j_minus)
 

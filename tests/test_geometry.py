@@ -253,10 +253,39 @@ def test_lift_geodesics_project_to_spatial_geodesics():
 
 
 def test_christoffel_chart_margin():
+    # on an open edge the difference is one-sided; past it, q itself exits
     lat = build_lattice(LatticeSpec("interval", (5,), (1.0,)))
     interp = LatticeMetricInterpolant(lat, constant_metric(lat))
+    assert np.array_equal(christoffel(interp, np.array([4.0])), np.zeros((1, 1, 1)))
     with pytest.raises(ChartExit):
-        christoffel(interp, np.array([4.0]))  # eta step exits the chart
+        christoffel(interp, np.array([4.5]))
+    # a linear lower metric g = 1 + x: the one-sided difference is exact,
+    # Gamma = g' / (2 g), up to the chart's 1e-9 h tolerance past the edge,
+    # where the interpolant holds its edge value
+    lower = (1.0 + lat.positions[:, 0]).reshape(-1, 1, 1)
+    interp = LatticeMetricInterpolant.from_lower(lat, lower)
+    for x in (0.0, 0.1, 3.9, 4.0):
+        gamma = christoffel(interp, np.array([x]))[0, 0, 0]
+        assert abs(gamma - 0.5 / (1.0 + x)) <= 1e-8
+
+
+@pytest.mark.parametrize("q0", [[0.0, 0.0], [0.0, 1.5]])
+def test_flat_geodesic_from_an_open_edge_is_not_truncated(q0):
+    lat = build_lattice(LatticeSpec("rectangle", (4, 4), (1.0, 1.0)))
+    interp = LatticeMetricInterpolant(lat, constant_metric(lat))
+    traj = geodesic_integrate(interp, q0, [1.0, 0.0], 0.01, 1.0)
+    assert not traj.truncated and len(traj.times) == 101
+    assert np.max(np.abs(traj.positions[-1] - (np.asarray(q0) + [1.0, 0.0]))) <= 1e-12
+    # leaving the lattice still truncates
+    out = geodesic_integrate(interp, [3.0, 1.0], [1.0, 0.0], 0.01, 1.0)
+    assert out.truncated and len(out.times) == 1
+
+
+@pytest.mark.parametrize("record_every", [0, -1, 1.5])
+def test_geodesic_refuses_a_bad_record_every(record_every):
+    met = AnalyticMetric(lambda q: np.eye(2), ndim=2)
+    with pytest.raises(ValueError, match="record_every"):
+        geodesic_integrate(met, [0.0, 0.0], [1.0, 0.0], 0.01, 0.1, record_every=record_every)
 
 
 def test_interpolant_christoffel_converges_second_order():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from geomqm import (
     d0,
     d_cochain,
     hodge,
+    hodge_factors,
     lorentzian_lift,
 )
 from geomqm import maxwell
@@ -148,7 +150,8 @@ def test_hodge_double_star_n2_lorentzian():
     cx = build_spacetime_complex(lat, 4, 0.3)
     rng = np.random.default_rng(2)
     F = cx.cochain(2, rng.normal(size=cx.n_cells(2)))
-    FF = hodge(cx, hodge(cx, F))
+    star = hodge_factors(cx)
+    FF = hodge(star, hodge(star, F))
     assert np.max(np.abs(FF.values + F.values)) < 1e-12
 
 
@@ -180,7 +183,7 @@ def test_hodge_n4_time_face_sign():
     anchor = int(cx.cell_table[2][lat.site_index((1, 1, 1)), faces.index((0, 1))])
     F = cx.cochain(2)
     F.values[anchor] = 1.0
-    dual = hodge(cx, F)
+    dual = hodge(hodge_factors(cx), F)
     comp, coeff = levi_civita_star_oracle((0, 1), (-1.0, 1.0, 1.0, 1.0), (1.0,) * 4)
     assert comp == (2, 3) and coeff == -1.0
     target = cx.cell_table[2][lat.site_index((1, 1, 1)), faces.index((2, 3))]
@@ -193,6 +196,7 @@ def test_hodge_matches_oracle_with_anisotropic_spacings():
     lat = build_lattice(LatticeSpec("box3", (3, 3, 3), (0.5, 0.8, 1.2)))
     dt = 0.3
     cx = build_spacetime_complex(lat, 3, dt)
+    star = hodge_factors(cx)
     site = lat.site_index((1, 1, 1))
     spac = (dt, 0.5, 0.8, 1.2)
     faces = list(combinations(range(4), 2))
@@ -200,7 +204,7 @@ def test_hodge_matches_oracle_with_anisotropic_spacings():
         idx = cx.cell_table[2][site, faces.index(axes)]
         F = cx.cochain(2)
         F.values[idx] = 1.0
-        dual = hodge(cx, F)
+        dual = hodge(star, F)
         comp, coeff = levi_civita_star_oracle(axes, (-1.0, 1.0, 1.0, 1.0), spac)
         target = cx.cell_table[2][site, faces.index(comp)]
         assert abs(dual.values[target] - coeff) < 1e-14
@@ -214,7 +218,7 @@ def test_hodge_time_face_dual_invariant_under_dt():
         cx = build_spacetime_complex(lat, 3, dt)
         E_field = 0.9
         F = cx.cochain(2, np.full(cx.n_cells(2), E_field * 1.0 * dt))
-        duals.append(hodge(cx, F).values)
+        duals.append(hodge(hodge_factors(cx), F).values)
     v0 = duals[0][duals[0] != 0]
     v1 = duals[1][duals[1] != 0]
     assert np.allclose(np.sort(v0), np.sort(v1), atol=1e-14)
@@ -235,8 +239,9 @@ def test_double_star_is_a_sign_for_any_lapse(g00):
     lat, cx = cylinder_complex()
     met = position_dependent_metric(lat, cx.n_t, cx.dt, g00)
     F = cx.cochain(2, np.random.default_rng(3).normal(size=cx.n_cells(2)))
-    FF = hodge(cx, hodge(cx, F, met), met).values
-    kept = hodge(cx, hodge(cx, cx.cochain(2, np.ones(cx.n_cells(2))))).values != 0.0
+    star, flat = hodge_factors(cx, met), hodge_factors(cx)
+    FF = hodge(star, hodge(star, F)).values
+    kept = hodge(flat, hodge(flat, cx.cochain(2, np.ones(cx.n_cells(2))))).values != 0.0
     assert 0 < kept.sum() < cx.n_cells(2)
     sign = (-1) ** (2 * (cx.n - 2)) * np.sign(g00)
     assert np.max(np.abs(FF[kept] - sign * F.values[kept])) <= 1e-12
@@ -244,16 +249,15 @@ def test_double_star_is_a_sign_for_any_lapse(g00):
 
 
 @pytest.mark.parametrize("g00", [-1.0, 1.0, -4.0])
-def test_double_star_defect_measures_a_wrong_star(g00, monkeypatch):
+def test_double_star_defect_measures_a_wrong_star(g00):
     lat, cx = cylinder_complex()
-    met = position_dependent_metric(lat, cx.n_t, cx.dt, g00)
+    star = hodge_factors(cx, position_dependent_metric(lat, cx.n_t, cx.dt, g00))
     F = cx.cochain(2, np.random.default_rng(4).normal(size=cx.n_cells(2)))
-    assert maxwell.double_star_defect(cx, F, met) <= 1e-12
-    assert maxwell.double_star_defect(cx, cx.cochain(2), met) == 0.0
+    assert maxwell.double_star_defect(star, F) <= 1e-12
+    assert maxwell.double_star_defect(star, cx.cochain(2)) == 0.0
     # a star off by a factor 2 makes ** off by 4: the defect reads 3
-    factors = maxwell.hodge_factors
-    monkeypatch.setattr(maxwell, "hodge_factors", lambda cx, k, m: 2.0 * factors(cx, k, m))
-    assert abs(maxwell.double_star_defect(cx, F, met) - 3.0) <= 1e-12
+    wrong = replace(star, factors=tuple(2.0 * f for f in star.factors))
+    assert abs(maxwell.double_star_defect(wrong, F) - 3.0) <= 1e-12
 
 
 def test_hodge_rejects_nondiagonal_metric():
@@ -261,20 +265,37 @@ def test_hodge_rejects_nondiagonal_metric():
     g = constant_metric(lat, np.array([[1.0, 0.2], [0.2, 1.0]]))
     met = lorentzian_lift(lat, np.broadcast_to(g, (cx.n_t,) + g.shape).copy(),
                           np.arange(cx.n_t) * cx.dt)
-    F = cx.cochain(2, np.ones(cx.n_cells(2)))
-    with pytest.raises(ComplexError):
-        hodge(cx, F, met)
+    with pytest.raises(ComplexError, match="diagonal spatial metrics only"):
+        hodge_factors(cx, met)
 
 
 def test_hodge_rejects_a_lift_whose_sample_count_is_not_the_slice_count():
+    # nor the lift of another lattice, whose site count is not the complex's
     lat = build_lattice(LatticeSpec("ring", (5,), (1.0,)))
     cx = build_spacetime_complex(lat, 4, 1.0)
     g = constant_metric(lat)
-    with pytest.raises(ComplexError, match="2 samples.*4 time slices"):
-        maxwell.hodge_factors(cx, 1, lorentzian_lift(lat, [g, 2 * g], [0, 1]))
-    static = maxwell.hodge_factors(cx, 1, lorentzian_lift(lat, g))
-    per_slice = maxwell.hodge_factors(cx, 1, lorentzian_lift(lat, [g] * 4))
-    assert np.array_equal(static, per_slice)
+    rings = [build_lattice(LatticeSpec("ring", (n,), (1.0,))) for n in (7, 4)]
+    for bad, match in [(lorentzian_lift(lat, [g, 2 * g], [0, 1]), "2 samples.*4 time slices"),
+                       *((lorentzian_lift(r, constant_metric(r)), f"{r.n_sites} sites.*5 sites")
+                         for r in rings)]:
+        with pytest.raises(ComplexError, match=match):
+            hodge_factors(cx, bad)
+    static = hodge_factors(cx, lorentzian_lift(lat, g))
+    per_slice = hodge_factors(cx, lorentzian_lift(lat, [g] * 4))
+    for k in range(4):
+        assert np.array_equal(static.factors[k], per_slice.factors[k])
+
+
+def test_star_refuses_a_cochain_of_another_complex_or_degree():
+    lat, cx = cylinder_complex()
+    _, twin = cylinder_complex()
+    star = hodge_factors(cx)
+    with pytest.raises(ComplexError, match="different complexes"):
+        hodge(star, twin.cochain(2))
+    with pytest.raises(ComplexError, match="different complexes"):
+        current(star, twin.cochain(1))
+    with pytest.raises(ComplexError, match="need a 1-cochain"):
+        continuity_defect(star, cx.cochain(2))
 
 
 # ------------------------------------------------------------ current
@@ -282,23 +303,21 @@ def test_hodge_rejects_a_lift_whose_sample_count_is_not_the_slice_count():
 def test_zero_potential_zero_current():
     lat, cx = cylinder_complex()
     pot = cx.cochain(1)
-    j = current(cx, pot, flat_metric(lat, cx.n_t, cx.dt))
+    j = current(hodge_factors(cx, flat_metric(lat, cx.n_t, cx.dt)), pot)
     assert np.max(np.abs(j.values)) == 0.0
 
 
 def test_uniform_flux_on_torus_time_is_sourceless():
     # constant F on a fully periodic complex is closed and co-closed:
     # both the coboundary and the codifferential annihilate it
-    from geomqm.maxwell import hodge_factors
-
     lat = build_lattice(LatticeSpec("torus", (5, 5), (1.0, 1.0)))
     cx = build_spacetime_complex(lat, 4, 0.5)
-    met = flat_metric(lat, 4, 0.5)
+    star = hodge_factors(cx, flat_metric(lat, 4, 0.5))
     F = cx.cochain(2)
     F.values[np.all(cx.cell_axes[2] == (1, 2), axis=1)] = 0.7
     assert np.max(np.abs(cx.incidence[2] @ F.values)) <= 1e-12
-    j = (cx.incidence[1].T @ (hodge_factors(cx, 2, met) * F.values))
-    j = j / hodge_factors(cx, 1, met)
+    j = (cx.incidence[1].T @ (star.factors[2] * F.values))
+    j = j / star.factors[1]
     assert np.max(np.abs(j)) <= 1e-12
 
 
@@ -306,14 +325,14 @@ def test_localized_bump_current_support():
     lat = build_lattice(LatticeSpec("torus", (8, 8), (1.0, 1.0)))
     n_t = 8
     cx = build_spacetime_complex(lat, n_t, 1.0)
-    met = flat_metric(lat, n_t, 1.0)
+    star = hodge_factors(cx, flat_metric(lat, n_t, 1.0))
     # one plaquette column of flux via a single spatial link phase
     theta = np.zeros(lat.n_links)
     link = lat.link_index(lat.site_index((4, 4)), (1, 0))
     theta[link] = 0.3
     theta[lat.link_reverse[link]] = -0.3
     pot = assemble_potential(cx, [theta] * n_t, [np.zeros(lat.n_sites)] * n_t)
-    j = current(cx, pot, met)
+    j = current(star, pot)
     support_edges = np.flatnonzero(np.abs(j.values) > 1e-14)
     # support touches only cells within one step of the excited column
     _, edge_site = np.divmod(cx.cell_anchor[1], lat.n_sites)
@@ -332,12 +351,12 @@ def test_continuity_identity_random_ensemble():
     lat, cx = cylinder_complex(8, 8, 8, 0.5)
     rng = np.random.default_rng(7)
     for g00 in (-1.0, 1.0):
-        met = flat_metric(lat, 8, 0.5, g00=g00)
+        star = hodge_factors(cx, flat_metric(lat, 8, 0.5, g00=g00))
         for _ in range(5):
             A_series, phi_series = random_series(lat, 8, 0.4, rng)
             pot = assemble_potential(cx, A_series, phi_series)
-            j = current(cx, pot, met)
-            assert continuity_defect(cx, j, met) <= 1e-12
+            j = current(star, pot)
+            assert continuity_defect(star, j) <= 1e-12
 
 
 def test_continuity_with_position_dependent_diagonal_metric():
@@ -351,8 +370,9 @@ def test_continuity_with_position_dependent_diagonal_metric():
     rng = np.random.default_rng(8)
     A_series, phi_series = random_series(lat, 4, 0.3, rng)
     pot = assemble_potential(cx, A_series, phi_series)
-    j = current(cx, pot, met)
-    assert continuity_defect(cx, j, met) <= 1e-12
+    star = hodge_factors(cx, met)
+    j = current(star, pot)
+    assert continuity_defect(star, j) <= 1e-12
 
 
 def test_dF_is_metric_independent():
@@ -372,7 +392,8 @@ def test_array_holding_dataclasses_compare_by_identity():
     lat, cx = cylinder_complex()
     twin_lat, twin_cx = cylinder_complex()
     met, twin_met = flat_metric(lat, cx.n_t, cx.dt), flat_metric(lat, cx.n_t, cx.dt)
-    pairs = [(lat, twin_lat), (cx, twin_cx), (cx.cochain(1), cx.cochain(1)), (met, twin_met)]
+    pairs = [(lat, twin_lat), (cx, twin_cx), (cx.cochain(1), cx.cochain(1)), (met, twin_met),
+             (hodge_factors(cx, met), hodge_factors(cx, met))]
     for obj, twin in pairs:
         assert obj == obj and obj != twin
         assert len({obj, twin, obj}) == 2

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,21 @@ def test_maxwell_task_writes_cochains(tmp_path):
     assert lines[1] == "cochain,degree,cell_id,value"
     names = {line.split(",")[0] for line in lines[2:]}
     assert names == {"potential", "field_strength", "current"}
+
+
+def test_maxwell_task_builds_one_star_per_lift_sign(tmp_path, monkeypatch):
+    # the stars are built before the ensemble loop, not per ensemble
+    calls = []
+    factors = maxwell.hodge_factors
+
+    def counting(cx, metric=None):
+        calls.append(metric.g00)
+        return factors(cx, metric)
+
+    monkeypatch.setattr(maxwell, "hodge_factors", counting)
+    path = write(tmp_path, "mx.yaml", RING6 + "task: maxwell\nparams: {ensembles: 3}\n")
+    assert run_scenario(path, tmp_path / "out").passed
+    assert calls == [-1.0, 1.0]
 
 
 def test_geodesic_task_trajectory_csv(tmp_path):
@@ -749,6 +765,17 @@ def _one_value_perturbed(degree):
     return fault
 
 
+def _one_degree_doubled(degree):
+    def fault(hodge_factors):
+        def faulty(cx, metric=None):
+            star = hodge_factors(cx, metric)
+            factors = list(star.factors)
+            factors[degree] = 2.0 * factors[degree]
+            return replace(star, factors=tuple(factors))
+        return faulty
+    return fault
+
+
 def _one_quantum_dropped(connection):
     return lambda lattice, quanta: connection(lattice, quanta - 1)
 
@@ -778,6 +805,9 @@ TORUS44 = "lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\nmass
     ("e_phi", TORUS44 + "task: roundtrip\n", reconstruct, "reconstruct_potential", _offset),
     ("dF", TORUS44 + "task: maxwell\n", maxwell, "d_cochain", _one_value_perturbed(2)),
     ("continuity", TORUS44 + "task: maxwell\n", maxwell, "current", _one_value_perturbed(1)),
+    # D0^T D1^T = 0 keeps continuity at rounding for any star; ** reads the doubling
+    ("double_star", TORUS44 + "task: maxwell\n", maxwell, "hodge_factors",
+     _one_degree_doubled(1)),
     ("chern_number", TORUS44 + "task: holonomy\nparams: {chern_flux_quanta: 1}\n", scenario,
      "_uniform_flux_connection", _one_quantum_dropped),
     ("periodicity", RING6 + "task: holonomy\nparams: {check_periodicity: true}\n", holonomy,
@@ -786,7 +816,7 @@ TORUS44 = "lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\nmass
     ("composition", TORUS44 + "task: evolve\n", evolution, "propagator",
      _quadratic_global_phase),
 ], ids=["hermiticity", "spectrum_lower_bound", "e_F", "e_phi", "dF", "continuity",
-        "chern_number", "periodicity", "unitarity", "composition"])
+        "double_star", "chern_number", "periodicity", "unitarity", "composition"])
 def test_injected_fault_fails_its_check(tmp_path, capsys, monkeypatch, check, doc, module,
                                         name, fault):
     # negative controls: each fault breaks what its check measures
