@@ -26,7 +26,6 @@ from .holonomy import (
     chern_number,
     flat_connection,
     flatness_defect,
-    loop_holonomy,
 )
 from .lattice import (
     Lattice,
@@ -36,7 +35,6 @@ from .lattice import (
     connection_from_components,
     constant_metric,
     d0,
-    generators_pi1,
     link_field,
     plaquette_sums,
     scalar_field,
@@ -60,9 +58,7 @@ from .operators import (
     OperatorError,
     build_hamiltonian,
     commutator,
-    covariant_laplacian,
     eigenvalues,
-    identity_op,
     load_operator,
     mult_op,
     row_sum_field,
@@ -81,9 +77,7 @@ from .reconstruct import (
     default_test_vector,
     gauge_transform,
     link_average_metric,
-    metric_row_sum_field,
     peierls_decompose,
-    reassemble,
     reconstruct_metric,
     reconstruct_potential,
     reconstruction_report,

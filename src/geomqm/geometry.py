@@ -30,6 +30,8 @@ import numpy as np
 
 from .lattice import LatticeError, _positive_definite
 
+STEP_LIMIT = 10**6  # largest geodesic duration T / dt, in RK4 steps
+
 
 class ChartExit(ValueError):
     """Evaluation or trajectory left the open-boundary chart."""
@@ -187,7 +189,8 @@ class Trajectory:
 
 def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     """Integrate the geodesic equation from position q0 and velocity v0
-    with classic RK4.
+    with classic RK4, in round(T / dt) steps; T / dt above STEP_LIMIT is
+    refused before the first step.
 
     Returns a Trajectory sampled every record_every steps (plus start and
     final point); speed2 tracks g(q_dot, q_dot) along the way.  On open
@@ -196,6 +199,8 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
+    if T / dt > STEP_LIMIT:
+        raise ValueError(f"T / dt = {T / dt:.7g} RK4 steps exceeds the step limit {STEP_LIMIT}")
     if not isinstance(record_every, (int, np.integer)) or record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     q = np.asarray(q0, dtype=float).copy()
@@ -261,13 +266,6 @@ class SpacetimeMetric:
 
     def lower_fields(self):
         return np.linalg.inv(self.fields)
-
-    def lower_block(self, site, sample):
-        d = self.lattice.ndim
-        block = np.zeros((d + 1, d + 1))
-        block[0, 0] = 1.0 / self.g00
-        block[1:, 1:] = np.linalg.inv(self.fields[sample][site])
-        return block
 
     def is_static(self):
         return self.n_samples < 2 or bool(

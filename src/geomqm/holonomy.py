@@ -21,16 +21,6 @@ class TopologyError(LatticeError):
     """Operation requires periodic directions the lattice does not have."""
 
 
-def loop_holonomy(lattice, theta, cycle):
-    """Phase sum of a LinkField along a closed link cycle, in (-pi, pi]."""
-    cycle = np.asarray(cycle, dtype=int)
-    dsts = lattice.link_dst[cycle]
-    srcs = lattice.link_src[cycle]
-    if not (np.all(dsts[:-1] == srcs[1:]) and dsts[-1] == srcs[0]):
-        raise LatticeError("cycle is not closed")
-    return float(wrap_angle(np.asarray(theta)[cycle].sum()))
-
-
 def flat_connection(lattice, target):
     """Flat LinkField whose generator holonomies match the target.
 

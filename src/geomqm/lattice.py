@@ -181,9 +181,6 @@ class Lattice:
     def periodic(self):
         return self.spec.periodic
 
-    def site_index(self, coord):
-        return int(np.ravel_multi_index(tuple(coord), self.sizes))
-
     def link_index(self, site, step):
         """Directed link leaving `site` with integer step vector `step`.
 
@@ -334,11 +331,6 @@ def d0(lattice, f):
     """
     f = np.asarray(f, dtype=float)
     return f[lattice.link_dst] - f[lattice.link_src]
-
-
-def generators_pi1(lattice):
-    """Generating link cycles of the fundamental group (may be empty)."""
-    return list(lattice.pi1_generators)
 
 
 def connection_from_components(lattice, component_funcs):

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .lattice import _positive_definite, scalar_field
+from .lattice import _positive_definite, link_field, scalar_field
 
 PHASE_LIMIT = np.pi / 2  # per-link phases must stay inside (-pi/2, pi/2)
 DENSE_LIMIT = 4096  # largest dimension of a dense spectrum or propagator
@@ -49,15 +49,9 @@ class HermitianOperator:
     def dim(self):
         return self.mat.shape[0]
 
-    def dense(self):
-        return self.mat.toarray()
-
     def hermiticity_defect(self):
         d = self.mat - self.mat.getH()
         return np.max(np.abs(d.data), initial=0.0)
-
-    def __matmul__(self, other):
-        return HermitianOperator((self.mat @ _asmat(other)).tocsr())
 
 
 def _asmat(x):
@@ -84,10 +78,6 @@ def mult_op(lattice, f):
     return HermitianOperator(sp.diags(scalar_field(lattice, f).astype(complex)).tocsr())
 
 
-def identity_op(lattice):
-    return HermitianOperator(sp.identity(lattice.n_sites, dtype=complex, format="csr"))
-
-
 def commutator(x, y):
     """XY - YX as a sparse matrix."""
     xm, ym = _asmat(x), _asmat(y)
@@ -103,6 +93,9 @@ def link_couplings(lattice, g, m):
     if m <= 0:
         raise OperatorError(f"mass must be positive, got {m}")
     g = np.asarray(g, dtype=float)
+    shape = (lattice.n_sites, lattice.ndim, lattice.ndim)
+    if g.shape != shape:
+        raise OperatorError(f"inverse metric shape {g.shape} != {shape}")
     if not _positive_definite(g):
         raise OperatorError("inverse metric must be symmetric positive definite at every site")
     return _link_mean(lattice, g) / _link_weights(lattice, m)
@@ -123,24 +116,20 @@ def _link_weights(lattice, m):
     return w[lattice.link_step]
 
 
-def covariant_laplacian(lattice, g, A=None, m=1.0):
-    """Covariant Laplacian Delta(A, g) for mass m.
+def build_hamiltonian(lattice, g, A, phi, m):
+    """H = Delta(A, g) + multiplication by phi for mass m.
 
     g is an inverse-metric field (n_sites, d, d); A is a LinkField of
-    integrated connection phases (None means zero).  Raises if g is not
-    positive definite or any |phase| reaches pi/2.  That phase window is a
-    contract of the builder and of saved operators: inside it every entry
-    splits uniquely into an amplitude sign and a phase, which is what
+    integrated connection phases and phi a ScalarField (None means zero
+    for either).  Raises if g has another shape or is not positive
+    definite, if A is not a finite, antisymmetric LinkField, or if any
+    |phase| reaches pi/2.  That phase window is a contract of the builder
+    and of saved operators: inside it every entry splits uniquely into an
+    amplitude sign and a phase, which is what
     `reconstruct.peierls_decompose` inverts.
     """
-    return build_hamiltonian(lattice, g, A, None, m)
-
-
-def build_hamiltonian(lattice, g, A, phi, m):
-    """H = Delta(A, g) + multiplication by phi (None means zero), under
-    the checks and the phase window of covariant_laplacian."""
     c = link_couplings(lattice, g, m)
-    theta = np.zeros(lattice.n_links) if A is None else np.asarray(A, dtype=float)
+    theta = np.zeros(lattice.n_links) if A is None else link_field(lattice, A)
     worst = np.max(np.abs(theta), initial=0.0)
     if worst >= PHASE_LIMIT:
         raise OperatorError(

@@ -31,7 +31,6 @@ from .operators import (
     HermitianOperator,
     OperatorError,
     _asmat,
-    _assemble,
     _commutant_defect,
     _link_mean,
     _link_weights,
@@ -180,11 +179,6 @@ def peierls_decompose(lattice, H):
     ondiag = mat.row == mat.col
     diagonal[mat.row[ondiag]] = mat.data[ondiag].real
     return PeierlsDecomposition(couplings, phases, diagonal, entries)
-
-
-def reassemble(lattice, dec):
-    """Operator with entries -c * exp(-i*theta) plus the stored diagonal."""
-    return _assemble(lattice, dec.couplings, dec.phases, dec.diagonal)
 
 
 def reconstruct_metric(lattice, dec, m):
@@ -337,12 +331,6 @@ def _coordinate_cures(lattice, entries, c, psi, pairs):
         s = _covariant_row_sums(lattice, c, k, l)
         out.append(((k, l), float(np.linalg.norm(M @ psi - s * psi))))
     return tuple(out)
-
-
-def metric_row_sum_field(lattice, H, m, k, l):
-    """m * covariant row sums for coordinate pair (k, l): a g^kl witness."""
-    c = _link_couplings(lattice, _link_entries(lattice, H))
-    return m * _covariant_row_sums(lattice, c, k, l)
 
 
 def _covariant_row_sums(lattice, c, k, l):

@@ -70,11 +70,13 @@ _KEYS = (
         "lower metric scale s(t); needs fields.time.samples >= 3"),
     Key("params.reference", "str", "link_average", _one_of("link_average", "pointwise"),
         ("roundtrip",)),
-    Key("params.hamiltonian_file", "str", None, None, ("reconstruct",)),
+    Key("params.hamiltonian_file", "str", None, None, ("reconstruct",),
+        "an existing operator file, relative to the working directory"),
     Key("params.initial.position", "list of float", None, _PER_AXIS, ("geodesic",), "default 0"),
     Key("params.initial.velocity", "list of float", None, _PER_AXIS, ("geodesic",),
         "default the unit vector of axis 0"),
-    Key("params.dt", "float", 1e-3, POSITIVE, ("geodesic",)),
+    Key("params.dt", "float", 1e-3, POSITIVE, ("geodesic",),
+        f"at most duration; duration / dt at most {geometry.STEP_LIMIT} RK4 steps"),
     Key("params.duration", "float", 1.0, POSITIVE, ("geodesic", "evolve")),
     Key("params.eta", "float", 1e-4, POSITIVE, ("geodesic",), "metric difference step"),
     Key("params.ensembles", "int", 1, COUNT, ("maxwell",)),
@@ -217,11 +219,20 @@ def validate_config(doc):
         samples = cfg["fields.time.samples"] or 1
         if samples < 3:
             raise ConfigError(f"fields.time.scale: needs fields.time.samples >= 3, got {samples}")
+    dt, duration = cfg.get("params.dt"), cfg.get("params.duration")  # dt: geodesic only
+    if dt is not None and duration < dt:
+        raise ConfigError(f"params.duration: must be >= params.dt = {dt}, got {duration}")
+    if dt is not None and duration / dt > geometry.STEP_LIMIT:
+        raise ConfigError(f"params.dt: params.duration / params.dt = {duration / dt:.7g} "
+                          f"RK4 steps, above the limit {geometry.STEP_LIMIT}")
+    hamiltonian_file = cfg.get("params.hamiltonian_file")
+    if hamiltonian_file is not None and not Path(hamiltonian_file).is_file():
+        raise ConfigError(f"params.hamiltonian_file: no such file {hamiltonian_file!r}")
     probe = cfg.get("params.probe_delta")
-    if probe is not None and probe > cfg["params.duration"] / 2:
+    if probe is not None and probe > duration / 2:
         # the residual is taken at duration / 2 and reaches back to t - probe_delta
         raise ConfigError(f"params.probe_delta: must be <= params.duration / 2 = "
-                          f"{cfg['params.duration'] / 2}, got {probe}")
+                          f"{duration / 2}, got {probe}")
     return cfg, lattice, (g, theta, phi)
 
 

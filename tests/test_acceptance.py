@@ -23,7 +23,6 @@ from geomqm import (
     commutator,
     constant_metric,
     continuity_defect,
-    covariant_laplacian,
     cure_residual,
     current,
     d0,
@@ -73,7 +72,7 @@ def test_acceptance_01_flat_commutator():
         x = lat.positions[:, 0]
         interior = lat.interior_mask()
         for m in (1.0, 2.0):
-            H = covariant_laplacian(lat, constant_metric(lat), None, m)
+            H = build_hamiltonian(lat, constant_metric(lat), None, None, m)
             rows = row_sum_field(-1j * m * commutator(mult_op(lat, x), velocity(H, x)))
             assert np.max(np.abs(rows[interior] - 1.0)) <= 1e-12
     _report(1, "flat commutator row sums = 1 at interior sites, m in {1, 2}", t, 1.0)
@@ -103,7 +102,7 @@ def test_acceptance_03_continuum_convergence():
             lat = build_lattice(LatticeSpec("ring", (n,), (1.0 / n,)))
             x = lat.positions[:, 0]
             g = (1.0 + 0.3 * np.sin(2 * np.pi * x)).reshape(-1, 1, 1)
-            H = covariant_laplacian(lat, g, None, 1.0)
+            H = build_hamiltonian(lat, g, None, None, 1.0)
             g_rec = reconstruct_metric(lat, peierls_decompose(lat, H), 1.0)
             errs.append(np.max(np.abs(g_rec[:, 0, 0] - g[:, 0, 0])))
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
@@ -116,7 +115,7 @@ def test_acceptance_04_cure_second_order_detection():
         clean, perturbed = {}, {}
         for n in (32, 64):
             lat = build_lattice(LatticeSpec("interval", (n,), (1.0,)))
-            H = covariant_laplacian(lat, constant_metric(lat), None, 1.0)
+            H = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0)
             x = lat.positions[:, 0]
             psi = default_test_vector(lat)
             clean[n] = cure_residual(lat, H, x, x, psi)
@@ -133,7 +132,7 @@ def test_acceptance_04_cure_second_order_detection():
 def test_acceptance_05_axiom_detection():
     with _Timer() as t:
         lat = build_lattice(LatticeSpec("torus", (16, 16), (1.0, 1.0)))
-        base = covariant_laplacian(lat, constant_metric(lat), None, 1.0)
+        base = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0)
         flipped = base.mat.tolil()
         link = lat.link_index(17, (1, 0))
         i, j = 17, int(lat.link_dst[link])
@@ -346,7 +345,7 @@ def test_acceptance_12_chern_numbers():
 def test_acceptance_13_evolution():
     with _Timer() as t:
         lat = build_lattice(LatticeSpec("interval", (64,), (1.0,)))
-        H = covariant_laplacian(lat, constant_metric(lat), None, 1.0)
+        H = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0)
         U = propagator(H, 0.0, 1.0, 40)
         defect = unitarity_defect(U)
         assert defect <= 1e-10

@@ -8,7 +8,6 @@ from geomqm import (
     build_hamiltonian,
     build_lattice,
     constant_metric,
-    covariant_laplacian,
     eigenvalues,
     flat_connection,
     heisenberg_evolve,
@@ -25,7 +24,7 @@ def interval(n):
 
 
 def free_hamiltonian(lat, m=1.0):
-    return covariant_laplacian(lat, constant_metric(lat), None, m)
+    return build_hamiltonian(lat, constant_metric(lat), None, None, m)
 
 
 def test_diagonal_propagator_matches_exponential_oracle():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy
+from scipy.linalg import block_diag
 
 from geomqm import (
     AnalyticMetric,
@@ -158,7 +159,7 @@ def test_lift_signature_and_static_blocks():
     lat = build_lattice(LatticeSpec("rectangle", (4, 4), (1.0, 1.0)))
     g = constant_metric(lat, np.array([[1.0, 0.2], [0.2, 2.0]]))
     st = lorentzian_lift(lat, np.broadcast_to(g, (3,) + g.shape).copy(), [0.0, 1.0, 2.0])
-    block = st.lower_block(5, 1)
+    block = block_diag(1.0 / st.g00, st.lower_fields()[1, 5])  # lower indices at site 5, sample 1
     eigs = np.linalg.eigvalsh(block)
     assert (eigs < 0).sum() == 1 and (eigs > 0).sum() == 2
     assert block[0, 0] == -1.0 and np.max(np.abs(block[0, 1:])) == 0.0
@@ -288,6 +289,12 @@ def test_geodesic_refuses_a_bad_record_every(record_every):
         geodesic_integrate(met, [0.0, 0.0], [1.0, 0.0], 0.01, 0.1, record_every=record_every)
 
 
+def test_geodesic_refuses_more_steps_than_the_limit_before_the_first():
+    met = AnalyticMetric(lambda q: pytest.fail("a step was taken"), ndim=2)
+    with pytest.raises(ValueError, match="exceeds the step limit 1000000"):
+        geodesic_integrate(met, [0.0, 0.0], [1.0, 0.0], 1e-12, 4.0)
+
+
 def test_interpolant_christoffel_converges_second_order():
     # interpolated Christoffel at a node vs the analytic value: O(h^2)
     # with the default eta = h/4
@@ -355,10 +362,3 @@ def test_zeroth_residual_makes_one_lower_call_per_time_sample(monkeypatch):
     zeroth_residual(st, traj)
     assert len(calls) <= len(times)
     assert sum(calls) == 2 * 41  # each point is read at the two samples around it
-
-
-def test_lower_block_lapse_is_the_upper_entry():
-    # g00 is g^00 (as in fields and the Hodge star): g_00 = 1 / g00
-    lat = build_lattice(LatticeSpec("ring", (5,), (1.0,)))
-    st = lorentzian_lift(lat, constant_metric(lat)[None], g00=-4.0)
-    assert st.lower_block(2, 0)[0, 0] == -0.25

@@ -6,7 +6,6 @@ from geomqm import (
     LatticeSpec,
     build_lattice,
     d0,
-    generators_pi1,
     link_field,
     scalar_field,
 )
@@ -120,7 +119,7 @@ def test_pi1_cycles_closed_with_full_period():
         ("torus", (4, 5), (1.0, 2.0)),
     ):
         lat = build_lattice(LatticeSpec(topo, sizes, spacings))
-        gens = generators_pi1(lat)
+        gens = lat.pi1_generators
         periodic_axes = [k for k in range(lat.ndim) if lat.periodic[k]]
         assert len(gens) == len(periodic_axes)
         for cycle, k in zip(gens, periodic_axes):
@@ -136,12 +135,12 @@ def test_pi1_cycles_closed_with_full_period():
 
 def test_contractible_has_no_generators():
     lat = build_lattice(LatticeSpec("interval", (5,), (1.0,)))
-    assert generators_pi1(lat) == []
+    assert lat.pi1_generators == ()
 
 
 def test_cylinder_generator_length():
     lat = build_lattice(LatticeSpec("cylinder", (6, 4), (1.0, 1.0)))
-    (cycle,) = generators_pi1(lat)
+    (cycle,) = lat.pi1_generators
     assert len(cycle) == 6
 
 

@@ -26,7 +26,6 @@ from geomqm import (
     commutator,
     constant_metric,
     coordinate_cure_residual,
-    covariant_laplacian,
     cure_residual,
     d0,
     default_test_vector,
@@ -326,7 +325,7 @@ def seeded_hamiltonian(lat, seed):
 def range2_operator(n):
     """The interval operator with a fixed 0.1 range-2 hop."""
     lat = build_lattice(LatticeSpec("interval", (n,), (1.0,)))
-    H = covariant_laplacian(lat, constant_metric(lat), None, 1.0).mat
+    H = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0).mat
     rows = np.arange(n - 2)
     hop = sp.csr_matrix((0.1 * np.ones(n - 2), (rows, rows + 2)), shape=(n, n))
     return lat, (H + hop + hop.T).tocsr()

@@ -180,13 +180,13 @@ def test_hodge_n4_time_face_sign():
     lat = build_lattice(LatticeSpec("box3", (3, 3, 3), (1.0, 1.0, 1.0)))
     cx = build_spacetime_complex(lat, 3, 1.0)
     faces = list(combinations(range(4), 2))
-    anchor = int(cx.cell_table[2][lat.site_index((1, 1, 1)), faces.index((0, 1))])
+    anchor = int(cx.cell_table[2][np.ravel_multi_index((1, 1, 1), lat.sizes), faces.index((0, 1))])
     F = cx.cochain(2)
     F.values[anchor] = 1.0
     dual = hodge(hodge_factors(cx), F)
     comp, coeff = levi_civita_star_oracle((0, 1), (-1.0, 1.0, 1.0, 1.0), (1.0,) * 4)
     assert comp == (2, 3) and coeff == -1.0
-    target = cx.cell_table[2][lat.site_index((1, 1, 1)), faces.index((2, 3))]
+    target = cx.cell_table[2][np.ravel_multi_index((1, 1, 1), lat.sizes), faces.index((2, 3))]
     assert dual.values[target] == coeff
     others = np.delete(dual.values, target)
     assert np.max(np.abs(others)) == 0.0
@@ -197,7 +197,7 @@ def test_hodge_matches_oracle_with_anisotropic_spacings():
     dt = 0.3
     cx = build_spacetime_complex(lat, 3, dt)
     star = hodge_factors(cx)
-    site = lat.site_index((1, 1, 1))
+    site = np.ravel_multi_index((1, 1, 1), lat.sizes)
     spac = (dt, 0.5, 0.8, 1.2)
     faces = list(combinations(range(4), 2))
     for axes in ((0, 1), (0, 2), (1, 2), (2, 3)):
@@ -328,7 +328,7 @@ def test_localized_bump_current_support():
     star = hodge_factors(cx, flat_metric(lat, n_t, 1.0))
     # one plaquette column of flux via a single spatial link phase
     theta = np.zeros(lat.n_links)
-    link = lat.link_index(lat.site_index((4, 4)), (1, 0))
+    link = lat.link_index(np.ravel_multi_index((4, 4), lat.sizes), (1, 0))
     theta[link] = 0.3
     theta[lat.link_reverse[link]] = -0.3
     pot = assemble_potential(cx, [theta] * n_t, [np.zeros(lat.n_sites)] * n_t)
@@ -342,7 +342,7 @@ def test_localized_bump_current_support():
     allowed = set()
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
-            allowed.add(lat.site_index(((4 + dx) % 8, (4 + dy) % 8)))
+            allowed.add(int(np.ravel_multi_index(((4 + dx) % 8, (4 + dy) % 8), lat.sizes)))
     assert touched_sites <= allowed
     assert len(support_edges) > 0
 

@@ -10,12 +10,10 @@ from geomqm import (
     build_lattice,
     commutator,
     constant_metric,
-    covariant_laplacian,
     d0,
     eigenvalues,
     flat_connection,
     gauge_transform,
-    identity_op,
     load_operator,
     mult_op,
     save_operator,
@@ -35,20 +33,20 @@ def ring4():
 
 
 def test_mult_identity(ring4):
-    assert np.allclose(mult_op(ring4, np.ones(4)).dense(), np.eye(4))
+    assert np.allclose(mult_op(ring4, np.ones(4)).mat.toarray(), np.eye(4))
 
 
 def test_mult_coordinate_diagonal():
     lat = build_lattice(LatticeSpec("interval", (5,), (0.5,)))
-    M = mult_op(lat, lat.positions[:, 0]).dense()
+    M = mult_op(lat, lat.positions[:, 0]).mat.toarray()
     assert np.allclose(M, np.diag([0.0, 0.5, 1.0, 1.5, 2.0]))
 
 
 def test_mult_pointwise_product(ring4):
     rng = np.random.default_rng(0)
     f, g = rng.normal(size=4), rng.normal(size=4)
-    lhs = (mult_op(ring4, f) @ mult_op(ring4, g)).dense()
-    assert np.allclose(lhs, mult_op(ring4, f * g).dense())
+    lhs = (mult_op(ring4, f).mat @ mult_op(ring4, g).mat).toarray()
+    assert np.allclose(lhs, mult_op(ring4, f * g).mat.toarray())
 
 
 def test_commutator_of_multiplications_vanishes(ring4):
@@ -69,19 +67,19 @@ def test_commutator_diagonal_identity(ring4):
 
 
 def test_commutator_self_vanishes(ring4):
-    H = covariant_laplacian(ring4, constant_metric(ring4), None, 1.0)
+    H = build_hamiltonian(ring4, constant_metric(ring4), None, None, 1.0)
     assert np.max(np.abs(commutator(H, H).toarray())) < 1e-14
 
 
 def test_commutator_dimension_mismatch(ring4):
     other = sp.identity(7, dtype=complex, format="csr")
     with pytest.raises(OperatorError):
-        commutator(identity_op(ring4), other)
+        commutator(mult_op(ring4, np.ones(4)), other)
 
 
 def test_free_ring_matches_fourier_oracle(ring4):
-    H = covariant_laplacian(ring4, constant_metric(ring4), None, 1.0)
-    dense = H.dense()
+    H = build_hamiltonian(ring4, constant_metric(ring4), None, None, 1.0)
+    dense = H.mat.toarray()
     assert np.allclose(np.diag(dense), np.ones(4))
     offs = dense[~np.eye(4, dtype=bool)]
     coupled = offs[np.abs(offs) > 0]
@@ -90,15 +88,15 @@ def test_free_ring_matches_fourier_oracle(ring4):
 
 
 def test_laplacian_linear_in_metric(ring4):
-    H1 = covariant_laplacian(ring4, constant_metric(ring4), None, 1.0)
-    H2 = covariant_laplacian(ring4, 2.0 * constant_metric(ring4), None, 1.0)
-    assert np.allclose(H2.dense(), 2.0 * H1.dense())
+    H1 = build_hamiltonian(ring4, constant_metric(ring4), None, None, 1.0)
+    H2 = build_hamiltonian(ring4, 2.0 * constant_metric(ring4), None, None, 1.0)
+    assert np.allclose(H2.mat.toarray(), 2.0 * H1.mat.toarray())
 
 
 def test_laplacian_mass_scaling(ring4):
-    H1 = covariant_laplacian(ring4, constant_metric(ring4), None, 1.0)
-    H2 = covariant_laplacian(ring4, constant_metric(ring4), None, 2.0)
-    assert np.allclose(H2.dense(), 0.5 * H1.dense())
+    H1 = build_hamiltonian(ring4, constant_metric(ring4), None, None, 1.0)
+    H2 = build_hamiltonian(ring4, constant_metric(ring4), None, None, 2.0)
+    assert np.allclose(H2.mat.toarray(), 0.5 * H1.mat.toarray())
 
 
 def test_hamiltonian_free_ground_state(ring4):
@@ -139,7 +137,7 @@ def test_builder_hermiticity_and_positivity():
     g[:, 1, 1] = 1.5 + 0.2 * np.cos(2 * np.pi * pos[:, 1] / 4.8)
     g[:, 0, 1] = g[:, 1, 0] = 0.2
     theta = flat_connection(lat, (0.5, -0.8))
-    H = covariant_laplacian(lat, g, theta, 1.3)
+    H = build_hamiltonian(lat, g, theta, None, 1.3)
     assert H.hermiticity_defect() < 1e-12
     assert eigenvalues(H)[0] > -1e-9
 
@@ -147,7 +145,7 @@ def test_builder_hermiticity_and_positivity():
 def test_row_sums_vanish_on_closed_topology():
     lat = build_lattice(LatticeSpec("torus", (5, 4), (1.0, 1.0)))
     g = constant_metric(lat, np.array([[1.0, 0.3], [0.3, 2.0]]))
-    H = covariant_laplacian(lat, g, None, 1.0)
+    H = build_hamiltonian(lat, g, None, None, 1.0)
     sums = np.asarray(H.mat.sum(axis=1)).ravel()
     assert np.max(np.abs(sums)) < 1e-12
 
@@ -168,7 +166,7 @@ def test_nonpositive_metric_rejected(ring4):
     g = constant_metric(ring4)
     g[1, 0, 0] = -0.5
     with pytest.raises(OperatorError):
-        covariant_laplacian(ring4, g, None, 1.0)
+        build_hamiltonian(ring4, g, None, None, 1.0)
 
 
 def test_phase_out_of_range_rejected(ring4):
@@ -177,12 +175,35 @@ def test_phase_out_of_range_rejected(ring4):
     theta[link] = np.pi / 2
     theta[ring4.link_reverse[link]] = -np.pi / 2
     with pytest.raises(OperatorError):
-        covariant_laplacian(ring4, constant_metric(ring4), theta, 1.0)
+        build_hamiltonian(ring4, constant_metric(ring4), theta, None, 1.0)
+
+
+def _one_link_without_reverse(lat):
+    theta = np.zeros(lat.n_links)
+    theta[lat.link_index(0, (1, 0))] = 0.3
+    return theta
+
+
+@pytest.mark.parametrize("metric, connection, error, message", [
+    (constant_metric, _one_link_without_reverse, LatticeError, "not antisymmetric"),
+    (constant_metric, lambda lat: np.full(lat.n_links, np.nan), LatticeError, "non-finite"),
+    (constant_metric, lambda lat: np.zeros(lat.n_links - 1), LatticeError,
+     r"link field shape \(127,\) != \(128,\)"),
+    (lambda lat: np.broadcast_to(np.eye(2), (15, 2, 2)), lambda lat: None, OperatorError,
+     r"inverse metric shape \(15, 2, 2\) != \(16, 2, 2\)"),
+    (lambda lat: np.broadcast_to(np.eye(3), (16, 3, 3)), lambda lat: None, OperatorError,
+     r"inverse metric shape \(16, 3, 3\) != \(16, 2, 2\)"),
+], ids=["asymmetric connection", "nan connection", "short connection", "15-site metric",
+        "3x3 metric"])
+def test_builder_refuses_fields_of_the_wrong_kind(metric, connection, error, message):
+    lat = build_lattice(LatticeSpec("torus", (4, 4), (1.0, 1.0)))
+    with pytest.raises(error, match=message):
+        build_hamiltonian(lat, metric(lat), connection(lat), None, 1.0)
 
 
 def test_nonpositive_mass_rejected(ring4):
     with pytest.raises(OperatorError):
-        covariant_laplacian(ring4, constant_metric(ring4), None, 0.0)
+        build_hamiltonian(ring4, constant_metric(ring4), None, None, 0.0)
 
 
 def test_validate_diagonal_operator(ring4):
@@ -193,7 +214,7 @@ def test_validate_diagonal_operator(ring4):
 
 
 def test_validate_free_laplacian_locality(ring4):
-    H = covariant_laplacian(ring4, constant_metric(ring4), None, 1.0)
+    H = build_hamiltonian(ring4, constant_metric(ring4), None, None, 1.0)
     rep = validate_operator(ring4, H)
     assert rep["locality_radius"] == 1
     assert rep["hermiticity_defect"] < 1e-14

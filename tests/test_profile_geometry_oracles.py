@@ -228,7 +228,7 @@ def loop_cell_weights(lat, q):
                 ik %= lat.sizes[k]
             coord.append(ik)
             w *= frac[k] if bit else 1.0 - frac[k]
-        sites.append(lat.site_index(coord))
+        sites.append(int(np.ravel_multi_index(tuple(coord), lat.sizes)))
         weights.append(w)
     return np.asarray(sites), np.asarray(weights)
 

@@ -349,15 +349,15 @@ def test_cli_reconstruct_wrong_size_operator_file(tmp_path, capsys):
 
     from geomqm import (
         LatticeSpec,
+        build_hamiltonian,
         build_lattice,
         constant_metric,
-        covariant_laplacian,
         save_operator,
     )
 
     big = build_lattice(LatticeSpec("ring", (64,), (0.5,)))
     dump = tmp_path / "ring64.txt"
-    save_operator(dump, covariant_laplacian(big, constant_metric(big), None, 1.0))
+    save_operator(dump, build_hamiltonian(big, constant_metric(big), None, None, 1.0))
     shipped = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "reconstruct.yaml"
     doc = yaml.safe_load(shipped.read_text(encoding="utf-8"))
     doc["params"] = {"hamiltonian_file": str(dump)}
@@ -662,6 +662,42 @@ def test_probe_delta_above_half_the_duration_is_a_config_error(tmp_path, capsys)
     assert main(["run", str(path), "--out", str(tmp_path / "edge")]) == 0
     payload = json.loads((tmp_path / "edge" / "report.json").read_text())["payload"]
     assert 0 < payload["heisenberg_residual"] < 1
+
+
+GEODESIC_TORUS = ("lattice: {topology: torus, sizes: [8, 8], spacings: [1.0, 1.0]}\n"
+                  "mass: 1.0\ntask: geodesic\n")
+
+
+@pytest.mark.parametrize("dt, duration, message", [
+    ("0.5", "0.25", "params.duration: must be >= params.dt = 0.5, got 0.25"),
+    ("1.0e-12", "4.0", "params.dt: params.duration / params.dt = 4e+12 RK4 steps, above the "
+                       "limit 1000000"),
+    ("0.25", "250000.25", "params.dt: params.duration / params.dt = 1000001 RK4 steps"),
+])
+def test_geodesic_step_count_outside_its_bounds_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                                   dt, duration, message):
+    monkeypatch.setattr(scenario.geometry, "geodesic_integrate",
+                        lambda *args, **kwargs: pytest.fail("the geodesic was integrated"))
+    path = write(tmp_path, "geo.yaml",
+                 GEODESIC_TORUS + f"params: {{dt: {dt}, duration: {duration}}}\n")
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {message}") == 2
+    assert not (tmp_path / "out").exists()
+    # exactly at the limit the document validates
+    path = write(tmp_path, "edge.yaml", GEODESIC_TORUS + "params: {dt: 0.25, duration: 250000.0}\n")
+    assert main(["validate", str(path)]) == 0
+
+
+def test_missing_hamiltonian_file_is_a_config_error_naming_the_key(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    path = write(tmp_path, "rec.yaml", "lattice: {topology: ring, sizes: [12], spacings: [0.5]}\n"
+                 f"mass: 1.0\ntask: reconstruct\nparams: {{hamiltonian_file: '{missing}'}}\n")
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: params.hamiltonian_file: no such file {str(missing)!r}"] * 2
 
 
 RING6 = "lattice: {topology: ring, sizes: [6], spacings: [1.0]}\nmass: 1.0\n"
