@@ -1,0 +1,103 @@
+"""Compare every output file of two geomqm source trees byte for byte.
+
+    python3 scripts/compare_outputs.py OLD_TREE NEW_TREE
+
+For each tree, a fresh interpreter with that tree's `src` and `perfbench`
+on its path runs, through `geomqm.scenario.run_scenario` and into a
+temporary directory:
+
+* every shipped scenario, `scenarios/*.yaml`, from the tree's root;
+* the seed-1 ops of every benchmark workload, from inputs and operator
+  files that the tree's `perfbench/workloads.py` writes as the benchmark
+  prepares them (the generated YAML and manifests are inputs and are not
+  compared; the prepared operator files are).
+
+Then every output file is compared byte for byte, with the value of
+`wall_time_s` in each `report.json` masked.  The files that differ or
+exist in one tree only are listed; the exit status is 0 when none does,
+1 when one does and 2 when a run fails.  Nothing is written in either
+tree: the runs write no bytecode and change into the temporary
+directory for the benchmark ops.  Passing the same tree twice checks
+that the outputs are deterministic.
+"""
+
+from __future__ import annotations
+
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_RUN = """
+import json, os, sys
+from pathlib import Path
+tree, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+import workloads
+from geomqm.scenario import run_scenario
+os.chdir(tree)  # a relative params.hamiltonian_file resolves from here
+for config in sorted((tree / "scenarios").glob("*.yaml")):
+    run_scenario(config, out / "scenarios" / config.stem)
+for name in sorted(workloads.WORKLOADS):
+    work = out / "workloads" / name
+    manifest = workloads.write_inputs(workloads.generate(name, 1), work)
+    entries = json.loads(manifest.read_text(encoding="utf-8"))
+    workloads.prepare_operator_files(entries, work)
+    os.chdir(work)
+    for entry in entries:
+        run_scenario(entry["config"], work / "out" / entry["name"])
+"""
+
+_WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]*')
+
+
+def run_tree(tree, out):
+    """Write the outputs of `tree` under `out`; False if the runs fail."""
+    proc = subprocess.run([sys.executable, "-B", "-c", _RUN, str(tree.resolve()), str(out)],
+                          cwd=out, check=False)
+    return proc.returncode == 0
+
+
+def outputs(root):
+    """Relative path -> bytes of every output file under root."""
+    found = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file() or path.suffix == ".yaml" or path.name == "manifest.json":
+            continue
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = _WALL_TIME.sub(b'"wall_time_s": <masked>', data)
+        found[path.relative_to(root).as_posix()] = data
+    return found
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="geomqm-compare-") as tmp:
+        found = []
+        for side, tree in zip(("old", "new"), args):
+            out = Path(tmp) / side
+            out.mkdir()
+            if not run_tree(Path(tree), out):
+                print(f"the runs of {tree} failed", file=sys.stderr)
+                return 2
+            found.append(outputs(out))
+    old, new = found
+    names = old.keys() | new.keys()
+    differ = sorted(name for name in names if old.get(name) != new.get(name))
+    for name in differ:
+        if name in old and name in new:
+            print(f"{name}: differs")
+        else:
+            print(f"{name}: only in {args[0] if name in old else args[1]}")
+    print(f"{len(names) - len(differ)} of {len(names)} output files byte-identical "
+          "(wall_time_s masked)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

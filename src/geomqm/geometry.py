@@ -81,10 +81,10 @@ class AnalyticMetric:
 class LatticeMetricInterpolant:
     """Multilinear interpolation of the lower metric over lattice cells.
 
-    Site values are matched exactly at the nodes; convex combinations of
-    positive-definite matrices keep the interpolant positive definite
-    everywhere it is evaluated.  The chart spans every periodic axis and
-    [0, (n - 1) h] (with a 1e-9 h margin) on every open one.
+    Site values are matched exactly at the nodes.  The chart spans every
+    periodic axis and [0, (n - 1) h] on every open one, where the edge
+    cells extend linearly over a 1e-9 h margin; the weights are convex, and
+    keep the interpolant positive definite, inside [0, (n - 1) h] only.
     """
 
     def __init__(self, lattice, g_inverse):
@@ -114,9 +114,8 @@ class LatticeMetricInterpolant:
         n = np.asarray(lat.sizes)
         periodic = np.asarray(lat.periodic)
         u = q / np.asarray(lat.spacings, dtype=float)
-        u = np.where(periodic, u % n, np.clip(u, 0.0, n - 1.0))
-        base = np.floor(u).astype(int)
-        base = np.where(periodic, base, np.minimum(base, n - 2))
+        u = np.where(periodic, u % n, u)
+        base = np.where(periodic, np.floor(u), np.clip(np.floor(u), 0, n - 2)).astype(int)
         frac = u - base
         bits = (np.arange(1 << self.ndim)[:, None] >> np.arange(self.ndim)) & 1
         corner = base[..., None, :] + bits

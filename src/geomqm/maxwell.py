@@ -25,7 +25,6 @@ metrics must be diagonal.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -97,11 +96,6 @@ class SpacetimeComplex:
 
     def n_cells(self, k):
         return len(self.cell_anchor[k]) if 0 <= k <= 3 else 0
-
-    def content_hash(self):
-        spec = self.lattice.spec
-        text = repr((spec.topology, spec.sizes, spec.spacings, self.n_t, self.dt))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def cochain(self, k, values=None):
         vals = np.zeros(self.n_cells(k)) if values is None else np.asarray(values, float)

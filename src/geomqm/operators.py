@@ -207,10 +207,21 @@ def save_operator(path, op):
     17-significant-digit decimals.
     """
     mat = _asmat(op).tocoo()
+    write_rows(path, f"{mat.shape[0]} {mat.nnz}\n",
+               [("", (mat.row, mat.col, mat.data.real, mat.data.imag))], " ")
+
+
+def write_rows(path, header, blocks, sep):
+    """Write the header, then per row of each (prefix, columns) block the prefix and the
+    row's numbers as '%.17g' joined by sep (integers below 2^53 print as integers); the
+    equal-length 1-D columns are stacked 1024 rows at a time, never as one table."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mat.shape[0]} {mat.nnz}\n")
-        for i, j, v in zip(mat.row, mat.col, mat.data):
-            fh.write(f"{i} {j} {v.real:.17g} {v.imag:.17g}\n")
+        fh.write(header)
+        for prefix, columns in blocks:
+            fmt = sep.join(["%.17g"] * len(columns)) + "\n"
+            for start in range(0, len(columns[0]), 1024):
+                chunk = np.column_stack([c[start:start + 1024] for c in columns]).tolist()
+                fh.writelines(prefix + fmt % tuple(row) for row in chunk)
 
 
 def load_operator(path):

@@ -70,44 +70,16 @@ class AxiomReport:
     cure_residuals: tuple              # ((k, l), residual) per coordinate pair
     commutant_defect: tuple
 
-    def to_dict(self):
-        return {
-            "positivity": bool(self.positivity_ok),
-            "nondegeneracy": bool(self.nondegenerate),
-            "unquantized_axes": list(self.unquantized_axes),
-            "min_metric_eigenvalue": float(self.metric_min_eigenvalue.min()),
-            "cure_max": float(max((r for _, r in self.cure_residuals), default=0.0)),
-            "commutant": [float(v) for v in self.commutant_defect],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionReport:
     g_rec: np.ndarray
-    A_rec: np.ndarray            # phase LinkField as decomposed
     A_rec_tree_gauge: np.ndarray
     phi_rec: np.ndarray
     e_g: float
     e_F: float
     e_phi: float
     axiom: AxiomReport
-
-    def to_dict(self, lattice):
-        canon = lattice.link_reverse > np.arange(lattice.n_links)
-        return {
-            "g_rec": self.g_rec.tolist(),
-            "A_rec_tree_gauge": [
-                [int(i), int(j), float(v)]
-                for i, j, v in zip(
-                    lattice.link_src[canon],
-                    lattice.link_dst[canon],
-                    self.A_rec_tree_gauge[canon],
-                )
-            ],
-            "phi_rec": self.phi_rec.tolist(),
-            "errors": {"e_g": self.e_g, "e_F": self.e_F, "e_phi": self.e_phi},
-            "axioms": self.axiom.to_dict(),
-        }
 
 
 def velocity(H, a):
@@ -413,7 +385,6 @@ def reconstruction_report(lattice, H, m, truth=None):
         e_phi = float(np.max(np.abs(phi_rec - phi_in)))
     return ReconstructionReport(
         g_rec=g_rec,
-        A_rec=dec.phases,
         A_rec_tree_gauge=tree_gauge_connection(lattice, dec),
         phi_rec=phi_rec,
         e_g=e_g,

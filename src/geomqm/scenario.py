@@ -34,6 +34,8 @@ from .profiles import (
 )
 
 TASKS = ("build", "reconstruct", "roundtrip", "geodesic", "maxwell", "holonomy", "evolve")
+FLOW_LIMIT = 10**7  # largest params.alphas.count x n_sites: the spectral flow table, 80 MB
+ENSEMBLE_LIMIT = 10**4  # largest params.ensembles
 
 
 def _one_of(*names):
@@ -79,12 +81,14 @@ _KEYS = (
         f"at most duration; duration / dt at most {geometry.STEP_LIMIT} RK4 steps"),
     Key("params.duration", "float", 1.0, POSITIVE, ("geodesic", "evolve")),
     Key("params.eta", "float", 1e-4, POSITIVE, ("geodesic",), "metric difference step"),
-    Key("params.ensembles", "int", 1, COUNT, ("maxwell",)),
+    Key("params.ensembles", "int", 1,
+        (f">= 1, <= {ENSEMBLE_LIMIT}", lambda v: 1 <= v <= ENSEMBLE_LIMIT), ("maxwell",)),
     Key("params.amplitude", "float", 0.3, ("finite, >= 0", lambda v: 0 <= v < math.inf),
         ("maxwell",)),
     Key("params.alphas.start", "float", 0.0, None, ("holonomy",)),
     Key("params.alphas.stop", "float", 2 * np.pi, None, ("holonomy",)),
-    Key("params.alphas.count", "int", 17, COUNT, ("holonomy",)),
+    Key("params.alphas.count", "int", 17, COUNT, ("holonomy",),
+        f"times the lattice sites at most {FLOW_LIMIT}"),
     Key("params.check_periodicity", "bool", False, None, ("holonomy",), "alpha vs alpha + 2 pi"),
     Key("params.chern_flux_quanta", "int", None, None, ("holonomy",), "torus only"),
     Key("params.steps", "int", None, COUNT, ("evolve",), "default from ||H||"),
@@ -202,9 +206,9 @@ def validate_config(doc):
                               f"got {len(value)}")
     lattice = build_lattice(spec)
     g = metric_from_profiles(lattice, cfg.get("fields.metric.components"))
-    # geodesic metrics are evaluated analytically along the path, not
-    # at lattice sites, so sitewise positive definiteness is not required
-    if cfg["task"] != "geodesic" and not _positive_definite(g):
+    # a geodesic reads the site metric only to lift it to a time series
+    grid = _lift_grid(cfg) if cfg["task"] == "geodesic" else None
+    if (cfg["task"] != "geodesic" or grid is not None) and not _positive_definite(g):
         raise ConfigError("fields.metric: profile metric is not symmetric positive definite")
     try:
         theta = connection_from_profiles(lattice, {
@@ -215,10 +219,15 @@ def validate_config(doc):
         raise ConfigError(f"fields.connection.holonomies: {exc}") from exc
     phi = scalar_from_profile(lattice, cfg.get("fields.potential"), "fields.potential")
     if cfg.get("fields.time.scale") is not None:
-        time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
-        samples = cfg["fields.time.samples"] or 1
-        if samples < 3:
-            raise ConfigError(f"fields.time.scale: needs fields.time.samples >= 3, got {samples}")
+        scale = time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
+        if grid is None:
+            raise ConfigError("fields.time.scale: needs fields.time.samples >= 3, "
+                              f"got {cfg['fields.time.samples'] or 1}")
+        # linear in t: positive and finite at every sample time iff at both ends
+        for t in (0.0, (grid[0] - 1) * grid[1]):
+            if not 0 < scale(t) < math.inf:
+                raise ConfigError(f"fields.time.scale: must be positive and finite at every "
+                                  f"sample time, got {scale(t):.7g} at t = {t:.7g}")
     dt, duration = cfg.get("params.dt"), cfg.get("params.duration")  # dt: geodesic only
     if dt is not None and duration < dt:
         raise ConfigError(f"params.duration: must be >= params.dt = {dt}, got {duration}")
@@ -228,6 +237,9 @@ def validate_config(doc):
     hamiltonian_file = cfg.get("params.hamiltonian_file")
     if hamiltonian_file is not None and not Path(hamiltonian_file).is_file():
         raise ConfigError(f"params.hamiltonian_file: no such file {hamiltonian_file!r}")
+    count = cfg.get("params.alphas.count")
+    if count and cfg["params.chern_flux_quanta"] is None and count * lattice.n_sites > FLOW_LIMIT:
+        raise ConfigError(f"params.alphas.count: {count} x {lattice.n_sites} sites > {FLOW_LIMIT}")
     probe = cfg.get("params.probe_delta")
     if probe is not None and probe > duration / 2:
         # the residual is taken at duration / 2 and reaches back to t - probe_delta
@@ -236,10 +248,12 @@ def validate_config(doc):
     return cfg, lattice, (g, theta, phi)
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def scenario_hash(doc):
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
+    return _digest(json.dumps(doc, sort_keys=True, default=str))
 
 
 def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
@@ -303,6 +317,32 @@ def _task_build(cfg, lattice, fields, seed, tol_scale, out, report):
     _check(report, "spectrum_lower_bound", lower_defect, _tol(cfg, "spectrum_lower_bound", tol_scale))
 
 
+def _canonical_links(lattice):
+    """Mask of the lower-id link of each reversed pair, the one outputs list."""
+    return lattice.link_reverse > np.arange(lattice.n_links)
+
+
+def _reconstruction_payload(lattice, rep):
+    """The frozen reconstruction fields of a ReconstructionReport, but errors."""
+    canon = _canonical_links(lattice)
+    axiom = rep.axiom
+    return {
+        "g_rec": rep.g_rec.tolist(),
+        "A_rec_tree_gauge": list(zip(lattice.link_src[canon].tolist(),
+                                     lattice.link_dst[canon].tolist(),
+                                     rep.A_rec_tree_gauge[canon].tolist())),
+        "phi_rec": rep.phi_rec.tolist(),
+        "axioms": {
+            "positivity": bool(axiom.positivity_ok),
+            "nondegeneracy": bool(axiom.nondegenerate),
+            "unquantized_axes": list(axiom.unquantized_axes),
+            "min_metric_eigenvalue": float(axiom.metric_min_eigenvalue.min()),
+            "cure_max": float(max((r for _, r in axiom.cure_residuals), default=0.0)),
+            "commutant": [float(v) for v in axiom.commutant_defect],
+        },
+    }
+
+
 def _task_reconstruct(cfg, lattice, fields, seed, tol_scale, out, report):
     m = cfg["mass"]
     if cfg["params.hamiltonian_file"] is not None:
@@ -313,9 +353,7 @@ def _task_reconstruct(cfg, lattice, fields, seed, tol_scale, out, report):
     else:
         H = operators.build_hamiltonian(lattice, *fields, m)
     rep = reconstruct.reconstruction_report(lattice, H, m)
-    payload = rep.to_dict(lattice)
-    payload.pop("errors")  # no reference fields in pure reconstruction mode
-    report.payload = payload
+    report.payload = _reconstruction_payload(lattice, rep)
     _check(report, "positivity", 0.0 if rep.axiom.positivity_ok else 1.0, 0.5)
     _check(report, "nondegeneracy", 0.0 if rep.axiom.nondegenerate else 1.0, 0.5)
 
@@ -324,7 +362,8 @@ def _task_roundtrip(cfg, lattice, fields, seed, tol_scale, out, report):
     m = cfg["mass"]
     reference = cfg["params.reference"]
     rep = reconstruct.roundtrip_report(lattice, *fields, m, reference=reference)
-    report.payload = rep.to_dict(lattice)
+    report.payload = _reconstruction_payload(lattice, rep)
+    report.payload["errors"] = {"e_g": rep.e_g, "e_F": rep.e_F, "e_phi": rep.e_phi}
     loose = 1e-9 if reference == "link_average" else 1e-2
     _check(report, "e_g", rep.e_g, _tol(cfg, "e_g", tol_scale, loose))
     _check(report, "e_F", rep.e_F, _tol(cfg, "e_F", tol_scale))
@@ -346,11 +385,10 @@ def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
     duration = cfg["params.duration"]
     traj = geometry.geodesic_integrate(metric, q0, v0, cfg["params.dt"], duration)
 
-    samples = cfg["fields.time.samples"] or 1
-    if samples >= 3:
+    grid = _lift_grid(cfg)
+    if grid is not None:
         scale = time_scale_function(cfg["fields.time.scale"])
-        dts = cfg["fields.time.dt"] or duration / (samples - 1)
-        times = np.arange(samples) * dts
+        times = np.arange(grid[0]) * grid[1]
         series = np.array([fields[0] / scale(t) for t in times])
         st = geometry.lorentzian_lift(lattice, series, times)
         residual = geometry.zeroth_residual(st, traj)
@@ -360,8 +398,8 @@ def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
     d = traj.positions.shape[1]
     header = ",".join(["t", *(f"q_{k+1}" for k in range(d)), *(f"v_{k+1}" for k in range(d)),
                        "speed2", "residual0"])
-    table = np.column_stack([traj.times, traj.positions, traj.velocities, traj.speed2, residual])
-    _write_csv(out / "trajectory.csv", header + "\n", [("", table)])
+    columns = (traj.times, *traj.positions.T, *traj.velocities.T, traj.speed2, residual)
+    operators.write_rows(out / "trajectory.csv", header + "\n", [("", columns)], ",")
     report.payload = {
         "samples": int(len(traj.times)),
         "speed2_drift": traj.speed2_drift(),
@@ -373,18 +411,12 @@ def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
     _check(report, "truncated", float(traj.truncated), 0.5)
 
 
-def _write_csv(path, header, blocks):
-    """Write the header text, then one line per row of each (prefix, rows)
-    block: the prefix, then the row's numbers as '%.17g', comma-separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for prefix, rows in blocks:
-            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            # rows go through Python floats in chunks, so no block is held
-            # as one large list
-            for start in range(0, len(rows), 1024):
-                chunk = rows[start:start + 1024].tolist()
-                fh.writelines(prefix + fmt % tuple(row) for row in chunk)
+def _lift_grid(cfg):
+    """Count and spacing of the geodesic task's metric samples; None below 3 (no lift)."""
+    samples = cfg["fields.time.samples"] or 1
+    if samples < 3:
+        return None
+    return samples, cfg["fields.time.dt"] or cfg["params.duration"] / (samples - 1)
 
 
 def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
@@ -427,12 +459,14 @@ def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
         last = (pot, F, j_minus)
 
     pot, F, j = last
-    header = (f"# complex={cx.content_hash()} orientation=t,x,y,z;increasing-pairs\n"
+    spec = lattice.spec
+    complex_hash = _digest(repr((spec.topology, spec.sizes, spec.spacings, cx.n_t, cx.dt)))
+    header = (f"# complex={complex_hash} orientation=t,x,y,z;increasing-pairs\n"
               "cochain,degree,cell_id,value\n")
-    _write_csv(out / "cochains.csv", header, (
-        (f"{name},{omega.degree},", np.column_stack([np.arange(len(omega.values)), omega.values]))
+    operators.write_rows(out / "cochains.csv", header, [
+        (f"{name},{omega.degree},", (np.arange(len(omega.values)), omega.values))
         for name, omega in (("potential", pot), ("field_strength", F), ("current", j))
-    ))
+    ], ",")
     report.payload = {
         "time_samples": samples,
         "ensembles": ensembles,
@@ -447,7 +481,7 @@ def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
 
 def _random_series(lattice, samples, amplitude, rng):
     A_series, phi_series = [], []
-    canon = lattice.link_reverse > np.arange(lattice.n_links)
+    canon = _canonical_links(lattice)
     for _ in range(samples):
         theta = np.zeros(lattice.n_links)
         vals = rng.normal(0.0, amplitude, int(canon.sum()))
@@ -474,7 +508,7 @@ def _task_holonomy(cfg, lattice, fields, seed, tol_scale, out, report):
                        cfg["params.alphas.count"])
     table = holonomy.ab_spectrum(lattice, m, grid)
     header = ",".join(["alpha", *(f"lambda_{k+1}" for k in range(table.shape[1]))])
-    _write_csv(out / "spectral_flow.csv", header + "\n", [("", np.column_stack([grid, table]))])
+    operators.write_rows(out / "spectral_flow.csv", header + "\n", [("", (grid, *table.T))], ",")
     payload.update(
         {
             "alpha_count": int(len(grid)),
@@ -527,9 +561,8 @@ def _task_evolve(cfg, lattice, fields, seed, tol_scale, out, report):
     defect = evolution.unitarity_defect(U)
     x = lattice.positions[:, 0]
     xt = evolution.heisenberg_evolve(x, U)
-    x0 = np.diag(x.astype(complex))
     # informational (no check reads it), and a dense 2-norm: an SVD of n x n
-    noncomm = float(np.linalg.norm(x0 @ xt - xt @ x0, 2))
+    noncomm = float(np.linalg.norm(x[:, None] * xt - xt * x, 2))
     probe = cfg["params.probe_delta"] or duration / steps
     residual = evolution.heisenberg_residual(H, x, duration / 2.0, probe)
     report.payload = {

@@ -178,3 +178,32 @@ def test_schema_lists_every_table_path_and_profile_parameter(capsys):
         line = next(g for g in grammar.splitlines() if f"{{profile: {kind}" in g)
         for key in params:
             assert f"{key.path}: <{key.kind}" in line, kind
+
+
+
+# Per bounded run size: its document, the value at its bound (ring (4,)
+# has 4 sites) and the bound the message names.
+OVER_BOUND = [
+    ("params.alphas.count", HOLONOMY + "params: {alphas: {count: %d}}\n",
+     scenario.FLOW_LIMIT // 4, scenario.FLOW_LIMIT),
+    ("params.ensembles", MAXWELL + "params: {ensembles: %d}\n",
+     scenario.ENSEMBLE_LIMIT, scenario.ENSEMBLE_LIMIT),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field, text, at, limit", OVER_BOUND, ids=[f for f, *_ in OVER_BOUND])
+def test_run_size_above_its_bound_is_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                             command, field, text, at, limit):
+    def reached(*args, **kwargs):
+        raise AssertionError("the bounded work started")
+
+    monkeypatch.setattr(scenario.holonomy, "ab_spectrum", reached)
+    monkeypatch.setattr(scenario, "_random_series", reached)
+    path = write(tmp_path, "big.yaml", text % (at + 1))
+    args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and str(limit) in err, err
+    assert not (tmp_path / "out").exists()
+    assert main(["validate", str(write(tmp_path, "edge.yaml", text % at))]) == 0

@@ -261,13 +261,24 @@ def test_christoffel_chart_margin():
     with pytest.raises(ChartExit):
         christoffel(interp, np.array([4.5]))
     # a linear lower metric g = 1 + x: the one-sided difference is exact,
-    # Gamma = g' / (2 g), up to the chart's 1e-9 h tolerance past the edge,
-    # where the interpolant holds its edge value
+    # Gamma = g' / (2 g); over the chart's 1e-9 h margin past the edge the
+    # edge cell extends linearly (the test below bounds the error by 1e-12)
     lower = (1.0 + lat.positions[:, 0]).reshape(-1, 1, 1)
     interp = LatticeMetricInterpolant.from_lower(lat, lower)
     for x in (0.0, 0.1, 3.9, 4.0):
         gamma = christoffel(interp, np.array([x]))[0, 0, 0]
         assert abs(gamma - 0.5 / (1.0 + x)) <= 1e-8
+
+
+def test_christoffel_of_a_linear_metric_is_exact_up_to_the_open_edges():
+    # a stencil point inside the chart's margin past an edge reads the
+    # edge cell extended linearly, not the edge value held
+    lat = build_lattice(LatticeSpec("interval", (5,), (1.0,)))
+    lower = (1.0 + lat.positions[:, 0]).reshape(-1, 1, 1)
+    interp = LatticeMetricInterpolant.from_lower(lat, lower)
+    for x in (0.0, 0.1, 3.9, 4.0):
+        gamma = christoffel(interp, np.array([x]))[0, 0, 0]
+        assert abs(gamma - 0.5 / (1.0 + x)) <= 1e-12 * 0.5 / (1.0 + x), x
 
 
 @pytest.mark.parametrize("q0", [[0.0, 0.0], [0.0, 1.5]])

@@ -247,6 +247,22 @@ def test_triplet_serialization_roundtrip(tmp_path, ring4):
     assert np.max(np.abs((loaded.mat - H.mat).toarray())) == 0.0
 
 
+def test_save_operator_text_is_pinned(tmp_path):
+    # 17 significant digits; signed zeros, subnormals and integer values
+    # below 2^53 print as below
+    vals = np.array([complex(-0.0, 5e-324), complex(1 / 3, 2.0**53),
+                     complex(1e300, -7.0), complex(-2.0, -0.0)])
+    path = tmp_path / "op.txt"
+    save_operator(path, sp.csr_matrix((vals, ([0, 0, 1, 2], [0, 2, 1, 0])), shape=(3, 3)))
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "3 4",
+        "0 0 -0 4.9406564584124654e-324",
+        "0 2 0.33333333333333331 9007199254740992",
+        "1 1 1.0000000000000001e+300 -7",
+        "2 0 -2 -0",
+    ]
+
+
 def test_header_only_and_blank_lines_load_and_signed_zeros_survive(tmp_path):
     path = tmp_path / "op.txt"
     path.write_text("3 0\n", encoding="utf-8")

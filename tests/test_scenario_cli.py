@@ -860,3 +860,38 @@ def test_injected_fault_fails_its_check(tmp_path, capsys, monkeypatch, check, do
     doc = write(tmp_path, "doc.yaml", doc)
     assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 1
     assert f"FAIL {check}:" in capsys.readouterr().out
+
+
+def _shipped_geodesic_with_a_time_series():
+    import pathlib
+
+    import yaml
+
+    doc = yaml.safe_load((pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+                          / "geodesic.yaml").read_text(encoding="utf-8"))
+    # g^11 = x^2 vanishes on the x = 0 column of sites
+    doc["fields"]["time"] = {"samples": 3, "scale": {"profile": "linear", "rate": 0.1}}
+    return yaml.safe_dump(doc)
+
+
+LIFT_REFUSALS = {
+    "singular_site_metric": ("fields.metric", _shipped_geodesic_with_a_time_series()),
+    "scale_through_zero": (
+        "fields.time.scale",
+        "lattice: {topology: torus, sizes: [8, 8], spacings: [1.0, 1.0]}\n"
+        "mass: 1.0\ntask: geodesic\n"
+        "fields: {time: {samples: 5, scale: {profile: linear, rate: -1.0}}}\n"
+        "params: {dt: 0.01, duration: 2.0}\n",  # the scale is 0 at t = 1 and -1 at t = 2
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field, text", list(LIFT_REFUSALS.values()), ids=list(LIFT_REFUSALS))
+def test_geodesic_time_series_the_lift_refuses_is_a_config_error(tmp_path, capsys, command,
+                                                                 field, text):
+    path = write(tmp_path, "geo.yaml", text)
+    args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
