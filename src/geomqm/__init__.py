@@ -36,6 +36,7 @@ from .lattice import (
     constant_metric,
     d0,
     link_field,
+    metric_field,
     plaquette_sums,
     scalar_field,
 )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeError, _positive_definite
+from .lattice import LatticeError, metric_field
 
 STEP_LIMIT = 10**6  # largest geodesic duration T / dt, in RK4 steps
 
@@ -88,10 +88,7 @@ class LatticeMetricInterpolant:
     """
 
     def __init__(self, lattice, g_inverse):
-        g = np.asarray(g_inverse, dtype=float)
-        if not _positive_definite(g):
-            raise LatticeError("inverse metric must be symmetric positive definite")
-        self._setup(lattice, np.linalg.inv(g))
+        self._setup(lattice, np.linalg.inv(metric_field(lattice, g_inverse)))
 
     @classmethod
     def from_lower(cls, lattice, lower):
@@ -275,19 +272,20 @@ class SpacetimeMetric:
 def lorentzian_lift(lattice, samples, times=None, g00=-1.0):
     """Lift a series of spatial metric samples to a block spacetime metric.
 
-    Every sample must be positive definite; the upper lapse entry is
-    exactly g^00 = g00 with zero shift.
+    Every sample must be a MetricField of the lattice (metric_field); the
+    upper lapse entry is exactly g^00 = g00 with zero shift.
     """
     fields = np.asarray(samples, dtype=float)
     if fields.ndim == 3:
         fields = fields[None]
-    if not _positive_definite(fields):
-        raise LatticeError("all metric samples must be symmetric positive definite")
+    for sample in fields:
+        metric_field(lattice, sample)
     if times is None:
-        times = np.arange(fields.shape[0], dtype=float)
+        times = np.arange(len(fields), dtype=float)
     times = np.asarray(times, dtype=float)
-    if len(times) != fields.shape[0]:
-        raise LatticeError("sample count does not match time grid")
+    if len(times) != len(fields) or len(fields) == 0:
+        raise LatticeError(f"need one metric sample per time, at least one; got {len(fields)} "
+                           f"on {len(times)} times")
     return SpacetimeMetric(lattice=lattice, times=times, fields=fields, g00=g00)
 
 

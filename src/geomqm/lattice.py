@@ -323,6 +323,19 @@ def link_field(lattice, values):
     return w
 
 
+def metric_field(lattice, values):
+    """Validate a MetricField (n_sites, d, d): finite, symmetric to link_field's tolerance,
+    then positive definite at every site (eigvalsh reads one triangle, may pass a NaN)."""
+    g = np.asarray(values, dtype=float)
+    if g.shape != (shape := (lattice.n_sites, lattice.ndim, lattice.ndim)):
+        raise LatticeError(f"inverse metric shape {g.shape} != {shape}")
+    if not (np.isfinite(g).all()
+            and np.abs(g - np.swapaxes(g, -1, -2)).max() <= 1e-12 * max(1.0, np.abs(g).max())
+            and np.min(np.linalg.eigvalsh(g)) > 0):
+        raise LatticeError("inverse metric must be symmetric positive definite at every site")
+    return g
+
+
 def d0(lattice, f):
     """Discrete differential of a scalar field: value f_j - f_i on link i->j.
 
@@ -346,13 +359,6 @@ def connection_from_components(lattice, component_funcs):
     for k, fn in enumerate(component_funcs):
         theta += fn(mid) * disp[:, k]
     return theta
-
-
-def _positive_definite(g):
-    """Whether every matrix of a (..., d, d) stack is finite, symmetric to link_field's
-    tolerance and positive definite: eigvalsh reads one triangle and may pass a NaN."""
-    return bool(np.isfinite(g).all() and np.min(np.linalg.eigvalsh(g)) > 0
-                and np.abs(g - np.swapaxes(g, -1, -2)).max() <= 1e-12 * max(1.0, np.abs(g).max()))
 
 
 def constant_metric(lattice, matrix=None):

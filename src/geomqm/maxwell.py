@@ -194,9 +194,9 @@ def assemble_potential(cx, A_series, phi_series):
     return Cochain(cx, 1, vals)
 
 
-def d_cochain(cx, omega):
-    """Coboundary: signed boundary sums of a k-cochain over (k+1)-cells."""
-    k = omega.degree
+def d_cochain(omega):
+    """Coboundary: signed boundary sums of a k-cochain over its complex's (k+1)-cells."""
+    cx, k = omega.complex, omega.degree
     if k not in (0, 1, 2):
         raise ComplexError(f"coboundary defined for degrees 0..2, got {k}")
     return Cochain(cx, k + 1, cx.incidence[k] @ omega.values)
@@ -311,7 +311,7 @@ def current(star, potential):
     edges.
     """
     cx = _complex_of(star, potential, 1)
-    F = d_cochain(cx, potential)
+    F = d_cochain(potential)
     w = cx.incidence[1].T @ (star.factors[2] * F.values)
     return Cochain(cx, 1, w / star.factors[1])
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .lattice import _positive_definite, link_field, scalar_field
+from .lattice import link_field, metric_field, scalar_field
 
 PHASE_LIMIT = np.pi / 2  # per-link phases must stay inside (-pi/2, pi/2)
 DENSE_LIMIT = 4096  # largest dimension of a dense spectrum or propagator
@@ -92,13 +92,7 @@ def link_couplings(lattice, g, m):
     """Per-link real amplitudes c_l of the covariant Laplacian stencil."""
     if m <= 0:
         raise OperatorError(f"mass must be positive, got {m}")
-    g = np.asarray(g, dtype=float)
-    shape = (lattice.n_sites, lattice.ndim, lattice.ndim)
-    if g.shape != shape:
-        raise OperatorError(f"inverse metric shape {g.shape} != {shape}")
-    if not _positive_definite(g):
-        raise OperatorError("inverse metric must be symmetric positive definite at every site")
-    return _link_mean(lattice, g) / _link_weights(lattice, m)
+    return _link_mean(lattice, metric_field(lattice, g)) / _link_weights(lattice, m)
 
 
 def _link_mean(lattice, g):
@@ -121,9 +115,9 @@ def build_hamiltonian(lattice, g, A, phi, m):
 
     g is an inverse-metric field (n_sites, d, d); A is a LinkField of
     integrated connection phases and phi a ScalarField (None means zero
-    for either).  Raises if g has another shape or is not positive
-    definite, if A is not a finite, antisymmetric LinkField, or if any
-    |phase| reaches pi/2.  That phase window is a contract of the builder
+    for either).  Raises LatticeError unless each is a valid field of the
+    lattice (metric_field, link_field, scalar_field), and OperatorError if
+    any |phase| reaches pi/2.  That phase window is a contract of the builder
     and of saved operators: inside it every entry splits uniquely into an
     amplitude sign and a phase, which is what
     `reconstruct.peierls_decompose` inverts.

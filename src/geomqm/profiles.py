@@ -25,10 +25,6 @@ from .holonomy import flat_connection
 from .lattice import connection_from_components
 
 
-class ProfileError(ConfigError):
-    """Unknown profile name or bad profile parameters."""
-
-
 _PROFILES = {  # every axis lies in 0..d-1
     "constant": [Key("value", "float", REQUIRED)],
     "zero": [],
@@ -47,10 +43,10 @@ _SPACE_KINDS = tuple(kind for kind in _PROFILES if kind != "linear")
 def _read_profile(spec, path, kinds):
     """(kind, parameters with defaults filled in) of a profile dict."""
     if not isinstance(spec, dict) or "profile" not in spec:
-        raise ProfileError(f"{path}: expected a dict with a 'profile' key")
+        raise ConfigError(f"{path}: expected a dict with a 'profile' key")
     kind = spec["profile"]
     if kind not in kinds:
-        raise ProfileError(f"{path}: unknown profile {kind!r}, expected one of {', '.join(kinds)}")
+        raise ConfigError(f"{path}: unknown profile {kind!r}, expected one of {', '.join(kinds)}")
     params = {name: value for name, value in spec.items() if name != "profile"}
     return kind, read_keys(params, _PROFILES[kind], f"{path}.")
 
@@ -81,7 +77,7 @@ def resolve_profile(spec, lattice, path="profile"):
         return lambda X: np.zeros(X.shape[:-1])
     axis = p["axis"]
     if not 0 <= axis < lattice.ndim:
-        raise ProfileError(f"{path}.axis: {axis} outside 0..{lattice.ndim - 1}")
+        raise ConfigError(f"{path}.axis: {axis} outside 0..{lattice.ndim - 1}")
     if kind == "sine":
         base, amplitude, periods, phase = p["base"], p["amplitude"], p["periods"], p["phase"]
         L = lattice.axis_extent(axis)
@@ -123,9 +119,9 @@ def metric_profile(lattice, component_specs):
         try:
             k, l = (int(p) for p in str(key).split(","))
         except ValueError as exc:
-            raise ProfileError(f"fields.metric: bad component key {key!r}") from exc
+            raise ConfigError(f"fields.metric: bad component key {key!r}") from exc
         if not (0 <= k < d and 0 <= l < d):
-            raise ProfileError(f"fields.metric: component {key!r} outside dimension {d}")
+            raise ConfigError(f"fields.metric: component {key!r} outside dimension {d}")
         path = f"fields.metric.components.{key}"
         components.append((k, l, resolve_profile(spec, lattice, path)))
 
@@ -154,9 +150,8 @@ def connection_from_profiles(lattice, connection_spec):
     theta = np.zeros(lattice.n_links)
     if comps:
         if len(comps) != lattice.ndim:
-            raise ProfileError(
-                f"fields.connection.components: need {lattice.ndim} per-axis profiles"
-            )
+            raise ConfigError(f"fields.connection.components: need {lattice.ndim} "
+                              "per-axis profiles")
         fns = [
             resolve_profile(c, lattice, f"fields.connection.components[{k}]")
             for k, c in enumerate(comps)

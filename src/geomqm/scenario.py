@@ -23,7 +23,7 @@ import yaml
 
 from . import evolution, geometry, holonomy, maxwell, operators, reconstruct
 from ._config import COUNT, POSITIVE, REQUIRED, ConfigError, Key, read_keys
-from .lattice import TOPOLOGIES, LatticeError, LatticeSpec, _positive_definite, build_lattice
+from .lattice import TOPOLOGIES, LatticeError, LatticeSpec, build_lattice, metric_field
 from .profiles import (
     GRAMMAR,
     connection_from_profiles,
@@ -36,6 +36,7 @@ from .profiles import (
 TASKS = ("build", "reconstruct", "roundtrip", "geodesic", "maxwell", "holonomy", "evolve")
 FLOW_LIMIT = 10**7  # largest params.alphas.count x n_sites: the spectral flow table, 80 MB
 ENSEMBLE_LIMIT = 10**4  # largest params.ensembles
+SERIES_LIMIT = 10**6  # largest fields.time.samples x n_sites; a complex that large takes 1.2 GB
 
 
 def _one_of(*names):
@@ -65,7 +66,7 @@ _KEYS = (
         "one per periodic axis"),
     Key("fields.potential", "profile", None, None, _FIELD_TASKS, "default zero"),
     Key("fields.time.samples", "int", None, COUNT, ("geodesic", "maxwell"),
-        "default 4 for maxwell, 1 for geodesic"),
+        f"default 4 for maxwell, 1 for geodesic; if set, times the sites at most {SERIES_LIMIT}"),
     Key("fields.time.dt", "float", None, POSITIVE, ("geodesic", "maxwell"),
         "default 1.0, geodesic: duration / (samples - 1)"),
     Key("fields.time.scale", "scale", None, None, ("geodesic",),
@@ -206,10 +207,12 @@ def validate_config(doc):
                               f"got {len(value)}")
     lattice = build_lattice(spec)
     g = metric_from_profiles(lattice, cfg.get("fields.metric.components"))
-    # a geodesic reads the site metric only to lift it to a time series
     grid = _lift_grid(cfg) if cfg["task"] == "geodesic" else None
-    if (cfg["task"] != "geodesic" or grid is not None) and not _positive_definite(g):
-        raise ConfigError("fields.metric: profile metric is not symmetric positive definite")
+    try:  # a geodesic reads the site metric only to lift it to a time series
+        if cfg["task"] != "geodesic" or grid is not None:
+            metric_field(lattice, g)
+    except LatticeError as exc:
+        raise ConfigError(f"fields.metric: {exc}") from exc
     try:
         theta = connection_from_profiles(lattice, {
             "components": cfg.get("fields.connection.components"),
@@ -237,9 +240,12 @@ def validate_config(doc):
     hamiltonian_file = cfg.get("params.hamiltonian_file")
     if hamiltonian_file is not None and not Path(hamiltonian_file).is_file():
         raise ConfigError(f"params.hamiltonian_file: no such file {hamiltonian_file!r}")
-    count = cfg.get("params.alphas.count")
-    if count and cfg["params.chern_flux_quanta"] is None and count * lattice.n_sites > FLOW_LIMIT:
-        raise ConfigError(f"params.alphas.count: {count} x {lattice.n_sites} sites > {FLOW_LIMIT}")
+    # run sizes per lattice site; a Chern run reads no alphas
+    count = cfg.get("params.alphas.count") if cfg.get("params.chern_flux_quanta") is None else None
+    for path, n, limit in (("params.alphas.count", count, FLOW_LIMIT),
+                           ("fields.time.samples", cfg.get("fields.time.samples"), SERIES_LIMIT)):
+        if n and n * lattice.n_sites > limit:
+            raise ConfigError(f"{path}: {n} x {lattice.n_sites} sites > {limit}")
     probe = cfg.get("params.probe_delta")
     if probe is not None and probe > duration / 2:
         # the residual is taken at duration / 2 and reaches back to t - probe_delta
@@ -441,8 +447,8 @@ def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
     for _ in range(ensembles):
         A_series, phi_series = _random_series(lattice, samples, amplitude, rng)
         pot = maxwell.assemble_potential(cx, A_series, phi_series)
-        F = maxwell.d_cochain(cx, pot)
-        dF = maxwell.d_cochain(cx, F)
+        F = maxwell.d_cochain(pot)
+        dF = maxwell.d_cochain(F)
         worst_dF = _worst(worst_dF, np.max(np.abs(dF.values), initial=0.0))
         j_minus = maxwell.current(star_minus, pot)
         j_plus = maxwell.current(star_plus, pot)

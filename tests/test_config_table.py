@@ -182,17 +182,26 @@ def test_schema_lists_every_table_path_and_profile_parameter(capsys):
 
 
 # Per bounded run size: its document, the value at its bound (ring (4,)
-# has 4 sites) and the bound the message names.
+# and interval (4,) have 4 sites, torus (8, 8) 64) and the bound the
+# message names.
 OVER_BOUND = [
-    ("params.alphas.count", HOLONOMY + "params: {alphas: {count: %d}}\n",
-     scenario.FLOW_LIMIT // 4, scenario.FLOW_LIMIT),
-    ("params.ensembles", MAXWELL + "params: {ensembles: %d}\n",
-     scenario.ENSEMBLE_LIMIT, scenario.ENSEMBLE_LIMIT),
+    pytest.param("params.alphas.count", HOLONOMY + "params: {alphas: {count: %d}}\n",
+                 scenario.FLOW_LIMIT // 4, scenario.FLOW_LIMIT, id="params.alphas.count"),
+    pytest.param("params.ensembles", MAXWELL + "params: {ensembles: %d}\n",
+                 scenario.ENSEMBLE_LIMIT, scenario.ENSEMBLE_LIMIT, id="params.ensembles"),
+    pytest.param("fields.time.samples", MAXWELL + "fields: {time: {samples: %d}}\n",
+                 scenario.SERIES_LIMIT // 4, scenario.SERIES_LIMIT,
+                 id="fields.time.samples-maxwell"),
+    pytest.param("fields.time.samples",
+                 "lattice: {topology: torus, sizes: [8, 8], spacings: [1.0, 1.0]}\nmass: 1.0\n"
+                 "task: geodesic\nfields: {time: {samples: %d}}\n",
+                 scenario.SERIES_LIMIT // 64, scenario.SERIES_LIMIT,
+                 id="fields.time.samples-geodesic"),
 ]
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
-@pytest.mark.parametrize("field, text, at, limit", OVER_BOUND, ids=[f for f, *_ in OVER_BOUND])
+@pytest.mark.parametrize("field, text, at, limit", OVER_BOUND)
 def test_run_size_above_its_bound_is_refused_before_the_work(tmp_path, capsys, monkeypatch,
                                                              command, field, text, at, limit):
     def reached(*args, **kwargs):
@@ -200,6 +209,8 @@ def test_run_size_above_its_bound_is_refused_before_the_work(tmp_path, capsys, m
 
     monkeypatch.setattr(scenario.holonomy, "ab_spectrum", reached)
     monkeypatch.setattr(scenario, "_random_series", reached)
+    monkeypatch.setattr(scenario.maxwell, "build_spacetime_complex", reached)
+    monkeypatch.setattr(scenario.geometry, "lorentzian_lift", reached)
     path = write(tmp_path, "big.yaml", text % (at + 1))
     args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
     assert main(args) == 2

@@ -178,6 +178,15 @@ def test_lift_rejects_nonpositive_sample():
         lorentzian_lift(lat, bad)
 
 
+def test_lift_refuses_an_empty_series_and_a_time_grid_of_another_length():
+    lat = build_lattice(LatticeSpec("ring", (5,), (1.0,)))
+    g = constant_metric(lat)
+    for samples, times, got in [(np.empty((0, 5, 1, 1)), None, "got 0 on 0 times"),
+                                ([g, g], [0.0], "got 2 on 1 times")]:
+        with pytest.raises(LatticeError, match=f"one metric sample per time, at least one; {got}"):
+            lorentzian_lift(lat, samples, times)
+
+
 def straight_line_trajectory(q0, v, T, n):
     ts = np.linspace(0.0, T, n)
     qs = q0[None, :] + ts[:, None] * v[None, :]

@@ -165,7 +165,7 @@ def test_gauge_covariance_entrywise():
 def test_nonpositive_metric_rejected(ring4):
     g = constant_metric(ring4)
     g[1, 0, 0] = -0.5
-    with pytest.raises(OperatorError):
+    with pytest.raises(LatticeError):
         build_hamiltonian(ring4, g, None, None, 1.0)
 
 
@@ -189,9 +189,9 @@ def _one_link_without_reverse(lat):
     (constant_metric, lambda lat: np.full(lat.n_links, np.nan), LatticeError, "non-finite"),
     (constant_metric, lambda lat: np.zeros(lat.n_links - 1), LatticeError,
      r"link field shape \(127,\) != \(128,\)"),
-    (lambda lat: np.broadcast_to(np.eye(2), (15, 2, 2)), lambda lat: None, OperatorError,
+    (lambda lat: np.broadcast_to(np.eye(2), (15, 2, 2)), lambda lat: None, LatticeError,
      r"inverse metric shape \(15, 2, 2\) != \(16, 2, 2\)"),
-    (lambda lat: np.broadcast_to(np.eye(3), (16, 3, 3)), lambda lat: None, OperatorError,
+    (lambda lat: np.broadcast_to(np.eye(3), (16, 3, 3)), lambda lat: None, LatticeError,
      r"inverse metric shape \(16, 3, 3\) != \(16, 2, 2\)"),
 ], ids=["asymmetric connection", "nan connection", "short connection", "15-site metric",
         "3x3 metric"])

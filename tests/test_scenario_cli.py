@@ -10,6 +10,7 @@ from geomqm import (
     LatticeMetricInterpolant,
     LatticeSpec,
     OperatorError,
+    build_hamiltonian,
     build_lattice,
     constant_metric,
     evolution,
@@ -737,7 +738,7 @@ def _validate_with_metric(monkeypatch, lat, g):
 
 
 @pytest.mark.parametrize("refuse, error", [
-    (lambda mp, lat, g: link_couplings(lat, g, 1.0), OperatorError),
+    (lambda mp, lat, g: link_couplings(lat, g, 1.0), LatticeError),
     (lambda mp, lat, g: LatticeMetricInterpolant(lat, g), LatticeError),
     (lambda mp, lat, g: lorentzian_lift(lat, g), LatticeError),
     (_validate_with_metric, ConfigError),
@@ -754,6 +755,24 @@ def test_nan_metric_entry_fails_every_positivity_test(monkeypatch, refuse, error
     # it passes the third, whose upper entry the diagonal links read
     lat, g = _bad_metric(topology, sizes, entries, value)
     with pytest.raises(error, match="symmetric positive definite"):
+        refuse(monkeypatch, lat, g)
+
+
+@pytest.mark.parametrize("refuse, error, prefix", [
+    (lambda mp, lat, g: build_hamiltonian(lat, g, None, None, 1.0), LatticeError, ""),
+    (lambda mp, lat, g: LatticeMetricInterpolant(lat, g), LatticeError, ""),
+    (lambda mp, lat, g: lorentzian_lift(lat, g), LatticeError, ""),
+    (_validate_with_metric, ConfigError, "fields.metric: "),
+], ids=["build_hamiltonian", "interpolant", "lorentzian_lift", "validate_config"])
+@pytest.mark.parametrize("sites", [5, 10, 32])
+def test_metric_of_another_site_count_fails_every_entry_point(monkeypatch, refuse, error,
+                                                               prefix, sites):
+    # refused on entry, by shape: an unchecked interpolant indexes past a short
+    # field at its first lower(), and a lift of the wrong lattice fails only later
+    lat = build_lattice(LatticeSpec("torus", (4, 4), (1.0, 1.0)))
+    g = np.concatenate([constant_metric(lat)] * 2)[:sites]
+    with pytest.raises(error, match=rf"^{prefix}inverse metric shape \({sites}, 2, 2\) "
+                                    r"!= \(16, 2, 2\)$"):
         refuse(monkeypatch, lat, g)
 
 
