@@ -31,6 +31,8 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
+from .lattice import LatticeError, scalar_field
+
 
 class ComplexError(ValueError):
     """Invalid cell complex construction or cochain algebra."""
@@ -178,7 +180,9 @@ def assemble_potential(cx, A_series, phi_series):
     """Spacetime connection 1-cochain from per-sample (A, phi) data.
 
     Spatial edges carry the integrated link phase of their sample; time
-    edges carry phi * dt at the source vertex.
+    edges carry phi * dt at the source vertex.  LatticeError unless every
+    connection sample holds n_links finite values (only the +e_k links
+    are read) and every potential sample is a ScalarField.
     """
     A_series = list(A_series)
     phi_series = list(phi_series)
@@ -187,9 +191,16 @@ def assemble_potential(cx, A_series, phi_series):
             f"need {cx.n_t} samples, got {len(A_series)} connection and "
             f"{len(phi_series)} potential samples"
         )
+    n_links = cx.lattice.n_links
+    A = np.empty((cx.n_t, n_links))
+    for i, a in enumerate(A_series):
+        a = np.asarray(a, dtype=float)
+        if a.shape != (n_links,) or not np.isfinite(a).all():
+            raise LatticeError(f"connection sample {i} must hold {n_links} finite values, "
+                               f"shape ({n_links},); got shape {a.shape}")
+        A[i] = a
+    phi = np.array([scalar_field(cx.lattice, f) for f in phi_series])
     it, site = np.divmod(cx.cell_anchor[1], cx.lattice.n_sites)
-    A = np.asarray(A_series, dtype=float)
-    phi = np.asarray(phi_series, dtype=float)
     vals = np.where(cx.edge_link >= 0, A[it, cx.edge_link], phi[it, site] * cx.dt)
     return Cochain(cx, 1, vals)
 

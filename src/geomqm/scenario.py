@@ -15,8 +15,9 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -44,20 +45,22 @@ def _one_of(*names):
 
 
 _PER_AXIS = ("one per lattice axis", lambda v: True)  # validate_config checks the length
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 _LOOSE = "default 1.0e-9, 1.0e-2 for reference pointwise"
 _IDENTITY = "an identity of the implementation, no input fails it"
 _FIELD_TASKS = ("build", "reconstruct", "roundtrip", "evolve")  # read every field
 
 # Every settable value of a scenario document.  fields, params and
 # tolerances rows name the tasks that read them.  A default that depends
-# on other values is None here and set by the one task runner that reads it.
+# on other values is None here and set where it is read: by the one task
+# runner that reads it, or by `_tolerance` for e_g and e_phi.
 _KEYS = (
     Key("lattice.topology", "str", REQUIRED, _one_of(*TOPOLOGIES)),
     Key("lattice.sizes", "list of int", REQUIRED, note="sites per axis, each >= 3"),
     Key("lattice.spacings", "list of float", REQUIRED, note="per axis, each > 0"),
     Key("mass", "float", REQUIRED, POSITIVE),
     Key("task", "str", REQUIRED, _one_of(*TASKS)),
-    Key("seed", "int", 0, note="echoed in the report"),
+    Key("seed", "int", 0, _NON_NEGATIVE, note="echoed in the report"),
     Key("fields.metric.components", "mapping", None, None, _FIELD_TASKS + ("geodesic", "maxwell"),
         'inverse metric: a profile per "k,l", k <= l'),
     Key("fields.connection.components", "list of profile", None, None, _FIELD_TASKS,
@@ -95,8 +98,6 @@ _KEYS = (
     Key("params.steps", "int", None, COUNT, ("evolve",), "default from ||H||"),
     Key("params.probe_delta", "float", None, POSITIVE, ("evolve",),
         "default duration / steps; at most duration / 2"),
-    # positivity, nondegeneracy, truncated and chern_number are pass/fail
-    # flags with the fixed tolerance 0.5: they have no row
     Key("tolerances.hermiticity", "float", 1e-12, POSITIVE, ("build",), _IDENTITY),
     Key("tolerances.spectrum_lower_bound", "float", 1e-9, POSITIVE, ("build",)),
     Key("tolerances.e_g", "float", None, POSITIVE, ("roundtrip",), _LOOSE),
@@ -110,6 +111,9 @@ _KEYS = (
     Key("tolerances.unitarity", "float", 1e-10, POSITIVE, ("evolve",)),
     Key("tolerances.composition", "float", 1e-12, POSITIVE, ("evolve",)),
 )
+# Pass/fail checks, measured as their failure truth value: one fixed tolerance, not scaled
+FLAGS = ("positivity", "nondegeneracy", "truncated", "chern_number")
+_FLAG_TOLERANCE = 0.5
 
 
 def _schema():
@@ -128,7 +132,12 @@ def _schema():
                  default and f"default {default}", key.tasks and ", ".join(key.tasks), key.note]
         entry = f"{'  ' * len(sections)}{name}: <{key.kind}>"
         lines.append(f"{entry:<36}# " + "; ".join(note for note in notes if note))
-    return "\n".join(lines) + "\n\n" + GRAMMAR + """
+    return "\n".join(lines) + "\n\n" + GRAMMAR + f"""
+Checks: a check passes when its value is <= its tolerance, the row
+tolerances.<name> times --tol-scale.  The pass/fail flags (value 1 when
+failed) {", ".join(FLAGS)}
+have the fixed tolerance {_FLAG_TOLERANCE}, not scaled.
+
 Exit codes: 0 all checks pass; 1 a check failed; 2 config error;
 3 numerical or domain error, or any other exception (printed as
 error: <ErrorClass>: <message>).
@@ -138,20 +147,11 @@ error: <ErrorClass>: <message>).
 SCHEMA = _schema()
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     value: float
     tolerance: float
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": float(self.value),
-            "tolerance": float(self.tolerance),
-        }
 
 
 @dataclass
@@ -159,9 +159,9 @@ class Report:
     task: str
     scenario_hash: str
     seed: int
-    payload: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+    payload: dict
+    checks: list
+    wall_time_s: float
 
     @property
     def passed(self):
@@ -173,7 +173,7 @@ class Report:
             "scenario_hash": self.scenario_hash,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "payload": self.payload,
             "wall_time_s": self.wall_time_s,
         }
@@ -263,22 +263,27 @@ def scenario_hash(doc):
 
 
 def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
-    """Execute a scenario config; returns the Report after writing files."""
+    """Execute a scenario config; returns the Report after writing files.
+    The task runner measures, and each of its checks is judged here."""
     if not POSITIVE[1](tol_scale):
         raise ConfigError(f"--tol-scale: must be {POSITIVE[0]}, got {tol_scale!r}")
+    if seed is not None and not _NON_NEGATIVE[1](seed):
+        raise ConfigError(f"--seed: must be {_NON_NEGATIVE[0]}, got {seed!r}")
     doc = load_config(config_path)
     cfg, lattice, fields = validate_config(doc)
-    task = cfg["task"]
-    if seed is None:
-        seed = cfg["seed"]
+    if seed is not None:
+        cfg["seed"] = seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    report = Report(task=task, scenario_hash=scenario_hash(doc), seed=seed)
-    runner = _TASK_RUNNERS[task]
-    runner(cfg, lattice, fields, seed, tol_scale, out, report)
-    report.wall_time_s = time.perf_counter() - started
+    payload, measured = _TASK_RUNNERS[cfg["task"]](cfg, lattice, fields, out)
+    checks = []
+    for name, value in measured:
+        tolerance = float(_tolerance(cfg, name, tol_scale))
+        checks.append(Check(name, bool(value <= tolerance), float(value), tolerance))
+    report = Report(cfg["task"], scenario_hash(doc), cfg["seed"], payload, checks,
+                    time.perf_counter() - started)
 
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -286,13 +291,15 @@ def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
     return report
 
 
-def _tol(cfg, name, tol_scale, derived=None):
+def _tolerance(cfg, name, tol_scale):
+    """A flag's fixed tolerance, else the check's tolerances row times
+    tol_scale; a check without a row its task reads is a KeyError."""
+    if name in FLAGS:
+        return _FLAG_TOLERANCE
     value = cfg[f"tolerances.{name}"]
-    return (derived if value is None else value) * tol_scale
-
-
-def _check(report, name, value, tolerance):
-    report.checks.append(Check(name, bool(value <= tolerance), float(value), tolerance))
+    if value is None:  # e_g and e_phi: loose for the pointwise reference
+        value = 1e-9 if cfg["params.reference"] == "link_average" else 1e-2
+    return value * tol_scale
 
 
 def _worst(*values):
@@ -301,14 +308,14 @@ def _worst(*values):
     return float(np.max(values))
 
 
-def _task_build(cfg, lattice, fields, seed, tol_scale, out, report):
+def _task_build(cfg, lattice, fields, out):
     g, theta, phi = fields
     m = cfg["mass"]
     H = operators.build_hamiltonian(lattice, g, theta, phi, m)
     operators.save_operator(out / "hamiltonian.txt", H)
     val = operators.validate_operator(lattice, H)
     spectrum = operators.eigenvalues(H)
-    report.payload = {
+    payload = {
         "validation": {
             "hermiticity_defect": val["hermiticity_defect"],
             "locality_radius": val["locality_radius"],
@@ -318,9 +325,9 @@ def _task_build(cfg, lattice, fields, seed, tol_scale, out, report):
         "spectrum_max": float(spectrum[-1]),
         "operator_file": "hamiltonian.txt",
     }
-    _check(report, "hermiticity", val["hermiticity_defect"], _tol(cfg, "hermiticity", tol_scale))
     lower_defect = _worst(float(np.min(phi)) - float(spectrum[0]), 0.0)
-    _check(report, "spectrum_lower_bound", lower_defect, _tol(cfg, "spectrum_lower_bound", tol_scale))
+    return payload, [("hermiticity", val["hermiticity_defect"]),
+                     ("spectrum_lower_bound", lower_defect)]
 
 
 def _canonical_links(lattice):
@@ -349,7 +356,7 @@ def _reconstruction_payload(lattice, rep):
     }
 
 
-def _task_reconstruct(cfg, lattice, fields, seed, tol_scale, out, report):
+def _task_reconstruct(cfg, lattice, fields, out):
     m = cfg["mass"]
     if cfg["params.hamiltonian_file"] is not None:
         H = operators.load_operator(cfg["params.hamiltonian_file"])
@@ -359,25 +366,19 @@ def _task_reconstruct(cfg, lattice, fields, seed, tol_scale, out, report):
     else:
         H = operators.build_hamiltonian(lattice, *fields, m)
     rep = reconstruct.reconstruction_report(lattice, H, m)
-    report.payload = _reconstruction_payload(lattice, rep)
-    _check(report, "positivity", 0.0 if rep.axiom.positivity_ok else 1.0, 0.5)
-    _check(report, "nondegeneracy", 0.0 if rep.axiom.nondegenerate else 1.0, 0.5)
+    return _reconstruction_payload(lattice, rep), [("positivity", not rep.axiom.positivity_ok),
+                                                   ("nondegeneracy", not rep.axiom.nondegenerate)]
 
 
-def _task_roundtrip(cfg, lattice, fields, seed, tol_scale, out, report):
-    m = cfg["mass"]
-    reference = cfg["params.reference"]
-    rep = reconstruct.roundtrip_report(lattice, *fields, m, reference=reference)
-    report.payload = _reconstruction_payload(lattice, rep)
-    report.payload["errors"] = {"e_g": rep.e_g, "e_F": rep.e_F, "e_phi": rep.e_phi}
-    loose = 1e-9 if reference == "link_average" else 1e-2
-    _check(report, "e_g", rep.e_g, _tol(cfg, "e_g", tol_scale, loose))
-    _check(report, "e_F", rep.e_F, _tol(cfg, "e_F", tol_scale))
-    _check(report, "e_phi", rep.e_phi, _tol(cfg, "e_phi", tol_scale, loose))
-    _check(report, "positivity", 0.0 if rep.axiom.positivity_ok else 1.0, 0.5)
+def _task_roundtrip(cfg, lattice, fields, out):
+    rep = reconstruct.roundtrip_report(lattice, *fields, cfg["mass"],
+                                       reference=cfg["params.reference"])
+    payload = _reconstruction_payload(lattice, rep)
+    payload["errors"] = {"e_g": rep.e_g, "e_F": rep.e_F, "e_phi": rep.e_phi}
+    return payload, [*payload["errors"].items(), ("positivity", not rep.axiom.positivity_ok)]
 
 
-def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
+def _task_geodesic(cfg, lattice, fields, out):
     g_inverse = metric_profile(lattice, cfg["fields.metric.components"])
     # the lattice's chart: a step that starts past an open edge leaves it
     metric = geometry.AnalyticMetric(
@@ -406,15 +407,14 @@ def _task_geodesic(cfg, lattice, fields, seed, tol_scale, out, report):
                        "speed2", "residual0"])
     columns = (traj.times, *traj.positions.T, *traj.velocities.T, traj.speed2, residual)
     operators.write_rows(out / "trajectory.csv", header + "\n", [("", columns)], ",")
-    report.payload = {
+    payload = {
         "samples": int(len(traj.times)),
         "speed2_drift": traj.speed2_drift(),
         "truncated": bool(traj.truncated),
         "final_position": traj.positions[-1].tolist(),
         "trajectory_file": "trajectory.csv",
     }
-    _check(report, "speed2_drift", traj.speed2_drift(), _tol(cfg, "speed2_drift", tol_scale))
-    _check(report, "truncated", float(traj.truncated), 0.5)
+    return payload, [("speed2_drift", payload["speed2_drift"]), ("truncated", traj.truncated)]
 
 
 def _lift_grid(cfg):
@@ -425,13 +425,13 @@ def _lift_grid(cfg):
     return samples, cfg["fields.time.dt"] or cfg["params.duration"] / (samples - 1)
 
 
-def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
+def _task_maxwell(cfg, lattice, fields, out):
     samples = cfg["fields.time.samples"] or 4
     dt = cfg["fields.time.dt"] or 1.0
     cx = maxwell.build_spacetime_complex(lattice, samples, dt)
     ensembles = cfg["params.ensembles"]
     amplitude = cfg["params.amplitude"]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
 
     # one star per lift sign; the metric is static, so one sample stands
     # for every time slice
@@ -473,16 +473,14 @@ def _task_maxwell(cfg, lattice, fields, seed, tol_scale, out, report):
         (f"{name},{omega.degree},", (np.arange(len(omega.values)), omega.values))
         for name, omega in (("potential", pot), ("field_strength", F), ("current", j))
     ], ",")
-    report.payload = {
+    payload = {
         "time_samples": samples,
         "ensembles": ensembles,
         "max_dF": worst_dF,
         "max_continuity_defect": worst_cont,
         "cochains_file": "cochains.csv",
     }
-    _check(report, "dF", worst_dF, _tol(cfg, "dF", tol_scale))
-    _check(report, "continuity", worst_cont, _tol(cfg, "continuity", tol_scale))
-    _check(report, "double_star", worst_star, _tol(cfg, "double_star", tol_scale))
+    return payload, [("dF", worst_dF), ("continuity", worst_cont), ("double_star", worst_star)]
 
 
 def _random_series(lattice, samples, amplitude, rng):
@@ -498,37 +496,28 @@ def _random_series(lattice, samples, amplitude, rng):
     return A_series, phi_series
 
 
-def _task_holonomy(cfg, lattice, fields, seed, tol_scale, out, report):
+def _task_holonomy(cfg, lattice, fields, out):
     m = cfg["mass"]
-    payload = {}
     k = cfg["params.chern_flux_quanta"]
     if k is not None:
-        theta = _uniform_flux_connection(lattice, k)
-        got = holonomy.chern_number(lattice, theta)
-        payload["chern_number"] = got
-        payload["chern_target"] = k
-        _check(report, "chern_number", float(abs(got - k)), 0.5)
-        report.payload = payload
-        return
+        got = holonomy.chern_number(lattice, _uniform_flux_connection(lattice, k))
+        return {"chern_number": got, "chern_target": k}, [("chern_number", abs(got - k))]
     grid = np.linspace(cfg["params.alphas.start"], cfg["params.alphas.stop"],
                        cfg["params.alphas.count"])
     table = holonomy.ab_spectrum(lattice, m, grid)
     header = ",".join(["alpha", *(f"lambda_{k+1}" for k in range(table.shape[1]))])
     operators.write_rows(out / "spectral_flow.csv", header + "\n", [("", (grid, *table.T))], ",")
-    payload.update(
-        {
-            "alpha_count": int(len(grid)),
-            "lambda_min": float(table.min()),
-            "lambda_max": float(table.max()),
-            "spectral_flow_file": "spectral_flow.csv",
-        }
-    )
-    if cfg["params.check_periodicity"]:
-        shifted = holonomy.ab_spectrum(lattice, m, grid + 2 * np.pi)
-        defect = float(np.max(np.abs(table - shifted)))
-        payload["periodicity_defect"] = defect
-        _check(report, "periodicity", defect, _tol(cfg, "periodicity", tol_scale))
-    report.payload = payload
+    payload = {
+        "alpha_count": int(len(grid)),
+        "lambda_min": float(table.min()),
+        "lambda_max": float(table.max()),
+        "spectral_flow_file": "spectral_flow.csv",
+    }
+    if not cfg["params.check_periodicity"]:
+        return payload, []
+    shifted = holonomy.ab_spectrum(lattice, m, grid + 2 * np.pi)
+    payload["periodicity_defect"] = float(np.max(np.abs(table - shifted)))
+    return payload, [("periodicity", payload["periodicity_defect"])]
 
 
 def _uniform_flux_connection(lattice, quanta):
@@ -554,7 +543,7 @@ def _uniform_flux_connection(lattice, quanta):
     return theta
 
 
-def _task_evolve(cfg, lattice, fields, seed, tol_scale, out, report):
+def _task_evolve(cfg, lattice, fields, out):
     m = cfg["mass"]
     H = operators.build_hamiltonian(lattice, *fields, m)
     duration = cfg["params.duration"]
@@ -571,15 +560,14 @@ def _task_evolve(cfg, lattice, fields, seed, tol_scale, out, report):
     noncomm = float(np.linalg.norm(x[:, None] * xt - xt * x, 2))
     probe = cfg["params.probe_delta"] or duration / steps
     residual = evolution.heisenberg_residual(H, x, duration / 2.0, probe)
-    report.payload = {
+    payload = {
         "steps": steps,
         "unitarity_defect": defect,
         "composition_defect": composition,
         "slice_noncommutation": noncomm,
         "heisenberg_residual": residual,
     }
-    _check(report, "unitarity", defect, _tol(cfg, "unitarity", tol_scale))
-    _check(report, "composition", composition, _tol(cfg, "composition", tol_scale))
+    return payload, [("unitarity", defect), ("composition", composition)]
 
 
 _TASK_RUNNERS = {

@@ -25,6 +25,9 @@ HOLONOMY = "lattice: {topology: ring, sizes: [4], spacings: [1.0]}\nmass: 1.0\nt
 GEODESIC = ("lattice: {topology: rectangle, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
             "mass: 1.0\ntask: geodesic\n")
 
+# The negative seed row has its own id: a second "seed" id would rename
+# the row above it, as pytest numbers repeated ids.
+NEGATIVE_SEED = RING_BUILD + "seed: -1\n"
 BAD_CONFIGS = [
     ("params.duration", EVOLVE + "params: {duration: long}\n"),
     ("fields.time.samples", MAXWELL + "fields: {time: {samples: four}}\n"),
@@ -38,6 +41,7 @@ BAD_CONFIGS = [
      GEODESIC + "fields: {time: {samples: 3, scale: {profile: linear, rat: 0.3}}}\n"),
     ("params.check_periodicity", HOLONOMY + "params: {check_periodicity: 'no'}\n"),
     ("seed", RING_BUILD + "seed: true\n"),
+    ("seed", NEGATIVE_SEED),
     ("params.alphas.count", HOLONOMY + "params: {alphas: {count: 0}}\n"),
     ("params.alphas", HOLONOMY + "params: {alphas: [0.0, 1.0]}\n"),
     ("params.initial.position", GEODESIC + "params: {initial: {position: [1.0]}}\n"),
@@ -58,7 +62,8 @@ def write(tmp_path, name, text):
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
-@pytest.mark.parametrize("field, text", BAD_CONFIGS, ids=[f for f, _ in BAD_CONFIGS])
+@pytest.mark.parametrize("field, text", BAD_CONFIGS,
+                         ids=["seed=-1" if t == NEGATIVE_SEED else f for f, t in BAD_CONFIGS])
 def test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command, field, text):
     path = write(tmp_path, "bad.yaml", text)
     args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
@@ -100,6 +105,13 @@ def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
     assert capsys.readouterr().err.startswith("config error: --tol-scale: ")
 
 
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    path = write(tmp_path, "maxwell.yaml", MAXWELL)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -5\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("exc", [TypeError("boom"), KeyError("boom")])
 def test_any_exception_during_a_run_exits_three(tmp_path, capsys, monkeypatch, exc):
     def runner(*args):
@@ -109,6 +121,13 @@ def test_any_exception_during_a_run_exits_three(tmp_path, capsys, monkeypatch, e
     path = write(tmp_path, "build.yaml", RING_BUILD)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {type(exc).__name__}: ")
+
+
+def test_a_check_without_a_tolerance_row_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(scenario._TASK_RUNNERS, "build", lambda *args: ({}, [("bogus", 0.0)]))
+    path = write(tmp_path, "build.yaml", RING_BUILD)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("error: KeyError: 'tolerances.bogus'")
 
 
 def test_shipped_and_benchmark_documents_validate(tmp_path, monkeypatch):
@@ -147,12 +166,19 @@ TASK_DOCS = {
 
 def test_tolerance_rows_are_the_overridable_checks_of_each_task(tmp_path):
     assert set(TASK_DOCS) == set(scenario.TASKS)
+    assert set(scenario.FLAGS) == FIXED_CHECKS
+    # e_g and e_phi have no row default: 1e-9 under the default reference
+    defaults = {key.path.split(".", 1)[1]: key.default or 1e-9 for key in scenario._KEYS
+                if key.path.startswith("tolerances.")}
     overridable = 0
     for task, texts in TASK_DOCS.items():
         emitted = set()
         for i, text in enumerate(texts):
-            report = run_scenario(write(tmp_path, f"{task}{i}.yaml", text), tmp_path / f"{task}{i}")
+            report = run_scenario(write(tmp_path, f"{task}{i}.yaml", text), tmp_path / f"{task}{i}",
+                                  tol_scale=2.0)
             emitted |= {c.name for c in report.checks}
+            for c in report.checks:
+                assert c.tolerance == (0.5 if c.name in FIXED_CHECKS else 2 * defaults[c.name])
         rows = {key.path.split(".", 1)[1] for key in scenario._KEYS
                 if key.path.startswith("tolerances.") and task in key.tasks}
         assert emitted - FIXED_CHECKS == rows, task

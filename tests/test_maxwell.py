@@ -6,6 +6,7 @@ import pytest
 
 from geomqm import (
     ComplexError,
+    LatticeError,
     LatticeSpec,
     assemble_potential,
     build_lattice,
@@ -132,6 +133,28 @@ def test_series_length_mismatch_rejected():
     with pytest.raises(ComplexError):
         assemble_potential(cx, [np.zeros(lat.n_links)] * 2,
                            [np.zeros(lat.n_sites)] * cx.n_t)
+
+
+# Per bad sample series on ring (5,) x 3 samples (10 links, 5 sites): the
+# series and the message the LatticeError carries.
+BAD_SAMPLES = {
+    "nan connection": ([np.full(10, np.nan)] * 3, [np.zeros(5)] * 3,
+                       r"connection sample 0 must hold 10 finite values, shape \(10,\); "
+                       r"got shape \(10,\)"),
+    "short connection": ([np.zeros(10)] * 2 + [np.zeros(3)], [np.zeros(5)] * 3,
+                         r"connection sample 2 must hold 10 finite values, shape \(10,\); "
+                         r"got shape \(3,\)"),
+    "long potential": ([np.zeros(10)] * 3, [np.zeros(7)] * 3,
+                       r"scalar field shape \(7,\) != \(5,\)"),
+}
+
+
+@pytest.mark.parametrize("A_series, phi_series, message", list(BAD_SAMPLES.values()),
+                         ids=list(BAD_SAMPLES))
+def test_assemble_potential_refuses_a_bad_sample(A_series, phi_series, message):
+    cx = build_spacetime_complex(build_lattice(LatticeSpec("ring", (5,), (1.0,))), 3, 0.5)
+    with pytest.raises(LatticeError, match=message):
+        assemble_potential(cx, A_series, phi_series)
 
 
 def test_homogeneous_maxwell_random_ensemble():

@@ -400,6 +400,10 @@ def test_schema_names_every_param_and_exit_code(capsys):
     out = capsys.readouterr().out
     assert "  eta: <float>" in out and "  check_periodicity: <bool>" in out
     assert "3 numerical or domain error" in out
+    flags = out[out.index("The pass/fail flags"):out.index("Exit codes")]
+    for name in ("positivity", "nondegeneracy", "truncated", "chern_number"):
+        assert name in flags
+    assert "fixed tolerance 0.5, not scaled" in flags
 
 
 def test_roundtrip_run_evaluates_profiles_once(tmp_path, monkeypatch):
