@@ -108,14 +108,14 @@ def heisenberg_residual(h_sampler, a, t, delta):
     Central difference (a_{t+delta} - a_{t-delta}) / (2 delta) against
     i [H(t), a_t].  The propagator to t - delta takes
     max(1, round((t - delta) / delta)) Cayley steps (none at t = delta),
-    the two after it one step of delta each; t < delta is refused.  A
-    fixed operator is decomposed once for all three.  O(delta^2) for
-    static Hamiltonians.
+    the two after it one step of delta each; t < delta and a t or delta
+    that is not finite are refused.  A fixed operator is decomposed once
+    for all three.  O(delta^2) for static Hamiltonians.
     """
-    if delta <= 0:
-        raise OperatorError("delta must be positive")
-    if t < delta:
-        raise OperatorError(f"need t >= delta, got t = {t}, delta = {delta}")
+    if not 0 < delta < np.inf:
+        raise OperatorError(f"delta must be positive and finite, got {delta}")
+    if not delta <= t < np.inf:
+        raise OperatorError(f"need t >= delta and t finite, got t = {t}, delta = {delta}")
     _dense_size(len(a))
     n_minus = max(1, round((t - delta) / delta)) if t > delta else 0
     Ht = _sample(h_sampler, t)

@@ -4,16 +4,17 @@ the Lorentzian spacetime lift, and the time-dependence obstruction.
 Metric evaluation goes through a small batch interface: ``lower(q)``
 maps chart points q (..., d) to lower-index matrices g_ij (..., d, d)
 and raises ChartExit if any point lies outside the chart, whose per-axis
-bounds are the (2, d) rows ``chart``.  Two providers:
+bounds are the (2, d) rows ``chart``.  Both providers take the inverse
+metric g^ij, as the Hamiltonian holds it, and invert it themselves:
 
-  * LatticeMetricInterpolant: per-site inversion of a reconstructed
-    inverse-metric field followed by multilinear interpolation over
+  * LatticeMetricInterpolant: per-site inversion of a MetricField
+    (lattice.metric_field) followed by multilinear interpolation over
     lattice cells (invert-then-interpolate), periodic wrap on periodic
     axes, chart errors outside open axes.
-  * AnalyticMetric: a closed-form callable, used by scenario profiles
-    where machine-precision conservation matters (a C0 interpolant has
-    derivative jumps at cell walls that a 4th-order integrator would
-    see).
+  * AnalyticMetric: a closed-form callable q -> g^ij, inverted where it
+    is evaluated, used by scenario profiles where machine-precision
+    conservation matters (a C0 interpolant has derivative jumps at cell
+    walls that a 4th-order integrator would see).
 
 Geodesics integrate q_ddot^k + Gamma^k_ij q_dot^i q_dot^j = 0 with
 classic fixed-step 4th-order Runge-Kutta; Christoffel symbols come from
@@ -62,8 +63,9 @@ def _chart(bounds):
 
 class AnalyticMetric:
     """Metric provider backed by a closed-form callable q (..., d) ->
-    g_ij (..., d, d); a constant (d, d) result is broadcast.  bounds are
-    optional chart bounds, (lo, hi) or None (unbounded) per axis."""
+    g^ij (..., d, d), the inverse metric, which lower() inverts; a
+    constant (d, d) result is broadcast.  bounds are optional chart
+    bounds, (lo, hi) or None (unbounded) per axis."""
 
     def __init__(self, func, ndim, default_eta=1e-3, bounds=None):
         self._func = func
@@ -74,12 +76,13 @@ class AnalyticMetric:
     def lower(self, q):
         q = np.asarray(q, dtype=float)
         _check_chart(q, *self.chart)
-        g = np.asarray(self._func(q), dtype=float)
+        g = np.linalg.inv(np.asarray(self._func(q), dtype=float))
         return g if g.ndim > q.ndim else np.broadcast_to(g, q.shape + (self.ndim,))
 
 
 class LatticeMetricInterpolant:
-    """Multilinear interpolation of the lower metric over lattice cells.
+    """Multilinear interpolation of the lower metric over lattice cells,
+    from the inverse-metric field g_inverse (n_sites, d, d).
 
     Site values are matched exactly at the nodes.  The chart spans every
     periodic axis and [0, (n - 1) h] on every open one, where the edge
@@ -88,19 +91,9 @@ class LatticeMetricInterpolant:
     """
 
     def __init__(self, lattice, g_inverse):
-        self._setup(lattice, np.linalg.inv(metric_field(lattice, g_inverse)))
-
-    @classmethod
-    def from_lower(cls, lattice, lower):
-        """Interpolant over already-inverted (lower-index) site matrices."""
-        obj = cls.__new__(cls)
-        obj._setup(lattice, np.asarray(lower, dtype=float))
-        return obj
-
-    def _setup(self, lattice, lower):
         self.lattice = lattice
         self.ndim = lattice.ndim
-        self._lower = lower
+        self._lower = np.linalg.inv(metric_field(lattice, g_inverse))
         self.default_eta = min(lattice.spacings) / 4.0
         self.chart = _chart(_lattice_bounds(lattice))
 
@@ -141,8 +134,8 @@ def christoffel(metric, q):
     """
     q = np.asarray(q, dtype=float)
     eta = metric.default_eta
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     d = metric.ndim
     e = eta * np.eye(d)
     plus, minus, width = q + e, q - e, 2.0 * eta
@@ -193,7 +186,7 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     charts the trajectory stops with truncated=True instead of
     extrapolating beyond the boundary.
     """
-    if dt <= 0 or T < dt:
+    if not 0 < dt <= T:
         raise ValueError("need dt > 0 and T >= dt")
     if T / dt > STEP_LIMIT:
         raise ValueError(f"T / dt = {T / dt:.7g} RK4 steps exceeds the step limit {STEP_LIMIT}")
@@ -260,9 +253,6 @@ class SpacetimeMetric:
     def n_samples(self):
         return len(self.times)
 
-    def lower_fields(self):
-        return np.linalg.inv(self.fields)
-
     def is_static(self):
         return self.n_samples < 2 or bool(
             np.all(self.fields == self.fields[0])
@@ -306,7 +296,6 @@ def zeroth_residual(st_metric, trajectory):
             "time-dependent metric needs at least 3 time samples for "
             "central differences"
         )
-    lowers = st_metric.lower_fields()
     ts = st_metric.times
     s = np.rint((trajectory.times - ts[0]) / (ts[1] - ts[0])).astype(int)
     s = np.clip(s, 1, st_metric.n_samples - 2)
@@ -315,7 +304,7 @@ def zeroth_residual(st_metric, trajectory):
     # one lower call per time sample, on the points whose difference uses it
     for m in np.unique(ends):
         hit = ends == m
-        g[hit] = LatticeMetricInterpolant.from_lower(lat, lowers[m]).lower(
+        g[hit] = LatticeMetricInterpolant(lat, st_metric.fields[m]).lower(
             trajectory.positions[hit.any(axis=1)]
         )
     dg = (g[:, 0] - g[:, 1]) / (ts[s + 1] - ts[s - 1])[:, None, None]

@@ -59,9 +59,10 @@ class LatticeError(ValueError):
 class LatticeSpec:
     """Shape of a discretized configuration space.
 
-    sizes are per-axis site counts (each >= 3), spacings the per-axis
-    lattice constants h_k > 0.  Periodic axes are fixed by the topology;
-    open axes are Dirichlet (sites outside the box simply absent).
+    sizes are per-axis integer site counts (each >= 3), spacings the
+    finite per-axis lattice constants h_k > 0.  Periodic axes are fixed
+    by the topology; open axes are Dirichlet (sites outside the box
+    simply absent).
     """
 
     topology: str
@@ -72,6 +73,8 @@ class LatticeSpec:
         if self.topology not in TOPOLOGIES:
             raise LatticeError(f"unknown topology {self.topology!r}")
         ndim, _ = TOPOLOGIES[self.topology]
+        if not all(isinstance(n, (int, np.integer)) for n in self.sizes):
+            raise LatticeError(f"sizes must be integers, got {self.sizes}")
         sizes = tuple(int(n) for n in self.sizes)
         spacings = tuple(float(h) for h in self.spacings)
         if len(sizes) != ndim or len(spacings) != ndim:
@@ -81,8 +84,8 @@ class LatticeSpec:
             )
         if any(n < 3 for n in sizes):
             raise LatticeError(f"all sizes must be >= 3, got {sizes}")
-        if any(h <= 0 for h in spacings):
-            raise LatticeError(f"all spacings must be > 0, got {spacings}")
+        if not all(0 < h < np.inf for h in spacings):
+            raise LatticeError(f"all spacings must be positive and finite, got {spacings}")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "spacings", spacings)
 

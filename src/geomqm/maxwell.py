@@ -106,10 +106,10 @@ class SpacetimeComplex:
 
 def build_spacetime_complex(lattice, n_t, dt):
     """Cubical complex on lattice x {0..n_t-1} time samples."""
-    if n_t < 1:
-        raise ComplexError("need at least one time sample")
-    if dt <= 0:
-        raise ComplexError("dt must be positive")
+    if not isinstance(n_t, (int, np.integer)) or isinstance(n_t, bool) or n_t < 1:
+        raise ComplexError(f"need an integer count of time samples >= 1, got {n_t!r}")
+    if not 0 < dt < np.inf:
+        raise ComplexError(f"dt must be positive and finite, got {dt}")
     ns, n = lattice.n_sites, lattice.ndim + 1
     verts = np.arange(ns * n_t)
     it, site = np.divmod(verts, ns)

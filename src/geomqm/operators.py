@@ -90,8 +90,8 @@ def commutator(x, y):
 
 def link_couplings(lattice, g, m):
     """Per-link real amplitudes c_l of the covariant Laplacian stencil."""
-    if m <= 0:
-        raise OperatorError(f"mass must be positive, got {m}")
+    if not 0 < m < np.inf:
+        raise OperatorError(f"mass must be positive and finite, got {m}")
     return _link_mean(lattice, metric_field(lattice, g)) / _link_weights(lattice, m)
 
 

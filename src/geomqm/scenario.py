@@ -379,10 +379,9 @@ def _task_roundtrip(cfg, lattice, fields, out):
 
 
 def _task_geodesic(cfg, lattice, fields, out):
-    g_inverse = metric_profile(lattice, cfg["fields.metric.components"])
     # the lattice's chart: a step that starts past an open edge leaves it
     metric = geometry.AnalyticMetric(
-        lambda q: np.linalg.inv(g_inverse(q)), ndim=lattice.ndim,
+        metric_profile(lattice, cfg["fields.metric.components"]), ndim=lattice.ndim,
         default_eta=cfg["params.eta"], bounds=geometry._lattice_bounds(lattice),
     )
     # the table's rules exclude 0 and empty values, so `or` only fills unset ones

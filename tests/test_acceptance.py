@@ -236,7 +236,7 @@ def test_acceptance_09_geodesics():
         assert straight <= 1e-8
 
         polar = AnalyticMetric(
-            lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0]),
+            lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** -2 * np.diag([0.0, 1.0]),
             ndim=2, default_eta=1e-4,
         )
         st = (np.array([2.0, 0.0]), np.array([-0.1, 0.15]))

@@ -20,9 +20,10 @@ from geomqm.geometry import ChartExit
 
 
 def polar_like_metric():
-    """Lower metric diag(1, x^2): the flat plane in polar-style coordinates."""
+    """Lower metric diag(1, x^2), passed as its inverse diag(1, x^-2): the
+    flat plane in polar-style coordinates."""
     return AnalyticMetric(
-        lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0]),
+        lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** -2 * np.diag([0.0, 1.0]),
         ndim=2, default_eta=1e-4,
     )
 
@@ -159,7 +160,7 @@ def test_lift_signature_and_static_blocks():
     lat = build_lattice(LatticeSpec("rectangle", (4, 4), (1.0, 1.0)))
     g = constant_metric(lat, np.array([[1.0, 0.2], [0.2, 2.0]]))
     st = lorentzian_lift(lat, np.broadcast_to(g, (3,) + g.shape).copy(), [0.0, 1.0, 2.0])
-    block = block_diag(1.0 / st.g00, st.lower_fields()[1, 5])  # lower indices at site 5, sample 1
+    block = block_diag(1.0 / st.g00, np.linalg.inv(st.fields)[1, 5])  # lower indices at site 5, sample 1
     eigs = np.linalg.eigvalsh(block)
     assert (eigs < 0).sum() == 1 and (eigs > 0).sum() == 2
     assert block[0, 0] == -1.0 and np.max(np.abs(block[0, 1:])) == 0.0
@@ -239,7 +240,7 @@ def test_zeroth_residual_needs_three_samples():
 def test_lift_geodesics_project_to_spatial_geodesics():
     # static g, launch orthogonal to time slices: spatial components follow
     # the spatial geodesic flow
-    gfun = lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0])  # noqa: E731
+    gfun = lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** -2 * np.diag([0.0, 1.0])  # noqa: E731
 
     def lifted(q):
         out = np.zeros(q.shape[:-1] + (3, 3))
@@ -273,7 +274,7 @@ def test_christoffel_chart_margin():
     # Gamma = g' / (2 g); over the chart's 1e-9 h margin past the edge the
     # edge cell extends linearly (the test below bounds the error by 1e-12)
     lower = (1.0 + lat.positions[:, 0]).reshape(-1, 1, 1)
-    interp = LatticeMetricInterpolant.from_lower(lat, lower)
+    interp = LatticeMetricInterpolant(lat, np.linalg.inv(lower))
     for x in (0.0, 0.1, 3.9, 4.0):
         gamma = christoffel(interp, np.array([x]))[0, 0, 0]
         assert abs(gamma - 0.5 / (1.0 + x)) <= 1e-8
@@ -284,7 +285,7 @@ def test_christoffel_of_a_linear_metric_is_exact_up_to_the_open_edges():
     # edge cell extended linearly, not the edge value held
     lat = build_lattice(LatticeSpec("interval", (5,), (1.0,)))
     lower = (1.0 + lat.positions[:, 0]).reshape(-1, 1, 1)
-    interp = LatticeMetricInterpolant.from_lower(lat, lower)
+    interp = LatticeMetricInterpolant(lat, np.linalg.inv(lower))
     for x in (0.0, 0.1, 3.9, 4.0):
         gamma = christoffel(interp, np.array([x]))[0, 0, 0]
         assert abs(gamma - 0.5 / (1.0 + x)) <= 1e-12 * 0.5 / (1.0 + x), x
@@ -355,7 +356,7 @@ def test_metric_providers_take_point_batches():
     met = AnalyticMetric(lambda q: np.array([[2.0, 0.3], [0.3, 1.0]]), ndim=2,
                          bounds=[None, (0.0, 1.0)])
     g = met.lower(np.zeros((3, 4, 2)))
-    assert g.shape == (3, 4, 2, 2) and np.all(g == np.array([[2.0, 0.3], [0.3, 1.0]]))
+    assert g.shape == (3, 4, 2, 2) and np.all(g == np.linalg.inv([[2.0, 0.3], [0.3, 1.0]]))
     with pytest.raises(ChartExit, match="coordinate 1 = 1.5 outside chart"):
         met.lower(np.array([[0.0, 0.5], [7.0, 1.5]]))
     lat = build_lattice(LatticeSpec("cylinder", (6, 5), (1.0, 0.8)))

@@ -268,7 +268,7 @@ def loop_speed2(lower, d, qs, vs):
 
 
 def loop_zeroth_residual(st, traj):
-    lowers = st.lower_fields()
+    lowers = np.linalg.inv(st.fields)
     interp = [loop_interp_lower(st.lattice, lowers[s]) for s in range(st.n_samples)]
     ts = st.times
     out = np.empty(len(traj.times))
@@ -341,8 +341,9 @@ def test_metric_and_connection_fields_match_loop_oracle(case):
 def test_interpolant_matches_loop_oracle(case):
     lat = lattice_of(case)
     rng = np.random.default_rng(11)
-    lower = random_lower_field(lat, rng)
-    interp = LatticeMetricInterpolant.from_lower(lat, lower)
+    g_inverse = np.linalg.inv(random_lower_field(lat, rng))
+    lower = np.linalg.inv(g_inverse)
+    interp = LatticeMetricInterpolant(lat, g_inverse)
     at = loop_interp_lower(lat, lower)
     Q = chart_points(lat, rng)
     got = interp.lower(Q)
@@ -363,17 +364,17 @@ def test_christoffel_matches_per_axis_oracle(case):
     lat = lattice_of(case)
     d = lat.ndim
     rng = np.random.default_rng(13)
-    lower = random_lower_field(lat, rng)
-    interp = LatticeMetricInterpolant.from_lower(lat, lower)
+    g_inverse = np.linalg.inv(random_lower_field(lat, rng))
+    lower = np.linalg.inv(g_inverse)
+    interp = LatticeMetricInterpolant(lat, g_inverse)
     at = loop_interp_lower(lat, lower)
     eta = interp.default_eta
     for q in chart_points(lat, rng, count=12, margin=2 * eta):
         assert np.array_equal(christoffel(interp, q), loop_christoffel(at, d, q, eta))
 
     comps = smooth_metric_specs(d)
-    g_inverse = metric_profile(lat, comps)
     gfun = loop_metric_function(lat, comps)
-    analytic = AnalyticMetric(lambda q: np.linalg.inv(g_inverse(q)), ndim=d, default_eta=1e-4)
+    analytic = AnalyticMetric(metric_profile(lat, comps), ndim=d, default_eta=1e-4)
     for q in sample_points(lat, rng, count=12):
         want = loop_christoffel(lambda x: np.linalg.inv(gfun(x)), d, q, 1e-4)
         assert np.array_equal(christoffel(analytic, q), want)
@@ -400,9 +401,8 @@ def test_zeroth_residual_matches_loop_oracle(case):
 def test_speed2_matches_loop_oracle(case):
     lat = lattice_of(case)
     comps = smooth_metric_specs(2)
-    g_inverse = metric_profile(lat, comps)
     gfun = loop_metric_function(lat, comps)
-    analytic = AnalyticMetric(lambda q: np.linalg.inv(g_inverse(q)), ndim=2, default_eta=1e-4)
+    analytic = AnalyticMetric(metric_profile(lat, comps), ndim=2, default_eta=1e-4)
     traj = geodesic_integrate(
         analytic, np.array([0.6, 0.9]), np.array([0.3, -0.2]), 0.01, 0.5
     )
@@ -415,8 +415,9 @@ def test_speed2_identity_fallback_matches_loop_oracle():
     # step exits: its speed^2 is read with the identity metric
     lat = lattice_of(("rectangle", (5, 5), (1.0, 1.0)))
     rng = np.random.default_rng(19)
-    lower = random_lower_field(lat, rng)
-    interp = LatticeMetricInterpolant.from_lower(lat, lower)
+    g_inverse = np.linalg.inv(random_lower_field(lat, rng))
+    lower = np.linalg.inv(g_inverse)
+    interp = LatticeMetricInterpolant(lat, g_inverse)
     v0 = np.array([0.4, -0.7])
     traj = geodesic_integrate(interp, np.array([4.5, 2.0]), v0, 0.01, 1.0)
     assert traj.truncated and len(traj.times) == 1

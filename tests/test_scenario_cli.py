@@ -10,6 +10,8 @@ from geomqm import (
     LatticeMetricInterpolant,
     LatticeSpec,
     OperatorError,
+    SpacetimeMetric,
+    Trajectory,
     build_hamiltonian,
     build_lattice,
     constant_metric,
@@ -20,6 +22,7 @@ from geomqm import (
     operators,
     reconstruct,
     scenario,
+    zeroth_residual,
 )
 from geomqm.cli import main
 from geomqm.operators import HermitianOperator, link_couplings
@@ -741,12 +744,23 @@ def _validate_with_metric(monkeypatch, lat, g):
                      "mass": 1.0, "task": "build"})
 
 
+def _zeroth_residual_with_metric(monkeypatch, lat, g):
+    # a hand-made series skips the lift's gate; the interpolant of each
+    # sample that a difference reads applies it
+    times = np.arange(3.0)
+    st = SpacetimeMetric(lat, times, np.array([g, 2.0 * g, 3.0 * g]))
+    ones = np.ones((3, lat.ndim))
+    zeroth_residual(st, Trajectory(times, 0.5 * ones, ones, np.ones(3)))
+
+
 @pytest.mark.parametrize("refuse, error", [
     (lambda mp, lat, g: link_couplings(lat, g, 1.0), LatticeError),
     (lambda mp, lat, g: LatticeMetricInterpolant(lat, g), LatticeError),
     (lambda mp, lat, g: lorentzian_lift(lat, g), LatticeError),
+    (_zeroth_residual_with_metric, LatticeError),
     (_validate_with_metric, ConfigError),
-], ids=["link_couplings", "interpolant", "lorentzian_lift", "validate_config"])
+], ids=["link_couplings", "interpolant", "lorentzian_lift", "zeroth_residual",
+        "validate_config"])
 @pytest.mark.parametrize("topology, sizes, entries, value", [
     ("ring", (6,), [(0, 0)], np.nan),
     ("torus", (4, 4), [(0, 1), (1, 0)], np.nan),
@@ -766,13 +780,16 @@ def test_nan_metric_entry_fails_every_positivity_test(monkeypatch, refuse, error
     (lambda mp, lat, g: build_hamiltonian(lat, g, None, None, 1.0), LatticeError, ""),
     (lambda mp, lat, g: LatticeMetricInterpolant(lat, g), LatticeError, ""),
     (lambda mp, lat, g: lorentzian_lift(lat, g), LatticeError, ""),
+    (_zeroth_residual_with_metric, LatticeError, ""),
     (_validate_with_metric, ConfigError, "fields.metric: "),
-], ids=["build_hamiltonian", "interpolant", "lorentzian_lift", "validate_config"])
+], ids=["build_hamiltonian", "interpolant", "lorentzian_lift", "zeroth_residual",
+        "validate_config"])
 @pytest.mark.parametrize("sites", [5, 10, 32])
 def test_metric_of_another_site_count_fails_every_entry_point(monkeypatch, refuse, error,
                                                                prefix, sites):
     # refused on entry, by shape: an unchecked interpolant indexes past a short
-    # field at its first lower(), and a lift of the wrong lattice fails only later
+    # field at its first lower(), and a lift of the wrong lattice fails only later;
+    # a hand-made series of 5-site samples reached the same IndexError
     lat = build_lattice(LatticeSpec("torus", (4, 4), (1.0, 1.0)))
     g = np.concatenate([constant_metric(lat)] * 2)[:sites]
     with pytest.raises(error, match=rf"^{prefix}inverse metric shape \({sites}, 2, 2\) "
