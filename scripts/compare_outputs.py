@@ -12,17 +12,25 @@ temporary directory:
   prepares them (the generated YAML and manifests are inputs and are not
   compared; the prepared operator files are).
 
-Then every output file is compared byte for byte, with the value of
-`wall_time_s` in each `report.json` masked.  The files that differ or
-exist in one tree only are listed; the exit status is 0 when none does,
-1 when one does and 2 when a run fails.  Nothing is written in either
-tree: the runs write no bytecode and change into the temporary
-directory for the benchmark ops.  Passing the same tree twice checks
-that the outputs are deterministic.
+The first tree runs on one BLAS thread (`OPENBLAS_NUM_THREADS`,
+`OMP_NUM_THREADS` and `MKL_NUM_THREADS` set to 1), the second with the
+environment it inherits; no flag changes this.  Then every output file
+is compared byte for byte, with the value of `wall_time_s` in each
+`report.json` masked.  The files that differ or exist in one tree only
+are listed; the exit status is 0 when none does, 1 when one does and 2
+when a run fails.  Nothing is written in either tree: the runs write no
+bytecode and change into the temporary directory for the benchmark ops.
+
+Passing the same tree twice checks that the outputs are deterministic
+and do not depend on the BLAS thread count.  The second side takes the
+host's default thread count, or the one set in the calling environment:
+
+    OPENBLAS_NUM_THREADS=4 python3 scripts/compare_outputs.py . .
 """
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -51,11 +59,14 @@ for name in sorted(workloads.WORKLOADS):
 
 _WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]*')
 
+_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-def run_tree(tree, out):
-    """Write the outputs of `tree` under `out`; False if the runs fail."""
+
+def run_tree(tree, out, env):
+    """Write the outputs of `tree` under `out` in the environment `env`
+    (None: the inherited one); False if the runs fail."""
     proc = subprocess.run([sys.executable, "-B", "-c", _RUN, str(tree.resolve()), str(out)],
-                          cwd=out, check=False)
+                          cwd=out, env=env, check=False)
     return proc.returncode == 0
 
 
@@ -79,10 +90,11 @@ def main(argv=None):
         return 2
     with tempfile.TemporaryDirectory(prefix="geomqm-compare-") as tmp:
         found = []
-        for side, tree in zip(("old", "new"), args):
+        envs = ({**os.environ, **_ONE_THREAD}, None)
+        for side, tree, env in zip(("old", "new"), args, envs):
             out = Path(tmp) / side
             out.mkdir()
-            if not run_tree(Path(tree), out):
+            if not run_tree(Path(tree), out, env):
                 print(f"the runs of {tree} failed", file=sys.stderr)
                 return 2
             found.append(outputs(out))

@@ -74,7 +74,6 @@ from .reconstruct import (
     ReconstructionReport,
     axiom_report,
     coordinate_cure_residual,
-    cure_residual,
     default_test_vector,
     gauge_transform,
     link_average_metric,

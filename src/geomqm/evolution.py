@@ -1,41 +1,32 @@
 """Time evolution by unitary Cayley steps, and Heisenberg-picture checks.
 
-Propagators are ordered products of Cayley (Crank-Nicolson) steps
+A propagator of the static Hamiltonian H is an ordered product of Cayley
+(Crank-Nicolson) steps
 
-    U_step = (1 + i H delta / 2)^-1 (1 - i H delta / 2)
+    U_step = (1 + i H delta / 2)^-1 (1 - i H delta / 2).
 
-with the Hamiltonian sampled at step midpoints.  Each step is exactly
-unitary, so unitarity never drifts with the step count.
-
-A static operator H = V diag(lambda) V^dagger commutes with every step,
-so N steps multiply to a function of H, taken from one Hermitian
-eigendecomposition (O(n^3), once, whatever N):
+Each step is exactly unitary, so unitarity never drifts with the step
+count.  H = V diag(lambda) V^dagger commutes with every step, so N steps
+multiply to a function of H, taken from one Hermitian eigendecomposition
+(O(n^3), once, whatever N):
 
     U = V diag(exp(-2i N arctan(delta lambda / 2))) V^dagger.
 
 Since x - x^3/3 <= arctan(x) <= x for x >= 0, the phase of each level
 lags exp(-i lambda T), T = N delta, by at most T delta^2 |lambda|^3 / 12,
-which is also its leading term.  The sequential product would leave
+which is also its leading term.  The step-by-step product would leave
 subnormal round-off in the entries that should vanish, and every later
 product with such a U runs about ten times slower; the eigenvector route
 (the standard stable way to apply a function of a normal matrix) does
-not.  A callable t -> H(t) has no fixed eigenbasis, so its steps are
-solved one by one with a dense LU (O(n^3) per step); that product is
-also the oracle the static route is tested against.  Dense matrices
-throughout, so dimensions above operators.DENSE_LIMIT are refused before
-any n x n matrix is made.
+not.  Dense matrices throughout, so dimensions above
+operators.DENSE_LIMIT are refused before any n x n matrix is made.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
-from .operators import OperatorError, _asmat, _dense, _dense_size
-
-
-def _sample(h_sampler, t):
-    return _dense(h_sampler(t) if callable(h_sampler) else h_sampler)
+from .operators import OperatorError, _asmat, _dense
 
 
 def _cayley_phase(lam, delta, steps):
@@ -61,32 +52,20 @@ def suggested_steps(H, t1, t2):
     return max(1, int(np.ceil(norm * (t2 - t1) / 0.1)))
 
 
-def propagator(h_sampler, t1, t2, steps):
-    """Ordered product of `steps` midpoint Cayley steps from t1 to t2, as
-    a dense complex ndarray.
+def propagator(H, t1, t2, steps):
+    """Ordered product of `steps` Cayley steps of the static operator H
+    from t1 to t2, as a dense complex ndarray.
 
-    h_sampler is either a fixed operator or a callable t -> operator.  A
-    fixed operator takes one `eigh` and the phases
-    -2 steps arctan(delta lambda / 2), delta = (t2 - t1) / steps; a
-    callable takes one LU solve per step.  Composition is exact when
-    step boundaries align: U(t2, t3) U(t1, t2) = U(t1, t3).
+    One `eigh` of H and the phases -2 steps arctan(delta lambda / 2),
+    delta = (t2 - t1) / steps.  Composition is exact when step boundaries
+    align: U(t2, t3) U(t1, t2) = U(t1, t3).  t1 < t2 must both be finite.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise OperatorError(f"steps must be an integer >= 1, got {steps!r}")
-    if not t2 > t1:
-        raise OperatorError(f"need t2 > t1, got {t1} -> {t2}")
-    delta = (t2 - t1) / steps
-    if not callable(h_sampler):
-        lam, V = np.linalg.eigh(_dense(h_sampler))
-        return _spectral(V, _cayley_phase(lam, delta, steps))
-    u = None
-    for s in range(steps):
-        Hd = _sample(h_sampler, t1 + (s + 0.5) * delta)
-        n = Hd.shape[0]
-        plus = np.eye(n) + 0.5j * delta * Hd
-        minus = np.eye(n) - 0.5j * delta * Hd
-        u = sla.lu_solve(sla.lu_factor(plus), minus if u is None else minus @ u)
-    return u
+    if not -np.inf < t1 < t2 < np.inf:
+        raise OperatorError(f"need finite t1 < t2, got {t1} -> {t2}")
+    lam, V = np.linalg.eigh(_dense(H))
+    return _spectral(V, _cayley_phase(lam, (t2 - t1) / steps, steps))
 
 
 def unitarity_defect(u):
@@ -102,39 +81,28 @@ def heisenberg_evolve(a, U):
     return U.conj().T @ (a[:, None] * U)
 
 
-def heisenberg_residual(h_sampler, a, t, delta):
-    """Max-entry defect of the Heisenberg equation a_dot = i [H, a].
+def heisenberg_residual(H, a, t, delta):
+    """Max-entry defect of the Heisenberg equation a_dot = i [H, a] for a
+    static operator H.
 
     Central difference (a_{t+delta} - a_{t-delta}) / (2 delta) against
-    i [H(t), a_t].  The propagator to t - delta takes
+    i [H, a_t].  The propagator to t - delta takes
     max(1, round((t - delta) / delta)) Cayley steps (none at t = delta),
-    the two after it one step of delta each; t < delta and a t or delta
-    that is not finite are refused.  A fixed operator is decomposed once
-    for all three.  O(delta^2) for static Hamiltonians.
+    the two after it one step of delta each, all from one decomposition
+    of H; t < delta and a t or delta that is not finite are refused.
+    O(delta^2).
     """
     if not 0 < delta < np.inf:
         raise OperatorError(f"delta must be positive and finite, got {delta}")
     if not delta <= t < np.inf:
         raise OperatorError(f"need t >= delta and t finite, got t = {t}, delta = {delta}")
-    _dense_size(len(a))
     n_minus = max(1, round((t - delta) / delta)) if t > delta else 0
-    Ht = _sample(h_sampler, t)
-    if callable(h_sampler):
-        u_minus = (
-            propagator(h_sampler, 0.0, t - delta, n_minus)
-            if n_minus
-            else np.eye(len(a), dtype=complex)
-        )
-        u_t = propagator(h_sampler, t - delta, t, 1) @ u_minus
-        u_plus = propagator(h_sampler, t, t + delta, 1) @ u_t
-        unitaries = (u_minus, u_t, u_plus)
-    else:
-        lam, V = np.linalg.eigh(Ht)
-        phase = _cayley_phase(lam, (t - delta) / n_minus, n_minus) if n_minus else 0.0
-        step = _cayley_phase(lam, delta, 1)
-        # made one at a time, so only one n x n unitary is held at once
-        unitaries = (_spectral(V, phase + k * step) for k in range(3))
-    a_minus, a_t, a_plus = (heisenberg_evolve(a, u) for u in unitaries)
+    Hd = _dense(H)
+    lam, V = np.linalg.eigh(Hd)
+    phase = _cayley_phase(lam, (t - delta) / n_minus, n_minus) if n_minus else 0.0
+    step = _cayley_phase(lam, delta, 1)
+    # made one at a time, so only one n x n unitary is held at once
+    a_minus, a_t, a_plus = (heisenberg_evolve(a, _spectral(V, phase + k * step)) for k in range(3))
     fd = (a_plus - a_minus) / (2.0 * delta)
-    rhs = 1j * (Ht @ a_t - a_t @ Ht)
+    rhs = 1j * (Hd @ a_t - a_t @ Hd)
     return float(np.max(np.abs(fd - rhs)))

@@ -99,10 +99,6 @@ class SpacetimeComplex:
     def n_cells(self, k):
         return len(self.cell_anchor[k]) if 0 <= k <= 3 else 0
 
-    def cochain(self, k, values=None):
-        vals = np.zeros(self.n_cells(k)) if values is None else np.asarray(values, float)
-        return Cochain(self, k, vals)
-
 
 def build_spacetime_complex(lattice, n_t, dt):
     """Cubical complex on lattice x {0..n_t-1} time samples."""

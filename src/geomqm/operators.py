@@ -90,8 +90,6 @@ def commutator(x, y):
 
 def link_couplings(lattice, g, m):
     """Per-link real amplitudes c_l of the covariant Laplacian stencil."""
-    if not 0 < m < np.inf:
-        raise OperatorError(f"mass must be positive and finite, got {m}")
     return _link_mean(lattice, metric_field(lattice, g)) / _link_weights(lattice, m)
 
 
@@ -103,7 +101,10 @@ def _link_mean(lattice, g):
 
 def _link_weights(lattice, m):
     """Stencil weight w, with c = link mean / w: 2 m h_k^2 on axis links,
-    4 m h_k h_l s on diagonals (s = +-1, so dividing by it is exact)."""
+    4 m h_k h_l s on diagonals (s = +-1, so dividing by it is exact).
+    The one mass gate: the builder and the reconstruction both read it."""
+    if not 0 < m < np.inf:
+        raise OperatorError(f"mass must be positive and finite, got {m}")
     k, l = lattice.stencil.axes.T
     h = np.asarray(lattice.spacings)
     w = np.where(k == l, 2.0 * m * h[k] ** 2, 4.0 * m * h[k] * h[l] * lattice.stencil.signs)

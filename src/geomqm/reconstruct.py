@@ -38,7 +38,6 @@ from .operators import (
     _stencil_diagonal,
     build_hamiltonian,
     commutator,
-    mult_op,
 )
 
 
@@ -258,30 +257,17 @@ def tree_gauge_canonicalize(lattice, H):
     return gauge_transform(H, chi)
 
 
-def cure_residual(lattice, H, a, b, psi):
-    """Multiplication-operator defect of [mult(a), [H, mult(b)]] on psi.
-
-    Returns ||[a,[H,b]] psi - s psi|| where s is the covariant row-sum
-    field of the pair over the lattice link stencil only; couplings
-    beyond the stencil are deliberately left in the residual, which is
-    what makes higher-than-second-order terms show up as a plateau under
-    refinement.  Requires ||psi|| = 1.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("test vector must be normalized")
-    c = _link_couplings(lattice, _link_entries(lattice, H))
-    M = commutator(mult_op(lattice, a).mat, commutator(_asmat(H), mult_op(lattice, b).mat))
-    s = _stencil_diagonal(lattice, d0(lattice, a) * d0(lattice, b) * c)
-    return float(np.linalg.norm(M @ psi - s * psi))
-
-
 def coordinate_cure_residual(lattice, H, k, l, psi):
-    """cure_residual for the coordinate pair (k, l), minimal-image safe.
+    """Multiplication-operator defect of [x_k, [H, x_l]] on psi.
 
-    Builds [a,[H,b]] entrywise from per-pair minimal-image coordinate
-    differences instead of global coordinate fields, so it is well
-    defined on rings and tori where no global coordinates exist.
+    Returns ||[x_k,[H,x_l]] psi - s psi|| where s is the covariant
+    row-sum field of the coordinate pair (k, l) over the lattice link
+    stencil only; couplings beyond the stencil are deliberately left in
+    the residual, which is what makes higher-than-second-order terms show
+    up as a plateau under refinement.  The double commutator is built
+    entrywise from per-pair minimal-image coordinate differences, so it
+    is well defined on rings and tori where no global coordinates exist.
+    Requires ||psi|| = 1.
     """
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:

@@ -553,17 +553,12 @@ def _task_evolve(cfg, lattice, fields, out):
     half = evolution.propagator(H, 0.0, duration / 2, steps // 2)
     composition = float(np.max(np.abs(half @ half - U)))
     defect = evolution.unitarity_defect(U)
-    x = lattice.positions[:, 0]
-    xt = evolution.heisenberg_evolve(x, U)
-    # informational (no check reads it), and a dense 2-norm: an SVD of n x n
-    noncomm = float(np.linalg.norm(x[:, None] * xt - xt * x, 2))
     probe = cfg["params.probe_delta"] or duration / steps
-    residual = evolution.heisenberg_residual(H, x, duration / 2.0, probe)
+    residual = evolution.heisenberg_residual(H, lattice.positions[:, 0], duration / 2.0, probe)
     payload = {
         "steps": steps,
         "unitarity_defect": defect,
         "composition_defect": composition,
-        "slice_noncommutation": noncomm,
         "heisenberg_residual": residual,
     }
     return payload, [("unitarity", defect), ("composition", composition)]

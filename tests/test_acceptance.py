@@ -23,7 +23,7 @@ from geomqm import (
     commutator,
     constant_metric,
     continuity_defect,
-    cure_residual,
+    coordinate_cure_residual,
     current,
     d0,
     d_cochain,
@@ -116,12 +116,12 @@ def test_acceptance_04_cure_second_order_detection():
         for n in (32, 64):
             lat = build_lattice(LatticeSpec("interval", (n,), (1.0,)))
             H = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0)
-            x = lat.positions[:, 0]
             psi = default_test_vector(lat)
-            clean[n] = cure_residual(lat, H, x, x, psi)
+            clean[n] = coordinate_cure_residual(lat, H, 0, 0, psi)
             rows = np.arange(n - 2)
             hop = sp.csr_matrix((0.1 * np.ones(n - 2), (rows, rows + 2)), shape=(n, n))
-            perturbed[n] = cure_residual(lat, (H.mat + hop + hop.T).tocsr(), x, x, psi)
+            H_hop = (H.mat + hop + hop.T).tocsr()
+            perturbed[n] = coordinate_cure_residual(lat, H_hop, 0, 0, psi)
         assert perturbed[32] > 0.02 and perturbed[64] > 0.02
         ratio = clean[32] / clean[64]
         assert 3.2 <= ratio <= 4.8

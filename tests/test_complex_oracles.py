@@ -19,6 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 from geomqm import (
+    Cochain,
     ComplexError,
     LatticeSpec,
     assemble_potential,
@@ -331,7 +332,7 @@ def test_hodge_matches_loop_oracle(topology, sizes, spacings, n_t, g00):
         for k in range(4):
             assert_bits_equal(star.factors[k], loop_hodge_factors(ox, k, metric))
             if 0 <= cx.n - k <= 3:
-                omega = cx.cochain(k, rng.normal(size=cx.n_cells(k)))
+                omega = Cochain(cx, k, rng.normal(size=cx.n_cells(k)))
                 assert_bits_equal(hodge(star, omega).values,
                                   loop_hodge(ox, k, omega.values, metric))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geomqm import (
+    Cochain,
     ComplexError,
     LatticeError,
     LatticeSpec,
@@ -21,6 +22,10 @@ from geomqm import (
     lorentzian_lift,
 )
 from geomqm import maxwell
+
+
+def zero_cochain(cx, k):
+    return Cochain(cx, k, np.zeros(cx.n_cells(k)))
 
 
 def cylinder_complex(nx=6, ny=5, n_t=4, dt=0.5):
@@ -59,17 +64,17 @@ def test_incidence_composition_is_zero():
 def test_dd_vanishes_on_random_cochains():
     _, cx = cylinder_complex()
     rng = np.random.default_rng(0)
-    f = cx.cochain(0, rng.normal(size=cx.n_cells(0)))
+    f = Cochain(cx, 0, rng.normal(size=cx.n_cells(0)))
     ddf = d_cochain(d_cochain(f))
     assert np.max(np.abs(ddf.values)) <= 1e-13
-    w = cx.cochain(1, rng.normal(size=cx.n_cells(1)))
+    w = Cochain(cx, 1, rng.normal(size=cx.n_cells(1)))
     ddw = d_cochain(d_cochain(w))
     assert np.max(np.abs(ddw.values)) <= 1e-13
 
 
 def test_single_edge_indicator_coboundary():
     _, cx = cylinder_complex()
-    w = cx.cochain(1)
+    w = zero_cochain(cx, 1)
     w.values[37] = 1.0
     dw = d_cochain(w)
     incident = cx.incidence[1][:, 37].toarray().ravel()
@@ -84,7 +89,7 @@ def test_coboundary_stays_on_the_cochain_s_own_complex():
     first, second = (build_spacetime_complex(build_lattice(LatticeSpec("torus", sizes, (1.0, 1.0))),
                                              3, 1.0) for sizes in ((3, 4), (4, 3)))
     assert all(first.n_cells(k) == second.n_cells(k) for k in range(4))
-    w = second.cochain(1, np.random.default_rng(5).normal(size=second.n_cells(1)))
+    w = Cochain(second, 1, np.random.default_rng(5).normal(size=second.n_cells(1)))
     dw = d_cochain(w)
     assert dw.complex is w.complex and dw.degree == 2
     assert np.array_equal(dw.values, second.incidence[1] @ w.values)
@@ -93,7 +98,7 @@ def test_coboundary_stays_on_the_cochain_s_own_complex():
 
 def test_unsupported_degree_rejected():
     lat, cx = cylinder_complex()
-    w = cx.cochain(3)
+    w = zero_cochain(cx, 3)
     with pytest.raises(ComplexError):
         d_cochain(w)
 
@@ -173,8 +178,8 @@ def test_field_strength_gauge_invariant():
     A_series, phi_series = random_series(lat, cx.n_t, 0.3, rng)
     pot = assemble_potential(cx, A_series, phi_series)
     F = d_cochain(pot)
-    chi = cx.cochain(0, rng.normal(size=cx.n_cells(0)))
-    shifted = cx.cochain(1, pot.values + d_cochain(chi).values)
+    chi = Cochain(cx, 0, rng.normal(size=cx.n_cells(0)))
+    shifted = Cochain(cx, 1, pot.values + d_cochain(chi).values)
     F2 = d_cochain(shifted)
     assert np.max(np.abs(F.values - F2.values)) <= 1e-12
 
@@ -185,7 +190,7 @@ def test_hodge_double_star_n2_lorentzian():
     lat = build_lattice(LatticeSpec("ring", (6,), (0.8,)))
     cx = build_spacetime_complex(lat, 4, 0.3)
     rng = np.random.default_rng(2)
-    F = cx.cochain(2, rng.normal(size=cx.n_cells(2)))
+    F = Cochain(cx, 2, rng.normal(size=cx.n_cells(2)))
     star = hodge_factors(cx)
     FF = hodge(star, hodge(star, F))
     assert np.max(np.abs(FF.values + F.values)) < 1e-12
@@ -217,7 +222,7 @@ def test_hodge_n4_time_face_sign():
     cx = build_spacetime_complex(lat, 3, 1.0)
     faces = list(combinations(range(4), 2))
     anchor = int(cx.cell_table[2][np.ravel_multi_index((1, 1, 1), lat.sizes), faces.index((0, 1))])
-    F = cx.cochain(2)
+    F = zero_cochain(cx, 2)
     F.values[anchor] = 1.0
     dual = hodge(hodge_factors(cx), F)
     comp, coeff = levi_civita_star_oracle((0, 1), (-1.0, 1.0, 1.0, 1.0), (1.0,) * 4)
@@ -238,7 +243,7 @@ def test_hodge_matches_oracle_with_anisotropic_spacings():
     faces = list(combinations(range(4), 2))
     for axes in ((0, 1), (0, 2), (1, 2), (2, 3)):
         idx = cx.cell_table[2][site, faces.index(axes)]
-        F = cx.cochain(2)
+        F = zero_cochain(cx, 2)
         F.values[idx] = 1.0
         dual = hodge(star, F)
         comp, coeff = levi_civita_star_oracle(axes, (-1.0, 1.0, 1.0, 1.0), spac)
@@ -253,7 +258,7 @@ def test_hodge_time_face_dual_invariant_under_dt():
     for dt in (0.2, 0.4):
         cx = build_spacetime_complex(lat, 3, dt)
         E_field = 0.9
-        F = cx.cochain(2, np.full(cx.n_cells(2), E_field * 1.0 * dt))
+        F = Cochain(cx, 2, np.full(cx.n_cells(2), E_field * 1.0 * dt))
         duals.append(hodge(hodge_factors(cx), F).values)
     v0 = duals[0][duals[0] != 0]
     v1 = duals[1][duals[1] != 0]
@@ -274,10 +279,10 @@ def test_double_star_is_a_sign_for_any_lapse(g00):
     # sqrt|det g| must include |g00| for this to hold off unit lapse
     lat, cx = cylinder_complex()
     met = position_dependent_metric(lat, cx.n_t, cx.dt, g00)
-    F = cx.cochain(2, np.random.default_rng(3).normal(size=cx.n_cells(2)))
+    F = Cochain(cx, 2, np.random.default_rng(3).normal(size=cx.n_cells(2)))
     star, flat = hodge_factors(cx, met), hodge_factors(cx)
     FF = hodge(star, hodge(star, F)).values
-    kept = hodge(flat, hodge(flat, cx.cochain(2, np.ones(cx.n_cells(2))))).values != 0.0
+    kept = hodge(flat, hodge(flat, Cochain(cx, 2, np.ones(cx.n_cells(2))))).values != 0.0
     assert 0 < kept.sum() < cx.n_cells(2)
     sign = (-1) ** (2 * (cx.n - 2)) * np.sign(g00)
     assert np.max(np.abs(FF[kept] - sign * F.values[kept])) <= 1e-12
@@ -288,9 +293,9 @@ def test_double_star_is_a_sign_for_any_lapse(g00):
 def test_double_star_defect_measures_a_wrong_star(g00):
     lat, cx = cylinder_complex()
     star = hodge_factors(cx, position_dependent_metric(lat, cx.n_t, cx.dt, g00))
-    F = cx.cochain(2, np.random.default_rng(4).normal(size=cx.n_cells(2)))
+    F = Cochain(cx, 2, np.random.default_rng(4).normal(size=cx.n_cells(2)))
     assert maxwell.double_star_defect(star, F) <= 1e-12
-    assert maxwell.double_star_defect(star, cx.cochain(2)) == 0.0
+    assert maxwell.double_star_defect(star, zero_cochain(cx, 2)) == 0.0
     # a star off by a factor 2 makes ** off by 4: the defect reads 3
     wrong = replace(star, factors=tuple(2.0 * f for f in star.factors))
     assert abs(maxwell.double_star_defect(wrong, F) - 3.0) <= 1e-12
@@ -327,18 +332,18 @@ def test_star_refuses_a_cochain_of_another_complex_or_degree():
     _, twin = cylinder_complex()
     star = hodge_factors(cx)
     with pytest.raises(ComplexError, match="different complexes"):
-        hodge(star, twin.cochain(2))
+        hodge(star, zero_cochain(twin, 2))
     with pytest.raises(ComplexError, match="different complexes"):
-        current(star, twin.cochain(1))
+        current(star, zero_cochain(twin, 1))
     with pytest.raises(ComplexError, match="need a 1-cochain"):
-        continuity_defect(star, cx.cochain(2))
+        continuity_defect(star, zero_cochain(cx, 2))
 
 
 # ------------------------------------------------------------ current
 
 def test_zero_potential_zero_current():
     lat, cx = cylinder_complex()
-    pot = cx.cochain(1)
+    pot = zero_cochain(cx, 1)
     j = current(hodge_factors(cx, flat_metric(lat, cx.n_t, cx.dt)), pot)
     assert np.max(np.abs(j.values)) == 0.0
 
@@ -349,7 +354,7 @@ def test_uniform_flux_on_torus_time_is_sourceless():
     lat = build_lattice(LatticeSpec("torus", (5, 5), (1.0, 1.0)))
     cx = build_spacetime_complex(lat, 4, 0.5)
     star = hodge_factors(cx, flat_metric(lat, 4, 0.5))
-    F = cx.cochain(2)
+    F = zero_cochain(cx, 2)
     F.values[np.all(cx.cell_axes[2] == (1, 2), axis=1)] = 0.7
     assert np.max(np.abs(cx.incidence[2] @ F.values)) <= 1e-12
     j = (cx.incidence[1].T @ (star.factors[2] * F.values))
@@ -428,8 +433,8 @@ def test_array_holding_dataclasses_compare_by_identity():
     lat, cx = cylinder_complex()
     twin_lat, twin_cx = cylinder_complex()
     met, twin_met = flat_metric(lat, cx.n_t, cx.dt), flat_metric(lat, cx.n_t, cx.dt)
-    pairs = [(lat, twin_lat), (cx, twin_cx), (cx.cochain(1), cx.cochain(1)), (met, twin_met),
-             (hodge_factors(cx, met), hodge_factors(cx, met))]
+    pairs = [(lat, twin_lat), (cx, twin_cx), (zero_cochain(cx, 1), zero_cochain(cx, 1)),
+             (met, twin_met), (hodge_factors(cx, met), hodge_factors(cx, met))]
     for obj, twin in pairs:
         assert obj == obj and obj != twin
         assert len({obj, twin, obj}) == 2

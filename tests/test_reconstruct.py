@@ -13,7 +13,6 @@ from geomqm import (
     commutator,
     constant_metric,
     coordinate_cure_residual,
-    cure_residual,
     d0,
     default_test_vector,
     eigenvalues,
@@ -165,15 +164,16 @@ def test_row_sum_metric_symmetry():
 
 
 def test_row_sum_bilinearity_constant_rescale():
-    # replacing a by (const f) a rescales the row sum by f exactly
+    # the same operator read on a lattice of spacing 3 rescales both
+    # coordinates of the pair by 3, so the residual by 9
     lat = interval(12)
+    wide = interval(12, 3.0)
     H = free_hamiltonian(lat)
-    x = lat.positions[:, 0]
     base = reconstruct_metric(lat, peierls_decompose(lat, H), 1.0)[:, 0, 0]
     psi = default_test_vector(lat)
-    r1 = cure_residual(lat, H, 3.0 * x, x, psi)
-    r0 = cure_residual(lat, H, x, x, psi)
-    assert abs(r1 - 3.0 * r0) < 1e-12
+    r1 = coordinate_cure_residual(wide, H, 0, 0, psi)
+    r0 = coordinate_cure_residual(lat, H, 0, 0, psi)
+    assert abs(r1 - 9.0 * r0) < 1e-12
     assert np.all(base[lat.interior_mask()] > 0)
 
 
@@ -238,8 +238,7 @@ def test_cure_residual_free_convergence():
     for n in (32, 64):
         lat = interval(n)
         H = free_hamiltonian(lat)
-        x = lat.positions[:, 0]
-        residuals[n] = cure_residual(lat, H, x, x, default_test_vector(lat))
+        residuals[n] = coordinate_cure_residual(lat, H, 0, 0, default_test_vector(lat))
     assert residuals[32] <= 0.05
     assert 3.2 < residuals[32] / residuals[64] < 4.8
 
@@ -247,8 +246,7 @@ def test_cure_residual_free_convergence():
 def test_cure_residual_diagonal_operator_zero():
     lat = interval(16)
     H = mult_op(lat, np.linspace(0.0, 2.0, 16))
-    x = lat.positions[:, 0]
-    assert cure_residual(lat, H, x, x, default_test_vector(lat)) < 1e-14
+    assert coordinate_cure_residual(lat, H, 0, 0, default_test_vector(lat)) < 1e-14
 
 
 def test_cure_residual_range2_plateau():
@@ -259,16 +257,14 @@ def test_cure_residual_range2_plateau():
         rows = np.arange(n - 2)
         hop = sp.csr_matrix((0.1 * np.ones(n - 2), (rows, rows + 2)), shape=(n, n))
         Hp = (H + hop + hop.T).tocsr()
-        x = lat.positions[:, 0]
-        r = cure_residual(lat, Hp, x, x, default_test_vector(lat))
+        r = coordinate_cure_residual(lat, Hp, 0, 0, default_test_vector(lat))
         assert r > 0.02
 
 
 def test_cure_residual_requires_normalized_vector():
     lat = interval(8)
     with pytest.raises(ValueError):
-        cure_residual(lat, free_hamiltonian(lat), lat.positions[:, 0],
-                      lat.positions[:, 0], np.ones(8))
+        coordinate_cure_residual(lat, free_hamiltonian(lat), 0, 0, np.ones(8))
 
 
 # ---------------------------------------------------------------- axioms

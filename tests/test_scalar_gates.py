@@ -18,6 +18,8 @@ from geomqm import (
     constant_metric,
     geodesic_integrate,
     heisenberg_residual,
+    propagator,
+    reconstruction_report,
 )
 
 
@@ -36,6 +38,10 @@ def _hamiltonian(m):
     return build_hamiltonian(lat, constant_metric(lat), None, None, m)
 
 
+def _reconstruction(m):
+    return reconstruction_report(_ring(), _hamiltonian(1.0), m)
+
+
 def _flat_geodesic(eta=1e-3, dt=0.1):
     met = AnalyticMetric(lambda q: np.eye(1), ndim=1, default_eta=eta)
     return geodesic_integrate(met, [0.0], [1.0], dt, 1.0)
@@ -49,6 +55,15 @@ def _flat_geodesic(eta=1e-3, dt=0.1):
     # seen before: an all-NaN operator; an operator with no stored entries
     (lambda: _hamiltonian(np.nan), OperatorError, "mass must be positive and finite"),
     (lambda: _hamiltonian(np.inf), OperatorError, "mass must be positive and finite"),
+    # seen before: g_rec all inf with positivity_ok True, at m = inf
+    (lambda: _reconstruction(np.inf), OperatorError, "mass must be positive and finite"),
+    (lambda: _reconstruction(np.nan), OperatorError, "mass must be positive and finite"),
+    (lambda: _reconstruction(0.0), OperatorError, "mass must be positive and finite"),
+    (lambda: _reconstruction(-1.0), OperatorError, "mass must be positive and finite"),
+    # seen before: a finite matrix from delta = inf
+    (lambda: propagator(_hamiltonian(1.0), 0.0, np.inf, 3), OperatorError, "need finite t1 < t2"),
+    (lambda: propagator(_hamiltonian(1.0), np.nan, 1.0, 3), OperatorError, "need finite t1 < t2"),
+    (lambda: propagator(_hamiltonian(1.0), -np.inf, 1.0, 3), OperatorError, "need finite t1 < t2"),
     # seen before: accepted (a NaN spacing builds a NaN Hamiltonian); 3.7
     # read as 3; a raw ValueError
     (lambda: LatticeSpec("ring", (6,), (np.nan,)), LatticeError, "spacings must be positive"),
@@ -64,7 +79,9 @@ def _flat_geodesic(eta=1e-3, dt=0.1):
     (lambda: _flat_geodesic(eta=np.nan), ValueError, "eta must be positive and finite"),
     (lambda: _flat_geodesic(dt=np.nan), ValueError, "need dt > 0 and T >= dt"),
 ], ids=["heisenberg-t-nan", "heisenberg-t-inf", "heisenberg-delta-nan", "mass-nan", "mass-inf",
-        "spacing-nan", "spacing-inf", "size-fractional", "size-nan", "n_t-fractional",
+        "reconstruction-mass-inf", "reconstruction-mass-nan", "reconstruction-mass-zero",
+        "reconstruction-mass-negative", "propagator-t2-inf", "propagator-t1-nan",
+        "propagator-t1-minus-inf", "spacing-nan", "spacing-inf", "size-fractional", "size-nan", "n_t-fractional",
         "n_t-bool", "dt-nan", "dt-inf", "eta-nan", "geodesic-dt-nan"])
 def test_non_finite_or_fractional_scalar_is_refused(call, error, match):
     with pytest.raises(error, match=match):
