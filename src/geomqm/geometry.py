@@ -186,10 +186,7 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     charts the trajectory stops with truncated=True instead of
     extrapolating beyond the boundary.
     """
-    if not 0 < dt <= T:
-        raise ValueError("need dt > 0 and T >= dt")
-    if T / dt > STEP_LIMIT:
-        raise ValueError(f"T / dt = {T / dt:.7g} RK4 steps exceeds the step limit {STEP_LIMIT}")
+    n_steps = _step_count(dt, T)
     if not isinstance(record_every, (int, np.integer)) or record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     q = np.asarray(q0, dtype=float).copy()
@@ -199,7 +196,6 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
         gamma = christoffel(metric, qq)
         return -np.einsum("kij,i,j->k", gamma, vv, vv)
 
-    n_steps = int(round(T / dt))
     times = [0.0]
     qs = [q.copy()]
     vs = [v.copy()]
@@ -232,6 +228,15 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
         # last can lie past an open chart's edge; it gets the identity
         g = np.concatenate([metric.lower(qs[:-1]), np.eye(metric.ndim)[None]])
     return Trajectory(times, qs, vs, _bilinear(vs, g, vs), truncated)
+
+
+def _step_count(dt, T):
+    """round(T / dt) RK4 steps, refused unless 0 < dt <= T and T / dt <= STEP_LIMIT."""
+    if not 0 < dt <= T:
+        raise ValueError("need dt > 0 and T >= dt")
+    if T / dt > STEP_LIMIT:
+        raise ValueError(f"T / dt = {T / dt:.7g} RK4 steps exceeds the step limit {STEP_LIMIT}")
+    return int(round(T / dt))
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,10 +61,7 @@ def ab_spectrum(lattice, m, alphas):
     window does not apply.  Returns an array of shape (len(alphas),
     n_sites) with each row sorted.
     """
-    if len(lattice.pi1_generators) != 1:
-        raise TopologyError(
-            "spectral flow needs exactly one periodic direction (ring or cylinder)"
-        )
+    _one_periodic_axis(lattice)
     c = link_couplings(lattice, constant_metric(lattice), m)
     diagonal = _stencil_diagonal(lattice, c)
     alphas = np.asarray(alphas, dtype=float)
@@ -82,8 +79,7 @@ def chern_number(lattice, theta):
     pre-rounding value must sit within 1e-6 of an integer, otherwise the
     per-plaquette fluxes are too large for branch consistency.
     """
-    if lattice.spec.topology != "torus":
-        raise TopologyError("Chern number needs a closed 2D lattice (torus)")
+    _torus_only(lattice)
     fluxes = wrap_angle(plaquette_sums(lattice, theta))
     total = float(fluxes.sum()) / (2 * np.pi)
     nearest = round(total)
@@ -93,3 +89,15 @@ def chern_number(lattice, theta):
             "per-plaquette phases exceed the principal branch"
         )
     return int(nearest)
+
+
+def _one_periodic_axis(lattice):
+    """Refuse a lattice without exactly one periodic axis, as a spectral flow needs."""
+    if len(lattice.pi1_generators) != 1:
+        raise TopologyError("spectral flow needs exactly one periodic direction (ring or cylinder)")
+
+
+def _torus_only(lattice):
+    """Refuse a lattice other than a torus, as a Chern number needs."""
+    if lattice.spec.topology != "torus":
+        raise TopologyError("Chern number needs a closed 2D lattice (torus)")

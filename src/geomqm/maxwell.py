@@ -242,12 +242,9 @@ def hodge_factors(cx, metric=None):
     if fields.shape[1:] != (ns, d, d):
         raise ComplexError(f"metric lift has {fields.shape[1]} sites in {fields.shape[2]}-d; "
                            f"the complex's lattice has {ns} sites in {d}-d")
+    _diagonal_only(fields)
     it, site = np.divmod(np.arange(n_verts), ns)
     g = fields[it if fields.shape[0] == cx.n_t else 0, site]
-    size = np.abs(g)
-    off = np.where(np.eye(d, dtype=bool), 0.0, size).max(axis=(1, 2))
-    if np.any(off > 1e-12 * np.maximum(1.0, size.max(axis=(1, 2)))):
-        raise ComplexError("Hodge star supports diagonal spatial metrics only")
     gup = np.column_stack([np.full(n_verts, g00), np.diagonal(g, axis1=1, axis2=2)])
     sqrt_det = 1.0 / np.sqrt(np.abs(gup[:, 0]) * np.prod(gup[:, 1:], axis=1))
     h = np.asarray(cx.spacings)
@@ -267,6 +264,14 @@ def hodge_factors(cx, metric=None):
             out[cells[at]] = lam
         factors.append(out)
     return HodgeStar(cx, tuple(factors), g00)
+
+
+def _diagonal_only(g):
+    """Refuse inverse metrics g (..., d, d) off the diagonal by more than 1e-12 relative."""
+    size = np.abs(g)
+    off = np.where(np.eye(g.shape[-1], dtype=bool), 0.0, size).max(axis=(-2, -1))
+    if np.any(off > 1e-12 * np.maximum(1.0, size.max(axis=(-2, -1)))):
+        raise ComplexError("Hodge star supports diagonal spatial metrics only")
 
 
 def _dual_pairs(cx, k):

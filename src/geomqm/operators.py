@@ -125,16 +125,19 @@ def build_hamiltonian(lattice, g, A, phi, m):
     """
     c = link_couplings(lattice, g, m)
     theta = np.zeros(lattice.n_links) if A is None else link_field(lattice, A)
-    worst = np.max(np.abs(theta), initial=0.0)
-    if worst >= PHASE_LIMIT:
-        raise OperatorError(
-            f"link phase magnitude {worst:g} >= pi/2; refine the lattice "
-            "or reduce the connection"
-        )
+    _phase_window(theta)
     diagonal = _stencil_diagonal(lattice, c)
     if phi is not None:
         diagonal = diagonal + scalar_field(lattice, phi)
     return _assemble(lattice, c, theta, diagonal)
+
+
+def _phase_window(theta):
+    """Refuse link phases theta unless every |phase| < PHASE_LIMIT = pi/2."""
+    worst = np.max(np.abs(theta), initial=0.0)
+    if worst >= PHASE_LIMIT:
+        raise OperatorError(f"link phase magnitude {worst:g} >= pi/2; refine the lattice "
+                            "or reduce the connection")
 
 
 def _stencil_diagonal(lattice, c):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._config import REQUIRED, ConfigError, Key, read_keys
+from ._config import POSITIVE, REQUIRED, ConfigError, Key, read_keys
 from .holonomy import flat_connection
 from .lattice import connection_from_components
 
@@ -31,7 +31,7 @@ _PROFILES = {  # every axis lies in 0..d-1
     "sine": [Key("base", "float", 0.0), Key("amplitude", "float", REQUIRED),
              Key("axis", "int", 0), Key("periods", "float", 1.0), Key("phase", "float", 0.0)],
     "gaussian_bump": [Key("base", "float", 0.0), Key("amplitude", "float", REQUIRED),
-                      Key("center", "float", 0.5), Key("width", "float", 1.0 / 6.0),
+                      Key("center", "float", 0.5), Key("width", "float", 1.0 / 6.0, POSITIVE),
                       Key("axis", "int", 0)],
     "polynomial": [Key("coeffs", "list of float", REQUIRED, ("nonempty", bool)),
                    Key("axis", "int", 0)],

@@ -24,7 +24,7 @@ import yaml
 
 from . import evolution, geometry, holonomy, maxwell, operators, reconstruct
 from ._config import COUNT, POSITIVE, REQUIRED, ConfigError, Key, read_keys
-from .lattice import TOPOLOGIES, LatticeError, LatticeSpec, build_lattice, metric_field
+from .lattice import TOPOLOGIES, LatticeSpec, build_lattice, link_field, metric_field, scalar_field
 from .profiles import (
     GRAMMAR,
     connection_from_profiles,
@@ -52,8 +52,8 @@ _FIELD_TASKS = ("build", "reconstruct", "roundtrip", "evolve")  # read every fie
 
 # Every settable value of a scenario document.  fields, params and
 # tolerances rows name the tasks that read them.  A default that depends
-# on other values is None here and set where it is read: by the one task
-# runner that reads it, or by `_tolerance` for e_g and e_phi.
+# on other values is None here and set where it is read: by its task runner,
+# by `_tolerance` for e_g and e_phi, by `validate_config` for fields.time.samples.
 _KEYS = (
     Key("lattice.topology", "str", REQUIRED, _one_of(*TOPOLOGIES)),
     Key("lattice.sizes", "list of int", REQUIRED, note="sites per axis, each >= 3"),
@@ -69,7 +69,7 @@ _KEYS = (
         "one per periodic axis"),
     Key("fields.potential", "profile", None, None, _FIELD_TASKS, "default zero"),
     Key("fields.time.samples", "int", None, COUNT, ("geodesic", "maxwell"),
-        f"default 4 for maxwell, 1 for geodesic; if set, times the sites at most {SERIES_LIMIT}"),
+        f"default 4 for maxwell, 1 for geodesic; times the sites at most {SERIES_LIMIT}"),
     Key("fields.time.dt", "float", None, POSITIVE, ("geodesic", "maxwell"),
         "default 1.0, geodesic: duration / (samples - 1)"),
     Key("fields.time.scale", "scale", None, None, ("geodesic",),
@@ -82,7 +82,7 @@ _KEYS = (
     Key("params.initial.velocity", "list of float", None, _PER_AXIS, ("geodesic",),
         "default the unit vector of axis 0"),
     Key("params.dt", "float", 1e-3, POSITIVE, ("geodesic",),
-        f"at most duration; duration / dt at most {geometry.STEP_LIMIT} RK4 steps"),
+        f"at most duration; duration / dt at most {geometry.STEP_LIMIT}"),
     Key("params.duration", "float", 1.0, POSITIVE, ("geodesic", "evolve")),
     Key("params.eta", "float", 1e-4, POSITIVE, ("geodesic",), "metric difference step"),
     Key("params.ensembles", "int", 1,
@@ -193,65 +193,78 @@ def load_config(path):
 def validate_config(doc):
     """Check the document against the config table; returns its values
     typed, by dotted path, with the defaults filled in, the built lattice
-    and its profile fields (g, theta, phi), each evaluated once."""
+    and its profile fields (g, theta, phi), each evaluated once.  It calls
+    every library gate that the task's run reaches before its work."""
     cfg = read_keys(doc, _KEYS, task=doc.get("task"))  # task is read before any task row
-    try:
-        spec = LatticeSpec(cfg["lattice.topology"], tuple(cfg["lattice.sizes"]),
-                           tuple(cfg["lattice.spacings"]))
-    except LatticeError as exc:
-        raise ConfigError(f"lattice: {exc}") from exc
+    task = cfg["task"]
+    spec = _gate("lattice", LatticeSpec, cfg["lattice.topology"], tuple(cfg["lattice.sizes"]),
+                 tuple(cfg["lattice.spacings"]))
     for key in _KEYS:
         value = cfg.get(key.path)
         if key.rule is _PER_AXIS and value is not None and len(value) != spec.ndim:
             raise ConfigError(f"{key.path}: expected {spec.ndim} values, one per lattice axis, "
                               f"got {len(value)}")
+    if task in ("geodesic", "maxwell"):  # the one place the sample count defaults
+        cfg["fields.time.samples"] = cfg["fields.time.samples"] or (4 if task == "maxwell" else 1)
     lattice = build_lattice(spec)
+    # run sizes per lattice site; a Chern run reads no alphas
+    alphas = cfg.get("params.chern_flux_quanta") is None and cfg.get("params.alphas.count")
+    for path, n, limit in (("params.alphas.count", alphas, FLOW_LIMIT),
+                           ("fields.time.samples", cfg.get("fields.time.samples"), SERIES_LIMIT)):
+        if n and n * lattice.n_sites > limit:
+            raise ConfigError(f"{path}: {n} x {lattice.n_sites} sites > {limit}")
+    if task in ("build", "evolve") or alphas:  # the tasks that solve densely
+        _gate("lattice.sizes", operators._dense_size, lattice.n_sites)
+    if alphas:
+        _gate("lattice.topology", holonomy._one_periodic_axis, lattice)
+    elif task == "holonomy":
+        _gate("params.chern_flux_quanta", holonomy._torus_only, lattice)
     g = metric_from_profiles(lattice, cfg.get("fields.metric.components"))
-    grid = _lift_grid(cfg) if cfg["task"] == "geodesic" else None
-    try:  # a geodesic reads the site metric only to lift it to a time series
-        if cfg["task"] != "geodesic" or grid is not None:
-            metric_field(lattice, g)
-    except LatticeError as exc:
-        raise ConfigError(f"fields.metric: {exc}") from exc
-    try:
-        theta = connection_from_profiles(lattice, {
-            "components": cfg.get("fields.connection.components"),
-            "holonomies": cfg.get("fields.connection.holonomies"),
-        })
-    except LatticeError as exc:  # a holonomy count that is not the generator count
-        raise ConfigError(f"fields.connection.holonomies: {exc}") from exc
+    grid = _lift_grid(cfg) if task == "geodesic" else None
+    if task != "geodesic" or grid is not None:  # a geodesic lifts the site metric, if at all
+        _gate("fields.metric", metric_field, lattice, g)
+    if task == "maxwell":
+        _gate("fields.metric", maxwell._diagonal_only, g)
+    theta = _gate("fields.connection.holonomies", connection_from_profiles, lattice, {
+        "components": cfg.get("fields.connection.components"),
+        "holonomies": cfg.get("fields.connection.holonomies"),
+    })
+    _gate("fields.connection", link_field, lattice, theta)
+    if task in _FIELD_TASKS and cfg.get("params.hamiltonian_file") is None:  # the fields build H
+        _gate("fields.connection", operators._phase_window, theta)
     phi = scalar_from_profile(lattice, cfg.get("fields.potential"), "fields.potential")
+    _gate("fields.potential", scalar_field, lattice, phi)
     if cfg.get("fields.time.scale") is not None:
         scale = time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
         if grid is None:
             raise ConfigError("fields.time.scale: needs fields.time.samples >= 3, "
-                              f"got {cfg['fields.time.samples'] or 1}")
+                              f"got {cfg['fields.time.samples']}")
         # linear in t: positive and finite at every sample time iff at both ends
         for t in (0.0, (grid[0] - 1) * grid[1]):
             if not 0 < scale(t) < math.inf:
                 raise ConfigError(f"fields.time.scale: must be positive and finite at every "
                                   f"sample time, got {scale(t):.7g} at t = {t:.7g}")
-    dt, duration = cfg.get("params.dt"), cfg.get("params.duration")  # dt: geodesic only
-    if dt is not None and duration < dt:
-        raise ConfigError(f"params.duration: must be >= params.dt = {dt}, got {duration}")
-    if dt is not None and duration / dt > geometry.STEP_LIMIT:
-        raise ConfigError(f"params.dt: params.duration / params.dt = {duration / dt:.7g} "
-                          f"RK4 steps, above the limit {geometry.STEP_LIMIT}")
+    if task == "geodesic":
+        _gate("params.dt", geometry._step_count, cfg["params.dt"], cfg["params.duration"])
     hamiltonian_file = cfg.get("params.hamiltonian_file")
     if hamiltonian_file is not None and not Path(hamiltonian_file).is_file():
         raise ConfigError(f"params.hamiltonian_file: no such file {hamiltonian_file!r}")
-    # run sizes per lattice site; a Chern run reads no alphas
-    count = cfg.get("params.alphas.count") if cfg.get("params.chern_flux_quanta") is None else None
-    for path, n, limit in (("params.alphas.count", count, FLOW_LIMIT),
-                           ("fields.time.samples", cfg.get("fields.time.samples"), SERIES_LIMIT)):
-        if n and n * lattice.n_sites > limit:
-            raise ConfigError(f"{path}: {n} x {lattice.n_sites} sites > {limit}")
-    probe = cfg.get("params.probe_delta")
+    probe, duration = cfg.get("params.probe_delta"), cfg.get("params.duration")
     if probe is not None and probe > duration / 2:
         # the residual is taken at duration / 2 and reaches back to t - probe_delta
         raise ConfigError(f"params.probe_delta: must be <= params.duration / 2 = "
                           f"{duration / 2}, got {probe}")
     return cfg, lattice, (g, theta, phi)
+
+
+def _gate(path, check, *args):
+    """check(*args), a library gate, with its ValueError raised as a ConfigError naming path."""
+    try:
+        return check(*args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _digest(text):
@@ -418,14 +431,14 @@ def _task_geodesic(cfg, lattice, fields, out):
 
 def _lift_grid(cfg):
     """Count and spacing of the geodesic task's metric samples; None below 3 (no lift)."""
-    samples = cfg["fields.time.samples"] or 1
+    samples = cfg["fields.time.samples"]
     if samples < 3:
         return None
     return samples, cfg["fields.time.dt"] or cfg["params.duration"] / (samples - 1)
 
 
 def _task_maxwell(cfg, lattice, fields, out):
-    samples = cfg["fields.time.samples"] or 4
+    samples = cfg["fields.time.samples"]
     dt = cfg["fields.time.dt"] or 1.0
     cx = maxwell.build_spacetime_complex(lattice, samples, dt)
     ensembles = cfg["params.ensembles"]
@@ -521,10 +534,6 @@ def _task_holonomy(cfg, lattice, fields, out):
 
 def _uniform_flux_connection(lattice, quanta):
     """Torus connection with uniform flux 2 pi quanta / n_plaquettes."""
-    if lattice.spec.topology != "torus":
-        raise holonomy.TopologyError(
-            f"params.chern_flux_quanta needs a torus lattice, got {lattice.spec.topology}"
-        )
     nx, ny = lattice.sizes
     flux = 2 * np.pi * quanta / (nx * ny)
     theta = np.zeros(lattice.n_links)

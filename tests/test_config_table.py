@@ -7,6 +7,7 @@ import importlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 import geomqm.scenario as scenario
@@ -52,6 +53,10 @@ BAD_CONFIGS = [
     ("fields.time.scale",
      GEODESIC + "fields: {time: {samples: 2, scale: {profile: linear, rate: 0.2}}}\n"),
     ("fields.time.scale", MAXWELL + "fields: {time: {scale: {profile: linear, rate: 0.2}}}\n"),
+    ("lattice", RING_BUILD.replace("[8]", "[2]")),
+    ("fields.connection.holonomies", RING_BUILD + "fields: {connection: {holonomies: [0.1, 0.2]}}\n"),
+    ("fields.potential.width",
+     RING_BUILD + "fields: {potential: {profile: gaussian_bump, amplitude: 1.0, width: 0}}\n"),
 ]
 
 
@@ -146,6 +151,54 @@ def test_shipped_and_benchmark_documents_validate(tmp_path, monkeypatch):
             workloads.prepare_operator_files(manifest, tmp_path)
             for op in ops:
                 validate_config(op.doc)
+
+
+CYLINDER = "lattice: {topology: cylinder, sizes: [%d, %d], spacings: [1.0, 1.0]}\nmass: 1.0\n"
+TORUS = CYLINDER.replace("cylinder", "torus")
+
+# A refusal of a library gate that the run reaches before its work, one
+# per gate that `validate` once skipped; each was exit 0 under validate.
+RUN_GATES = [
+    pytest.param("lattice.sizes", TORUS % (64, 65) + "task: evolve\n", id="dense"),
+    pytest.param("fields.connection", RING_BUILD
+                 + "fields: {connection: {components: [{profile: constant, value: 2.0}]}}\n",
+                 id="phase"),
+    pytest.param("fields.metric", CYLINDER % (8, 8) + "task: maxwell\n"
+                 'fields: {metric: {components: {"0,1": {profile: constant, value: 0.1}}}}\n',
+                 id="diagonal"),
+    pytest.param("params.chern_flux_quanta", CYLINDER % (8, 8)
+                 + "task: holonomy\nparams: {chern_flux_quanta: 1}\n", id="chern"),
+    pytest.param("lattice.topology", TORUS % (8, 8) + "task: holonomy\n", id="flow"),
+    pytest.param("fields.time.samples", CYLINDER % (501, 500) + "task: maxwell\n",
+                 id="default-samples"),
+    pytest.param("fields.potential", RING_BUILD
+                 + "fields: {potential: {profile: polynomial, coeffs: [0.0, 0.0, 1.0e+308]}}\n",
+                 id="non-finite-potential"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field, text", RUN_GATES)
+def test_validate_calls_every_gate_the_run_reaches(tmp_path, capsys, command, field, text):
+    with np.errstate(over="ignore"):  # the polynomial overflows to inf, which the gate refuses
+        test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command, field, text)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(RING_BUILD.replace("[8]", "[4097]").replace("build", task), id=task)
+    for task in ("roundtrip", "reconstruct")
+] + [
+    pytest.param(RING_BUILD.replace("[8]", "[4096]"), id="build-at-the-dense-limit"),
+    pytest.param(CYLINDER % (8, 8) + "task: maxwell\n"
+                 'fields: {metric: {components: {"1,1": {profile: constant, value: 2.0}}}}\n',
+                 id="maxwell-diagonal"),
+    pytest.param(CYLINDER % (500, 500) + "task: maxwell\n", id="maxwell-at-the-series-limit"),
+    pytest.param(TORUS % (16, 16) + "task: holonomy\nparams: {chern_flux_quanta: 1}\n",
+                 id="chern-on-a-torus"),
+])
+def test_documents_at_the_run_gates_validate(tmp_path, text):
+    # negative controls: the sparse tasks have no dense gate, and each bound admits its edge
+    validate_config(load_config(write(tmp_path, "edge.yaml", text)))
 
 
 # Pass/fail flags with a fixed tolerance of 0.5: not overridable.

@@ -25,6 +25,17 @@ def test_metric_field_refusals_live_in_lattice_only():
             == ["lattice.py"], spelling
 
 
+def test_run_gate_refusals_live_in_the_module_that_owns_them():
+    # `scenario.validate_config` calls each gate; it spells none of their messages
+    texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    owners = {"exceeds the dense limit": "operators.py", "link phase magnitude": "operators.py",
+              "diagonal spatial metrics only": "maxwell.py",
+              "exactly one periodic direction": "holonomy.py", "RK4 steps": "geometry.py"}
+    for spelling, owner in owners.items():
+        assert [name for name, text in sorted(texts.items()) if spelling in text] == [owner], \
+            spelling
+
+
 def test_metric_inversion_lives_in_geometry_only():
     # every geometry entry point takes the inverse metric g^ij and inverts it
     # itself, so no caller has to know that providers evaluate g_ij

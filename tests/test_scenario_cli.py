@@ -372,30 +372,35 @@ def test_cli_reconstruct_wrong_size_operator_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("topology, sizes", [("ring", "[8]"), ("cylinder", "[4, 4]")])
-def test_chern_task_needs_a_torus(tmp_path, capsys, topology, sizes):
-    from geomqm import TopologyError
-
+def test_chern_task_off_a_torus_is_a_config_error(tmp_path, capsys, topology, sizes):
     spacings = ", ".join(["1.0"] * sizes.count(",") + ["1.0"])
     path = write(tmp_path, "chern.yaml",
                  f"lattice: {{topology: {topology}, sizes: {sizes}, spacings: [{spacings}]}}\n"
                  "mass: 1.0\ntask: holonomy\nparams: {chern_flux_quanta: 1}\n")
-    with pytest.raises(TopologyError, match="needs a torus lattice, got " + topology):
-        run_scenario(path, tmp_path / "out")
-    assert main(["run", str(path), "--out", str(tmp_path / "out2")]) == 3
-    assert "error: TopologyError: " in capsys.readouterr().err
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: params.chern_flux_quanta: Chern number needs a closed 2D "
+                     "lattice (torus)") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_domain_error_exits_three(tmp_path, capsys):
-    # a link phase of 2.0 rad (>= pi/2) is outside the Peierls branch
-    path = write(tmp_path, "build.yaml",
-                 "lattice: {topology: ring, sizes: [8], spacings: [1.0]}\n"
-                 "mass: 1.0\ntask: build\n"
-                 "fields:\n"
-                 "  connection:\n"
-                 "    components: [{profile: constant, value: 2.0}]\n")
+    # only the run reads the operator file: a coupling of sites 0 and 3 of a
+    # ring of 8 lies off the range-1 stencil
+    from geomqm import save_operator
+
+    ring = build_lattice(LatticeSpec("ring", (8,), (1.0,)))
+    mat = build_hamiltonian(ring, constant_metric(ring), None, None, 1.0).mat.tolil()
+    mat[0, 3] = mat[3, 0] = -0.25
+    save_operator(tmp_path / "far.txt", mat)
+    path = write(tmp_path, "rec.yaml",
+                 "lattice: {topology: ring, sizes: [8], spacings: [1.0]}\nmass: 1.0\n"
+                 f"task: reconstruct\nparams: {{hamiltonian_file: '{tmp_path / 'far.txt'}'}}\n")
+    assert main(["validate", str(path)]) == 0
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: OperatorError: ")
+    assert err.startswith("error: LocalityViolation: ")
 
 
 def test_schema_names_every_param_and_exit_code(capsys):
@@ -542,14 +547,17 @@ def test_holonomy_flux_past_the_builder_phase_window(tmp_path, lattice, params):
     assert checks.get("periodicity", 0.0) <= 1e-9
 
 
-def test_cli_build_above_the_dense_limit_exits_three(tmp_path, capsys):
+def test_cli_build_above_the_dense_limit_is_a_config_error(tmp_path, capsys):
     # the spectrum is dense; 4097 sites is refused before the eigensolve
     path = write(tmp_path, "build.yaml",
                  "lattice: {topology: ring, sizes: [4097], spacings: [1.0]}\n"
                  "mass: 1.0\ntask: build\n")
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: OperatorError: dimension 4097 exceeds the dense limit 4096")
+    assert err.count("config error: lattice.sizes: dimension 4097 exceeds the dense limit "
+                     "4096") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reconstruct_of_a_flipped_coupling_fails_its_checks(tmp_path, capsys):
@@ -677,10 +685,9 @@ GEODESIC_TORUS = ("lattice: {topology: torus, sizes: [8, 8], spacings: [1.0, 1.0
 
 
 @pytest.mark.parametrize("dt, duration, message", [
-    ("0.5", "0.25", "params.duration: must be >= params.dt = 0.5, got 0.25"),
-    ("1.0e-12", "4.0", "params.dt: params.duration / params.dt = 4e+12 RK4 steps, above the "
-                       "limit 1000000"),
-    ("0.25", "250000.25", "params.dt: params.duration / params.dt = 1000001 RK4 steps"),
+    ("0.5", "0.25", "params.dt: need dt > 0 and T >= dt"),
+    ("1.0e-12", "4.0", "params.dt: T / dt = 4e+12 RK4 steps exceeds the step limit 1000000"),
+    ("0.25", "250000.25", "params.dt: T / dt = 1000001 RK4 steps exceeds the step limit"),
 ])
 def test_geodesic_step_count_outside_its_bounds_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                                    dt, duration, message):
