@@ -17,9 +17,13 @@ The first tree runs on one BLAS thread (`OPENBLAS_NUM_THREADS`,
 environment it inherits; no flag changes this.  Then every output file
 is compared byte for byte, with the value of `wall_time_s` in each
 `report.json` masked.  The files that differ or exist in one tree only
-are listed; the exit status is 0 when none does, 1 when one does and 2
-when a run fails.  Nothing is written in either tree: the runs write no
-bytecode and change into the temporary directory for the benchmark ops.
+are listed; a `report.json` that differs in bytes is listed as
+`differs (same JSON document)` when both parse to the same document,
+every number spelled as written and `wall_time_s` masked.  The exit
+status is 0 when no file differs, 1 when one does (a same-document
+`report.json` included) and 2 when a run fails.  Nothing is written in
+either tree: the runs write no bytecode and change into the temporary
+directory for the benchmark ops.
 
 Passing the same tree twice checks that the outputs are deterministic
 and do not depend on the BLAS thread count.  The second side takes the
@@ -30,6 +34,7 @@ host's default thread count, or the one set in the calling environment:
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -57,7 +62,7 @@ for name in sorted(workloads.WORKLOADS):
         run_scenario(entry["config"], work / "out" / entry["name"])
 """
 
-_WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]*')
+_WALL_TIME = re.compile(rb'"wall_time_s": [^,}\n]*')
 
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -78,9 +83,18 @@ def outputs(root):
             continue
         data = path.read_bytes()
         if path.name == "report.json":
-            data = _WALL_TIME.sub(b'"wall_time_s": <masked>', data)
+            data = _WALL_TIME.sub(b'"wall_time_s": null', data)
         found[path.relative_to(root).as_posix()] = data
     return found
+
+
+def document(data):
+    """The JSON document in data, every number as its spelling, so that
+    no value is rounded and NaN equals NaN; None if data does not parse."""
+    try:
+        return json.loads(data, parse_float=str, parse_constant=str)
+    except ValueError:
+        return None
 
 
 def main(argv=None):
@@ -103,7 +117,9 @@ def main(argv=None):
     differ = sorted(name for name in names if old.get(name) != new.get(name))
     for name in differ:
         if name in old and name in new:
-            print(f"{name}: differs")
+            old_doc = document(old[name]) if name.endswith("report.json") else None
+            same = old_doc is not None and old_doc == document(new[name])
+            print(f"{name}: differs" + (" (same JSON document)" if same else ""))
         else:
             print(f"{name}: only in {args[0] if name in old else args[1]}")
     print(f"{len(names) - len(differ)} of {len(names)} output files byte-identical "

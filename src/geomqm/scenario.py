@@ -94,7 +94,8 @@ _KEYS = (
     Key("params.alphas.count", "int", 17, COUNT, ("holonomy",),
         f"times the lattice sites at most {FLOW_LIMIT}"),
     Key("params.check_periodicity", "bool", False, None, ("holonomy",), "alpha vs alpha + 2 pi"),
-    Key("params.chern_flux_quanta", "int", None, None, ("holonomy",), "torus only"),
+    Key("params.chern_flux_quanta", "int", None, None, ("holonomy",),
+        "torus only; |k| < nx ny / 2"),
     Key("params.steps", "int", None, COUNT, ("evolve",), "default from ||H||"),
     Key("params.probe_delta", "float", None, POSITIVE, ("evolve",),
         "default duration / steps; at most duration / 2"),
@@ -219,6 +220,8 @@ def validate_config(doc):
         _gate("lattice.topology", holonomy._one_periodic_axis, lattice)
     elif task == "holonomy":
         _gate("params.chern_flux_quanta", holonomy._torus_only, lattice)
+        _gate("params.chern_flux_quanta", _flux_in_branch, lattice,
+              cfg["params.chern_flux_quanta"])
     g = metric_from_profiles(lattice, cfg.get("fields.metric.components"))
     grid = _lift_grid(cfg) if task == "geodesic" else None
     if task != "geodesic" or grid is not None:  # a geodesic lifts the site metric, if at all
@@ -299,8 +302,7 @@ def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
                     time.perf_counter() - started)
 
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return report
 
 
@@ -530,6 +532,14 @@ def _task_holonomy(cfg, lattice, fields, out):
     shifted = holonomy.ab_spectrum(lattice, m, grid + 2 * np.pi)
     payload["periodicity_defect"] = float(np.max(np.abs(table - shifted)))
     return payload, [("periodicity", payload["periodicity_defect"])]
+
+
+def _flux_in_branch(lattice, quanta):
+    """Refuse a uniform flux of pi or more per plaquette: the principal
+    branch that `holonomy.chern_number` sums would read another integer."""
+    if 2 * abs(quanta) >= lattice.n_sites:  # a torus has one plaquette per site
+        raise ValueError(f"{quanta} flux quanta over {lattice.n_sites} plaquettes put pi or "
+                         f"more on each; need |k| < {lattice.n_sites / 2:g}")
 
 
 def _uniform_flux_connection(lattice, quanta):

@@ -201,6 +201,28 @@ def test_documents_at_the_run_gates_validate(tmp_path, text):
     validate_config(load_config(write(tmp_path, "edge.yaml", text)))
 
 
+def chern(quanta):
+    return TORUS % (4, 4) + f"task: holonomy\nparams: {{chern_flux_quanta: {quanta}}}\n"
+
+
+# A uniform flux of pi or more per plaquette of a 4x4 torus: the Chern
+# number's principal-branch sum reads another integer.  Each validated
+# (exit 0) and then failed its chern_number check under run (exit 1).
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("quanta", [8, -8, 9])
+def test_chern_flux_of_pi_per_plaquette_is_a_config_error(tmp_path, capsys, command, quanta):
+    test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command,
+                                                      "params.chern_flux_quanta", chern(quanta))
+
+
+@pytest.mark.parametrize("quanta", [7, -7])
+def test_chern_flux_below_pi_per_plaquette_runs_and_passes(tmp_path, quanta):
+    # negative control: the largest fluxes the gate admits
+    report = run_scenario(write(tmp_path, "chern.yaml", chern(quanta)), tmp_path / "out")
+    assert report.passed
+    assert report.payload["chern_number"] == quanta
+
+
 # Pass/fail flags with a fixed tolerance of 0.5: not overridable.
 FIXED_CHECKS = {"positivity", "nondegeneracy", "truncated", "chern_number"}
 

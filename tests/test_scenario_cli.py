@@ -113,6 +113,26 @@ def test_roundtrip_scenario_passes(tmp_path):
     assert "phi_rec" in doc["payload"]
 
 
+def float_bits(value):
+    """value with every float as its exact hex spelling and every sequence as a list"""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: float_bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [float_bits(item) for item in value]
+    return value
+
+
+def test_report_json_is_one_compact_line_holding_every_value(tmp_path):
+    report = run_scenario(write(tmp_path, "rt.yaml", ROUNDTRIP_YAML), tmp_path / "out")
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    assert text == json.dumps(report.to_dict(), sort_keys=True) + "\n"
+    assert text.count("\n") == 1
+    # the same document back, every float bit for bit (the payload's link rows are tuples)
+    assert float_bits(json.loads(text)) == float_bits(report.to_dict())
+
+
 def test_report_deterministic_modulo_wall_time(tmp_path):
     for name, text in (("rt.yaml", ROUNDTRIP_YAML), ("evolve.yaml", EVOLVE_YAML)):
         path = write(tmp_path, name, text)
