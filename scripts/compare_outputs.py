@@ -19,8 +19,10 @@ is compared byte for byte, with the value of `wall_time_s` in each
 `report.json` masked.  The files that differ or exist in one tree only
 are listed; a `report.json` that differs in bytes is listed as
 `differs (same JSON document)` when both parse to the same document,
-every number spelled as written and `wall_time_s` masked.  The exit
-status is 0 when no file differs, 1 when one does (a same-document
+every number spelled as written and `wall_time_s` masked; a `.csv` file
+that differs in bytes but has the same header and shape is listed with
+its largest absolute and relative difference over the numeric cells.
+The exit status is 0 when no file differs, 1 when one does (a same-document
 `report.json` included) and 2 when a run fails.  Nothing is written in
 either tree: the runs write no bytecode and change into the temporary
 directory for the benchmark ops.
@@ -34,7 +36,10 @@ host's default thread count, or the one set in the calling environment:
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -97,6 +102,39 @@ def document(data):
         return None
 
 
+def numeric_drift(old, new):
+    """(largest absolute, largest relative) difference over the cells of
+    two CSV files of the same header and shape, None if they differ
+    otherwise: a cell that differs from its twin must be numeric in both,
+    so a header or a label that differs gives None.  A relative
+    difference is taken against the larger magnitude."""
+    tables = [list(csv.reader(io.StringIO(data.decode("utf-8")))) for data in (old, new)]
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return None
+    worst_abs = worst_rel = 0.0
+    for old_row, new_row in zip(*tables):
+        for old_cell, new_cell in zip(old_row, new_row):
+            if old_cell == new_cell:
+                continue
+            a, b = _number(old_cell), _number(new_cell)
+            if a is None or b is None:
+                return None
+            diff = abs(a - b)
+            rel = diff / max(abs(a), abs(b)) if diff else 0.0
+            if not math.isfinite(diff):  # a NaN or an infinity against another value
+                diff = rel = math.inf
+            worst_abs, worst_rel = max(worst_abs, diff), max(worst_rel, rel)
+    return worst_abs, worst_rel
+
+
+def _number(cell):
+    """The float a CSV cell spells, None if it spells none."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -119,7 +157,11 @@ def main(argv=None):
         if name in old and name in new:
             old_doc = document(old[name]) if name.endswith("report.json") else None
             same = old_doc is not None and old_doc == document(new[name])
-            print(f"{name}: differs" + (" (same JSON document)" if same else ""))
+            drift = numeric_drift(old[name], new[name]) if name.endswith(".csv") else None
+            note = (" (same JSON document)" if same else
+                    f" (same header and shape; largest difference {drift[0]:.3g} absolute,"
+                    f" {drift[1]:.3g} relative)" if drift else "")
+            print(f"{name}: differs{note}")
         else:
             print(f"{name}: only in {args[0] if name in old else args[1]}")
     print(f"{len(names) - len(differ)} of {len(names)} output files byte-identical "

@@ -1,11 +1,13 @@
 """Classical geometry induced by a metric: Christoffel symbols, geodesics,
 the Lorentzian spacetime lift, and the time-dependence obstruction.
 
-Metric evaluation goes through a small batch interface: ``lower(q)``
-maps chart points q (..., d) to lower-index matrices g_ij (..., d, d)
-and raises ChartExit if any point lies outside the chart, whose per-axis
-bounds are the (2, d) rows ``chart``.  Both providers take the inverse
-metric g^ij, as the Hamiltonian holds it, and invert it themselves:
+Metric evaluation goes through a small batch interface: ``evaluate(q)``
+maps chart points q (..., d) to the pair (g^ij, g_ij) of (..., d, d)
+matrices, ``lower(q)`` to g_ij alone, and both raise ChartExit if any
+point lies outside the chart, whose per-axis bounds are the (2, d) rows
+``chart`` (an unbounded axis holds -/+ the largest float).  Both
+providers take the inverse metric g^ij, as the Hamiltonian holds it, and
+invert it themselves; evaluate makes one batched inversion:
 
   * LatticeMetricInterpolant: per-site inversion of a MetricField
     (lattice.metric_field) followed by multilinear interpolation over
@@ -19,19 +21,21 @@ metric g^ij, as the Hamiltonian holds it, and invert it themselves:
 Geodesics integrate q_ddot^k + Gamma^k_ij q_dot^i q_dot^j = 0 with
 classic fixed-step 4th-order Runge-Kutta; Christoffel symbols come from
 central differences of the metric provider, its (2d+1)-point stencil
-evaluated in one ``lower`` call, one-sided within the step of an open
+evaluated in one ``evaluate`` call, one-sided within the step of an open
 chart edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .lattice import LatticeError, metric_field
 
 STEP_LIMIT = 10**6  # largest geodesic duration T / dt, in RK4 steps
+_UNBOUNDED = np.finfo(float).max  # the chart bound of an unbounded axis
 
 
 class ChartExit(ValueError):
@@ -40,12 +44,14 @@ class ChartExit(ValueError):
 
 def _check_chart(q, lo, hi):
     """Raise ChartExit unless every point of q (..., d) lies within the
-    per-axis bounds lo, hi (d,); non-finite coordinates never do."""
-    inside = np.isfinite(q) & (q >= lo) & (q <= hi)
+    per-axis bounds lo, hi (d,); non-finite coordinates never do, since
+    the bounds are finite and NaN fails both comparisons."""
+    inside = (q >= lo) & (q <= hi)
     if not inside.all():
         where = tuple(np.argwhere(~inside)[0])
         k = where[-1]
-        raise ChartExit(f"coordinate {k} = {q[where]:g} outside chart [{lo[k]:g}, {hi[k]:g}]")
+        lo_k, hi_k = (b if abs(b) < _UNBOUNDED else np.copysign(np.inf, b) for b in (lo[k], hi[k]))
+        raise ChartExit(f"coordinate {k} = {q[where]:g} outside chart [{lo_k:g}, {hi_k:g}]")
 
 
 def _lattice_bounds(lattice):
@@ -57,15 +63,17 @@ def _lattice_bounds(lattice):
 
 
 def _chart(bounds):
-    """Per-axis (lo, hi) rows (2, d) of bounds, None meaning unbounded."""
-    return np.array([(-np.inf, np.inf) if b is None else b for b in bounds], dtype=float).T
+    """Per-axis (lo, hi) rows (2, d) of bounds, None meaning unbounded and
+    held as -/+ the largest float."""
+    return np.array([(-_UNBOUNDED, _UNBOUNDED) if b is None else b for b in bounds],
+                    dtype=float).T
 
 
 class AnalyticMetric:
     """Metric provider backed by a closed-form callable q (..., d) ->
-    g^ij (..., d, d), the inverse metric, which lower() inverts; a
-    constant (d, d) result is broadcast.  bounds are optional chart
-    bounds, (lo, hi) or None (unbounded) per axis."""
+    g^ij (..., d, d), the inverse metric, which evaluate() returns with
+    its inversion; a constant (d, d) result is broadcast.  bounds are
+    optional chart bounds, (lo, hi) or None (unbounded) per axis."""
 
     def __init__(self, func, ndim, default_eta=1e-3, bounds=None):
         self._func = func
@@ -73,11 +81,16 @@ class AnalyticMetric:
         self.default_eta = default_eta
         self.chart = _chart(bounds if bounds is not None else [None] * ndim)
 
-    def lower(self, q):
+    def evaluate(self, q):
         q = np.asarray(q, dtype=float)
         _check_chart(q, *self.chart)
-        g = np.linalg.inv(np.asarray(self._func(q), dtype=float))
-        return g if g.ndim > q.ndim else np.broadcast_to(g, q.shape + (self.ndim,))
+        g_inverse = np.asarray(self._func(q), dtype=float)
+        if g_inverse.ndim <= q.ndim:
+            g_inverse = np.broadcast_to(g_inverse, q.shape + (self.ndim,))
+        return g_inverse, np.linalg.inv(g_inverse)
+
+    def lower(self, q):
+        return self.evaluate(q)[1]
 
 
 class LatticeMetricInterpolant:
@@ -120,6 +133,19 @@ class LatticeMetricInterpolant:
         sites, weights = self._cell_weights(q)
         return np.einsum("...c,...cij->...ij", weights, self._lower[sites])
 
+    def evaluate(self, q):
+        """(g^ij, g_ij) at q: the interpolated g_ij and its inverse."""
+        g = self.lower(q)
+        return np.linalg.inv(g), g
+
+
+@cache
+def _stencil(d):
+    """Rows 0, +e_l, -e_l (2d + 1, d) of the Christoffel stencil."""
+    pattern = np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
+    pattern.flags.writeable = False
+    return pattern
+
 
 def christoffel(metric, q):
     """Christoffel symbols Gamma^k_ij at q by central differencing.
@@ -127,34 +153,32 @@ def christoffel(metric, q):
     Gamma^k_ij = 1/2 sum_l g^kl (d_i g_lj + d_j g_li - d_l g_ij);
     symmetric in the lower indices (torsion-free Levi-Civita).  The
     stencil q, q + eta e_l, q - eta e_l, eta = metric.default_eta, is
-    evaluated in one lower call.  Where a stencil point leaves the chart
-    (q within eta of an open edge) it is moved back onto the edge and the
-    difference is taken over the distance left; q itself must lie in the
-    chart.
+    evaluated in one evaluate call, and g^kl is the provider's at q.
+    Where a stencil point leaves the chart (q within eta of an open edge)
+    it is moved back onto the edge and the difference is taken over the
+    distance left; q itself must lie in the chart.
     """
     q = np.asarray(q, dtype=float)
     eta = metric.default_eta
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     d = metric.ndim
-    e = eta * np.eye(d)
-    plus, minus, width = q + e, q - e, 2.0 * eta
+    points, width = q + eta * _stencil(d), 2.0 * eta
     try:
-        g = metric.lower(np.concatenate([q[None], plus, minus]))
+        g_inverse, g = metric.evaluate(points)
     except ChartExit:
         # one-sided at an open edge; q, kept unclipped, still raises outside
-        plus, minus = np.clip(plus, *metric.chart), np.clip(minus, *metric.chart)
-        width = np.diagonal(plus - minus)[:, None, None]
-        g = metric.lower(np.concatenate([q[None], plus, minus]))
+        points[1:] = np.clip(points[1:], *metric.chart)
+        width = np.diagonal(points[1:d + 1] - points[d + 1:])[:, None, None]
+        g_inverse, g = metric.evaluate(points)
     # dg[l, i, j] = d_l g_ij
     dg = (g[1:d + 1] - g[d + 1:]) / width
-    ginv = np.linalg.inv(g[0])
     bracket = (
-        np.einsum("ilj->lij", dg)   # d_i g_lj
-        + np.einsum("jli->lij", dg)  # d_j g_li
-        - dg                         # d_l g_ij
+        dg.transpose(1, 0, 2)    # d_i g_lj
+        + dg.transpose(1, 2, 0)  # d_j g_li
+        - dg                     # d_l g_ij
     )
-    return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+    return 0.5 * np.einsum("kl,lij->kij", g_inverse[0], bracket)
 
 
 def _bilinear(a, g, b):
@@ -178,8 +202,9 @@ class Trajectory:
 
 def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     """Integrate the geodesic equation from position q0 and velocity v0
-    with classic RK4, in round(T / dt) steps; T / dt above STEP_LIMIT is
-    refused before the first step.
+    with classic RK4, in round(T / dt) steps; T / dt above STEP_LIMIT, and
+    q0 or v0 of a shape other than (metric.ndim,), are refused before the
+    first step.
 
     Returns a Trajectory sampled every record_every steps (plus start and
     final point); speed2 tracks g(q_dot, q_dot) along the way.  On open
@@ -189,44 +214,48 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     n_steps = _step_count(dt, T)
     if not isinstance(record_every, (int, np.integer)) or record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
-    q = np.asarray(q0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    d = metric.ndim
+    for name, value in (("q0", q0), ("v0", v0)):
+        if np.shape(value) != (d,):
+            raise ValueError(f"{name} must have shape ({d},) on a {d}-D metric, "
+                             f"got {np.shape(value)}")
 
-    def acc(qq, vv):
-        gamma = christoffel(metric, qq)
-        return -np.einsum("kij,i,j->k", gamma, vv, vv)
+    def rate(y):
+        # y = (q, v); dq/dt = v, dv^k/dt = -Gamma^k_ij v^i v^j
+        v = y[d:]
+        return np.concatenate([v, -(christoffel(metric, y[:d]) @ v) @ v])
 
-    times = [0.0]
-    qs = [q.copy()]
-    vs = [v.copy()]
+    # the start, every record_every-th step and the last
+    n_records = 1 + -(-n_steps // record_every)
+    times = np.empty(n_records)
+    states = np.empty((n_records, 2 * d))
+    times[0], states[0] = 0.0, np.concatenate([q0, v0])
+    y = states[0]
+    recorded = 1
     truncated = False
     t = 0.0
     for step in range(n_steps):
         try:
-            k1q, k1v = v, acc(q, v)
-            k2q, k2v = v + 0.5 * dt * k1v, acc(q + 0.5 * dt * k1q, v + 0.5 * dt * k1v)
-            k3q, k3v = v + 0.5 * dt * k2v, acc(q + 0.5 * dt * k2q, v + 0.5 * dt * k2v)
-            k4q, k4v = v + dt * k3v, acc(q + dt * k3q, v + dt * k3v)
+            k1 = rate(y)
+            k2 = rate(y + 0.5 * dt * k1)
+            k3 = rate(y + 0.5 * dt * k2)
+            k4 = rate(y + dt * k3)
         except ChartExit:
             truncated = True
             break
-        q = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
         if (step + 1) % record_every == 0 or step == n_steps - 1:
-            times.append(t)
-            qs.append(q.copy())
-            vs.append(v.copy())
+            times[recorded], states[recorded] = t, y
+            recorded += 1
 
-    times = np.asarray(times)
-    qs = np.asarray(qs)
-    vs = np.asarray(vs)
+    times, qs, vs = times[:recorded], states[:recorded, :d].copy(), states[:recorded, d:].copy()
     try:
         g = metric.lower(qs)
     except ChartExit:
         # every other recorded point started an evaluated step, so only the
         # last can lie past an open chart's edge; it gets the identity
-        g = np.concatenate([metric.lower(qs[:-1]), np.eye(metric.ndim)[None]])
+        g = np.concatenate([metric.lower(qs[:-1]), np.eye(d)[None]])
     return Trajectory(times, qs, vs, _bilinear(vs, g, vs), truncated)
 
 

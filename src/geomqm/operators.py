@@ -211,15 +211,18 @@ def save_operator(path, op):
 
 def write_rows(path, header, blocks, sep):
     """Write the header, then per row of each (prefix, columns) block the prefix and the
-    row's numbers as '%.17g' joined by sep (integers below 2^53 print as integers); the
-    equal-length 1-D columns are stacked 1024 rows at a time, never as one table."""
+    row's numbers as '%.17g' joined by sep (integers below 2^53 print as integers).  The
+    equal-length 1-D columns are stacked in chunks of whole rows, at most 2048 numbers
+    (or one row) each, never as one table, and each chunk is formatted by one '%' of the
+    row format (the prefix, its '%' doubled, then the numbers) repeated once per row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         for prefix, columns in blocks:
-            fmt = sep.join(["%.17g"] * len(columns)) + "\n"
-            for start in range(0, len(columns[0]), 1024):
-                chunk = np.column_stack([c[start:start + 1024] for c in columns]).tolist()
-                fh.writelines(prefix + fmt % tuple(row) for row in chunk)
+            fmt = prefix.replace("%", "%%") + sep.join(["%.17g"] * len(columns)) + "\n"
+            rows = max(1, 2048 // len(columns))
+            for start in range(0, len(columns[0]), rows):
+                chunk = np.column_stack([c[start:start + rows] for c in columns])
+                fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def load_operator(path):

@@ -125,13 +125,13 @@ def metric_profile(lattice, component_specs):
         path = f"fields.metric.components.{key}"
         components.append((k, l, resolve_profile(spec, lattice, path)))
 
+    eye = np.eye(d)
+
     def g(X):
         out = np.empty(X.shape[:-1] + (d, d))
-        out[...] = np.eye(d)
+        out[...] = eye
         for k, l, fn in components:
-            vals = fn(X)
-            out[..., k, l] = vals
-            out[..., l, k] = vals
+            out[..., k, l] = out[..., l, k] = fn(X)
         return out
 
     return g

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -335,13 +337,13 @@ def test_interpolant_christoffel_converges_second_order():
     assert 3.0 < e1 / e2 < 5.5
 
 
-def test_christoffel_evaluates_its_stencil_in_one_lower_call():
+def test_christoffel_evaluates_its_stencil_in_one_evaluate_call():
     calls = []
 
     class Counting(AnalyticMetric):
-        def lower(self, q):
+        def evaluate(self, q):
             calls.append(np.shape(q))
-            return super().lower(q)
+            return super().evaluate(q)
 
     met = Counting(
         lambda q: np.diag([1.0, 0.0]) + q[..., 0, None, None] ** 2 * np.diag([0.0, 1.0]),
@@ -364,6 +366,21 @@ def test_metric_providers_take_point_batches():
     assert interp.lower(lat.positions.reshape(5, 6, 2)).shape == (5, 6, 2, 2)
     with pytest.raises(ChartExit, match="coordinate 1 = -0.1 outside chart"):
         interp.lower(np.array([[-7.0, 0.5], [1.0, -0.1]]))  # axis 0 wraps
+
+
+@pytest.mark.parametrize("point, message", [
+    ([np.nan, 0.5], "coordinate 0 = nan outside chart [-inf, inf]"),
+    ([-np.inf, 0.5], "coordinate 0 = -inf outside chart [-inf, inf]"),
+    ([0.5, np.inf], "coordinate 1 = inf outside chart [0, 1]"),
+    ([0.5, np.nan], "coordinate 1 = nan outside chart [0, 1]"),
+])
+def test_chart_refuses_non_finite_coordinates(point, message):
+    met = AnalyticMetric(lambda q: np.eye(2), ndim=2, bounds=[None, (0.0, 1.0)])
+    with pytest.raises(ChartExit, match=re.escape(message)):
+        met.lower(np.array([[0.5, 0.5], point]))
+    # the largest floats lie on an unbounded axis
+    big = np.finfo(float).max
+    assert met.lower(np.array([[big, 0.5], [-big, 0.5]])).shape == (2, 2, 2)
 
 
 def test_zeroth_residual_makes_one_lower_call_per_time_sample(monkeypatch):

@@ -19,6 +19,7 @@ from geomqm import (
     save_operator,
     validate_operator,
 )
+from geomqm.operators import write_rows
 
 
 def free_ring_spectrum(n, h, m, alpha=0.0):
@@ -261,6 +262,37 @@ def test_save_operator_text_is_pinned(tmp_path):
         "1 1 1.0000000000000001e+300 -7",
         "2 0 -2 -0",
     ]
+
+
+def _rows_one_at_a_time(header, blocks, sep):
+    """write_rows' text built row by row: prefix + row format % row."""
+    text = header
+    for prefix, columns in blocks:
+        fmt = sep.join(["%.17g"] * len(columns)) + "\n"
+        text += "".join(prefix + fmt % tuple(row) for row in np.column_stack(columns).tolist())
+    return text
+
+
+def test_write_rows_matches_a_row_at_a_time_reference(tmp_path):
+    rng = np.random.default_rng(23)
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.0**53 - 1, 1 / 3, -2.5])
+    blocks = [
+        ("a,", (np.arange(8, dtype=np.int32), special)),
+        ("100%,b,%s%%,", (np.arange(8, dtype=np.int64) * (2**53 - 1) // 7,
+                          special[::-1])),
+        ("", (np.array([2**53 - 1, -3], dtype=np.int64), np.array([7, 0], dtype=np.int32))),
+        # 2049 rows cross the chunk edge of a one-column block, 385 columns
+        # leave a chunk of a few rows
+        ("", (rng.normal(size=2049),)),
+        ("", (np.arange(2049), rng.normal(size=2049), rng.normal(size=2049) * 1e-300)),
+        ("wide,", tuple(rng.normal(size=(385, 12)))),
+        ("empty,", (np.zeros(0), np.zeros(0, dtype=np.int64))),
+    ]
+    for sep in (",", " "):
+        path = tmp_path / "rows.csv"
+        write_rows(path, "# head %\nx,y\n", blocks, sep)
+        assert path.read_text(encoding="utf-8") == _rows_one_at_a_time("# head %\nx,y\n",
+                                                                        blocks, sep)
 
 
 def test_header_only_and_blank_lines_load_and_signed_zeros_survive(tmp_path):

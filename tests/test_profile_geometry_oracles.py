@@ -15,6 +15,13 @@ offset.  The scalar square goes through libm pow, the array square is
 correctly rounded, and the exponential amplifies the difference (up to
 5 ULP seen), so gaussian_bump values must agree within
 4 eps (|base| + |amplitude|).
+
+A second is fixed in advance too: the geodesic integrator steps one
+stacked state (q, v) and contracts Gamma^k_ij v^i v^j by two matrix
+products, where the loop oracle steps q and v apart and contracts by
+einsum, so the sums may round differently.  The two must record the same
+times, sample counts and truncation, and positions, velocities and
+speed^2 within 1e-12 of the oracle's largest magnitude of each.
 """
 
 import numpy as np
@@ -243,15 +250,15 @@ def loop_interp_lower(lat, lower):
     return at
 
 
-def loop_christoffel(lower, d, q, eta):
-    """Per-axis central differences with scalar metric calls."""
-    g0 = lower(q)
+def loop_christoffel(lower, d, q, eta, upper=None):
+    """Per-axis central differences with scalar metric calls; g^kl at q is
+    upper(q) where the provider holds it, else the inverse of lower(q)."""
     dg = np.empty((d, d, d))
     for l in range(d):
         e = np.zeros(d)
         e[l] = eta
         dg[l] = (lower(q + e) - lower(q - e)) / (2.0 * eta)
-    ginv = np.linalg.inv(g0)
+    ginv = np.linalg.inv(lower(q)) if upper is None else upper(q)
     bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
     return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
 
@@ -265,6 +272,49 @@ def loop_speed2(lower, d, qs, vs):
             g = np.eye(d)
         out[i] = vs[i] @ g @ vs[i]
     return out
+
+
+def loop_geodesic(metric, q0, v0, dt, T, record_every=1):
+    """RK4 with q and v stepped apart, -einsum("kij,i,j->k", Gamma, v, v)
+    as the acceleration and list appends; speed^2 point by point."""
+    n_steps = int(round(T / dt))
+    q = np.asarray(q0, dtype=float)
+    v = np.asarray(v0, dtype=float)
+
+    def acc(qq, vv):
+        return -np.einsum("kij,i,j->k", christoffel(metric, qq), vv, vv)
+
+    times, qs, vs = [0.0], [q], [v]
+    truncated = False
+    t = 0.0
+    for step in range(n_steps):
+        try:
+            k1q, k1v = v, acc(q, v)
+            k2q, k2v = v + 0.5 * dt * k1v, acc(q + 0.5 * dt * k1q, v + 0.5 * dt * k1v)
+            k3q, k3v = v + 0.5 * dt * k2v, acc(q + 0.5 * dt * k2q, v + 0.5 * dt * k2v)
+            k4q, k4v = v + dt * k3v, acc(q + dt * k3q, v + dt * k3v)
+        except ChartExit:
+            truncated = True
+            break
+        q = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        t += dt
+        if (step + 1) % record_every == 0 or step == n_steps - 1:
+            times.append(t)
+            qs.append(q)
+            vs.append(v)
+    speed2 = loop_speed2(metric.lower, metric.ndim, qs, vs)
+    return Trajectory(np.array(times), np.array(qs), np.array(vs), speed2, truncated)
+
+
+def assert_same_path(got, want):
+    """Same samples and truncation; positions, velocities and speed^2
+    within 1e-12 of the largest magnitude of want's."""
+    assert len(got.times) == len(want.times) and got.truncated == want.truncated
+    assert np.array_equal(got.times, want.times)
+    for a, b in ((got.positions, want.positions), (got.velocities, want.velocities),
+                 (got.speed2, want.speed2)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def loop_zeroth_residual(st, traj):
@@ -376,7 +426,7 @@ def test_christoffel_matches_per_axis_oracle(case):
     gfun = loop_metric_function(lat, comps)
     analytic = AnalyticMetric(metric_profile(lat, comps), ndim=d, default_eta=1e-4)
     for q in sample_points(lat, rng, count=12):
-        want = loop_christoffel(lambda x: np.linalg.inv(gfun(x)), d, q, 1e-4)
+        want = loop_christoffel(lambda x: np.linalg.inv(gfun(x)), d, q, 1e-4, upper=gfun)
         assert np.array_equal(christoffel(analytic, q), want)
 
 
@@ -424,3 +474,54 @@ def test_speed2_identity_fallback_matches_loop_oracle():
     want = loop_speed2(loop_interp_lower(lat, lower), 2, traj.positions, traj.velocities)
     assert np.array_equal(traj.speed2, want)
     assert traj.speed2[0] == v0 @ v0
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_geodesic_matches_loop_oracle_on_a_torus(record_every):
+    lat = lattice_of(("torus", (4, 6), (1.0, 0.5)))
+    analytic = AnalyticMetric(metric_profile(lat, smooth_metric_specs(2)), ndim=2,
+                              default_eta=1e-4)
+    start = (np.array([0.6, 0.9]), np.array([0.3, -0.2]), 0.01, 1.0)
+    got = geodesic_integrate(analytic, *start, record_every=record_every)
+    assert len(got.times) == 1 + -(-100 // record_every)
+    assert_same_path(got, loop_geodesic(analytic, *start, record_every=record_every))
+
+
+def test_geodesic_matches_loop_oracle_up_to_an_open_edge():
+    lat = lattice_of(("rectangle", (5, 5), (1.0, 1.0)))
+    rng = np.random.default_rng(29)
+    interp = LatticeMetricInterpolant(lat, np.linalg.inv(random_lower_field(lat, rng)))
+    start = (np.array([3.5, 2.0]), np.array([1.0, 0.3]), 0.01, 2.0)
+    got = geodesic_integrate(interp, *start, record_every=3)
+    assert got.truncated and 3 < len(got.times) < 1 + 200 // 3
+    assert_same_path(got, loop_geodesic(interp, *start, record_every=3))
+
+
+def test_geodesic_step_evaluates_and_inverts_the_metric_once_per_christoffel(monkeypatch):
+    # a provider call made from outside the providers counts once, whichever
+    # of its own methods it calls in turn
+    counts = {"evaluate": 0, "lower": 0, "inv": 0, "solve": 0}
+    depth = []
+    for name in ("evaluate", "lower"):
+        def provider_call(self, q, _name=name, _original=getattr(AnalyticMetric, name)):
+            if not depth:
+                counts[_name] += 1
+            depth.append(1)
+            try:
+                return _original(self, q)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(AnalyticMetric, name, provider_call)
+    for name in ("inv", "solve"):
+        def linalg_call(*args, _name=name, _original=getattr(np.linalg, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(np.linalg, name, linalg_call)
+    lat = lattice_of(("torus", (4, 6), (1.0, 0.5)))
+    analytic = AnalyticMetric(metric_profile(lat, smooth_metric_specs(2)), ndim=2,
+                              default_eta=1e-4)
+    geodesic_integrate(analytic, np.array([0.6, 0.9]), np.array([0.3, -0.2]), 0.01, 0.1)
+    # 10 RK4 steps of 4 Christoffel stencils, then speed^2 in one lower call
+    assert counts == {"evaluate": 40, "lower": 1, "inv": 41, "solve": 0}

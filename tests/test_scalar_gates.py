@@ -1,7 +1,9 @@
 """Public entry points refuse a scalar argument that is not finite, and a
 count that is not an integer, with their own error class naming the
 parameter.  NaN fails every comparison, so a check written as `x <= 0`
-lets it through; each gate is written as `not 0 < x < inf`."""
+lets it through; each gate is written as `not 0 < x < inf`.  Likewise
+geodesic_integrate refuses a start position or velocity of the wrong
+shape, naming it."""
 
 import numpy as np
 import pytest
@@ -86,3 +88,17 @@ def _flat_geodesic(eta=1e-3, dt=0.1):
 def test_non_finite_or_fractional_scalar_is_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("q0, v0, match", [
+    # seen before: raw numpy broadcast errors; an integrator state stacked as
+    # (q, v) reads the first two as q = (q0[0], v0[0]) and goes on
+    ([1.0], [0.5, 0.1, 0.2], r"q0 must have shape \(2,\) on a 2-D metric, got \(1,\)"),
+    ([1.0, 2.0], [0.5, 0.1, 0.2], r"v0 must have shape \(2,\) on a 2-D metric, got \(3,\)"),
+    ([[1.0, 2.0]], [0.5, 0.1], r"q0 must have shape \(2,\) on a 2-D metric, got \(1, 2\)"),
+    ([1.0, 2.0], 0.5, r"v0 must have shape \(2,\) on a 2-D metric, got \(\)"),
+], ids=["q0-short", "v0-long", "q0-row", "v0-scalar"])
+def test_geodesic_refuses_a_start_of_the_wrong_shape_before_the_first_step(q0, v0, match):
+    met = AnalyticMetric(lambda q: pytest.fail("a step was taken"), ndim=2)
+    with pytest.raises(ValueError, match=match):
+        geodesic_integrate(met, q0, v0, 0.1, 1.0)

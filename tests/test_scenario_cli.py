@@ -458,13 +458,21 @@ def test_roundtrip_run_evaluates_profiles_once(tmp_path, monkeypatch):
 def test_geodesic_run_metric_lower_calls(tmp_path, monkeypatch):
     from geomqm import geometry
 
-    calls = []
+    calls, depth = [], []
     for cls in (geometry.AnalyticMetric, geometry.LatticeMetricInterpolant):
-        def counting(self, q, _original=cls.lower):
-            calls.append(1)
-            return _original(self, q)
+        for method in ("evaluate", "lower"):
+            # a provider call made from outside the providers counts once,
+            # whichever of its own methods it calls in turn
+            def counting(self, q, _original=getattr(cls, method)):
+                if not depth:
+                    calls.append(1)
+                depth.append(1)
+                try:
+                    return _original(self, q)
+                finally:
+                    depth.pop()
 
-        monkeypatch.setattr(cls, "lower", counting)
+            monkeypatch.setattr(cls, method, counting)
     text = (
         "lattice: {topology: torus, sizes: [8, 8], spacings: [1.0, 1.0]}\n"
         "mass: 1.0\ntask: geodesic\n"
@@ -474,7 +482,7 @@ def test_geodesic_run_metric_lower_calls(tmp_path, monkeypatch):
         "params: {initial: {position: [1.0, 2.0], velocity: [0.3, 0.1]}, dt: 0.01, duration: 0.5}\n"
     )
     run_scenario(write(tmp_path, "geo.yaml", text), tmp_path / "out")
-    # 4 christoffel calls per RK4 step, one each; speed^2; one per time sample
+    # 4 christoffel calls per RK4 step, one evaluate each; speed^2; one per time sample
     assert len(calls) <= 4 * 50 + 1 + 5
 
 
