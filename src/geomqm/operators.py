@@ -65,12 +65,15 @@ def _asmat(x):
 def _site_matrix(lattice, x):
     """x as a sparse matrix, refused unless it is n_sites x n_sites."""
     mat = _asmat(x)
-    if mat.shape != (lattice.n_sites, lattice.n_sites):
-        raise OperatorError(
-            f"operator is {mat.shape[0]}x{mat.shape[1]} but the lattice has "
-            f"{lattice.n_sites} sites"
-        )
+    _site_shape(lattice, mat.shape)
     return mat
+
+
+def _site_shape(lattice, shape):
+    """Refuse a matrix shape other than n_sites x n_sites."""
+    if shape != (lattice.n_sites, lattice.n_sites):
+        raise OperatorError(f"operator is {shape[0]}x{shape[1]} but the lattice has "
+                            f"{lattice.n_sites} sites")
 
 
 def mult_op(lattice, f):
@@ -235,11 +238,8 @@ def load_operator(path):
     a row count other than the header's nnz.
     """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+        dim, nnz = _read_header(fh, path)
         body = fh.read()
-    if len(header) != 2 or not all(v.isdecimal() for v in header):
-        raise OperatorError(f"{path}, line 1: bad triplet header, expected `dim nnz`")
-    dim, nnz = int(header[0]), int(header[1])
     lines = body.splitlines()
     try:
         data = np.loadtxt(lines, ndmin=2, comments=None) if body.strip() else np.empty((0, 4))
@@ -270,6 +270,14 @@ def load_operator(path):
     vals.real, vals.imag = data[:, 2], data[:, 3]  # re + 1j * im would turn -0.0 into 0.0
     ij = ij.astype(int)
     return HermitianOperator(sp.csr_matrix((vals, (ij[:, 0], ij[:, 1])), shape=(dim, dim)))
+
+
+def _read_header(fh, path):
+    """dim and nnz from the header line of the operator file path, open as fh."""
+    header = fh.readline().split()
+    if len(header) != 2 or not all(v.isdecimal() for v in header):
+        raise OperatorError(f"{path}, line 1: bad triplet header, expected `dim nnz`")
+    return int(header[0]), int(header[1])
 
 
 def _is_row(line):

@@ -114,23 +114,24 @@ def metric_profile(lattice, component_specs):
     Unspecified diagonal components are 1, off-diagonals 0.
     """
     d = lattice.ndim
-    components = []
+    components = {}
     for key, spec in (component_specs or {}).items():
         try:
             k, l = (int(p) for p in str(key).split(","))
         except ValueError as exc:
             raise ConfigError(f"fields.metric: bad component key {key!r}") from exc
-        if not (0 <= k < d and 0 <= l < d):
-            raise ConfigError(f"fields.metric: component {key!r} outside dimension {d}")
+        if not 0 <= k <= l < d or (k, l) in components:  # else '1,0' overwrites '0,1'
+            raise ConfigError(f"fields.metric: component {key!r}: need 'k,l' with "
+                              f"0 <= k <= l < {d}, each pair once")
         path = f"fields.metric.components.{key}"
-        components.append((k, l, resolve_profile(spec, lattice, path)))
+        components[k, l] = resolve_profile(spec, lattice, path)
 
     eye = np.eye(d)
 
     def g(X):
         out = np.empty(X.shape[:-1] + (d, d))
         out[...] = eye
-        for k, l, fn in components:
+        for (k, l), fn in components.items():
             out[..., k, l] = out[..., l, k] = fn(X)
         return out
 

@@ -321,10 +321,12 @@ def axiom_report(lattice, H, m):
     """Certify the quantum-mechanics axioms at the stencil level.
 
     positivity_ok: the reconstructed metric is positive definite at every
-    site beyond 1e-10.  nondegenerate additionally requires that no axis
-    is entirely decoupled (an "unquantized" direction, |g^kk| <= 1e-10
-    everywhere).  Includes cure residuals for all coordinate pairs, on
-    default_test_vector, and the commutant defect.
+    site beyond 1e-10.  nondegenerate: it is invertible at every site,
+    whatever its sign (smallest |eigenvalue| above 1e-10), so an
+    indefinite invertible metric fails positivity only.  unquantized_axes
+    lists the axes decoupled everywhere (|g^kk| <= 1e-10).  Includes cure
+    residuals for all coordinate pairs, on default_test_vector, and the
+    commutant defect.
     """
     return reconstruction_report(lattice, H, m).axiom
 
@@ -333,16 +335,16 @@ def _axiom_report(lattice, entries, couplings, g):
     """axiom_report from the link entries of H (_link_entries), its link
     amplitudes and its reconstructed metric g."""
     tol = 1e-10
-    mins = np.linalg.eigvalsh(g).min(axis=1) if lattice.ndim > 1 else g[:, 0, 0]
-    positivity = bool(mins.min() > tol)
-    unquantized = tuple(k for k in range(lattice.ndim) if np.max(np.abs(g[:, k, k])) <= tol)
+    eigs = np.linalg.eigvalsh(g) if lattice.ndim > 1 else g[:, 0]
+    mins = eigs.min(axis=1)
     psi = default_test_vector(lattice)
     pairs = [(k, l) for k in range(lattice.ndim) for l in range(k, lattice.ndim)]
     return AxiomReport(
-        metric_min_eigenvalue=np.asarray(mins),
-        positivity_ok=positivity,
-        nondegenerate=positivity and not unquantized,
-        unquantized_axes=unquantized,
+        metric_min_eigenvalue=mins,
+        positivity_ok=bool(mins.min() > tol),
+        nondegenerate=bool(np.abs(eigs).min() > tol),
+        unquantized_axes=tuple(k for k in range(lattice.ndim)
+                               if np.max(np.abs(g[:, k, k])) <= tol),
         cure_residuals=_coordinate_cures(lattice, entries, couplings, psi, pairs),
         commutant_defect=_commutant_defect(lattice, *entries[:3]),
     )

@@ -250,8 +250,12 @@ def validate_config(doc):
     if task == "geodesic":
         _gate("params.dt", geometry._step_count, cfg["params.dt"], cfg["params.duration"])
     hamiltonian_file = cfg.get("params.hamiltonian_file")
-    if hamiltonian_file is not None and not Path(hamiltonian_file).is_file():
-        raise ConfigError(f"params.hamiltonian_file: no such file {hamiltonian_file!r}")
+    if hamiltonian_file is not None:
+        if not Path(hamiltonian_file).is_file():
+            raise ConfigError(f"params.hamiltonian_file: no such file {hamiltonian_file!r}")
+        with open(hamiltonian_file, encoding="utf-8") as fh:  # the header line only
+            dim, _ = _gate("params.hamiltonian_file", operators._read_header, fh, hamiltonian_file)
+        _gate("params.hamiltonian_file", operators._site_shape, lattice, (dim, dim))
     probe, duration = cfg.get("params.probe_delta"), cfg.get("params.duration")
     if probe is not None and probe > duration / 2:
         # the residual is taken at duration / 2 and reaches back to t - probe_delta
@@ -375,9 +379,6 @@ def _task_reconstruct(cfg, lattice, fields, out):
     m = cfg["mass"]
     if cfg["params.hamiltonian_file"] is not None:
         H = operators.load_operator(cfg["params.hamiltonian_file"])
-        if H.dim != lattice.n_sites:
-            raise ConfigError(f"params.hamiltonian_file: operator is {H.dim}x{H.dim} "
-                              f"but the lattice has {lattice.n_sites} sites")
     else:
         H = operators.build_hamiltonian(lattice, *fields, m)
     rep = reconstruct.reconstruction_report(lattice, H, m)
@@ -454,31 +455,18 @@ def _task_maxwell(cfg, lattice, fields, out):
         for g00 in (-1.0, +1.0)
     )
 
-    worst_dF = 0.0
-    worst_cont = 0.0
-    worst_star = 0.0
-    last = None
+    dF, continuity, double_star = [], [], []
     for _ in range(ensembles):
-        A_series, phi_series = _random_series(lattice, samples, amplitude, rng)
-        pot = maxwell.assemble_potential(cx, A_series, phi_series)
+        pot = maxwell.assemble_potential(cx, *_random_series(lattice, samples, amplitude, rng))
         F = maxwell.d_cochain(pot)
-        dF = maxwell.d_cochain(F)
-        worst_dF = _worst(worst_dF, np.max(np.abs(dF.values), initial=0.0))
-        j_minus = maxwell.current(star_minus, pot)
-        j_plus = maxwell.current(star_plus, pot)
-        worst_cont = _worst(
-            worst_cont,
-            maxwell.continuity_defect(star_minus, j_minus),
-            maxwell.continuity_defect(star_plus, j_plus),
-        )
-        worst_star = _worst(
-            worst_star,
-            maxwell.double_star_defect(star_minus, F),
-            maxwell.double_star_defect(star_plus, F),
-        )
-        last = (pot, F, j_minus)
+        j = maxwell.current(star_minus, pot)
+        dF.append(np.max(np.abs(maxwell.d_cochain(F).values), initial=0.0))
+        continuity += [maxwell.continuity_defect(star_minus, j),
+                       maxwell.continuity_defect(star_plus, maxwell.current(star_plus, pot))]
+        double_star += [maxwell.double_star_defect(star, F) for star in (star_minus, star_plus)]
+    worst_dF, worst_cont, worst_star = _worst(*dF), _worst(*continuity), _worst(*double_star)
 
-    pot, F, j = last
+    # the cochains of the last ensemble
     spec = lattice.spec
     complex_hash = _digest(repr((spec.topology, spec.sizes, spec.spacings, cx.n_t, cx.dt)))
     header = (f"# complex={complex_hash} orientation=t,x,y,z;increasing-pairs\n"
@@ -498,16 +486,16 @@ def _task_maxwell(cfg, lattice, fields, out):
 
 
 def _random_series(lattice, samples, amplitude, rng):
-    A_series, phi_series = [], []
+    """One ensemble's (samples, n_links) link phases, antisymmetric under
+    reversal, and (samples, n_sites) site potentials.  One draw holds a
+    sample per row: its canonical link phases, then its site potentials."""
     canon = _canonical_links(lattice)
-    for _ in range(samples):
-        theta = np.zeros(lattice.n_links)
-        vals = rng.normal(0.0, amplitude, int(canon.sum()))
-        theta[canon] = vals
-        theta[lattice.link_reverse[canon]] = -vals
-        A_series.append(theta)
-        phi_series.append(rng.normal(0.0, amplitude, lattice.n_sites))
-    return A_series, phi_series
+    n_canon = int(canon.sum())
+    draw = rng.normal(0.0, amplitude, (samples, n_canon + lattice.n_sites))
+    theta = np.zeros((samples, lattice.n_links))
+    theta[:, canon] = draw[:, :n_canon]
+    theta[:, lattice.link_reverse[canon]] = -draw[:, :n_canon]
+    return theta, draw[:, n_canon:].copy()  # a view would keep the whole draw alive
 
 
 def _task_holonomy(cfg, lattice, fields, out):

@@ -26,9 +26,9 @@ HOLONOMY = "lattice: {topology: ring, sizes: [4], spacings: [1.0]}\nmass: 1.0\nt
 GEODESIC = ("lattice: {topology: rectangle, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
             "mass: 1.0\ntask: geodesic\n")
 
-# The negative seed row has its own id: a second "seed" id would rename
-# the row above it, as pytest numbers repeated ids.
-NEGATIVE_SEED = RING_BUILD + "seed: -1\n"
+# Per row, the path the message names and the document; a third entry is
+# the row's id where the path is another row's: pytest numbers repeated
+# ids, which would rename the rows that hold them.
 BAD_CONFIGS = [
     ("params.duration", EVOLVE + "params: {duration: long}\n"),
     ("fields.time.samples", MAXWELL + "fields: {time: {samples: four}}\n"),
@@ -42,7 +42,7 @@ BAD_CONFIGS = [
      GEODESIC + "fields: {time: {samples: 3, scale: {profile: linear, rat: 0.3}}}\n"),
     ("params.check_periodicity", HOLONOMY + "params: {check_periodicity: 'no'}\n"),
     ("seed", RING_BUILD + "seed: true\n"),
-    ("seed", NEGATIVE_SEED),
+    ("seed", RING_BUILD + "seed: -1\n", "seed=-1"),
     ("params.alphas.count", HOLONOMY + "params: {alphas: {count: 0}}\n"),
     ("params.alphas", HOLONOMY + "params: {alphas: [0.0, 1.0]}\n"),
     ("params.initial.position", GEODESIC + "params: {initial: {position: [1.0]}}\n"),
@@ -57,6 +57,27 @@ BAD_CONFIGS = [
     ("fields.connection.holonomies", RING_BUILD + "fields: {connection: {holonomies: [0.1, 0.2]}}\n"),
     ("fields.potential.width",
      RING_BUILD + "fields: {potential: {profile: gaussian_bump, amplitude: 1.0, width: 0}}\n"),
+    ("config does not parse as YAML", RING_BUILD + "fields: {potential: [\n", "yaml"),
+    ("config root must be a mapping", "- lattice\n- mass\n", "root"),
+    ("mass", RING_BUILD.replace("mass: 1.0\n", "")),
+    ("lattice", TORUS_BUILD.replace("[4, 4], spacings: [1.0, 1.0]", "[4], spacings: [1.0]"),
+     "lattice-torus-one-size"),
+    ("fields.potential", RING_BUILD + "fields: {potential: 3}\n"),
+    ("fields.metric", TORUS_BUILD + "fields: {metric: {components: {'a,b': {profile: zero}}}}\n",
+     "fields.metric-key-a,b"),
+    ("fields.metric", TORUS_BUILD + "fields: {metric: {components: {'0,2': {profile: zero}}}}\n",
+     "fields.metric-key-0,2"),
+    ("fields.metric", TORUS_BUILD.replace("build", "roundtrip")
+     + "fields: {metric: {components: {'0,1': {profile: constant, value: 0.1},\n"
+     "                                 '1,0': {profile: constant, value: -0.2}}}}\n",
+     "fields.metric-key-1,0"),
+    ("fields.metric", TORUS_BUILD.replace("build", "roundtrip")
+     + "fields: {metric: {components: {'0,1': {profile: constant, value: 0.1},\n"
+     "                                 '0, 1': {profile: constant, value: -0.2}}}}\n",
+     "fields.metric-key-0,1-twice"),
+    ("fields.connection.components",
+     TORUS_BUILD + "fields: {connection: {components: [{profile: zero}]}}\n",
+     "fields.connection.components-one-of-two"),
 ]
 
 
@@ -67,14 +88,15 @@ def write(tmp_path, name, text):
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
-@pytest.mark.parametrize("field, text", BAD_CONFIGS,
-                         ids=["seed=-1" if t == NEGATIVE_SEED else f for f, t in BAD_CONFIGS])
+@pytest.mark.parametrize("field, text", [row[:2] for row in BAD_CONFIGS],
+                         ids=[row[2] if len(row) == 3 else row[0] for row in BAD_CONFIGS])
 def test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command, field, text):
     path = write(tmp_path, "bad.yaml", text)
     args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}: "), err
+    # a message with no path, such as the root's, is the whole "field"
+    assert err.startswith(f"config error: {field}: ") or err == f"config error: {field}\n", err
     assert not (tmp_path / "out").exists()
 
 
@@ -174,12 +196,23 @@ RUN_GATES = [
     pytest.param("fields.potential", RING_BUILD
                  + "fields: {potential: {profile: polynomial, coeffs: [0.0, 0.0, 1.0e+308]}}\n",
                  id="non-finite-potential"),
+    pytest.param("params.hamiltonian_file", RING_BUILD.replace("build", "reconstruct")
+                 + "params: {hamiltonian_file: header.txt}\n", id="operator-header"),
+    pytest.param("params.hamiltonian_file", RING_BUILD.replace("build", "reconstruct")
+                 + "params: {hamiltonian_file: ring6.txt}\n", id="operator-size"),
 ]
+# The operator files that RUN_GATES rows name, relative to the working
+# directory: a malformed header, and a 6x6 operator for the 8-site ring.
+OPERATOR_FILES = {"header.txt": "6 x\n", "ring6.txt": "6 0\n"}
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("field, text", RUN_GATES)
-def test_validate_calls_every_gate_the_run_reaches(tmp_path, capsys, command, field, text):
+def test_validate_calls_every_gate_the_run_reaches(tmp_path, capsys, monkeypatch, command, field,
+                                                   text):
+    monkeypatch.chdir(tmp_path)
+    for name, body in OPERATOR_FILES.items():
+        write(tmp_path, name, body)
     with np.errstate(over="ignore"):  # the polynomial overflows to inf, which the gate refuses
         test_bad_config_is_a_config_error_naming_its_path(tmp_path, capsys, command, field, text)
 
@@ -195,9 +228,11 @@ def test_validate_calls_every_gate_the_run_reaches(tmp_path, capsys, command, fi
     pytest.param(CYLINDER % (500, 500) + "task: maxwell\n", id="maxwell-at-the-series-limit"),
     pytest.param(TORUS % (16, 16) + "task: holonomy\nparams: {chern_flux_quanta: 1}\n",
                  id="chern-on-a-torus"),
+    pytest.param(RING_BUILD + "fields:\n", id="empty-fields-section"),
 ])
 def test_documents_at_the_run_gates_validate(tmp_path, text):
-    # negative controls: the sparse tasks have no dense gate, and each bound admits its edge
+    # negative controls: the sparse tasks have no dense gate, each bound admits
+    # its edge, and an empty section reads as an absent one
     validate_config(load_config(write(tmp_path, "edge.yaml", text)))
 
 

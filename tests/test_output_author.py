@@ -2,8 +2,10 @@
 and the cochains.csv header occur in `scenario` and in no other module
 of the package.  Likewise one gate refuses a malformed metric field:
 its messages occur in `lattice` only, and the metric is inverted in
-`geometry` only."""
+`geometry` only.  No task runner refuses a document: every config
+error comes before the output directory exists."""
 
+import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "geomqm"
@@ -30,7 +32,8 @@ def test_run_gate_refusals_live_in_the_module_that_owns_them():
     texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     owners = {"exceeds the dense limit": "operators.py", "link phase magnitude": "operators.py",
               "diagonal spatial metrics only": "maxwell.py",
-              "exactly one periodic direction": "holonomy.py", "RK4 steps": "geometry.py"}
+              "exactly one periodic direction": "holonomy.py", "RK4 steps": "geometry.py",
+              "but the lattice has": "operators.py"}
     for spelling, owner in owners.items():
         assert [name for name, text in sorted(texts.items()) if spelling in text] == [owner], \
             spelling
@@ -42,3 +45,18 @@ def test_metric_inversion_lives_in_geometry_only():
     texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert [name for name, text in sorted(texts.items()) if "np.linalg.inv(" in text] \
         == ["geometry.py"]
+
+
+def test_no_task_runner_raises_a_config_error():
+    # `run_scenario` makes the output directory after `validate_config` and
+    # before the runner, so a runner's refusal would leave it behind
+    tree = ast.parse((SRC / "scenario.py").read_text(encoding="utf-8"))
+    runners = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_task_")]
+    assert len(runners) == 7
+    for runner in runners:
+        for node in ast.walk(runner):
+            if isinstance(node, ast.Raise):
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(raised, ast.Name) and raised.id == "ConfigError"), \
+                    f"{runner.name}, line {node.lineno}"

@@ -292,6 +292,21 @@ def test_axiom_report_flags_flipped_coupling():
     assert bad == {i, j}
 
 
+def test_indefinite_invertible_metric_fails_positivity_only():
+    # every axis-1 amplitude negated: g = diag(1, -1) at every site, no axis decoupled
+    lat = build_lattice(LatticeSpec("torus", (6, 6), (1.0, 1.0)))
+    H = free_hamiltonian(lat).mat.tolil()
+    k, l = lat.stencil.axes[lat.link_step].T
+    for idx in np.flatnonzero((k == 1) & (l == 1)):
+        i, j = int(lat.link_src[idx]), int(lat.link_dst[idx])
+        H[i, j] = -H[i, j]
+    rep = axiom_report(lat, H.tocsr(), 1.0)
+    assert np.allclose(rep.metric_min_eigenvalue, -1.0)
+    assert rep.unquantized_axes == ()
+    assert not rep.positivity_ok
+    assert rep.nondegenerate
+
+
 def test_axiom_report_flags_unquantized_axis():
     lat = build_lattice(LatticeSpec("torus", (16, 16), (1.0, 1.0)))
     H = free_hamiltonian(lat).mat.tolil()

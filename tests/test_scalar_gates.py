@@ -1,27 +1,42 @@
 """Public entry points refuse a scalar argument that is not finite, and a
 count that is not an integer, with their own error class naming the
 parameter.  NaN fails every comparison, so a check written as `x <= 0`
-lets it through; each gate is written as `not 0 < x < inf`.  Likewise
-geodesic_integrate refuses a start position or velocity of the wrong
-shape, naming it."""
+lets it through; each gate is written as `not 0 < x < inf`.  The same
+table holds the other library refusals that no document reaches.
+Likewise geodesic_integrate refuses a start position or velocity of the
+wrong shape, naming it."""
+
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
 from geomqm import (
     AnalyticMetric,
+    Cochain,
     ComplexError,
     LatticeError,
     LatticeSpec,
     OperatorError,
+    PhaseAmbiguity,
     build_hamiltonian,
     build_lattice,
     build_spacetime_complex,
     constant_metric,
+    coordinate_cure_residual,
+    default_test_vector,
     geodesic_integrate,
+    heisenberg_evolve,
     heisenberg_residual,
+    hodge,
+    hodge_factors,
+    load_operator,
+    peierls_decompose,
     propagator,
     reconstruction_report,
+    roundtrip_report,
+    row_sum_field,
 )
 
 
@@ -42,6 +57,31 @@ def _hamiltonian(m):
 
 def _reconstruction(m):
     return reconstruction_report(_ring(), _hamiltonian(1.0), m)
+
+
+def _edited_hamiltonian(i, j, value):
+    """The ring's H, dense, with entry (i, j) set to value."""
+    H = _hamiltonian(1.0).mat.toarray()
+    H[i, j] = value
+    return H
+
+
+def _one_imaginary_link():
+    H = _edited_hamiltonian(0, 1, 0.5j)
+    H[1, 0] = -0.5j  # Hermitian, with its 0-1 link phase on the pi/2 boundary
+    return H
+
+
+def _load(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "op.txt"
+        path.write_text(text, encoding="utf-8")
+        return load_operator(path)
+
+
+def _hodge_of_a_box_0_cochain():
+    cx = build_spacetime_complex(build_lattice(LatticeSpec("box3", (3, 3, 3), (1.0,) * 3)), 1, 1.0)
+    return hodge(hodge_factors(cx), Cochain(cx, 0, np.zeros(cx.n_cells(0))))
 
 
 def _flat_geodesic(eta=1e-3, dt=0.1):
@@ -80,11 +120,29 @@ def _flat_geodesic(eta=1e-3, dt=0.1):
     # seen before: a trajectory truncated at its start; a raw ValueError
     (lambda: _flat_geodesic(eta=np.nan), ValueError, "eta must be positive and finite"),
     (lambda: _flat_geodesic(dt=np.nan), ValueError, "need dt > 0 and T >= dt"),
+    # refusals of malformed data that no document and no other test reaches
+    (lambda: Cochain(build_spacetime_complex(_ring(), 2, 1.0), 1, np.zeros(5)), ComplexError,
+     "degree-1 cochain needs 18 values, got 5"),
+    (lambda: heisenberg_evolve(np.ones(6), np.eye(5)), OperatorError, "dimension mismatch"),
+    (lambda: row_sum_field(np.diag([1.0, 1j])), OperatorError, "row sums are not real"),
+    (lambda: peierls_decompose(_ring(), _edited_hamiltonian(0, 1, -2.0)), OperatorError,
+     "operator not Hermitian"),
+    (lambda: _load("2 3\n0 0 1.0 0.0\n1 1 1.0 0.0\n"), OperatorError,
+     "triplet row count 2 != header nnz 3"),
+    (lambda: roundtrip_report(_ring(), constant_metric(_ring()), None, None, 1.0,
+                              reference="site"), ValueError, "unknown reference 'site'"),
+    (lambda: coordinate_cure_residual(_ring(), _one_imaginary_link(), 0, 0,
+                                      default_test_vector(_ring())), PhaseAmbiguity,
+     "phase on the pi/2 boundary"),
+    (lambda: _hodge_of_a_box_0_cochain(), ComplexError, "no degree-4 cells"),
 ], ids=["heisenberg-t-nan", "heisenberg-t-inf", "heisenberg-delta-nan", "mass-nan", "mass-inf",
         "reconstruction-mass-inf", "reconstruction-mass-nan", "reconstruction-mass-zero",
         "reconstruction-mass-negative", "propagator-t2-inf", "propagator-t1-nan",
         "propagator-t1-minus-inf", "spacing-nan", "spacing-inf", "size-fractional", "size-nan", "n_t-fractional",
-        "n_t-bool", "dt-nan", "dt-inf", "eta-nan", "geodesic-dt-nan"])
+        "n_t-bool", "dt-nan", "dt-inf", "eta-nan", "geodesic-dt-nan", "cochain-length",
+        "heisenberg-unitary-size", "row-sum-not-real", "peierls-not-hermitian",
+        "operator-row-count", "roundtrip-reference", "cure-imaginary-link",
+        "hodge-no-complement-cells"])
 def test_non_finite_or_fractional_scalar_is_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

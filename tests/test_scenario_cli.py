@@ -247,6 +247,38 @@ def test_maxwell_task_builds_one_star_per_lift_sign(tmp_path, monkeypatch):
     assert calls == [-1.0, 1.0]
 
 
+def _random_series_by_sample(lattice, samples, amplitude, rng):
+    # the oracle: one sample at a time, its canonical link phases, then its site potentials
+    A_series, phi_series = [], []
+    canon = lattice.link_reverse > np.arange(lattice.n_links)
+    for _ in range(samples):
+        theta = np.zeros(lattice.n_links)
+        vals = rng.normal(0.0, amplitude, int(canon.sum()))
+        theta[canon] = vals
+        theta[lattice.link_reverse[canon]] = -vals
+        A_series.append(theta)
+        phi_series.append(rng.normal(0.0, amplitude, lattice.n_sites))
+    return A_series, phi_series
+
+
+@pytest.mark.parametrize("topology, sizes, samples, amplitude", [
+    ("interval", (5,), 3, 0.3), ("ring", (7,), 1, 0.0), ("cylinder", (6, 5), 4, 0.3),
+    ("torus", (4, 6), 2, 1.7), ("box3", (3, 4, 3), 3, 0.3),
+])
+def test_random_series_draws_the_stream_of_the_per_sample_loop(topology, sizes, samples,
+                                                               amplitude):
+    lat = build_lattice(LatticeSpec(topology, sizes, (1.0,) * len(sizes)))
+    rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(2):  # two ensembles: the second starts where the first left the generator
+        A, phi = scenario._random_series(lat, samples, amplitude, rng)
+        A_want, phi_want = _random_series_by_sample(lat, samples, amplitude, oracle_rng)
+        assert A.shape == (samples, lat.n_links) and phi.shape == (samples, lat.n_sites)
+        assert A.tobytes() == np.array(A_want).tobytes()
+        assert phi.tobytes() == np.array(phi_want).tobytes()
+        assert phi.base is None  # a copy, not a view that keeps the draw alive
+    assert rng.normal(size=3).tobytes() == oracle_rng.normal(size=3).tobytes()
+
+
 def test_geodesic_task_trajectory_csv(tmp_path):
     text = (
         "lattice: {topology: rectangle, sizes: [8, 8], spacings: [1.0, 1.0]}\n"
@@ -363,6 +395,12 @@ def test_geodesic_task_time_dependent_residual_column(tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     # flat metric scaled by (1 + 0.02 t): residual = rate |v|^2 / 2
     assert abs(last[-1] - 0.5 * 0.02 * 0.25) < 1e-6
+    # the same five samples without a scale lift a static metric: residual0 reads 0
+    static = text.replace("    scale: {profile: linear, rate: 0.02}\n", "")
+    path = write(tmp_path, "static.yaml", static)
+    assert run_scenario(path, tmp_path / "static").passed
+    rows = (tmp_path / "static" / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 201 and {row.rsplit(",", 1)[1] for row in rows} == {"0"}
 
 
 def test_cli_reconstruct_wrong_size_operator_file(tmp_path, capsys):
