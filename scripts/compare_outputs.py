@@ -1,6 +1,8 @@
-"""Compare every output file of two geomqm source trees byte for byte.
+"""Compare every output file of two geomqm source trees byte for byte,
+or summarise the outputs of one tree as a manifest.
 
     python3 scripts/compare_outputs.py OLD_TREE NEW_TREE
+    python3 scripts/compare_outputs.py --manifest TREE > tests/output_manifest.json
 
 For each tree, a fresh interpreter with that tree's `src` and `perfbench`
 on its path runs, through `geomqm.scenario.run_scenario` and into a
@@ -27,6 +29,13 @@ The exit status is 0 when no file differs, 1 when one does (a same-document
 either tree: the runs write no bytecode and change into the temporary
 directory for the benchmark ops.
 
+With `--manifest`, the one tree runs on one BLAS thread and its
+manifest is printed as JSON: per output file, its `summary` (the
+SHA-256 of its bytes with `wall_time_s` masked, and per column of its
+numbers their count, sum and max |value|).  The tier-1 test
+`tests/test_output_manifest.py` checks the outputs of the working tree
+against the committed manifest.
+
 Passing the same tree twice checks that the outputs are deterministic
 and do not depend on the BLAS thread count.  The second side takes the
 host's default thread count, or the one set in the calling environment:
@@ -37,7 +46,9 @@ host's default thread count, or the one set in the calling environment:
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -71,6 +82,14 @@ _WALL_TIME = re.compile(rb'"wall_time_s": [^,}\n]*')
 
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
+# A column's sum or max |value| agrees with the committed one when they
+# differ by at most RTOL times its scale: the max |value| for the max, the
+# larger of |sum| and max |value| for the sum (a sum that cancels to near
+# zero is scaled by its largest term).  Chosen before any measurement:
+# four orders above the rounding of a value, so a value scaled by
+# 1 + 1e-9 fails when it is at least 0.1% of its column's scale.
+RTOL = 1e-12
+
 
 def run_tree(tree, out, env):
     """Write the outputs of `tree` under `out` in the environment `env`
@@ -91,6 +110,90 @@ def outputs(root):
             data = _WALL_TIME.sub(b'"wall_time_s": null', data)
         found[path.relative_to(root).as_posix()] = data
     return found
+
+
+def summary(name, data):
+    """The manifest entry of the output file `name` with bytes `data`
+    (`wall_time_s` masked): its SHA-256 and, per column of its numbers,
+    [count, exact sum, max |value|].  A table's (a .csv or an operator
+    file) rows are its lines that end in a number, and its columns their
+    cell positions; both are counted.  A report's columns are the paths of
+    the numbers in its document."""
+    entry, columns = {"sha256": hashlib.sha256(data).hexdigest()}, {}
+    if name.endswith(".json"):
+        _json_columns(json.loads(data), "", columns)
+    else:
+        sep = "," if name.endswith(".csv") else None
+        rows = [line.split(sep) for line in data.decode("utf-8").splitlines()]
+        rows = [row for row in rows if row and _number(row[-1]) is not None]
+        entry.update(rows=len(rows), columns=max(map(len, rows), default=0))
+        for i, column in enumerate(itertools.zip_longest(*rows)):
+            cells = [cell for cell in column if cell is not None]
+            try:
+                values = [float(cell) for cell in cells]
+            except ValueError:  # a column with labels: parse each distinct cell once
+                numbers = {cell: _number(cell) for cell in set(cells)}
+                values = [numbers[cell] for cell in cells if numbers[cell] is not None]
+            if values:
+                columns[str(i)] = values
+    entry["sums"] = {key: [len(values), math.fsum(values), float(max(map(abs, values)))]
+                     for key, values in columns.items()}
+    return entry
+
+
+def _json_columns(doc, path, columns):
+    """Add the numbers of a JSON document to `columns` by path, bools
+    excluded.  A list position is left out of the path, except in a list
+    of lists, a table, whose positions are its columns."""
+    if isinstance(doc, dict):
+        for key, item in doc.items():
+            _json_columns(item, f"{path}.{key}" if path else key, columns)
+    elif isinstance(doc, list):
+        if doc and all(isinstance(item, list) for item in doc):
+            doc = [(f"{path}[{i}]", [cell for cell in column if cell is not None])
+                   for i, column in enumerate(itertools.zip_longest(*doc))]
+        else:
+            doc = [(path, item) for item in doc]
+        for sub, item in doc:
+            _json_columns(item, sub, columns)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        columns.setdefault(path, []).append(doc)
+
+
+def manifest(tree, out):
+    """Output name -> `summary` of every output of `tree`, run on one BLAS
+    thread into `out`; None if the runs fail."""
+    if not run_tree(Path(tree), out, {**os.environ, **_ONE_THREAD}):
+        return None
+    return {name: summary(name, data) for name, data in outputs(out).items()}
+
+
+def manifest_drift(committed, found):
+    """(failed, bytes_only) between two manifests: the names whose entries
+    disagree (in one manifest only, another count or column, or a sum or
+    max |value| beyond RTOL), and the names whose digests alone differ."""
+    failed, bytes_only = [], []
+    for name in sorted(committed.keys() | found.keys()):
+        old, new = committed.get(name), found.get(name)
+        if old != new:
+            agrees = old is not None and new is not None and _agrees(old, new)
+            (bytes_only if agrees else failed).append(name)
+    return failed, bytes_only
+
+
+def _agrees(old, new):
+    """Whether two entries of one file have the same counts and columns,
+    and each column's sum and max |value| within RTOL of the old one's."""
+    if any(old.get(k) != new.get(k) for k in ("rows", "columns")) \
+            or old["sums"].keys() != new["sums"].keys():
+        return False
+    for key, (count, total, top) in old["sums"].items():
+        new_count, new_total, new_top = new["sums"][key]
+        # written so that a NaN disagrees
+        if new_count != count or not (abs(new_top - top) <= RTOL * top and
+                                      abs(new_total - total) <= RTOL * max(abs(total), top)):
+            return False
+    return True
 
 
 def document(data):
@@ -140,6 +243,17 @@ def main(argv=None):
     if len(args) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
+    if args[0] == "--manifest":
+        with tempfile.TemporaryDirectory(prefix="geomqm-manifest-") as tmp:
+            found = manifest(args[1], Path(tmp))
+        if found is None:
+            print(f"the runs of {args[1]} failed", file=sys.stderr)
+            return 2
+        text = json.dumps(found, indent=1, sort_keys=True)
+        # one line per column: [count, sum, max |value|]
+        print(re.sub(r"\[\s+([^][]*?)\s+\]", lambda m: "[" + " ".join(m.group(1).split()) + "]",
+                     text))
+        return 0
     with tempfile.TemporaryDirectory(prefix="geomqm-compare-") as tmp:
         found = []
         envs = ({**os.environ, **_ONE_THREAD}, None)

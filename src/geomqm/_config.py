@@ -14,7 +14,7 @@ class ConfigError(ValueError):
 
 class Key(NamedTuple):
     """A settable value: path (dotted in a scenario), type, default (None:
-    unset, or derived where it is read), rule as (text, predicate), the
+    unset, or derived from other values), rule as (text, predicate), the
     tasks that read it (None: every task) and a note for the schema."""
 
     path: str

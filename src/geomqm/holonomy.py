@@ -101,3 +101,30 @@ def _torus_only(lattice):
     """Refuse a lattice other than a torus, as a Chern number needs."""
     if lattice.spec.topology != "torus":
         raise TopologyError("Chern number needs a closed 2D lattice (torus)")
+
+
+def _flux_in_branch(lattice, quanta):
+    """Refuse a uniform flux of pi or more per plaquette: the principal
+    branch that `chern_number` sums would read another integer."""
+    if 2 * abs(quanta) >= lattice.n_sites:  # a torus has one plaquette per site
+        raise ValueError(f"{quanta} flux quanta over {lattice.n_sites} plaquettes put pi or "
+                         f"more on each; need |k| < {lattice.n_sites / 2:g}")
+
+
+def _uniform_flux_connection(lattice, quanta):
+    """Torus connection with uniform flux 2 pi quanta / n_plaquettes."""
+    nx, ny = lattice.sizes
+    flux = 2 * np.pi * quanta / (nx * ny)
+    theta = np.zeros(lattice.n_links)
+    for s in range(lattice.n_sites):
+        ix, iy = lattice.coords[s]
+        ly = lattice.link_index(s, (0, 1))
+        theta[ly] = flux * ix
+        theta[lattice.link_reverse[ly]] = -flux * ix
+    for s in range(lattice.n_sites):
+        ix, iy = lattice.coords[s]
+        if ix == nx - 1:
+            lx = lattice.link_index(s, (1, 0))
+            theta[lx] = -flux * nx * iy
+            theta[lattice.link_reverse[lx]] = flux * nx * iy
+    return theta

@@ -52,8 +52,8 @@ _FIELD_TASKS = ("build", "reconstruct", "roundtrip", "evolve")  # read every fie
 
 # Every settable value of a scenario document.  fields, params and
 # tolerances rows name the tasks that read them.  A default that depends
-# on other values is None here and set where it is read: by its task runner,
-# by `_tolerance` for e_g and e_phi, by `validate_config` for fields.time.samples.
+# on other values is None here and filled in by `validate_config`, but
+# for params.steps and params.probe_delta, which need H.
 _KEYS = (
     Key("lattice.topology", "str", REQUIRED, _one_of(*TOPOLOGIES)),
     Key("lattice.sizes", "list of int", REQUIRED, note="sites per axis, each >= 3"),
@@ -71,7 +71,7 @@ _KEYS = (
     Key("fields.time.samples", "int", None, COUNT, ("geodesic", "maxwell"),
         f"default 4 for maxwell, 1 for geodesic; times the sites at most {SERIES_LIMIT}"),
     Key("fields.time.dt", "float", None, POSITIVE, ("geodesic", "maxwell"),
-        "default 1.0, geodesic: duration / (samples - 1)"),
+        "default 1.0; geodesic: duration / (samples - 1), set only with samples >= 3"),
     Key("fields.time.scale", "scale", None, None, ("geodesic",),
         "lower metric scale s(t); needs fields.time.samples >= 3"),
     Key("params.reference", "str", "link_average", _one_of("link_average", "pointwise"),
@@ -95,7 +95,7 @@ _KEYS = (
         f"times the lattice sites at most {FLOW_LIMIT}"),
     Key("params.check_periodicity", "bool", False, None, ("holonomy",), "alpha vs alpha + 2 pi"),
     Key("params.chern_flux_quanta", "int", None, None, ("holonomy",),
-        "torus only; |k| < nx ny / 2"),
+        "torus only; |k| < nx ny / 2; no alphas, check_periodicity or periodicity tolerance"),
     Key("params.steps", "int", None, COUNT, ("evolve",), "default from ||H||"),
     Key("params.probe_delta", "float", None, POSITIVE, ("evolve",),
         "default duration / steps; at most duration / 2"),
@@ -115,6 +115,8 @@ _KEYS = (
 # Pass/fail checks, measured as their failure truth value: one fixed tolerance, not scaled
 FLAGS = ("positivity", "nondegeneracy", "truncated", "chern_number")
 _FLAG_TOLERANCE = 0.5
+_FLOW_ROWS = ("params.alphas.start", "params.alphas.stop", "params.alphas.count",
+              "params.check_periodicity", "tolerances.periodicity")  # a Chern run reads none
 
 
 def _schema():
@@ -193,7 +195,7 @@ def load_config(path):
 
 def validate_config(doc):
     """Check the document against the config table; returns its values
-    typed, by dotted path, with the defaults filled in, the built lattice
+    typed, by dotted path, with every default filled in, the built lattice
     and its profile fields (g, theta, phi), each evaluated once.  It calls
     every library gate that the task's run reaches before its work."""
     cfg = read_keys(doc, _KEYS, task=doc.get("task"))  # task is read before any task row
@@ -205,11 +207,28 @@ def validate_config(doc):
         if key.rule is _PER_AXIS and value is not None and len(value) != spec.ndim:
             raise ConfigError(f"{key.path}: expected {spec.ndim} values, one per lattice axis, "
                               f"got {len(value)}")
-    if task in ("geodesic", "maxwell"):  # the one place the sample count defaults
-        cfg["fields.time.samples"] = cfg["fields.time.samples"] or (4 if task == "maxwell" else 1)
+    # the table's rules exclude 0 and empty values, so `or` only fills unset ones
+    if task == "maxwell":
+        cfg["fields.time.samples"] = cfg["fields.time.samples"] or 4
+        cfg["fields.time.dt"] = cfg["fields.time.dt"] or 1.0
+    elif task == "geodesic":
+        samples = cfg["fields.time.samples"] = cfg["fields.time.samples"] or 1
+        if samples >= 3:  # a time series of the metric, lifted along the path
+            cfg["fields.time.dt"] = cfg["fields.time.dt"] or cfg["params.duration"] / (samples - 1)
+        for path in ("fields.time.dt", "fields.time.scale"):
+            if samples < 3 and cfg[path] is not None:
+                raise ConfigError(f"{path}: needs fields.time.samples >= 3, got {samples}")
+        cfg["params.initial.position"] = cfg["params.initial.position"] or [0.0] * spec.ndim
+        cfg["params.initial.velocity"] = (cfg["params.initial.velocity"]
+                                          or [1.0] + [0.0] * (spec.ndim - 1))
+    reference = cfg.get("params.reference")
+    if reference is not None:  # e_g and e_phi: loose for the pointwise reference
+        for path in ("tolerances.e_g", "tolerances.e_phi"):
+            cfg[path] = cfg[path] or (1e-9 if reference == "link_average" else 1e-2)
     lattice = build_lattice(spec)
     # run sizes per lattice site; a Chern run reads no alphas
-    alphas = cfg.get("params.chern_flux_quanta") is None and cfg.get("params.alphas.count")
+    chern = cfg.get("params.chern_flux_quanta")
+    alphas = chern is None and cfg.get("params.alphas.count")
     for path, n, limit in (("params.alphas.count", alphas, FLOW_LIMIT),
                            ("fields.time.samples", cfg.get("fields.time.samples"), SERIES_LIMIT)):
         if n and n * lattice.n_sites > limit:
@@ -218,13 +237,17 @@ def validate_config(doc):
         _gate("lattice.sizes", operators._dense_size, lattice.n_sites)
     if alphas:
         _gate("lattice.topology", holonomy._one_periodic_axis, lattice)
-    elif task == "holonomy":
+    if chern is not None:
+        for path in _FLOW_ROWS:  # a spectral flow row that the document sets
+            given = doc
+            for name in path.split("."):  # read_keys has checked that each section is a mapping
+                given = (given or {}).get(name)
+            if given is not None:
+                raise ConfigError(f"{path}: not read with params.chern_flux_quanta")
         _gate("params.chern_flux_quanta", holonomy._torus_only, lattice)
-        _gate("params.chern_flux_quanta", _flux_in_branch, lattice,
-              cfg["params.chern_flux_quanta"])
+        _gate("params.chern_flux_quanta", holonomy._flux_in_branch, lattice, chern)
     g = metric_from_profiles(lattice, cfg.get("fields.metric.components"))
-    grid = _lift_grid(cfg) if task == "geodesic" else None
-    if task != "geodesic" or grid is not None:  # a geodesic lifts the site metric, if at all
+    if task != "geodesic" or cfg["fields.time.samples"] >= 3:  # a geodesic lifts g, if at all
         _gate("fields.metric", metric_field, lattice, g)
     if task == "maxwell":
         _gate("fields.metric", maxwell._diagonal_only, g)
@@ -233,21 +256,18 @@ def validate_config(doc):
         "holonomies": cfg.get("fields.connection.holonomies"),
     })
     _gate("fields.connection", link_field, lattice, theta)
-    if task in _FIELD_TASKS and cfg.get("params.hamiltonian_file") is None:  # the fields build H
-        _gate("fields.connection", operators._phase_window, theta)
+    if "fields.connection.components" in cfg and cfg.get("params.hamiltonian_file") is None:
+        _gate("fields.connection", operators._phase_window, theta)  # the fields build H
     phi = scalar_from_profile(lattice, cfg.get("fields.potential"), "fields.potential")
     _gate("fields.potential", scalar_field, lattice, phi)
     if cfg.get("fields.time.scale") is not None:
         scale = time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
-        if grid is None:
-            raise ConfigError("fields.time.scale: needs fields.time.samples >= 3, "
-                              f"got {cfg['fields.time.samples']}")
         # linear in t: positive and finite at every sample time iff at both ends
-        for t in (0.0, (grid[0] - 1) * grid[1]):
+        for t in (0.0, (cfg["fields.time.samples"] - 1) * cfg["fields.time.dt"]):
             if not 0 < scale(t) < math.inf:
                 raise ConfigError(f"fields.time.scale: must be positive and finite at every "
                                   f"sample time, got {scale(t):.7g} at t = {t:.7g}")
-    if task == "geodesic":
+    if "params.dt" in cfg:
         _gate("params.dt", geometry._step_count, cfg["params.dt"], cfg["params.duration"])
     hamiltonian_file = cfg.get("params.hamiltonian_file")
     if hamiltonian_file is not None:
@@ -299,26 +319,15 @@ def run_scenario(config_path, out_dir, seed=None, tol_scale=1.0):
     started = time.perf_counter()
     payload, measured = _TASK_RUNNERS[cfg["task"]](cfg, lattice, fields, out)
     checks = []
-    for name, value in measured:
-        tolerance = float(_tolerance(cfg, name, tol_scale))
-        checks.append(Check(name, bool(value <= tolerance), float(value), tolerance))
+    for name, value in measured:  # a check without a row its task reads is a KeyError
+        tolerance = _FLAG_TOLERANCE if name in FLAGS else cfg[f"tolerances.{name}"] * tol_scale
+        checks.append(Check(name, bool(value <= tolerance), float(value), float(tolerance)))
     report = Report(cfg["task"], scenario_hash(doc), cfg["seed"], payload, checks,
                     time.perf_counter() - started)
 
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return report
-
-
-def _tolerance(cfg, name, tol_scale):
-    """A flag's fixed tolerance, else the check's tolerances row times
-    tol_scale; a check without a row its task reads is a KeyError."""
-    if name in FLAGS:
-        return _FLAG_TOLERANCE
-    value = cfg[f"tolerances.{name}"]
-    if value is None:  # e_g and e_phi: loose for the pointwise reference
-        value = 1e-9 if cfg["params.reference"] == "link_average" else 1e-2
-    return value * tol_scale
 
 
 def _worst(*values):
@@ -400,17 +409,14 @@ def _task_geodesic(cfg, lattice, fields, out):
         metric_profile(lattice, cfg["fields.metric.components"]), ndim=lattice.ndim,
         default_eta=cfg["params.eta"], bounds=geometry._lattice_bounds(lattice),
     )
-    # the table's rules exclude 0 and empty values, so `or` only fills unset ones
-    q0 = np.asarray(cfg["params.initial.position"] or [0.0] * lattice.ndim, dtype=float)
-    v0 = np.asarray(cfg["params.initial.velocity"] or [1.0] + [0.0] * (lattice.ndim - 1),
-                    dtype=float)
-    duration = cfg["params.duration"]
-    traj = geometry.geodesic_integrate(metric, q0, v0, cfg["params.dt"], duration)
+    q0 = np.asarray(cfg["params.initial.position"], dtype=float)
+    v0 = np.asarray(cfg["params.initial.velocity"], dtype=float)
+    traj = geometry.geodesic_integrate(metric, q0, v0, cfg["params.dt"], cfg["params.duration"])
 
-    grid = _lift_grid(cfg)
-    if grid is not None:
+    samples = cfg["fields.time.samples"]
+    if samples >= 3:  # a time series of the metric
         scale = time_scale_function(cfg["fields.time.scale"])
-        times = np.arange(grid[0]) * grid[1]
+        times = np.arange(samples) * cfg["fields.time.dt"]
         series = np.array([fields[0] / scale(t) for t in times])
         st = geometry.lorentzian_lift(lattice, series, times)
         residual = geometry.zeroth_residual(st, traj)
@@ -432,18 +438,9 @@ def _task_geodesic(cfg, lattice, fields, out):
     return payload, [("speed2_drift", payload["speed2_drift"]), ("truncated", traj.truncated)]
 
 
-def _lift_grid(cfg):
-    """Count and spacing of the geodesic task's metric samples; None below 3 (no lift)."""
-    samples = cfg["fields.time.samples"]
-    if samples < 3:
-        return None
-    return samples, cfg["fields.time.dt"] or cfg["params.duration"] / (samples - 1)
-
-
 def _task_maxwell(cfg, lattice, fields, out):
     samples = cfg["fields.time.samples"]
-    dt = cfg["fields.time.dt"] or 1.0
-    cx = maxwell.build_spacetime_complex(lattice, samples, dt)
+    cx = maxwell.build_spacetime_complex(lattice, samples, cfg["fields.time.dt"])
     ensembles = cfg["params.ensembles"]
     amplitude = cfg["params.amplitude"]
     rng = np.random.default_rng(cfg["seed"])
@@ -502,7 +499,7 @@ def _task_holonomy(cfg, lattice, fields, out):
     m = cfg["mass"]
     k = cfg["params.chern_flux_quanta"]
     if k is not None:
-        got = holonomy.chern_number(lattice, _uniform_flux_connection(lattice, k))
+        got = holonomy.chern_number(lattice, holonomy._uniform_flux_connection(lattice, k))
         return {"chern_number": got, "chern_target": k}, [("chern_number", abs(got - k))]
     grid = np.linspace(cfg["params.alphas.start"], cfg["params.alphas.stop"],
                        cfg["params.alphas.count"])
@@ -520,33 +517,6 @@ def _task_holonomy(cfg, lattice, fields, out):
     shifted = holonomy.ab_spectrum(lattice, m, grid + 2 * np.pi)
     payload["periodicity_defect"] = float(np.max(np.abs(table - shifted)))
     return payload, [("periodicity", payload["periodicity_defect"])]
-
-
-def _flux_in_branch(lattice, quanta):
-    """Refuse a uniform flux of pi or more per plaquette: the principal
-    branch that `holonomy.chern_number` sums would read another integer."""
-    if 2 * abs(quanta) >= lattice.n_sites:  # a torus has one plaquette per site
-        raise ValueError(f"{quanta} flux quanta over {lattice.n_sites} plaquettes put pi or "
-                         f"more on each; need |k| < {lattice.n_sites / 2:g}")
-
-
-def _uniform_flux_connection(lattice, quanta):
-    """Torus connection with uniform flux 2 pi quanta / n_plaquettes."""
-    nx, ny = lattice.sizes
-    flux = 2 * np.pi * quanta / (nx * ny)
-    theta = np.zeros(lattice.n_links)
-    for s in range(lattice.n_sites):
-        ix, iy = lattice.coords[s]
-        ly = lattice.link_index(s, (0, 1))
-        theta[ly] = flux * ix
-        theta[lattice.link_reverse[ly]] = -flux * ix
-    for s in range(lattice.n_sites):
-        ix, iy = lattice.coords[s]
-        if ix == nx - 1:
-            lx = lattice.link_index(s, (1, 0))
-            theta[lx] = -flux * nx * iy
-            theta[lattice.link_reverse[lx]] = flux * nx * iy
-    return theta
 
 
 def _task_evolve(cfg, lattice, fields, out):

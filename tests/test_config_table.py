@@ -25,6 +25,7 @@ MAXWELL = "lattice: {topology: interval, sizes: [4], spacings: [1.0]}\nmass: 1.0
 HOLONOMY = "lattice: {topology: ring, sizes: [4], spacings: [1.0]}\nmass: 1.0\ntask: holonomy\n"
 GEODESIC = ("lattice: {topology: rectangle, sizes: [4, 4], spacings: [1.0, 1.0]}\n"
             "mass: 1.0\ntask: geodesic\n")
+CHERN = TORUS_BUILD.replace("build", "holonomy") + "params: {chern_flux_quanta: 1"
 
 # Per row, the path the message names and the document; a third entry is
 # the row's id where the path is another row's: pytest numbers repeated
@@ -78,6 +79,13 @@ BAD_CONFIGS = [
     ("fields.connection.components",
      TORUS_BUILD + "fields: {connection: {components: [{profile: zero}]}}\n",
      "fields.connection.components-one-of-two"),
+    # a Chern run reads no spectral flow row, and a geodesic without a lift no time step
+    ("params.check_periodicity", CHERN + ", check_periodicity: true}\n",
+     "params.check_periodicity-chern"),
+    ("params.alphas.count", CHERN + ", alphas: {count: 5}}\n", "params.alphas.count-chern"),
+    ("params.alphas.start", CHERN + ", alphas: {start: 0.5}}\n"),
+    ("tolerances.periodicity", CHERN + "}\ntolerances: {periodicity: 1.0e-30}\n"),
+    ("fields.time.dt", GEODESIC + "fields: {time: {dt: 0.5}}\n"),
 ]
 
 
@@ -265,7 +273,8 @@ TASK_DOCS = {
     "build": [RING_BUILD],
     "reconstruct": [RING_BUILD.replace("build", "reconstruct")],
     "roundtrip": [RING_BUILD.replace("build", "roundtrip")],
-    "geodesic": [GEODESIC + "params: {initial: {position: [1.5, 1.5]}, dt: 0.01, duration: 0.05}\n"],
+    "geodesic": [GEODESIC + "params: {initial: {position: [1.5, 1.5]}, dt: 0.01, duration: 0.05}\n",
+                 GEODESIC + "fields: {time: {samples: 3}}\nparams: {dt: 0.01, duration: 0.05}\n"],
     "maxwell": [MAXWELL + "fields: {time: {samples: 2}}\n"],
     "holonomy": [HOLONOMY.replace("[4]", "[16]")
                  + "params: {alphas: {count: 3}, check_periodicity: true}\n",
@@ -294,6 +303,54 @@ def test_tolerance_rows_are_the_overridable_checks_of_each_task(tmp_path):
         assert emitted - FIXED_CHECKS == rows, task
         overridable += len(rows)
     assert overridable == 12
+
+
+# Rows that may stay unset: a profile is optional, an operator file and a
+# Chern flux choose another route, a lift may be static, and the evolve
+# defaults of steps and probe_delta need H.
+OPTIONAL_ROWS = {"fields.metric.components", "fields.connection.components",
+                 "fields.connection.holonomies", "fields.potential", "fields.time.scale",
+                 "params.hamiltonian_file", "params.chern_flux_quanta", "params.steps",
+                 "params.probe_delta"}
+
+
+class _Reads(dict):
+    """A config that records the rows read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, path):
+        self.read.add(path)
+        return super().__getitem__(path)
+
+    def get(self, path, default=None):
+        self.read.add(path)
+        return super().get(path, default)
+
+
+def test_validate_fills_every_row_the_run_reads(tmp_path, monkeypatch):
+    # the runners and the check tolerances read values, not `cfg[row] or default`
+    configs = []
+
+    def recording(doc):
+        cfg, lattice, fields = validate_config(doc)
+        configs.append(_Reads(cfg))
+        return configs[-1], lattice, fields
+
+    monkeypatch.setattr(scenario, "validate_config", recording)
+    read = set()
+    for task, texts in TASK_DOCS.items():
+        for i, text in enumerate(texts):
+            run_scenario(write(tmp_path, f"{task}{i}.yaml", text), tmp_path / f"{task}{i}")
+            cfg = configs[-1]
+            unset = sorted(path for path in cfg.read - OPTIONAL_ROWS if dict.get(cfg, path) is None)
+            assert unset == [], (task, i)
+            read |= cfg.read
+    # the rows whose defaults depend on other values
+    assert {"fields.time.samples", "fields.time.dt", "params.initial.position",
+            "params.initial.velocity", "tolerances.e_g", "tolerances.e_phi"} <= read
 
 
 def test_schema_lists_every_table_path_and_profile_parameter(capsys):

@@ -33,7 +33,7 @@ def test_run_gate_refusals_live_in_the_module_that_owns_them():
     owners = {"exceeds the dense limit": "operators.py", "link phase magnitude": "operators.py",
               "diagonal spatial metrics only": "maxwell.py",
               "exactly one periodic direction": "holonomy.py", "RK4 steps": "geometry.py",
-              "but the lattice has": "operators.py"}
+              "but the lattice has": "operators.py", "flux quanta over": "holonomy.py"}
     for spelling, owner in owners.items():
         assert [name for name, text in sorted(texts.items()) if spelling in text] == [owner], \
             spelling

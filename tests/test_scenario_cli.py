@@ -957,7 +957,7 @@ TORUS44 = "lattice: {topology: torus, sizes: [4, 4], spacings: [1.0, 1.0]}\nmass
     # D0^T D1^T = 0 keeps continuity at rounding for any star; ** reads the doubling
     ("double_star", TORUS44 + "task: maxwell\n", maxwell, "hodge_factors",
      _one_degree_doubled(1)),
-    ("chern_number", TORUS44 + "task: holonomy\nparams: {chern_flux_quanta: 1}\n", scenario,
+    ("chern_number", TORUS44 + "task: holonomy\nparams: {chern_flux_quanta: 1}\n", holonomy,
      "_uniform_flux_connection", _one_quantum_dropped),
     ("periodicity", RING6 + "task: holonomy\nparams: {check_periodicity: true}\n", holonomy,
      "ab_spectrum", _alpha_proportional_shift),
