@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import LatticeError, scalar_field
 
@@ -102,6 +101,7 @@ class SpacetimeComplex:
 
 def build_spacetime_complex(lattice, n_t, dt):
     """Cubical complex on lattice x {0..n_t-1} time samples."""
+    import scipy.sparse as sp
     if not isinstance(n_t, (int, np.integer)) or isinstance(n_t, bool) or n_t < 1:
         raise ComplexError(f"need an integer count of time samples >= 1, got {n_t!r}")
     if not 0 < dt < np.inf:

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .lattice import link_field, metric_field, scalar_field
 
@@ -41,9 +39,9 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Sparse complex self-adjoint matrix over lattice sites."""
+    """Sparse complex self-adjoint matrix over lattice sites; mat is a scipy.sparse csr_matrix."""
 
-    mat: sp.csr_matrix
+    mat: object
 
     @property
     def dim(self):
@@ -55,6 +53,7 @@ class HermitianOperator:
 
 
 def _asmat(x):
+    import scipy.sparse as sp
     if isinstance(x, HermitianOperator):
         return x.mat
     if sp.issparse(x):
@@ -78,6 +77,7 @@ def _site_shape(lattice, shape):
 
 def mult_op(lattice, f):
     """Multiplication operator: the diagonal matrix of a scalar field."""
+    import scipy.sparse as sp
     return HermitianOperator(sp.diags(scalar_field(lattice, f).astype(complex)).tocsr())
 
 
@@ -152,6 +152,7 @@ def _stencil_diagonal(lattice, c):
 def _assemble(lattice, couplings, phases, diagonal):
     """The operator with -c * exp(-i*theta) on every link and the given
     diagonal.  Any phase is accepted; the sparse add drops zero entries."""
+    import scipy.sparse as sp
     n = lattice.n_sites
     off = sp.csr_matrix(
         (-couplings * np.exp(-1j * phases), (lattice.link_src, lattice.link_dst)),
@@ -214,18 +215,24 @@ def save_operator(path, op):
 
 def write_rows(path, header, blocks, sep):
     """Write the header, then per row of each (prefix, columns) block the prefix and the
-    row's numbers as '%.17g' joined by sep (integers below 2^53 print as integers).  The
-    equal-length 1-D columns are stacked in chunks of whole rows, at most 2048 numbers
-    (or one row) each, never as one table, and each chunk is formatted by one '%' of the
-    row format (the prefix, its '%' doubled, then the numbers) repeated once per row."""
+    row's numbers joined by sep: an integer-dtype column as '%d', any other as '%.17g'.
+    The equal-length 1-D array columns are interleaved in chunks of whole rows, at most
+    2048 numbers (or one row) each, never as one table, and each chunk is formatted by
+    one '%' of the row format (the prefix, its '%' doubled, then the numbers) repeated
+    once per row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         for prefix, columns in blocks:
-            fmt = prefix.replace("%", "%%") + sep.join(["%.17g"] * len(columns)) + "\n"
-            rows = max(1, 2048 // len(columns))
+            width = len(columns)
+            fmt = prefix.replace("%", "%%") + sep.join(
+                "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns) + "\n"
+            rows = max(1, 2048 // width)
             for start in range(0, len(columns[0]), rows):
-                chunk = np.column_stack([c[start:start + rows] for c in columns])
-                fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+                stop = min(start + rows, len(columns[0]))
+                chunk = [None] * (width * (stop - start))
+                for k, c in enumerate(columns):
+                    chunk[k::width] = c[start:stop].tolist()
+                fh.write((fmt * (stop - start)) % tuple(chunk))
 
 
 def load_operator(path):
@@ -237,6 +244,7 @@ def load_operator(path):
     index that is not an integer in 0..dim-1, or a repeated (i, j); nor
     a row count other than the header's nnz.
     """
+    import scipy.sparse as sp
     with open(path, encoding="utf-8") as fh:
         dim, nnz = _read_header(fh, path)
         body = fh.read()
@@ -304,6 +312,7 @@ def eigenvalues(op):
     band = _lower_band(mat)
     if band is None:
         return np.linalg.eigvalsh(mat.toarray())
+    import scipy.linalg as sla
     return sla.eigvals_banded(band, lower=True, overwrite_a_band=True)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import d0, plaquette_sums
 from .operators import (
@@ -83,6 +82,7 @@ class ReconstructionReport:
 
 def velocity(H, a):
     """Heisenberg velocity of a multiplication operator: i [H, mult(a)]."""
+    import scipy.sparse as sp
     d = sp.diags(np.asarray(a, dtype=float).astype(complex))
     mat = (1j * commutator(H, d)).tocsr()
     return HermitianOperator(mat)
@@ -244,6 +244,7 @@ def reconstruct_potential(lattice, dec):
 
 def gauge_transform(H, chi):
     """Conjugation exp(i chi) H exp(-i chi); spectrum preserved."""
+    import scipy.sparse as sp
     mat = _asmat(H)
     u = np.exp(1j * np.asarray(chi, dtype=float))
     out = sp.diags(u) @ mat @ sp.diags(u.conj())
@@ -280,6 +281,7 @@ def coordinate_cure_residual(lattice, H, k, l, psi):
 def _coordinate_cures(lattice, entries, c, psi, pairs):
     """((k, l), coordinate_cure_residual) per coordinate pair, from the
     link entries of H (_link_entries) and its link amplitudes c."""
+    import scipy.sparse as sp
     rows, cols, vals, _, steps = entries
     h, n, out = lattice.spacings, lattice.n_sites, []
     for k, l in pairs:

@@ -265,11 +265,12 @@ def test_save_operator_text_is_pinned(tmp_path):
 
 
 def _rows_one_at_a_time(header, blocks, sep):
-    """write_rows' text built row by row: prefix + row format % row."""
+    """write_rows' text built row by row: prefix + row format % row, an integer
+    column's numbers as '%d' of Python ints, any other column's as '%.17g'."""
     text = header
     for prefix, columns in blocks:
-        fmt = sep.join(["%.17g"] * len(columns)) + "\n"
-        text += "".join(prefix + fmt % tuple(row) for row in np.column_stack(columns).tolist())
+        fmt = sep.join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+        text += "".join(prefix + fmt % row for row in zip(*(c.tolist() for c in columns)))
     return text
 
 
@@ -281,6 +282,8 @@ def test_write_rows_matches_a_row_at_a_time_reference(tmp_path):
         ("100%,b,%s%%,", (np.arange(8, dtype=np.int64) * (2**53 - 1) // 7,
                           special[::-1])),
         ("", (np.array([2**53 - 1, -3], dtype=np.int64), np.array([7, 0], dtype=np.int32))),
+        # an integer column prints exactly above 2^53, where float64 would round
+        ("big,", (np.array([2**53 + 1], dtype=np.int64), np.array([2.0**53 + 2]))),
         # 2049 rows cross the chunk edge of a one-column block, 385 columns
         # leave a chunk of a few rows
         ("", (rng.normal(size=2049),)),
@@ -291,8 +294,9 @@ def test_write_rows_matches_a_row_at_a_time_reference(tmp_path):
     for sep in (",", " "):
         path = tmp_path / "rows.csv"
         write_rows(path, "# head %\nx,y\n", blocks, sep)
-        assert path.read_text(encoding="utf-8") == _rows_one_at_a_time("# head %\nx,y\n",
-                                                                        blocks, sep)
+        text = path.read_text(encoding="utf-8")
+        assert text == _rows_one_at_a_time("# head %\nx,y\n", blocks, sep)
+        assert f"\nbig,9007199254740993{sep}9007199254740994\n" in text
 
 
 def test_header_only_and_blank_lines_load_and_signed_zeros_survive(tmp_path):
