@@ -212,7 +212,8 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     extrapolating beyond the boundary.
     """
     n_steps = _step_count(dt, T)
-    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+    if (not isinstance(record_every, (int, np.integer)) or isinstance(record_every, bool)
+            or record_every < 1):
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     d = metric.ndim
     for name, value in (("q0", q0), ("v0", v0)):

@@ -525,13 +525,19 @@ def _task_evolve(cfg, lattice, fields, out):
     duration = cfg["params.duration"]
     steps = cfg["params.steps"] or evolution.suggested_steps(H, 0.0, duration)
     steps += steps % 2  # even count so the composition check aligns
-    U = evolution.propagator(H, 0.0, duration, steps)
-    # H is static, so the propagator of the second half equals the first's
-    half = evolution.propagator(H, 0.0, duration / 2, steps // 2)
-    composition = float(np.max(np.abs(half @ half - U)))
+    # one eigh serves both propagators and the residual
+    spectrum = evolution.decompose(H)
+    U = evolution.propagator(spectrum, 0.0, duration, steps)
     defect = evolution.unitarity_defect(U)
+    # H is static, so the propagator of the second half equals the first's
+    half = evolution.propagator(spectrum, 0.0, duration / 2, steps // 2)
+    sq = half @ half
+    sq -= U
+    composition = float(np.max(np.abs(sq)))
+    del U, half, sq  # before the residual's n x n matrices are made
     probe = cfg["params.probe_delta"] or duration / steps
-    residual = evolution.heisenberg_residual(H, lattice.positions[:, 0], duration / 2.0, probe)
+    residual = evolution.heisenberg_residual(spectrum, lattice.positions[:, 0], duration / 2.0,
+                                             probe)
     payload = {
         "steps": steps,
         "unitarity_defect": defect,

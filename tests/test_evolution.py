@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,7 +20,10 @@ from geomqm import (
     propagator,
     unitarity_defect,
 )
+from geomqm import evolution
+from geomqm.evolution import decompose, suggested_steps
 from geomqm.operators import DENSE_LIMIT, _dense
+from geomqm.scenario import run_scenario, validate_config
 
 
 def interval(n):
@@ -234,3 +240,132 @@ def test_dense_paths_refuse_above_the_dense_limit_before_allocating(monkeypatch,
     monkeypatch.setattr(np, "eye", refuse)
     with pytest.raises(OperatorError, match=f"dimension {n} exceeds the dense limit 4096"):
         call(H, np.zeros(n))
+
+
+def separate_propagator(H, t1, t2, steps):
+    """`propagator` as first written: its own `eigh` of dense H on every call."""
+    lam, V = np.linalg.eigh(_dense(H))
+    phase = 2.0 * steps * np.arctan(0.5 * ((t2 - t1) / steps) * lam)
+    return (V * np.exp(-1j * phase)) @ V.conj().T
+
+
+def separate_heisenberg_residual(H, a, t, delta):
+    """`heisenberg_residual` as first written: a third `eigh`, all three
+    evolved fields held at once, out-of-place arithmetic."""
+    n_minus = max(1, round((t - delta) / delta)) if t > delta else 0
+    Hd = _dense(H)
+    lam, V = np.linalg.eigh(Hd)
+    phase = 2.0 * n_minus * np.arctan(0.5 * ((t - delta) / n_minus) * lam) if n_minus else 0.0
+    step = 2.0 * 1 * np.arctan(0.5 * delta * lam)
+    U = [(V * np.exp(-1j * (phase + k * step))) @ V.conj().T for k in range(3)]
+    a_minus, a_t, a_plus = (u.conj().T @ (a[:, None] * u) for u in U)
+    fd = (a_plus - a_minus) / (2.0 * delta)
+    rhs = 1j * (Hd @ a_t - a_t @ Hd)
+    return float(np.max(np.abs(fd - rhs)))
+
+
+def separate_evolve_payload(doc):
+    """The evolve task's payload by its first formulas: three
+    decompositions of the same H, every n x n intermediate kept."""
+    cfg, lat, fields = validate_config(doc)
+    H = build_hamiltonian(lat, *fields, cfg["mass"])
+    duration = cfg["params.duration"]
+    steps = cfg["params.steps"] or suggested_steps(H, 0.0, duration)
+    steps += steps % 2
+    U = separate_propagator(H, 0.0, duration, steps)
+    half = separate_propagator(H, 0.0, duration / 2, steps // 2)
+    probe = cfg["params.probe_delta"] or duration / steps
+    return {
+        "steps": steps,
+        "unitarity_defect": unitarity_defect(U),
+        "composition_defect": float(np.max(np.abs(half @ half - U))),
+        "heisenberg_residual": separate_heisenberg_residual(H, lat.positions[:, 0], duration / 2.0,
+                                                            probe),
+    }
+
+
+def evolve_doc(lattice, params, fields=None):
+    doc = {"lattice": lattice, "mass": 1.0, "task": "evolve", "params": params}
+    if fields:
+        doc["fields"] = fields
+    return doc
+
+
+TORUS_FIELDS = {
+    "connection": {"components": [{"profile": "zero"},
+                                  {"profile": "sine", "amplitude": 0.3, "axis": 0}],
+                   "holonomies": [0.8, -0.5]},
+    "potential": {"profile": "gaussian_bump", "amplitude": 0.6, "center": 0.4, "axis": 1},
+}
+
+
+@pytest.mark.parametrize("doc", [
+    evolve_doc({"topology": "interval", "sizes": [16], "spacings": [1.0]},
+               {"duration": 1.0, "steps": 40, "probe_delta": 0.1}),
+    evolve_doc({"topology": "ring", "sizes": [12], "spacings": [1.0]}, {"duration": 2.0}),
+    evolve_doc({"topology": "torus", "sizes": [4, 4], "spacings": [1.0, 0.8]},
+               {"duration": 1.5, "steps": 30, "probe_delta": 0.2}, TORUS_FIELDS),
+    evolve_doc({"topology": "interval", "sizes": [10], "spacings": [0.5]},
+               {"duration": 1.0, "steps": 7, "probe_delta": 0.15}),
+    evolve_doc({"topology": "ring", "sizes": [12], "spacings": [1.0]},
+               {"duration": 1.0, "steps": 10, "probe_delta": 0.5}),  # t = delta
+], ids=["interval16", "ring12-default-steps", "torus4x4-flux-potential", "odd-steps", "t-equals-delta"])
+def test_evolve_payload_equals_the_three_decomposition_formulas(tmp_path, doc):
+    path = tmp_path / "evolve.yaml"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # JSON is YAML
+    run_scenario(path, tmp_path / "out")
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())["payload"]
+    assert payload == separate_evolve_payload(doc)
+
+
+def test_an_eigensystem_stands_in_for_its_operator():
+    H = _torus_with_random_potential()
+    spectrum = decompose(H)
+    x = np.linspace(-1.0, 1.0, 64)
+    assert np.array_equal(propagator(spectrum, 0.0, 1.0, 7), propagator(H, 0.0, 1.0, 7))
+    assert heisenberg_residual(spectrum, x, 0.5, 0.1) == heisenberg_residual(H, x, 0.5, 0.1)
+
+
+def test_heisenberg_evolve_leaves_its_unitary_unchanged():
+    U = propagator(free_hamiltonian(interval(8)), 0.0, 1.0, 4)
+    kept = U.copy()
+    heisenberg_evolve(np.arange(8.0), U)
+    assert np.array_equal(U, kept)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda H: heisenberg_residual(H, np.zeros((8, 2)), 0.5, 0.1), r"a must have shape \(8,\)"),
+    (lambda H: heisenberg_residual(H, np.full(8, np.nan), 0.5, 0.1), "a must be finite"),
+    (lambda H: heisenberg_residual(H, np.zeros(8), 0.05, 0.1), "need t >= delta"),
+    (lambda H: propagator(H, 0.0, 1.0, True), "steps must be an integer >= 1"),
+    (lambda H: propagator(H, 1.0, 0.0, 4), "need finite t1 < t2"),
+], ids=["field-shape", "field-nan", "t-below-delta", "steps-bool", "t2-before-t1"])
+def test_argument_gates_run_before_the_decomposition(monkeypatch, call, match):
+    H = free_hamiltonian(interval(8))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("H was decomposed"))
+    with pytest.raises(OperatorError, match=match):
+        call(H)
+
+
+def test_evolve_run_holds_a_bounded_number_of_dense_matrices(tmp_path):
+    """One evolve run at 256 sites peaks at six n x n complex matrices of
+    traced memory (the eigenvectors, the difference, a(t), dense H, the
+    commutator and one product); three decompositions with every
+    intermediate kept peaked at 10.6."""
+    n = 256
+    path = tmp_path / "evolve.yaml"
+    path.write_text(json.dumps(evolve_doc({"topology": "interval", "sizes": [n], "spacings": [1.0]},
+                                          {"duration": 1.0, "steps": 40, "probe_delta": 0.1})),
+                    encoding="utf-8")
+    run_scenario(path, tmp_path / "warm")  # imports and caches outside the measurement
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_scenario(path, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 6.5 * 16 * n**2

@@ -1,10 +1,10 @@
 """Public entry points refuse a scalar argument that is not finite, and a
-count that is not an integer, with their own error class naming the
-parameter.  NaN fails every comparison, so a check written as `x <= 0`
-lets it through; each gate is written as `not 0 < x < inf`.  The same
-table holds the other library refusals that no document reaches.
-Likewise geodesic_integrate refuses a start position or velocity of the
-wrong shape, naming it."""
+count that is not an integer (a bool is not one), with their own error
+class naming the parameter.  NaN fails every comparison, so a check
+written as `x <= 0` lets it through; each gate is written as
+`not 0 < x < inf`.  The same table holds the other library refusals
+that no document reaches.  Likewise geodesic_integrate refuses a start
+position or velocity of the wrong shape, naming it."""
 
 import pathlib
 import tempfile
@@ -37,6 +37,7 @@ from geomqm import (
     reconstruction_report,
     roundtrip_report,
     row_sum_field,
+    unitarity_defect,
 )
 
 
@@ -48,6 +49,10 @@ def _heisenberg(t, delta):
     lat = _ring()
     H = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0)
     return heisenberg_residual(H, lat.positions[:, 0], t, delta)
+
+
+def _heisenberg_field(a):
+    return heisenberg_residual(_hamiltonian(1.0), a, 1.0, 0.1)
 
 
 def _hamiltonian(m):
@@ -84,9 +89,9 @@ def _hodge_of_a_box_0_cochain():
     return hodge(hodge_factors(cx), Cochain(cx, 0, np.zeros(cx.n_cells(0))))
 
 
-def _flat_geodesic(eta=1e-3, dt=0.1):
+def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
     met = AnalyticMetric(lambda q: np.eye(1), ndim=1, default_eta=eta)
-    return geodesic_integrate(met, [0.0], [1.0], dt, 1.0)
+    return geodesic_integrate(met, [0.0], [1.0], dt, 1.0, record_every)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -120,6 +125,21 @@ def _flat_geodesic(eta=1e-3, dt=0.1):
     # seen before: a trajectory truncated at its start; a raw ValueError
     (lambda: _flat_geodesic(eta=np.nan), ValueError, "eta must be positive and finite"),
     (lambda: _flat_geodesic(dt=np.nan), ValueError, "need dt > 0 and T >= dt"),
+    # seen before: accepted as one step, and as a record every step
+    (lambda: propagator(_hamiltonian(1.0), 0.0, 1.0, True), OperatorError,
+     "steps must be an integer >= 1, got True"),
+    (lambda: _flat_geodesic(record_every=True), ValueError,
+     "record_every must be an integer >= 1, got True"),
+    # seen before: a raw broadcast error after the decomposition; a NaN
+    # residual; a 3x3 matrix; a defect of the 3x3 product
+    (lambda: _heisenberg_field(np.zeros((6, 2))), OperatorError,
+     r"a must have shape \(6,\) for a 6-site operator, got \(6, 2\)"),
+    (lambda: _heisenberg_field(np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0])), OperatorError,
+     "a must be finite"),
+    (lambda: heisenberg_evolve(np.ones(8), np.ones((8, 3))), OperatorError,
+     r"U must be 8x8 for a of shape \(8,\), got \(8, 3\)"),
+    (lambda: unitarity_defect(np.ones((8, 3))), OperatorError,
+     r"u must be a square matrix, got shape \(8, 3\)"),
     # refusals of malformed data that no document and no other test reaches
     (lambda: Cochain(build_spacetime_complex(_ring(), 2, 1.0), 1, np.zeros(5)), ComplexError,
      "degree-1 cochain needs 18 values, got 5"),
@@ -139,7 +159,9 @@ def _flat_geodesic(eta=1e-3, dt=0.1):
         "reconstruction-mass-inf", "reconstruction-mass-nan", "reconstruction-mass-zero",
         "reconstruction-mass-negative", "propagator-t2-inf", "propagator-t1-nan",
         "propagator-t1-minus-inf", "spacing-nan", "spacing-inf", "size-fractional", "size-nan", "n_t-fractional",
-        "n_t-bool", "dt-nan", "dt-inf", "eta-nan", "geodesic-dt-nan", "cochain-length",
+        "n_t-bool", "dt-nan", "dt-inf", "eta-nan", "geodesic-dt-nan", "propagator-steps-bool",
+        "record_every-bool", "heisenberg-field-shape", "heisenberg-field-nan",
+        "heisenberg-unitary-not-square", "unitarity-not-square", "cochain-length",
         "heisenberg-unitary-size", "row-sum-not-real", "peierls-not-hermitian",
         "operator-row-count", "roundtrip-reference", "cure-imaginary-link",
         "hodge-no-complement-cells"])
