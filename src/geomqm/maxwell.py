@@ -10,7 +10,12 @@ oriented by increasing axis index.  Incidence follows
 
 so applying the coboundary twice annihilates every cochain by integer
 arithmetic alone.  Only axis links enter the complex (plane diagonals
-are stencil decoration, not 1-cells).
+are stencil decoration, not 1-cells).  Each incidence D_k is held as two
+integer-indexed tables, the face ids of every (k+1)-cell in increasing
+order and their +-1 signs, so the algebra is plain numpy: d sums each
+cell's signed faces from 0.0 in face-id order, and the transpose D^T
+sums into each face its cells' terms in increasing cell id (the orders
+of a CSR matrix-vector product and of its transpose, bit for bit).
 
 The connection 1-cochain is assembled as spatial link phases plus
 potential * dt on time edges.  The metric enters only through the Hodge
@@ -39,19 +44,28 @@ class ComplexError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Cochain:
-    """Real values on the k-cells of a spacetime complex."""
+    """Real values on the k-cells of a spacetime complex, k = 0..3: a finite
+    real 1-D array of n_cells(k) values (none for k > n, such as dF on a
+    1-d lattice)."""
 
     complex: "SpacetimeComplex"
     degree: int
     values: np.ndarray
 
     def __post_init__(self):
-        want = self.complex.n_cells(self.degree)
-        got = len(self.values)
-        if got != want:
-            raise ComplexError(
-                f"degree-{self.degree} cochain needs {want} values, got {got}"
-            )
+        k = self.degree
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= 3:
+            raise ComplexError(f"cochain degree must be an integer in 0..3, got {k!r}")
+        values = np.asarray(self.values)
+        want = self.complex.n_cells(k)
+        if values.shape != (want,):
+            got = len(values) if values.ndim == 1 else f"shape {values.shape}"
+            raise ComplexError(f"degree-{k} cochain needs {want} values, got {got}")
+        if values.dtype.kind not in "iuf":
+            raise ComplexError(f"cochain values must be real numbers, got dtype {values.dtype}")
+        if not np.isfinite(values).all():
+            raise ComplexError(f"degree-{k} cochain values must be finite")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +87,14 @@ class SpacetimeComplex:
     Cell ids, which are the cell_id column of cochains.csv: vertices
     time-major; spatial edges by (time, axis, site), then time edges by
     (time, site); faces and 3-cells anchor-major, then axes in
-    lexicographic order.  incidence[k] is D_k, (k+1)-cells x k-cells;
-    edge_link holds the lattice link of every spatial edge, -1 on time
-    edges.
+    lexicographic order.  incidence[k] = (faces, signs) is D_k, the
+    (k+1)-cells x k-cells incidence, as two (n_{k+1}, 2(k+1)) tables:
+    the ids of every (k+1)-cell's boundary k-cells in increasing order
+    (sizes >= 3, so no cell meets a face twice) and their +-1.0 signs in
+    the same order.  dual_pairs[k] = (src, dst) holds the k-cells whose
+    complement cell exists and those complements, None where n - k is
+    not a degree 0..3; edge_link holds the lattice link of every spatial
+    edge, -1 on time edges.
     """
 
     lattice: object
@@ -85,6 +104,7 @@ class SpacetimeComplex:
     cell_anchor: tuple
     cell_axes: tuple
     incidence: tuple
+    dual_pairs: tuple
     edge_link: np.ndarray
 
     @property
@@ -101,7 +121,6 @@ class SpacetimeComplex:
 
 def build_spacetime_complex(lattice, n_t, dt):
     """Cubical complex on lattice x {0..n_t-1} time samples."""
-    import scipy.sparse as sp
     if not isinstance(n_t, (int, np.integer)) or isinstance(n_t, bool) or n_t < 1:
         raise ComplexError(f"need an integer count of time samples >= 1, got {n_t!r}")
     if not 0 < dt < np.inf:
@@ -142,21 +161,30 @@ def build_spacetime_complex(lattice, n_t, dt):
         # boundary of [v; a_0 < ... < a_{k-1}]: (-1)^(i+1) on [v; drop a_i]
         # and (-1)^i on [v + e_{a_i}; drop a_i]
         lower = {c: j for j, c in enumerate(combinations(range(n), k - 1))}
-        rows, cols, vals = [], [], []
+        faces, signs = [], []
         for i in range(k):
             face = np.array([lower[c[:i] + c[i + 1:]] for c in combinations(range(n), k)],
                             dtype=int)[combo]
             for corner, sign in ((anchor, (-1.0) ** (i + 1)), (nxt[axes[:, i], anchor], (-1.0) ** i)):
-                rows.append(cells)
-                cols.append(cell_table[k - 1][corner, face])
-                vals.append(np.full(len(cells), sign))
-        incidence.append(sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(cells), len(cell_anchor[k - 1])),
-        ))
+                faces.append(cell_table[k - 1][corner, face])
+                signs.append(np.full(len(cells), sign))
+        faces, signs = np.column_stack(faces), np.column_stack(signs)
+        order = np.argsort(faces, axis=1, kind="stable")
+        incidence.append((np.take_along_axis(faces, order, 1), np.take_along_axis(signs, order, 1)))
         cell_table.append(table)
         cell_anchor.append(anchor)
         cell_axes.append(axes)
+
+    # the complement of the c-th axis combination of degree k is the c-th
+    # from last of degree n-k, and a cell and its complement share the anchor
+    dual_pairs = []
+    for k in range(4):
+        if not 0 <= n - k <= 3:
+            dual_pairs.append(None)
+            continue
+        table, comp = cell_table[k], cell_table[n - k][:, ::-1]
+        both = (table >= 0) & (comp >= 0)
+        dual_pairs.append((table[both], comp[both]))
 
     axis = cell_axes[1][:, 0]
     edge_link = np.where(axis > 0, links[axis - 1, cell_anchor[1]], -1)
@@ -168,6 +196,7 @@ def build_spacetime_complex(lattice, n_t, dt):
         cell_anchor=tuple(cell_anchor),
         cell_axes=tuple(cell_axes),
         incidence=tuple(incidence),
+        dual_pairs=tuple(dual_pairs),
         edge_link=edge_link,
     )
 
@@ -206,7 +235,20 @@ def d_cochain(omega):
     cx, k = omega.complex, omega.degree
     if k not in (0, 1, 2):
         raise ComplexError(f"coboundary defined for degrees 0..2, got {k}")
-    return Cochain(cx, k + 1, cx.incidence[k] @ omega.values)
+    faces, signs = cx.incidence[k]
+    terms = signs * omega.values[faces]
+    out = np.zeros(len(faces))
+    for term in terms.T:
+        out += term
+    return Cochain(cx, k + 1, out)
+
+
+def _boundary(cx, k, w):
+    """D_k^T w: the (k+1)-cell values w summed onto the k-cells, each k-cell
+    taking its cells' signed terms in increasing cell id."""
+    faces, signs = cx.incidence[k]
+    weights = signs.ravel() * np.repeat(w, faces.shape[1])
+    return np.bincount(faces.ravel(), weights=weights, minlength=cx.n_cells(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +284,9 @@ def hodge_factors(cx, metric=None):
     if fields.shape[1:] != (ns, d, d):
         raise ComplexError(f"metric lift has {fields.shape[1]} sites in {fields.shape[2]}-d; "
                            f"the complex's lattice has {ns} sites in {d}-d")
+    if metric is not None and metric.lattice.spec != cx.lattice.spec:
+        raise ComplexError(f"metric lift is over {metric.lattice.spec}; the complex's "
+                           f"lattice is {cx.lattice.spec}")
     _diagonal_only(fields)
     it, site = np.divmod(np.arange(n_verts), ns)
     g = fields[it if fields.shape[0] == cx.n_t else 0, site]
@@ -274,19 +319,6 @@ def _diagonal_only(g):
         raise ComplexError("Hodge star supports diagonal spatial metrics only")
 
 
-def _dual_pairs(cx, k):
-    """Ids of the k-cells whose complement cell exists, and of those complements.
-
-    The complement of the c-th axis combination of degree k is the c-th
-    from last of degree n-k, and a cell and its complement share the
-    anchor.
-    """
-    table = cx.cell_table[k]
-    comp = cx.cell_table[cx.n - k][:, ::-1]
-    both = (table >= 0) & (comp >= 0)
-    return table[both], comp[both]
-
-
 def _complex_of(star, omega, degree=None):
     """The star's complex, once omega is a cochain of it (of the given degree)."""
     if omega.complex is not star.complex:
@@ -307,9 +339,9 @@ def hodge(star, omega):
     """
     cx, k = _complex_of(star, omega), omega.degree
     nk = cx.n - k
-    if not (0 <= k <= 3 and 0 <= nk <= 3):
+    if not 0 <= nk <= 3:
         raise ComplexError(f"no degree-{nk} cells in this complex")
-    src, dst = _dual_pairs(cx, k)
+    src, dst = cx.dual_pairs[k]
     out = np.zeros(cx.n_cells(nk))
     out[dst] += star.factors[k][src] * omega.values[src]
     return Cochain(cx, nk, out)
@@ -324,13 +356,13 @@ def current(star, potential):
     """
     cx = _complex_of(star, potential, 1)
     F = d_cochain(potential)
-    w = cx.incidence[1].T @ (star.factors[2] * F.values)
+    w = _boundary(cx, 1, star.factors[2] * F.values)
     return Cochain(cx, 1, w / star.factors[1])
 
 
 def continuity_defect(star, j):
     """max |d * j|: exact zero up to rounding for j = current(...)."""
-    top = _complex_of(star, j, 1).incidence[0].T @ (star.factors[1] * j.values)
+    top = _boundary(_complex_of(star, j, 1), 0, star.factors[1] * j.values)
     return float(np.max(np.abs(top), initial=0.0))
 
 
@@ -343,7 +375,7 @@ def double_star_defect(star, omega):
     cx, k = _complex_of(star, omega), omega.degree
     twice = hodge(star, hodge(star, omega)).values
     want = (-1) ** (k * (cx.n - k)) * np.sign(star.g00) * omega.values
-    src, _ = _dual_pairs(cx, k)
+    src, _ = cx.dual_pairs[k]
     scale = np.max(np.abs(omega.values), initial=0.0)
     if scale == 0.0:
         return 0.0

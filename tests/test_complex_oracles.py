@@ -8,7 +8,10 @@ metric once per cell.  At small n they are the oracle: every cell
 table, incidence matrix, Hodge factor and assembled cochain of the
 array code must equal theirs bit for bit, on all six topologies
 (including ring (3,) and torus (3, 3)), with one and with three time
-samples, and for both lapse signs.
+samples, and for both lapse signs.  The oracle's incidences are scipy
+CSR matrices, so its products are scipy's: the coboundary, the source
+and the continuity defect, computed from the complex's face tables, must
+equal them bit for bit.
 """
 
 from itertools import combinations
@@ -25,6 +28,9 @@ from geomqm import (
     assemble_potential,
     build_lattice,
     build_spacetime_complex,
+    continuity_defect,
+    current,
+    d_cochain,
     hodge,
     hodge_factors,
     lorentzian_lift,
@@ -271,6 +277,22 @@ def assert_bits_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def incidence_csr(cx, k):
+    """D_k of the complex as a scipy CSR matrix, its rows the face tables' rows."""
+    faces, signs = cx.incidence[k]
+    n_rows, width = faces.shape
+    return sp.csr_matrix((signs.ravel(), faces.ravel(), np.arange(0, n_rows * width + 1, width)),
+                         shape=(n_rows, cx.n_cells(k)))
+
+
+def spread_values(rng, n):
+    """n values of random sign and magnitude 1e-300..1e300, about 30% of
+    them 0.0 or -0.0 (0.0 + -0.0 is 0.0: a sum must start from 0.0)."""
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    values[rng.random(n) < 0.3] *= 0.0
+    return values
+
+
 def diagonal_series(lat, n_t, rng):
     """Position- and time-dependent diagonal inverse metrics, (n_t, n, d, d)."""
     g = np.zeros((n_t, lat.n_sites, lat.ndim, lat.ndim))
@@ -304,7 +326,7 @@ def test_cells_and_incidence_match_loop_oracle(topology, sizes, spacings, n_t):
         assert np.count_nonzero(cx.cell_table[k] >= 0) == len(ox.cell_lookup[k])
         for (axes, anchor), idx in ox.cell_lookup[k].items():
             assert cx.cell_table[k][anchor, combos.index(axes)] == idx
-    for got, want in zip(cx.incidence, ox.incidence):
+    for got, want in zip((incidence_csr(cx, k) for k in range(3)), ox.incidence):
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             assert_bits_equal(getattr(got, attr), getattr(want, attr))
@@ -312,6 +334,28 @@ def test_cells_and_incidence_match_loop_oracle(topology, sizes, spacings, n_t):
     edge_time, edge_site = np.divmod(cx.cell_anchor[1], lat.n_sites)
     assert_bits_equal(edge_time, ox.edge_time)
     assert_bits_equal(edge_site, ox.edge_site)
+
+
+@pytest.mark.parametrize("topology,sizes,spacings,n_t", GRID, ids=GRID_IDS)
+def test_products_equal_the_csr_products_bit_for_bit(topology, sizes, spacings, n_t):
+    # terms over 600 decades with random signs: any other order of addition
+    # rounds differently somewhere
+    lat, dt, cx, ox = complexes(topology, sizes, spacings, n_t)
+    for faces, _ in cx.incidence:
+        assert all(len(set(row)) == len(row) for row in faces.tolist())
+    rng = np.random.default_rng(15)
+    for k, D in enumerate(ox.incidence):
+        omega = Cochain(cx, k, spread_values(rng, cx.n_cells(k)))
+        assert_bits_equal(d_cochain(omega).values, D @ omega.values)
+    D0, D1, _ = ox.incidence
+    metric = lorentzian_lift(lat, diagonal_series(lat, n_t, rng), np.arange(n_t) * dt)
+    for star in (hodge_factors(cx), hodge_factors(cx, metric)):
+        pot = Cochain(cx, 1, spread_values(rng, cx.n_cells(1)))
+        want = D1.T @ (star.factors[2] * (D1 @ pot.values))
+        assert_bits_equal(current(star, pot).values, want / star.factors[1])
+        j = Cochain(cx, 1, spread_values(rng, cx.n_cells(1)))
+        top = D0.T @ (star.factors[1] * j.values)
+        assert continuity_defect(star, j) == float(np.max(np.abs(top), initial=0.0))
 
 
 # ---------------------------------------------------------------- hodge

@@ -1,6 +1,7 @@
 """scipy loads where it runs: `import geomqm` loads numpy and PyYAML only,
 `scipy.sparse` loads when the first operator is built or read, and
-`scipy.linalg` only when the band solver runs.
+`scipy.linalg` only when the band solver runs.  The geodesic, Chern and
+maxwell runs load none of it.
 
 One fresh interpreter, with PYTHONPATH set to this tree's `src`, runs the
 cases in order of growing imports and records after each one which
@@ -41,7 +42,7 @@ def main(case, *argv):
 main("schema", "schema")
 for f in sys.argv[3:]:
     main("validate " + Path(f).name, "validate", f)
-for name in ("geodesic", "holonomy_chern", "build"):
+for name in ("geodesic", "holonomy_chern", "maxwell", "build"):
     main("run " + name, "run", str(root / "scenarios" / (name + ".yaml")), "--out", str(out / name))
 lat = geomqm.build_lattice(geomqm.LatticeSpec("ring", (16,), (1.0,)))
 geomqm.eigenvalues(geomqm.build_hamiltonian(lat, geomqm.constant_metric(lat), None, None, 1.0))
@@ -50,7 +51,7 @@ print(json.dumps(seen))
 """
 
 NO_SCIPY = ["import", "schema", *(f"validate {f.name}" for f in SCENARIOS),
-            "run geodesic", "run holonomy_chern"]
+            "run geodesic", "run holonomy_chern", "run maxwell"]
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,7 @@ from geomqm import (
     hodge,
     hodge_factors,
     load_operator,
+    lorentzian_lift,
     peierls_decompose,
     propagator,
     reconstruction_report,
@@ -89,6 +90,15 @@ def _hodge_of_a_box_0_cochain():
     return hodge(hodge_factors(cx), Cochain(cx, 0, np.zeros(cx.n_cells(0))))
 
 
+def _torus_complex():
+    return build_spacetime_complex(build_lattice(LatticeSpec("torus", (3, 4), (1.0, 1.0))), 3, 1.0)
+
+
+def _star_of_a_transposed_torus_lift():
+    lat = build_lattice(LatticeSpec("torus", (4, 3), (1.0, 1.0)))
+    return hodge_factors(_torus_complex(), lorentzian_lift(lat, constant_metric(lat)))
+
+
 def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
     met = AnalyticMetric(lambda q: np.eye(1), ndim=1, default_eta=eta)
     return geodesic_integrate(met, [0.0], [1.0], dt, 1.0, record_every)
@@ -140,6 +150,19 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
      r"U must be 8x8 for a of shape \(8,\), got \(8, 3\)"),
     (lambda: unitarity_defect(np.ones((8, 3))), OperatorError,
      r"u must be a square matrix, got shape \(8, 3\)"),
+    # seen before: an (84, 2) coboundary; accepted; accepted; accepted
+    (lambda: Cochain(_torus_complex(), 1, np.zeros((96, 2))), ComplexError,
+     r"degree-1 cochain needs 96 values, got shape \(96, 2\)"),
+    (lambda: Cochain(_torus_complex(), 1, np.full(96, "0.5")), ComplexError,
+     "cochain values must be real numbers, got dtype <U3"),
+    (lambda: Cochain(_torus_complex(), 1, np.full(96, np.nan)), ComplexError,
+     "degree-1 cochain values must be finite"),
+    (lambda: Cochain(_torus_complex(), 4, np.zeros(0)), ComplexError,
+     "cochain degree must be an integer in 0..3, got 4"),
+    # seen before: factors read at the sites of the (4, 3) torus
+    (_star_of_a_transposed_torus_lift, ComplexError,
+     r"metric lift is over LatticeSpec\(topology='torus', sizes=\(4, 3\), .*; the complex's "
+     r"lattice is LatticeSpec\(topology='torus', sizes=\(3, 4\)"),
     # refusals of malformed data that no document and no other test reaches
     (lambda: Cochain(build_spacetime_complex(_ring(), 2, 1.0), 1, np.zeros(5)), ComplexError,
      "degree-1 cochain needs 18 values, got 5"),
@@ -161,7 +184,8 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
         "propagator-t1-minus-inf", "spacing-nan", "spacing-inf", "size-fractional", "size-nan", "n_t-fractional",
         "n_t-bool", "dt-nan", "dt-inf", "eta-nan", "geodesic-dt-nan", "propagator-steps-bool",
         "record_every-bool", "heisenberg-field-shape", "heisenberg-field-nan",
-        "heisenberg-unitary-not-square", "unitarity-not-square", "cochain-length",
+        "heisenberg-unitary-not-square", "unitarity-not-square", "cochain-2d", "cochain-strings",
+        "cochain-nan", "cochain-degree-4", "hodge-metric-of-another-lattice", "cochain-length",
         "heisenberg-unitary-size", "row-sum-not-real", "peierls-not-hermitian",
         "operator-row-count", "roundtrip-reference", "cure-imaginary-link",
         "hodge-no-complement-cells"])
