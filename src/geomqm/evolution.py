@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorError, _asmat, _dense
+from .operators import OperatorError, _asmat, _dense, _row_sums
 
 
 def _cayley_phase(lam, delta, steps):
@@ -59,7 +59,7 @@ def suggested_steps(H, t1, t2):
     selection and cheap on sparse operators).
     """
     mat = _asmat(H)
-    norm = float(np.max(np.abs(mat).sum(axis=1)))
+    norm = float(np.max(_row_sums(mat, np.abs(mat.data))))
     return max(1, int(np.ceil(norm * (t2 - t1) / 0.1)))
 
 

@@ -339,8 +339,11 @@ def hodge(star, omega):
     """
     cx, k = _complex_of(star, omega), omega.degree
     nk = cx.n - k
-    if not 0 <= nk <= 3:
-        raise ComplexError(f"no degree-{nk} cells in this complex")
+    if nk < 0:
+        raise ComplexError(f"a degree-{k} cochain has no dual on a {cx.n}-dimensional complex")
+    if nk > 3:
+        raise ComplexError(f"no degree-{nk} cells in this complex, the dual of a degree-{k} "
+                           f"cochain on a {cx.n}-dimensional complex")
     src, dst = cx.dual_pairs[k]
     out = np.zeros(cx.n_cells(nk))
     out[dst] += star.factors[k][src] * omega.values[src]

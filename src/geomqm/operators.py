@@ -1,8 +1,10 @@
 """Sparse Hermitian operator algebra and the covariant Hamiltonian builder.
 
-Operators are sparse complex matrices over lattice sites.  The builder
-assembles the covariant Laplacian in symmetrized divergence form: every
-directed link i->j carries the entry
+Operators are sparse complex matrices over lattice sites, held as numpy
+Triplets records; each product rounds as scipy's CSR product would, and
+only `commutator` imports scipy's sparse package.  The builder assembles
+the covariant Laplacian in symmetrized divergence form: every directed
+link i->j carries the entry
 
     H_ij = -c_l * exp(-i * theta_l)
 
@@ -38,8 +40,29 @@ class OperatorError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
+class Triplets:
+    """A sparse matrix: data[k] at (row[k], col[k]) in CSR canonical order (row-major,
+    columns increasing, no repeated (i, j)); explicit zeros may be stored."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def toarray(self):
+        """The dense matrix, each entry added onto 0 as scipy's are (a -0.0 part reads 0.0)."""
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row, self.col] = self.data + 0
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Sparse complex self-adjoint matrix over lattice sites; mat is a scipy.sparse csr_matrix."""
+    """Sparse complex self-adjoint matrix over lattice sites; mat is its Triplets record."""
 
     mat: object
 
@@ -48,21 +71,51 @@ class HermitianOperator:
         return self.mat.shape[0]
 
     def hermiticity_defect(self):
-        d = self.mat - self.mat.getH()
-        return np.max(np.abs(d.data), initial=0.0)
+        """Largest |M - M^H| entry: |a - conj(b)| over stored pairs a, b = M_ij, M_ji, else |a|."""
+        mat, n = self.mat, self.mat.shape[0]
+        key, partner = mat.row * n + mat.col, mat.col * n + mat.row
+        at = np.searchsorted(key, partner)  # the keys are sorted
+        b = np.where(np.append(key, -1)[at] == partner, np.append(mat.data, 0)[at], 0)
+        return np.max(np.abs(mat.data - np.conj(b)), initial=0.0)
 
 
 def _asmat(x):
-    import scipy.sparse as sp
+    """x as Triplets: a record passes through, a scipy matrix is read through its
+    own tocsr and tocoo (duplicates summed), anything else as a dense array."""
     if isinstance(x, HermitianOperator):
         return x.mat
-    if sp.issparse(x):
-        return x.tocsr()
-    return sp.csr_matrix(np.asarray(x, dtype=complex))
+    if isinstance(x, Triplets):
+        return x
+    if hasattr(x, "tocsr"):
+        x = x.tocsr(copy=True)
+        x.sum_duplicates()
+        x = x.tocoo()
+        return Triplets(x.row.astype(np.intp), x.col.astype(np.intp), x.data, x.shape)
+    x = np.atleast_2d(np.asarray(x, dtype=complex))  # a vector is one row, as in scipy
+    row, col = np.nonzero(x)
+    return Triplets(row, col, x[row, col], x.shape)
+
+
+def _cmul(x, y):
+    """0 + x * y, a term of a scipy sparse product: each part rounded as xr yr - xi yi
+    and xr yi + xi yr, then added to 0; numpy's own product may fuse a multiply-add."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = 0 + (x.real * y.real - x.imag * y.imag)
+    out.imag = 0 + (x.real * y.imag + x.imag * y.real)
+    return out
+
+
+def _row_sums(mat, values):
+    """Row sums of values (one per entry of mat) as scipy's CSR row sum adds them:
+    np.add.reduceat over each non-empty row in column order, then added to 0."""
+    out = np.zeros(mat.shape[0], dtype=values.dtype)
+    starts = np.flatnonzero(np.diff(mat.row, prepend=-1))
+    out[mat.row[starts]] = 0 + np.add.reduceat(values, starts)
+    return out
 
 
 def _site_matrix(lattice, x):
-    """x as a sparse matrix, refused unless it is n_sites x n_sites."""
+    """x as Triplets, refused unless it is n_sites x n_sites."""
     mat = _asmat(x)
     _site_shape(lattice, mat.shape)
     return mat
@@ -76,14 +129,16 @@ def _site_shape(lattice, shape):
 
 
 def mult_op(lattice, f):
-    """Multiplication operator: the diagonal matrix of a scalar field."""
-    import scipy.sparse as sp
-    return HermitianOperator(sp.diags(scalar_field(lattice, f).astype(complex)).tocsr())
+    """Multiplication operator: the diagonal matrix of a scalar field, its zeros not stored."""
+    f = scalar_field(lattice, f).astype(complex)
+    sites = np.flatnonzero(f)
+    return HermitianOperator(Triplets(sites, sites, f[sites], (len(f), len(f))))
 
 
 def commutator(x, y):
-    """XY - YX as a sparse matrix."""
-    xm, ym = _asmat(x), _asmat(y)
+    """XY - YX as a scipy CSR matrix."""
+    import scipy.sparse as sp
+    xm, ym = (sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape) for m in map(_asmat, (x, y)))
     if xm.shape != ym.shape:
         raise OperatorError(f"dimension mismatch {xm.shape} vs {ym.shape}")
     c = (xm @ ym - ym @ xm).tocsr()
@@ -151,19 +206,21 @@ def _stencil_diagonal(lattice, c):
 
 def _assemble(lattice, couplings, phases, diagonal):
     """The operator with -c * exp(-i*theta) on every link and the given
-    diagonal.  Any phase is accepted; the sparse add drops zero entries."""
-    import scipy.sparse as sp
+    diagonal.  Any phase is accepted.  Each entry is added to 0, as in scipy's
+    sparse add (a -0.0 part becomes 0.0), and the zeros are dropped."""
     n = lattice.n_sites
-    off = sp.csr_matrix(
-        (-couplings * np.exp(-1j * phases), (lattice.link_src, lattice.link_dst)),
-        shape=(n, n),
-    )
-    return HermitianOperator((off + sp.diags(diagonal.astype(complex))).tocsr())
+    row = np.concatenate([lattice.link_src, np.arange(n)])
+    col = np.concatenate([lattice.link_dst, np.arange(n)])
+    data = np.concatenate([-couplings * np.exp(-1j * phases), diagonal.astype(complex)]) + 0
+    keep = np.flatnonzero(data != 0)
+    keep = keep[np.argsort(row[keep] * n + col[keep], kind="stable")]  # radix sort: row-major
+    return HermitianOperator(Triplets(row[keep], col[keep], data[keep], (n, n)))
 
 
 def row_sum_field(op):
     """Real row sums of an operator (imaginary parts must be rounding)."""
-    s = np.asarray(_asmat(op).sum(axis=1)).ravel()
+    mat = _asmat(op)
+    s = _row_sums(mat, mat.data)
     if np.max(np.abs(s.imag), initial=0.0) > 1e-9 * max(1.0, np.max(np.abs(s))):
         raise OperatorError("row sums are not real")
     return s.real
@@ -179,8 +236,8 @@ def validate_operator(lattice, M):
     separate every pair of distinct sites, so M commutes with all
     multiplication operators iff it is diagonal.
     """
-    mat = _site_matrix(lattice, M).tocoo()
-    herm = HermitianOperator(mat.tocsr()).hermiticity_defect()
+    mat = _site_matrix(lattice, M)
+    herm = HermitianOperator(mat).hermiticity_defect()
 
     offdiag = mat.row != mat.col
     significant = offdiag & (np.abs(mat.data) > 1e-12)
@@ -208,7 +265,7 @@ def save_operator(path, op):
     Header line `dim nnz`, then one `i j re im` row per stored entry,
     17-significant-digit decimals.
     """
-    mat = _asmat(op).tocoo()
+    mat = _asmat(op)
     write_rows(path, f"{mat.shape[0]} {mat.nnz}\n",
                [("", (mat.row, mat.col, mat.data.real, mat.data.imag))], " ")
 
@@ -242,9 +299,9 @@ def load_operator(path):
     naming the file and the line): a header other than two non-negative
     integers, a row other than four numbers, a non-finite value, an
     index that is not an integer in 0..dim-1, or a repeated (i, j); nor
-    a row count other than the header's nnz.
+    a row count other than the header's nnz.  Entries are sorted
+    row-major; explicit zeros are kept.
     """
-    import scipy.sparse as sp
     with open(path, encoding="utf-8") as fh:
         dim, nnz = _read_header(fh, path)
         body = fh.read()
@@ -276,8 +333,7 @@ def load_operator(path):
         raise OperatorError(f"{path}: triplet row count {len(data)} != header nnz {nnz}")
     vals = np.empty(len(data), dtype=complex)
     vals.real, vals.imag = data[:, 2], data[:, 3]  # re + 1j * im would turn -0.0 into 0.0
-    ij = ij.astype(int)
-    return HermitianOperator(sp.csr_matrix((vals, (ij[:, 0], ij[:, 1])), shape=(dim, dim)))
+    return HermitianOperator(Triplets(*ij[order].astype(np.intp).T, vals[order], (dim, dim)))
 
 
 def _read_header(fh, path):
@@ -323,7 +379,7 @@ def _lower_band(mat):
     n = mat.shape[0]
     if n == 0:
         return None
-    indptr, indices = mat.indptr.tolist(), mat.indices.tolist()
+    indptr, indices = np.searchsorted(mat.row, np.arange(n + 1)).tolist(), mat.col.tolist()
     seen = [True] + [False] * (n - 1)
     order = [0]
     for i in order:  # the loop also visits the sites appended while it runs
@@ -335,14 +391,13 @@ def _lower_band(mat):
         return None
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    coo = mat.tocoo()
-    rows, cols = rank[coo.row], rank[coo.col]
+    rows, cols = rank[mat.row], rank[mat.col]
     b = int(np.max(np.abs(rows - cols), initial=0))
     if b * b > n:
         return None
-    band = np.zeros((b + 1, n), dtype=np.result_type(coo.data, float))
+    band = np.zeros((b + 1, n), dtype=np.result_type(mat.data, float))
     lower = rows >= cols
-    np.add.at(band, (rows[lower] - cols[lower], cols[lower]), coo.data[lower])
+    np.add.at(band, (rows[lower] - cols[lower], cols[lower]), mat.data[lower])
     return band
 
 

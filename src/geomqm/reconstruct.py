@@ -29,14 +29,15 @@ from .lattice import d0, plaquette_sums
 from .operators import (
     HermitianOperator,
     OperatorError,
+    Triplets,
     _asmat,
+    _cmul,
     _commutant_defect,
     _link_mean,
     _link_weights,
     _site_matrix,
     _stencil_diagonal,
     build_hamiltonian,
-    commutator,
 )
 
 
@@ -81,11 +82,20 @@ class ReconstructionReport:
 
 
 def velocity(H, a):
-    """Heisenberg velocity of a multiplication operator: i [H, mult(a)]."""
-    import scipy.sparse as sp
-    d = sp.diags(np.asarray(a, dtype=float).astype(complex))
-    mat = (1j * commutator(H, d)).tocsr()
-    return HermitianOperator(mat)
+    """Heisenberg velocity of a multiplication operator: i [H, mult(a)], entrywise
+    i (H_ij a_j - a_i H_ij) without its zeros, each product a sparse product term (_cmul)."""
+    mat = _asmat(H)
+    a = _diagonal_of(mat, np.asarray(a, dtype=float).astype(complex))
+    d = _cmul(mat.data, a[mat.col]) - _cmul(a[mat.row], mat.data)
+    keep = d != 0
+    return HermitianOperator(Triplets(mat.row[keep], mat.col[keep], 1j * d[keep], mat.shape))
+
+
+def _diagonal_of(mat, x):
+    """x, refused unless it has one value per row of mat."""
+    if x.shape != mat.shape[:1]:
+        raise OperatorError(f"dimension mismatch {mat.shape} vs diagonal {x.shape}")
+    return x
 
 
 def _link_entries(lattice, H):
@@ -95,7 +105,7 @@ def _link_entries(lattice, H):
     an entry's link leaves its row along its step, -1 where there is
     none.  Refuses an operator whose size is not the lattice's site count.
     """
-    mat = _site_matrix(lattice, H).tocoo()
+    mat = _site_matrix(lattice, H)
     keep = (mat.row != mat.col) & (mat.data != 0)
     rows, cols = mat.row[keep], mat.col[keep]
     steps = lattice._minimal_image_steps(rows, cols)
@@ -127,7 +137,6 @@ def peierls_decompose(lattice, H):
     """
     mat = _site_matrix(lattice, H)
     herm = HermitianOperator(mat).hermiticity_defect()
-    mat = mat.tocoo()
     if herm > 1e-10 * max(1.0, np.max(np.abs(mat.data), initial=0.0)):
         raise OperatorError(f"operator not Hermitian (defect {herm:g})")
 
@@ -243,12 +252,13 @@ def reconstruct_potential(lattice, dec):
 
 
 def gauge_transform(H, chi):
-    """Conjugation exp(i chi) H exp(-i chi); spectrum preserved."""
-    import scipy.sparse as sp
+    """Conjugation exp(i chi) H exp(-i chi); spectrum preserved.  Entrywise (u_i H_ij)
+    conj(u_j), u = exp(i chi), without its zeros, each product a sparse product term (_cmul)."""
     mat = _asmat(H)
-    u = np.exp(1j * np.asarray(chi, dtype=float))
-    out = sp.diags(u) @ mat @ sp.diags(u.conj())
-    return HermitianOperator(out.tocsr())
+    u = _diagonal_of(mat, np.exp(1j * np.asarray(chi, dtype=float)))
+    out = _cmul(_cmul(u[mat.row], mat.data), u.conj()[mat.col])
+    keep = out != 0
+    return HermitianOperator(Triplets(mat.row[keep], mat.col[keep], out[keep], mat.shape))
 
 
 def tree_gauge_canonicalize(lattice, H):
@@ -281,15 +291,16 @@ def coordinate_cure_residual(lattice, H, k, l, psi):
 def _coordinate_cures(lattice, entries, c, psi, pairs):
     """((k, l), coordinate_cure_residual) per coordinate pair, from the
     link entries of H (_link_entries) and its link amplitudes c."""
-    import scipy.sparse as sp
     rows, cols, vals, _, steps = entries
-    h, n, out = lattice.spacings, lattice.n_sites, []
+    h, n, out, psi_cols = lattice.spacings, lattice.n_sites, [], psi[cols]
     for k, l in pairs:
-        # [a,[H,b]]_ij = -(a_j - a_i)(b_j - b_i) H_ij, zero diagonal
+        # [a,[H,b]]_ij = -(a_j - a_i)(b_j - b_i) H_ij, zero diagonal; its
+        # product with psi adds each row from 0 in column order, as CSR's matvec
         dxx_vals = -(steps[:, k] * h[k]) * (steps[:, l] * h[l]) * vals
-        M = sp.csr_matrix((dxx_vals, (rows, cols)), shape=(n, n))
+        terms = _cmul(dxx_vals, psi_cols)
+        M_psi = np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
         s = _covariant_row_sums(lattice, c, k, l)
-        out.append(((k, l), float(np.linalg.norm(M @ psi - s * psi))))
+        out.append(((k, l), float(np.linalg.norm(M_psi - s * psi))))
     return tuple(out)
 
 

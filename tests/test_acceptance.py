@@ -120,7 +120,7 @@ def test_acceptance_04_cure_second_order_detection():
             clean[n] = coordinate_cure_residual(lat, H, 0, 0, psi)
             rows = np.arange(n - 2)
             hop = sp.csr_matrix((0.1 * np.ones(n - 2), (rows, rows + 2)), shape=(n, n))
-            H_hop = (H.mat + hop + hop.T).tocsr()
+            H_hop = (sp.csr_matrix(H.mat.toarray()) + hop + hop.T).tocsr()
             perturbed[n] = coordinate_cure_residual(lat, H_hop, 0, 0, psi)
         assert perturbed[32] > 0.02 and perturbed[64] > 0.02
         ratio = clean[32] / clean[64]
@@ -133,14 +133,14 @@ def test_acceptance_05_axiom_detection():
     with _Timer() as t:
         lat = build_lattice(LatticeSpec("torus", (16, 16), (1.0, 1.0)))
         base = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0)
-        flipped = base.mat.tolil()
+        flipped = sp.lil_matrix(base.mat.toarray())
         link = lat.link_index(17, (1, 0))
         i, j = 17, int(lat.link_dst[link])
         flipped[i, j] = -flipped[i, j]
         flipped[j, i] = -flipped[j, i]
         rep1 = axiom_report(lat, flipped.tocsr(), 1.0)
         assert not rep1.positivity_ok
-        decoupled = base.mat.tolil()
+        decoupled = sp.lil_matrix(base.mat.toarray())
         k, l = lat.stencil.axes[lat.link_step].T
         axis1 = (k == 1) & (l == 1)
         for idx in np.flatnonzero(axis1):
@@ -314,7 +314,7 @@ def test_acceptance_11_gauge_program():
                 (dec.phases - dec0.phases) - d0(lat, chi)))))
             Cg = tree_gauge_canonicalize(lat, Hg)
             worst["canon"] = max(worst["canon"], float(np.max(np.abs(
-                (Cg.mat - C0.mat).toarray()))))
+                Cg.mat.toarray() - C0.mat.toarray()))))
         assert worst["g"] <= 1e-10 and worst["F"] <= 1e-10 and worst["phi"] <= 1e-10
         assert worst["shift"] <= 1e-10
         assert worst["canon"] <= 1e-10

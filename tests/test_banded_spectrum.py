@@ -100,7 +100,7 @@ def test_wide_bands_and_disconnected_patterns_take_the_dense_path(monkeypatch, c
         mat = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0).mat
     else:  # two rings, no entry between them
         lat = lattice("ring", (32,))
-        ring = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0).mat
+        ring = sp.csr_matrix(build_hamiltonian(lat, constant_metric(lat), None, None, 1.0).mat.toarray())
         mat = sp.block_diag([ring, 2.0 * ring], format="csr")
     dense = np.linalg.eigvalsh
     calls = []

@@ -1,7 +1,8 @@
 """scipy loads where it runs: `import geomqm` loads numpy and PyYAML only,
-`scipy.sparse` loads when the first operator is built or read, and
-`scipy.linalg` only when the band solver runs.  The geodesic, Chern and
-maxwell runs load none of it.
+and `scipy.linalg` loads only when the band solver runs.  Operators are
+numpy records, so the build, reconstruct, roundtrip, evolve, geodesic,
+Chern and maxwell runs load no scipy module at all; the holonomy run and
+the ring spectrum load `scipy.linalg` and no `scipy.sparse`.
 
 One fresh interpreter, with PYTHONPATH set to this tree's `src`, runs the
 cases in order of growing imports and records after each one which
@@ -42,16 +43,25 @@ def main(case, *argv):
 main("schema", "schema")
 for f in sys.argv[3:]:
     main("validate " + Path(f).name, "validate", f)
-for name in ("geodesic", "holonomy_chern", "maxwell", "build"):
+for name in ("geodesic", "holonomy_chern", "maxwell", "build", "reconstruct", "roundtrip",
+             "evolve"):
     main("run " + name, "run", str(root / "scenarios" / (name + ".yaml")), "--out", str(out / name))
+    if name == "build":  # the file route of the inverse step reads the built operator
+        doc = out / "rec.yaml"
+        doc.write_text("lattice: {topology: torus, sizes: [8, 8], spacings: [1.0, 1.0]}\\n"
+                       "mass: 2.0\\ntask: reconstruct\\n"
+                       f"params: {{hamiltonian_file: '{out / 'build' / 'hamiltonian.txt'}'}}\\n")
+        main("run reconstruct file", "run", str(doc), "--out", str(out / "rec"))
 lat = geomqm.build_lattice(geomqm.LatticeSpec("ring", (16,), (1.0,)))
 geomqm.eigenvalues(geomqm.build_hamiltonian(lat, geomqm.constant_metric(lat), None, None, 1.0))
 record("ring spectrum")
+main("run holonomy", "run", str(root / "scenarios" / "holonomy.yaml"), "--out", str(out / "holonomy"))
 print(json.dumps(seen))
 """
 
 NO_SCIPY = ["import", "schema", *(f"validate {f.name}" for f in SCENARIOS),
-            "run geodesic", "run holonomy_chern", "run maxwell"]
+            "run geodesic", "run holonomy_chern", "run maxwell", "run build", "run reconstruct file",
+            "run reconstruct", "run roundtrip", "run evolve"]
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +83,12 @@ def test_case_loads_no_scipy(seen, case):
     assert modules == []
 
 
-def test_dense_build_loads_sparse_but_not_linalg(seen):
-    code, modules = seen["run build"]
+@pytest.mark.parametrize("case", ["run holonomy", "ring spectrum"])
+def test_band_solver_loads_linalg_but_not_sparse(seen, case):
+    code, modules = seen[case]
     assert code == 0
-    assert "scipy.sparse" in modules
-    assert not [m for m in modules if m.startswith("scipy.linalg")]
-
-
-def test_band_spectrum_loads_linalg(seen):
-    assert "scipy.linalg" in seen["ring spectrum"][1]
+    assert "scipy.linalg" in modules
+    assert not [m for m in modules if m.startswith("scipy.sparse")]
 
 
 def test_operator_annotation_resolves():

@@ -36,7 +36,7 @@ from geomqm import (
     validate_operator,
     wrap_angle,
 )
-from geomqm.operators import HermitianOperator, _asmat
+from geomqm.operators import _asmat
 from geomqm.reconstruct import _link_entries
 
 LATTICES = [
@@ -177,8 +177,14 @@ def _loop_lut(lat):
     return {(int(i), int(j)): idx for idx, (i, j) in enumerate(zip(lat.link_src, lat.link_dst))}
 
 
+def _coo(H):
+    """H as a scipy COO matrix, in the entry order of its record."""
+    mat = _asmat(H)
+    return sp.coo_matrix((mat.data, (mat.row, mat.col)), shape=mat.shape)
+
+
 def loop_peierls_decompose(lat, H):
-    mat = _asmat(H).tocoo()
+    mat = _coo(H)
     herm = np.max(np.abs((mat - mat.getH()).data), initial=0.0)
     if herm > 1e-10 * max(1.0, np.max(np.abs(mat.data), initial=0.0)):
         raise OperatorError(f"operator not Hermitian (defect {herm:g})")
@@ -232,7 +238,7 @@ def loop_tree_gauge_potential(lat, theta):
 
 
 def _loop_stencil_couplings(lat, H):
-    mat = _asmat(H).tocoo()
+    mat = _coo(H)
     lut = _loop_lut(lat)
     c = np.zeros(lat.n_links)
     for i, j, v in zip(mat.row, mat.col, mat.data):
@@ -253,7 +259,7 @@ def _row_sums(lat, c, da, db):
 
 def loop_coordinate_cure_residual(lat, H, k, l, psi):
     psi = np.asarray(psi, dtype=complex)
-    mat = _asmat(H).tocoo()
+    mat = _coo(H)
     off = mat.row != mat.col
     rows, cols, vals = mat.row[off], mat.col[off], mat.data[off]
     dak = np.empty(len(rows))
@@ -269,8 +275,8 @@ def loop_coordinate_cure_residual(lat, H, k, l, psi):
 
 
 def loop_validate_operator(lat, M, tol=1e-12):
-    mat = _asmat(M).tocoo()
-    herm = HermitianOperator(mat.tocsr()).hermiticity_defect()
+    mat = _coo(M)
+    herm = np.max(np.abs((mat - mat.getH()).data), initial=0.0)
     offdiag = mat.row != mat.col
     significant = offdiag & (np.abs(mat.data) > tol)
     radius = 0
@@ -315,7 +321,7 @@ def seeded_hamiltonian(lat, seed):
 def range2_operator(n):
     """The interval operator with a fixed 0.1 range-2 hop."""
     lat = build_lattice(LatticeSpec("interval", (n,), (1.0,)))
-    H = build_hamiltonian(lat, constant_metric(lat), None, None, 1.0).mat
+    H = _coo(build_hamiltonian(lat, constant_metric(lat), None, None, 1.0))
     rows = np.arange(n - 2)
     hop = sp.csr_matrix((0.1 * np.ones(n - 2), (rows, rows + 2)), shape=(n, n))
     return lat, (H + hop + hop.T).tocsr()
@@ -420,7 +426,7 @@ def test_entry_links_match_link_index(case, monkeypatch):
     n = lat.n_sites
     i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
     far = lat.graph_distance(i, j) == 2
-    H = (seeded_hamiltonian(lat, seed=4).mat
+    H = (_coo(seeded_hamiltonian(lat, seed=4))
          + sp.csr_matrix((np.full(far.sum(), 0.1), (i[far], j[far])), shape=(n, n)))
     with monkeypatch.context() as mp:
         mp.setattr(Lattice, "link_index", lambda *args: pytest.fail("link_index called"))
@@ -464,7 +470,7 @@ def test_inverse_path_matches_loop(case):
 @pytest.mark.parametrize("case", LATTICES, ids=LATTICE_IDS)
 def test_peierls_errors_match_loop(case):
     lat = lattice(case)
-    H = seeded_hamiltonian(lat, seed=1).mat.tolil()
+    H = _coo(seeded_hamiltonian(lat, seed=1)).tolil()
     i, j = int(lat.link_src[0]), int(lat.link_dst[0])
     H[i, j], H[j, i] = 0.5j, -0.5j  # phase on the pi/2 boundary
     if lat.graph_distance(0, lat.n_sites // 2) > 1:

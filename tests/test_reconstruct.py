@@ -92,7 +92,7 @@ def test_peierls_single_phase_roundtrip():
     assert abs(dec.phases[link] - 0.3) < 1e-14
     rebuilt = build_hamiltonian(lat, reconstruct_metric(lat, dec, 1.0), dec.phases,
                                 reconstruct_potential(lat, dec), 1.0)
-    diff = (rebuilt.mat - H.mat).toarray()
+    diff = rebuilt.mat.toarray() - H.mat.toarray()
     assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -104,7 +104,7 @@ def test_peierls_real_operator_has_zero_phases():
 
 def test_peierls_locality_violation():
     lat = interval(8)
-    H = free_hamiltonian(lat).mat
+    H = sp.csr_matrix(free_hamiltonian(lat).mat.toarray())
     hop = sp.csr_matrix(([1e-3], ([0], [2])), shape=(8, 8))
     with pytest.raises(LocalityViolation):
         peierls_decompose(lat, (H + hop + hop.T).tocsr())
@@ -112,7 +112,7 @@ def test_peierls_locality_violation():
 
 def test_peierls_phase_ambiguity():
     lat = interval(4)
-    H = free_hamiltonian(lat).mat.tolil()
+    H = sp.lil_matrix(free_hamiltonian(lat).mat.toarray())
     H[0, 1] = 0.5j
     H[1, 0] = -0.5j
     with pytest.raises(PhaseAmbiguity):
@@ -253,7 +253,7 @@ def test_cure_residual_range2_plateau():
     # a fixed 0.1 range-2 hop is not second order: residual stays up
     for n in (32, 64):
         lat = interval(n)
-        H = free_hamiltonian(lat).mat
+        H = sp.csr_matrix(free_hamiltonian(lat).mat.toarray())
         rows = np.arange(n - 2)
         hop = sp.csr_matrix((0.1 * np.ones(n - 2), (rows, rows + 2)), shape=(n, n))
         Hp = (H + hop + hop.T).tocsr()
@@ -280,7 +280,7 @@ def test_axiom_report_builder_is_positive():
 
 def test_axiom_report_flags_flipped_coupling():
     lat = build_lattice(LatticeSpec("torus", (16, 16), (1.0, 1.0)))
-    H = free_hamiltonian(lat).mat.tolil()
+    H = sp.lil_matrix(free_hamiltonian(lat).mat.toarray())
     link = lat.link_index(17, (1, 0))
     i, j = 17, int(lat.link_dst[link])
     H[i, j] = -H[i, j]
@@ -295,7 +295,7 @@ def test_axiom_report_flags_flipped_coupling():
 def test_indefinite_invertible_metric_fails_positivity_only():
     # every axis-1 amplitude negated: g = diag(1, -1) at every site, no axis decoupled
     lat = build_lattice(LatticeSpec("torus", (6, 6), (1.0, 1.0)))
-    H = free_hamiltonian(lat).mat.tolil()
+    H = sp.lil_matrix(free_hamiltonian(lat).mat.toarray())
     k, l = lat.stencil.axes[lat.link_step].T
     for idx in np.flatnonzero((k == 1) & (l == 1)):
         i, j = int(lat.link_src[idx]), int(lat.link_dst[idx])
@@ -309,7 +309,7 @@ def test_indefinite_invertible_metric_fails_positivity_only():
 
 def test_axiom_report_flags_unquantized_axis():
     lat = build_lattice(LatticeSpec("torus", (16, 16), (1.0, 1.0)))
-    H = free_hamiltonian(lat).mat.tolil()
+    H = sp.lil_matrix(free_hamiltonian(lat).mat.toarray())
     k, l = lat.stencil.axes[lat.link_step].T
     axis1 = (k == 1) & (l == 1)
     for idx in np.flatnonzero(axis1):
@@ -325,7 +325,7 @@ def test_gauge_transform_constant_is_identity():
     lat = interval(8)
     H = free_hamiltonian(lat)
     Hg = gauge_transform(H, np.full(8, 0.8))
-    assert np.max(np.abs((Hg.mat - H.mat).toarray())) < 1e-15
+    assert np.max(np.abs(Hg.mat.toarray() - H.mat.toarray())) < 1e-15
 
 
 def test_gauge_transform_preserves_spectrum():
@@ -378,7 +378,7 @@ def test_gauge_equivalent_operators_canonicalize_equal():
     for _ in range(5):
         Hg = gauge_transform(H, rng.uniform(-0.3, 0.3, lat.n_sites))
         Cg = tree_gauge_canonicalize(lat, Hg)
-        assert np.max(np.abs((Cg.mat - C0.mat).toarray())) < 1e-10
+        assert np.max(np.abs(Cg.mat.toarray() - C0.mat.toarray())) < 1e-10
 
 
 def test_wrap_angle_branch():

@@ -90,6 +90,11 @@ def _hodge_of_a_box_0_cochain():
     return hodge(hodge_factors(cx), Cochain(cx, 0, np.zeros(cx.n_cells(0))))
 
 
+def _hodge_of_a_ring_3_cochain():
+    cx = build_spacetime_complex(_ring(), 2, 1.0)
+    return hodge(hodge_factors(cx), Cochain(cx, 3, np.zeros(cx.n_cells(3))))
+
+
 def _torus_complex():
     return build_spacetime_complex(build_lattice(LatticeSpec("torus", (3, 4), (1.0, 1.0))), 3, 1.0)
 
@@ -178,6 +183,9 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
                                       default_test_vector(_ring())), PhaseAmbiguity,
      "phase on the pi/2 boundary"),
     (lambda: _hodge_of_a_box_0_cochain(), ComplexError, "no degree-4 cells"),
+    # seen before: "no degree--1 cells in this complex"
+    (_hodge_of_a_ring_3_cochain, ComplexError,
+     "a degree-3 cochain has no dual on a 2-dimensional complex"),
 ], ids=["heisenberg-t-nan", "heisenberg-t-inf", "heisenberg-delta-nan", "mass-nan", "mass-inf",
         "reconstruction-mass-inf", "reconstruction-mass-nan", "reconstruction-mass-zero",
         "reconstruction-mass-negative", "propagator-t2-inf", "propagator-t1-nan",
@@ -188,7 +196,7 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
         "cochain-nan", "cochain-degree-4", "hodge-metric-of-another-lattice", "cochain-length",
         "heisenberg-unitary-size", "row-sum-not-real", "peierls-not-hermitian",
         "operator-row-count", "roundtrip-reference", "cure-imaginary-link",
-        "hodge-no-complement-cells"])
+        "hodge-no-complement-cells", "hodge-degree-above-dimension"])
 def test_non_finite_or_fractional_scalar_is_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

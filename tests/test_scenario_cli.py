@@ -25,7 +25,7 @@ from geomqm import (
     zeroth_residual,
 )
 from geomqm.cli import main
-from geomqm.operators import HermitianOperator, link_couplings
+from geomqm.operators import HermitianOperator, _asmat, link_couplings
 from geomqm.scenario import ConfigError, load_config, run_scenario, validate_config
 
 ROUNDTRIP_YAML = """\
@@ -449,7 +449,7 @@ def test_cli_domain_error_exits_three(tmp_path, capsys):
     from geomqm import save_operator
 
     ring = build_lattice(LatticeSpec("ring", (8,), (1.0,)))
-    mat = build_hamiltonian(ring, constant_metric(ring), None, None, 1.0).mat.tolil()
+    mat = sp.lil_matrix(build_hamiltonian(ring, constant_metric(ring), None, None, 1.0).mat.toarray())
     mat[0, 3] = mat[3, 0] = -0.25
     save_operator(tmp_path / "far.txt", mat)
     path = write(tmp_path, "rec.yaml",
@@ -634,7 +634,7 @@ def test_cli_reconstruct_of_a_flipped_coupling_fails_its_checks(tmp_path, capsys
     ring = "lattice: {topology: ring, sizes: [8], spacings: [1.0]}\nmass: 1.0\n"
     build = write(tmp_path, "build.yaml", ring + "task: build\n")
     assert main(["run", str(build), "--out", str(tmp_path / "built")]) == 0
-    mat = load_operator(tmp_path / "built" / "hamiltonian.txt").mat.tocoo()
+    mat = load_operator(tmp_path / "built" / "hamiltonian.txt").mat
     pair = ((mat.row == 0) & (mat.col == 1)) | ((mat.row == 1) & (mat.col == 0))
     assert pair.sum() == 2
     mat.data[pair] = -mat.data[pair].real + 1j * mat.data[pair].imag
@@ -882,7 +882,7 @@ def test_nan_continuity_defect_fails_the_maxwell_check(tmp_path, capsys, monkeyp
 def _anti_hermitian_diagonal(assemble):
     def faulty(lattice, couplings, phases, diagonal):
         op = assemble(lattice, couplings, phases, diagonal)
-        return HermitianOperator(op.mat + 1e-6j * sp.identity(op.dim, format="csr"))
+        return HermitianOperator(_asmat(op.mat.toarray() + 1e-6j * np.eye(op.dim)))
     return faulty
 
 
