@@ -60,6 +60,7 @@ from .operators import (
     build_hamiltonian,
     commutator,
     eigenvalues,
+    hermiticity_defect,
     load_operator,
     mult_op,
     row_sum_field,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeError, constant_metric, plaquette_sums
+from .lattice import LatticeError, constant_metric, link_field, plaquette_sums
 from .operators import _assemble, _stencil_diagonal, eigenvalues, link_couplings
 from .reconstruct import wrap_angle
 
@@ -46,8 +46,9 @@ def flat_connection(lattice, target):
 
 
 def flatness_defect(lattice, theta):
-    """Largest plaquette phase sum magnitude (zero for flat connections)."""
-    s = plaquette_sums(lattice, theta)
+    """Largest plaquette phase sum magnitude (zero for flat connections);
+    theta must be a LinkField (link_field)."""
+    s = plaquette_sums(lattice, link_field(lattice, theta))
     return float(np.max(np.abs(s), initial=0.0))
 
 
@@ -77,10 +78,11 @@ def chern_number(lattice, theta):
 
     Sum of principal-branch plaquette phase sums over 2 pi, rounded; the
     pre-rounding value must sit within 1e-6 of an integer, otherwise the
-    per-plaquette fluxes are too large for branch consistency.
+    per-plaquette fluxes are too large for branch consistency.  theta must
+    be a LinkField (link_field).
     """
     _torus_only(lattice)
-    fluxes = wrap_angle(plaquette_sums(lattice, theta))
+    fluxes = wrap_angle(plaquette_sums(lattice, link_field(lattice, theta)))
     total = float(fluxes.sum()) / (2 * np.pi)
     nearest = round(total)
     if abs(total - nearest) > 1e-6:

@@ -128,7 +128,7 @@ _STENCILS = {d: _stencil(d) for d in (1, 2, 3)}
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A built lattice: sites, directed links, plaquettes, pi_1 cycles.
+    """A built lattice: sites, directed links, pi_1 cycles.
 
     link_table[s, c] is the id of the link leaving site s along stencil
     step c, or -1 where an open boundary cuts that step.  Stencil steps
@@ -144,8 +144,6 @@ class Lattice:
     Row link_step[i] of the stencil tables is the link's class: its step
     (times the spacings, its minimal-image displacement), axis pair ((k, k)
     or (k, l), k < l) and diagonal sign (+1 on axis links).
-    plaq_links[p] holds the four directed links traversing plaquette p's
-    boundary (all with coefficient +1 against antisymmetric LinkFields).
     """
 
     spec: LatticeSpec
@@ -156,7 +154,6 @@ class Lattice:
     link_dst: np.ndarray      # (n_links,) int
     link_step: np.ndarray     # (n_links,) int, link_table column
     link_reverse: np.ndarray  # (n_links,) int
-    plaq_links: np.ndarray    # (n_plaq, 4) int
     pi1_generators: tuple     # one closed link-index cycle per periodic axis
     stencil: tuple            # per-step tables steps, axes, signs, column (_stencil)
 
@@ -253,7 +250,6 @@ def build_lattice(spec):
         axis=1,
     ).astype(int)
     positions = coords * spacings
-    n_sites = len(coords)
 
     steps, _, _, column = _STENCILS[ndim]
     target = coords[:, None, :] + steps[None, :, :]  # (n_sites, n_steps, d)
@@ -264,18 +260,6 @@ def build_lattice(spec):
     link_table[src, col] = np.arange(len(src))
     dst = target_site[src, col]
     reverse = link_table[dst, column[tuple(1 - steps.T)][col]]
-
-    # plaquette of plane (k, l) at site s: s -> s+e_k -> s+e_k+e_l -> s+e_l -> s,
-    # where steps +e_k and -e_k are link_table columns 2k and 2k + 1
-    planes = np.array(list(combinations(range(ndim), 2)), dtype=int).reshape(-1, 2)
-    cycles = np.empty((n_sites, len(planes), 4), dtype=int)
-    for p, (k, l) in enumerate(planes):
-        cycles[:, p, 0] = link_table[:, 2 * k]
-        cycles[:, p, 1] = link_table[dst[cycles[:, p, 0]], 2 * l]
-        cycles[:, p, 2] = link_table[dst[cycles[:, p, 1]], 2 * k + 1]
-        cycles[:, p, 3] = link_table[dst[cycles[:, p, 2]], 2 * l + 1]
-    has_plaq = (link_table[:, 2 * planes[:, 0]] >= 0) & (link_table[:, 2 * planes[:, 1]] >= 0)
-    plaq_links = cycles[has_plaq]
 
     # pi_1 generator of periodic axis k: the +e_k links along the axis
     # through the origin
@@ -293,7 +277,6 @@ def build_lattice(spec):
         link_dst=dst,
         link_step=col,
         link_reverse=reverse,
-        plaq_links=plaq_links,
     )
     for arr in (*arrays.values(), *gens):
         arr.setflags(write=False)
@@ -374,7 +357,18 @@ def constant_metric(lattice, matrix=None):
 
 
 def plaquette_sums(lattice, w):
-    """Signed boundary sum of a LinkField over every plaquette."""
-    if len(lattice.plaq_links) == 0:
-        return np.zeros(0)
-    return np.asarray(w)[lattice.plaq_links].sum(axis=1)
+    """Signed boundary sum of a LinkField over every plaquette (w is not checked for
+    antisymmetry): the plaquette of plane (k, l), k < l, at a site s with +e_k and +e_l
+    links sums w over s -> s+e_k -> s+e_k+e_l -> s+e_l -> s.  Ordered by site, then
+    plane; steps +e_k and -e_k are link_table columns 2k and 2k + 1."""
+    w = np.asarray(w)
+    if w.shape != (lattice.n_links,):
+        raise LatticeError(f"link field shape {w.shape} != ({lattice.n_links},)")
+    table, dst = lattice.link_table, lattice.link_dst
+    k, l = np.array(list(combinations(range(lattice.ndim), 2)), dtype=int).reshape(-1, 2).T
+    site, plane = np.nonzero((table[:, 2 * k] >= 0) & (table[:, 2 * l] >= 0))
+    k, l = k[plane], l[plane]
+    cycle = [table[site, 2 * k]]
+    for col in (2 * l, 2 * k + 1, 2 * l + 1):
+        cycle.append(table[dst[cycle[-1]], col])
+    return w[np.stack(cycle, axis=1)].sum(axis=1)

@@ -66,18 +66,6 @@ class HermitianOperator:
 
     mat: object
 
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def hermiticity_defect(self):
-        """Largest |M - M^H| entry: |a - conj(b)| over stored pairs a, b = M_ij, M_ji, else |a|."""
-        mat, n = self.mat, self.mat.shape[0]
-        key, partner = mat.row * n + mat.col, mat.col * n + mat.row
-        at = np.searchsorted(key, partner)  # the keys are sorted
-        b = np.where(np.append(key, -1)[at] == partner, np.append(mat.data, 0)[at], 0)
-        return np.max(np.abs(mat.data - np.conj(b)), initial=0.0)
-
 
 def _asmat(x):
     """x as Triplets: a record passes through, a scipy matrix is read through its
@@ -226,6 +214,16 @@ def row_sum_field(op):
     return s.real
 
 
+def hermiticity_defect(op):
+    """Largest |M - M^H| entry: |a - conj(b)| over stored pairs a, b = M_ij, M_ji, else |a|."""
+    mat = _asmat(op)
+    n = mat.shape[0]
+    key, partner = mat.row * n + mat.col, mat.col * n + mat.row
+    at = np.searchsorted(key, partner)  # the keys are sorted
+    b = np.where(np.append(key, -1)[at] == partner, np.append(mat.data, 0)[at], 0)
+    return np.max(np.abs(mat.data - np.conj(b)), initial=0.0)
+
+
 def validate_operator(lattice, M):
     """Structural report: hermiticity, locality radius, commutant defect.
 
@@ -237,7 +235,7 @@ def validate_operator(lattice, M):
     multiplication operators iff it is diagonal.
     """
     mat = _site_matrix(lattice, M)
-    herm = HermitianOperator(mat).hermiticity_defect()
+    herm = hermiticity_defect(mat)
 
     offdiag = mat.row != mat.col
     significant = offdiag & (np.abs(mat.data) > 1e-12)

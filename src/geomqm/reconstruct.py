@@ -38,6 +38,7 @@ from .operators import (
     _site_matrix,
     _stencil_diagonal,
     build_hamiltonian,
+    hermiticity_defect,
 )
 
 
@@ -136,7 +137,7 @@ def peierls_decompose(lattice, H):
     storage order is reported.
     """
     mat = _site_matrix(lattice, H)
-    herm = HermitianOperator(mat).hermiticity_defect()
+    herm = hermiticity_defect(mat)
     if herm > 1e-10 * max(1.0, np.max(np.abs(mat.data), initial=0.0)):
         raise OperatorError(f"operator not Hermitian (defect {herm:g})")
 
@@ -377,12 +378,8 @@ def reconstruction_report(lattice, H, m, truth=None):
     if truth is not None:
         g_ref, theta_in, phi_in = truth
         e_g = float(np.max(np.abs(g_rec - g_ref)))
-        e_F = 0.0
-        if len(lattice.plaq_links):
-            e_F = float(
-                np.max(np.abs(plaquette_sums(lattice, dec.phases)
-                              - plaquette_sums(lattice, theta_in)))
-            )
+        e_F = float(np.max(np.abs(plaquette_sums(lattice, dec.phases)
+                                  - plaquette_sums(lattice, theta_in)), initial=0.0))
         e_phi = float(np.max(np.abs(phi_rec - phi_in)))
     return ReconstructionReport(
         g_rec=g_rec,

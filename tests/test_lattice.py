@@ -7,6 +7,7 @@ from geomqm import (
     build_lattice,
     d0,
     link_field,
+    plaquette_sums,
     scalar_field,
 )
 
@@ -26,7 +27,7 @@ def test_torus_counts():
     lat = build_lattice(LatticeSpec("torus", (4, 4), (1.0, 1.0)))
     assert lat.n_sites == 16
     assert len(lat.pi1_generators) == 2
-    assert len(lat.plaq_links) == 16
+    assert len(plaquette_sums(lat, np.zeros(lat.n_links))) == 16
     # 2 axes * 2 directions + 4 diagonal steps, each from every site
     assert lat.n_links == 16 * 8
 

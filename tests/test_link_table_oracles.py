@@ -1,9 +1,9 @@
 """Array code against per-site / per-entry loop reference implementations.
 
 The loops below are the straightforward definitions of the lattice link
-structure, of the Peierls split and of the tree-gauge BFS: one site or
-one matrix entry at a time, with a dict from (site, step), (i, j) or
-site to link ids.  At small n
+structure and its plaquettes, of the Peierls split and of the tree-gauge
+BFS: one site or one matrix entry at a time, with a dict from
+(site, step), (i, j) or site to link ids.  At small n
 they are the oracle: every array the vectorized code produces must equal
 theirs bit for bit, on all six topologies (including ring (3,) and
 torus (3, 3), where every pair of distinct sites is joined by a link)
@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from geomqm import (
+    Cochain,
     Lattice,
     LatticeSpec,
     LocalityViolation,
@@ -23,12 +24,16 @@ from geomqm import (
     PhaseAmbiguity,
     build_hamiltonian,
     build_lattice,
+    build_spacetime_complex,
     commutator,
     constant_metric,
     coordinate_cure_residual,
     d0,
+    d_cochain,
     default_test_vector,
+    link_field,
     peierls_decompose,
+    plaquette_sums,
     reconstruct_metric,
     reconstruction_report,
     tree_gauge_connection,
@@ -72,7 +77,8 @@ def _loop_steps(ndim):
 
 
 def loop_build_lattice(spec):
-    """Per-site build: (arrays, (site, step) -> link dict, pi_1 cycles)."""
+    """Per-site build: (arrays, (site, step) -> link dict, pi_1 cycles,
+    (n_plaq, 4) plaquette link cycles)."""
     ndim, sizes, periodic = spec.ndim, spec.sizes, spec.periodic
     spacings = np.asarray(spec.spacings)
     coords = np.stack(
@@ -145,9 +151,8 @@ def loop_build_lattice(spec):
         link_dst=np.asarray(dst, dtype=int),
         link_step=np.asarray(columns, dtype=int),
         link_reverse=np.asarray(reverse, dtype=int),
-        plaq_links=np.asarray(plaq_links, dtype=int).reshape(len(plaq_links), 4),
     )
-    return arrays, lookup, gens
+    return arrays, lookup, gens, np.asarray(plaq_links, dtype=int).reshape(-1, 4)
 
 
 def _loop_min_image(lat, i, j):
@@ -340,9 +345,12 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("case", LATTICES, ids=LATTICE_IDS)
 def test_lattice_arrays_match_loop(case):
     lat = lattice(case)
-    arrays, _, gens = loop_build_lattice(lat.spec)
+    arrays, _, gens, plaq_links = loop_build_lattice(lat.spec)
     for name, want in arrays.items():
         assert_bits(getattr(lat, name), want)
+    # a field that is not antisymmetric, so each of the four directed links counts
+    w = np.random.default_rng(3).normal(size=lat.n_links)
+    assert_bits(plaquette_sums(lat, w), w[plaq_links].sum(axis=1))
     steps, axes, signs = zip(*_loop_steps(lat.ndim))
     for got, want in zip(lat.stencil[:3], (steps, axes, signs)):
         assert_bits(got, np.array(want))
@@ -352,9 +360,25 @@ def test_lattice_arrays_match_loop(case):
 
 
 @pytest.mark.parametrize("case", LATTICES, ids=LATTICE_IDS)
+def test_one_sample_complex_2_cells_are_the_plaquettes(case):
+    # order and orientation: dA of a seeded antisymmetric field on the 2-cells
+    # of lattice x {one time sample} equals its plaquette sums.  Both add the
+    # same four +-w terms, each partial sum at most 4 max|w|, in different
+    # orders, so they differ by at most 2 * 3 * (eps / 2) * 4 max|w|.
+    lat = lattice(case)
+    r = np.random.default_rng(4).normal(size=lat.n_links)
+    w = link_field(lat, r - r[lat.link_reverse])
+    cx = build_spacetime_complex(lat, 1, 0.5)
+    dA = d_cochain(Cochain(cx, 1, w[cx.edge_link])).values
+    F = plaquette_sums(lat, w)
+    assert dA.shape == F.shape
+    assert np.max(np.abs(dA - F), initial=0.0) <= 12 * np.finfo(float).eps * np.abs(w).max()
+
+
+@pytest.mark.parametrize("case", LATTICES, ids=LATTICE_IDS)
 def test_link_table_matches_loop_lookup(case):
     lat = lattice(case)
-    _, lookup, _ = loop_build_lattice(lat.spec)
+    _, lookup, _, _ = loop_build_lattice(lat.spec)
     d = lat.ndim
     assert lat.link_table.shape == (lat.n_sites, len(_loop_steps(d)))
     assert np.count_nonzero(lat.link_table >= 0) == lat.n_links

@@ -14,6 +14,7 @@ from geomqm import (
     eigenvalues,
     flat_connection,
     gauge_transform,
+    hermiticity_defect,
     load_operator,
     mult_op,
     save_operator,
@@ -139,7 +140,7 @@ def test_builder_hermiticity_and_positivity():
     g[:, 0, 1] = g[:, 1, 0] = 0.2
     theta = flat_connection(lat, (0.5, -0.8))
     H = build_hamiltonian(lat, g, theta, None, 1.3)
-    assert H.hermiticity_defect() < 1e-12
+    assert hermiticity_defect(H) < 1e-12
     assert eigenvalues(H)[0] > -1e-9
 
 

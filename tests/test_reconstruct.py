@@ -18,6 +18,7 @@ from geomqm import (
     eigenvalues,
     flat_connection,
     gauge_transform,
+    hermiticity_defect,
     link_average_metric,
     mult_op,
     peierls_decompose,
@@ -76,7 +77,7 @@ def test_velocity_linear():
 def test_velocity_hermitian():
     lat = interval(10)
     H = free_hamiltonian(lat)
-    assert velocity(H, lat.positions[:, 0]).hermiticity_defect() < 1e-12
+    assert hermiticity_defect(velocity(H, lat.positions[:, 0])) < 1e-12
 
 
 # ---------------------------------------------------------------- peierls

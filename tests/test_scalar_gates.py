@@ -23,9 +23,11 @@ from geomqm import (
     build_hamiltonian,
     build_lattice,
     build_spacetime_complex,
+    chern_number,
     constant_metric,
     coordinate_cure_residual,
     default_test_vector,
+    flatness_defect,
     geodesic_integrate,
     heisenberg_evolve,
     heisenberg_residual,
@@ -34,6 +36,7 @@ from geomqm import (
     load_operator,
     lorentzian_lift,
     peierls_decompose,
+    plaquette_sums,
     propagator,
     reconstruction_report,
     roundtrip_report,
@@ -102,6 +105,16 @@ def _torus_complex():
 def _star_of_a_transposed_torus_lift():
     lat = build_lattice(LatticeSpec("torus", (4, 3), (1.0, 1.0)))
     return hodge_factors(_torus_complex(), lorentzian_lift(lat, constant_metric(lat)))
+
+
+def _torus4():
+    return build_lattice(LatticeSpec("torus", (4, 4), (1.0, 1.0)))
+
+
+def _one_nan_link():
+    theta = np.zeros(_torus4().n_links)
+    theta[0] = np.nan  # the +e_0 link of site 0, on two plaquettes
+    return theta
 
 
 def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
@@ -186,6 +199,19 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
     # seen before: "no degree--1 cells in this complex"
     (_hodge_of_a_ring_3_cochain, ComplexError,
      "a degree-3 cochain has no dual on a 2-dimensional complex"),
+    # seen before: a raw ValueError; nan; a raw IndexError (three times); zero sums
+    (lambda: chern_number(_torus4(), _one_nan_link()), LatticeError,
+     "link field has non-finite entries"),
+    (lambda: flatness_defect(_torus4(), _one_nan_link()), LatticeError,
+     "link field has non-finite entries"),
+    (lambda: chern_number(_torus4(), np.zeros(5)), LatticeError,
+     r"link field shape \(5,\) != \(128,\)"),
+    (lambda: flatness_defect(_torus4(), np.zeros(5)), LatticeError,
+     r"link field shape \(5,\) != \(128,\)"),
+    (lambda: plaquette_sums(_torus4(), np.zeros(5)), LatticeError,
+     r"link field shape \(5,\) != \(128,\)"),
+    (lambda: plaquette_sums(_ring(), np.zeros(5)), LatticeError,
+     r"link field shape \(5,\) != \(12,\)"),
 ], ids=["heisenberg-t-nan", "heisenberg-t-inf", "heisenberg-delta-nan", "mass-nan", "mass-inf",
         "reconstruction-mass-inf", "reconstruction-mass-nan", "reconstruction-mass-zero",
         "reconstruction-mass-negative", "propagator-t2-inf", "propagator-t1-nan",
@@ -196,7 +222,9 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
         "cochain-nan", "cochain-degree-4", "hodge-metric-of-another-lattice", "cochain-length",
         "heisenberg-unitary-size", "row-sum-not-real", "peierls-not-hermitian",
         "operator-row-count", "roundtrip-reference", "cure-imaginary-link",
-        "hodge-no-complement-cells", "hodge-degree-above-dimension"])
+        "hodge-no-complement-cells", "hodge-degree-above-dimension", "chern-nan-link",
+        "flatness-nan-link", "chern-field-length", "flatness-field-length",
+        "plaquette-field-length", "plaquette-field-length-1d"])
 def test_non_finite_or_fractional_scalar_is_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

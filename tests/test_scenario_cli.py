@@ -207,11 +207,11 @@ def test_build_task_dump_is_loadable(tmp_path):
     path = write(tmp_path, "build.yaml", text)
     report = run_scenario(path, tmp_path / "out")
     assert report.passed
-    from geomqm import load_operator
+    from geomqm import hermiticity_defect, load_operator
 
     H = load_operator(tmp_path / "out" / "hamiltonian.txt")
-    assert H.dim == 25
-    assert H.hermiticity_defect() < 1e-12
+    assert H.mat.shape[0] == 25
+    assert hermiticity_defect(H) < 1e-12
 
 
 def test_maxwell_task_writes_cochains(tmp_path):
@@ -882,7 +882,7 @@ def test_nan_continuity_defect_fails_the_maxwell_check(tmp_path, capsys, monkeyp
 def _anti_hermitian_diagonal(assemble):
     def faulty(lattice, couplings, phases, diagonal):
         op = assemble(lattice, couplings, phases, diagonal)
-        return HermitianOperator(_asmat(op.mat.toarray() + 1e-6j * np.eye(op.dim)))
+        return HermitianOperator(_asmat(op.mat.toarray() + 1e-6j * np.eye(op.mat.shape[0])))
     return faulty
 
 
