@@ -83,12 +83,17 @@ _WALL_TIME = re.compile(rb'"wall_time_s": [^,}\n]*')
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # A column's sum or max |value| agrees with the committed one when they
-# differ by at most RTOL times its scale: the max |value| for the max, the
-# larger of |sum| and max |value| for the sum (a sum that cancels to near
-# zero is scaled by its largest term).  Chosen before any measurement:
-# four orders above the rounding of a value, so a value scaled by
-# 1 + 1e-9 fails when it is at least 0.1% of its column's scale.
+# differ by at most RTOL times its scale plus ATOL: the scale is the max
+# |value| for the max, the larger of |sum| and max |value| for the sum (a
+# sum that cancels to near zero is scaled by its largest term).  RTOL was
+# chosen before any measurement: four orders above the rounding of a
+# value, so a value scaled by 1 + 1e-9 fails when it exceeds 0.1% of its
+# column's scale plus 1e-3.  ATOL is the smallest tolerance of any embedded
+# check (hermiticity, composition, dF, continuity, double_star): a drift
+# below it is rounding that no check of the program can tell apart, such
+# as a defect of a few eps computed by another CPU's BLAS kernels.
 RTOL = 1e-12
+ATOL = 1e-12
 
 
 def run_tree(tree, out, env):
@@ -171,7 +176,7 @@ def manifest(tree, out):
 def manifest_drift(committed, found):
     """(failed, bytes_only) between two manifests: the names whose entries
     disagree (in one manifest only, another count or column, or a sum or
-    max |value| beyond RTOL), and the names whose digests alone differ."""
+    max |value| beyond RTOL and ATOL), and the names whose digests alone differ."""
     failed, bytes_only = [], []
     for name in sorted(committed.keys() | found.keys()):
         old, new = committed.get(name), found.get(name)
@@ -183,15 +188,17 @@ def manifest_drift(committed, found):
 
 def _agrees(old, new):
     """Whether two entries of one file have the same counts and columns,
-    and each column's sum and max |value| within RTOL of the old one's."""
+    and each column's sum and max |value| within RTOL of the old one's
+    scale plus ATOL."""
     if any(old.get(k) != new.get(k) for k in ("rows", "columns")) \
             or old["sums"].keys() != new["sums"].keys():
         return False
     for key, (count, total, top) in old["sums"].items():
         new_count, new_total, new_top = new["sums"][key]
         # written so that a NaN disagrees
-        if new_count != count or not (abs(new_top - top) <= RTOL * top and
-                                      abs(new_total - total) <= RTOL * max(abs(total), top)):
+        if new_count != count or not (
+                abs(new_top - top) <= RTOL * top + ATOL and
+                abs(new_total - total) <= RTOL * max(abs(total), top) + ATOL):
             return False
     return True
 

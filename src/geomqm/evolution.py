@@ -58,6 +58,8 @@ def suggested_steps(H, t1, t2):
     Uses the row-sum bound on the spectral norm (exact enough for step
     selection and cheap on sparse operators).
     """
+    if not -np.inf < t1 < t2 < np.inf:
+        raise OperatorError(f"need finite t1 < t2, got {t1} -> {t2}")
     mat = _asmat(H)
     norm = float(np.max(_row_sums(mat, np.abs(mat.data))))
     return max(1, int(np.ceil(norm * (t2 - t1) / 0.1)))

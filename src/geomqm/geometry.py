@@ -276,13 +276,20 @@ class SpacetimeMetric:
     fields holds the spatial inverse-metric samples (M, n_sites, d, d);
     g00 is the fixed upper lapse entry g^00 (-1 for the Lorentzian lift,
     +1 for the Euclidean variant used in sign-independence checks), so
-    the lower entry is g_00 = 1 / g00.
+    the lower entry is g_00 = 1 / g00.  g00 must be finite and nonzero,
+    and the times finite and strictly increasing.
     """
 
     lattice: object
     times: np.ndarray
     fields: np.ndarray
     g00: float = -1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.g00) and self.g00 != 0):
+            raise LatticeError(f"g00 must be finite and nonzero, got {self.g00}")
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
+            raise LatticeError("metric sample times must be finite and strictly increasing")
 
     @property
     def n_samples(self):

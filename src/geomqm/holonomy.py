@@ -30,6 +30,8 @@ def flat_connection(lattice, target):
     gauge-equivalent connections.
     """
     angles = tuple(float(a) for a in np.atleast_1d(target))
+    if not np.isfinite(angles).all():
+        raise LatticeError(f"holonomy targets must be finite, got {angles}")
     n_gen = len(lattice.pi1_generators)
     if len(angles) != n_gen:
         raise TopologyError(
@@ -66,6 +68,8 @@ def ab_spectrum(lattice, m, alphas):
     c = link_couplings(lattice, constant_metric(lattice), m)
     diagonal = _stencil_diagonal(lattice, c)
     alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise LatticeError(f"alphas must be a 1-D array of angles, got shape {alphas.shape}")
     table = np.empty((len(alphas), lattice.n_sites))
     for row, alpha in enumerate(alphas):
         theta = flat_connection(lattice, (alpha,))

@@ -20,7 +20,7 @@ of a CSR matrix-vector product and of its transpose, bit for bit).
 The connection 1-cochain is assembled as spatial link phases plus
 potential * dt on time edges.  The metric enters only through the Hodge
 star: hodge_factors builds one HodgeStar per metric, the diagonal
-factors of every degree, and hodge, current (j = *d*F),
+factors of every degree, and hodge, current (j = *d*F of F = dA alone),
 continuity_defect and double_star_defect read it.  The factors are
 evaluated at each cell's anchor vertex; a cell and its complement share
 it, the two factors cancel to a pure sign, and continuity d*j = 0
@@ -350,15 +350,14 @@ def hodge(star, omega):
     return Cochain(cx, nk, out)
 
 
-def current(star, potential):
-    """External sources j = *d*F for F = d(potential).
+def current(star, F):
+    """External sources j = *d*F of the field strength F, a 2-cochain.
 
     Computed as the codifferential (star1^-1 D1^T star2) F so the
     continuity identity holds structurally; j is a 1-cochain on primal
     edges.
     """
-    cx = _complex_of(star, potential, 1)
-    F = d_cochain(potential)
+    cx = _complex_of(star, F, 2)
     w = _boundary(cx, 1, star.factors[2] * F.values)
     return Cochain(cx, 1, w / star.factors[1])
 

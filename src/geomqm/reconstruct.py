@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import d0, plaquette_sums
+from .lattice import LatticeError, d0, plaquette_sums
 from .operators import (
     HermitianOperator,
     OperatorError,
@@ -180,7 +180,10 @@ def link_average_metric(lattice, g):
     This is the part of g the stencil can see; reconstruction reproduces
     it exactly on round trips.
     """
-    return _incident_link_average(lattice, _link_mean(lattice, np.asarray(g, dtype=float)))
+    g = np.asarray(g, dtype=float)
+    if g.shape != (shape := (lattice.n_sites, lattice.ndim, lattice.ndim)):
+        raise LatticeError(f"g must have shape {shape}, got {g.shape}")
+    return _incident_link_average(lattice, _link_mean(lattice, g))
 
 
 def _incident_link_average(lattice, gl):
@@ -206,6 +209,10 @@ def tree_gauge_potential(lattice, theta):
     step order).  Transformed phases are theta + d0(chi).
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (lattice.n_links,):
+        raise LatticeError(f"theta must have shape ({lattice.n_links},), got {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise LatticeError("theta has non-finite entries")
     chi = np.zeros(lattice.n_sites)
     seen = np.zeros(lattice.n_sites, dtype=bool)
     seen[0] = True
@@ -281,7 +288,11 @@ def coordinate_cure_residual(lattice, H, k, l, psi):
     is well defined on rings and tori where no global coordinates exist.
     Requires ||psi|| = 1.
     """
+    if not all(isinstance(a, (int, np.integer)) and 0 <= a < lattice.ndim for a in (k, l)):
+        raise OperatorError(f"axes must be in 0..{lattice.ndim - 1}, got k={k!r}, l={l!r}")
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (lattice.n_sites,):
+        raise OperatorError(f"psi must have shape ({lattice.n_sites},), got {psi.shape}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("test vector must be normalized")
     entries = _link_entries(lattice, H)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -447,19 +447,18 @@ def _task_maxwell(cfg, lattice, fields, out):
 
     # one star per lift sign; the metric is static, so one sample stands
     # for every time slice
-    star_minus, star_plus = (
-        maxwell.hodge_factors(cx, geometry.lorentzian_lift(lattice, fields[0], g00=g00))
-        for g00 in (-1.0, +1.0)
-    )
+    lift = geometry.lorentzian_lift(lattice, fields[0])
+    star_minus, star_plus = (maxwell.hodge_factors(cx, replace(lift, g00=g00))
+                             for g00 in (-1.0, +1.0))
 
     dF, continuity, double_star = [], [], []
     for _ in range(ensembles):
         pot = maxwell.assemble_potential(cx, *_random_series(lattice, samples, amplitude, rng))
         F = maxwell.d_cochain(pot)
-        j = maxwell.current(star_minus, pot)
+        j = maxwell.current(star_minus, F)
         dF.append(np.max(np.abs(maxwell.d_cochain(F).values), initial=0.0))
         continuity += [maxwell.continuity_defect(star_minus, j),
-                       maxwell.continuity_defect(star_plus, maxwell.current(star_plus, pot))]
+                       maxwell.continuity_defect(star_plus, maxwell.current(star_plus, F))]
         double_star += [maxwell.double_star_defect(star, F) for star in (star_minus, star_plus)]
     worst_dF, worst_cont, worst_star = _worst(*dF), _worst(*continuity), _worst(*double_star)
 

@@ -201,7 +201,7 @@ def test_acceptance_07_source_continuity():
         worst = 0.0
         for pot in pots:
             for star in stars:
-                j = current(star, pot)
+                j = current(star, d_cochain(pot))
                 worst = max(worst, continuity_defect(star, j))
         assert worst <= 1e-12
     _report(7, f"max |d*j| = {worst:.1e} <= 1e-12 for both lift signs", t, 5.0)

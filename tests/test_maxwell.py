@@ -335,7 +335,7 @@ def test_star_refuses_a_cochain_of_another_complex_or_degree():
     with pytest.raises(ComplexError, match="different complexes"):
         hodge(star, zero_cochain(twin, 2))
     with pytest.raises(ComplexError, match="different complexes"):
-        current(star, zero_cochain(twin, 1))
+        current(star, zero_cochain(twin, 2))
     with pytest.raises(ComplexError, match="need a 1-cochain"):
         continuity_defect(star, zero_cochain(cx, 2))
 
@@ -345,7 +345,7 @@ def test_star_refuses_a_cochain_of_another_complex_or_degree():
 def test_zero_potential_zero_current():
     lat, cx = cylinder_complex()
     pot = zero_cochain(cx, 1)
-    j = current(hodge_factors(cx, flat_metric(lat, cx.n_t, cx.dt)), pot)
+    j = current(hodge_factors(cx, flat_metric(lat, cx.n_t, cx.dt)), d_cochain(pot))
     assert np.max(np.abs(j.values)) == 0.0
 
 
@@ -374,7 +374,7 @@ def test_localized_bump_current_support():
     theta[link] = 0.3
     theta[lat.link_reverse[link]] = -0.3
     pot = assemble_potential(cx, [theta] * n_t, [np.zeros(lat.n_sites)] * n_t)
-    j = current(star, pot)
+    j = current(star, d_cochain(pot))
     support_edges = np.flatnonzero(np.abs(j.values) > 1e-14)
     # support touches only cells within one step of the excited column
     _, edge_site = np.divmod(cx.cell_anchor[1], lat.n_sites)
@@ -397,7 +397,7 @@ def test_continuity_identity_random_ensemble():
         for _ in range(5):
             A_series, phi_series = random_series(lat, 8, 0.4, rng)
             pot = assemble_potential(cx, A_series, phi_series)
-            j = current(star, pot)
+            j = current(star, d_cochain(pot))
             assert continuity_defect(star, j) <= 1e-12
 
 
@@ -413,7 +413,7 @@ def test_continuity_with_position_dependent_diagonal_metric():
     A_series, phi_series = random_series(lat, 4, 0.3, rng)
     pot = assemble_potential(cx, A_series, phi_series)
     star = hodge_factors(cx, met)
-    j = current(star, pot)
+    j = current(star, d_cochain(pot))
     assert continuity_defect(star, j) <= 1e-12
 
 

@@ -4,9 +4,10 @@ Every output of the shipped scenarios and the seed-1 benchmark ops is
 regenerated through scripts/compare_outputs.py's own runner and
 summarised as that script's `--manifest` does.  An output missing or
 new, another row or column count, or a column's sum or max |value| off
-by more than `compare_outputs.RTOL` of its scale fails.  An output whose
-digest alone differs (last-bit rounding, say on another CPU) is named in
-a warning and passes.  After an intended output change, regenerate it:
+by more than `compare_outputs.RTOL` of its scale plus `compare_outputs.ATOL`
+fails.  An output whose digest alone differs (last-bit rounding, say on
+another CPU) is named in a warning and passes.  After an intended output
+change, regenerate it:
 
     python3 scripts/compare_outputs.py --manifest . > tests/output_manifest.json
 """
@@ -22,7 +23,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from compare_outputs import manifest, manifest_drift, outputs, summary  # noqa: E402
+from compare_outputs import ATOL, manifest, manifest_drift, outputs, summary  # noqa: E402
 
 COMMITTED = json.loads((ROOT / "tests" / "output_manifest.json").read_text(encoding="utf-8"))
 
@@ -42,8 +43,8 @@ def test_outputs_agree_with_the_committed_manifest(regenerated):
     failed, bytes_only = manifest_drift(COMMITTED, found)
     assert failed == [], failed
     if bytes_only:
-        warnings.warn("outputs whose bytes differ from the manifest, summaries within RTOL: "
-                      + ", ".join(bytes_only))
+        warnings.warn("outputs whose bytes differ from the manifest, summaries within "
+                      "RTOL and ATOL: " + ", ".join(bytes_only))
 
 
 def _edited(data, line, cell, change):
@@ -74,15 +75,13 @@ def _last_bit(value):
 @pytest.mark.parametrize("name, edit, caught", [
     ("scenarios/holonomy/report.json", lambda data, change: _report_edited(data, "lambda_max", change),
      True),
-    ("scenarios/geodesic/report.json", lambda data, change: _report_edited(data, "speed2_drift", change),
-     True),
     ("scenarios/maxwell/cochains.csv", lambda data, change: _edited(data, 2000, 3, change), True),
     ("scenarios/build/hamiltonian.txt", lambda data, change: _edited(data, 299, 2, change), True),
     # the limit: a value below 0.1% of its column's scale (here q_1 = 2.8 in a column
     # of 4001 positions summing to 1.1e4) is caught by the digest alone
     ("scenarios/geodesic/trajectory.csv", lambda data, change: _edited(data, 2000, 1, change),
      False),
-], ids=["report-scalar", "report-defect", "cochain-value", "operator-entry", "below-the-scale"])
+], ids=["report-scalar", "cochain-value", "operator-entry", "below-the-scale"])
 def test_one_value_scaled_by_one_part_in_a_billion_fails_and_a_last_bit_is_named(
         regenerated, name, edit, caught):
     files, found = regenerated
@@ -90,6 +89,16 @@ def test_one_value_scaled_by_one_part_in_a_billion_fails_and_a_last_bit_is_named
                             (_last_bit, ([], [name]))):
         edited = {**found, name: summary(name, edit(files[name], change))}
         assert manifest_drift(found, edited) == verdict, change.__name__
+
+
+def test_a_defect_raised_past_atol_fails_and_one_moved_within_it_is_named(regenerated):
+    # speed2_drift, 1.6e-12, is a rounding-level defect: another CPU's
+    # kernels moved such defects by up to 16% of themselves
+    files, found = regenerated
+    name = "scenarios/geodesic/report.json"
+    for shift, verdict in ((2 * ATOL, ([name], [])), (0.5 * ATOL, ([], [name]))):
+        data = _report_edited(files[name], "speed2_drift", lambda value: value + shift)
+        assert manifest_drift(found, {**found, name: summary(name, data)}) == verdict, shift
 
 
 def test_an_output_missing_new_reshaped_or_nan_fails():

@@ -20,19 +20,23 @@ from geomqm import (
     LatticeSpec,
     OperatorError,
     PhaseAmbiguity,
+    ab_spectrum,
     build_hamiltonian,
     build_lattice,
     build_spacetime_complex,
     chern_number,
     constant_metric,
     coordinate_cure_residual,
+    current,
     default_test_vector,
+    flat_connection,
     flatness_defect,
     geodesic_integrate,
     heisenberg_evolve,
     heisenberg_residual,
     hodge,
     hodge_factors,
+    link_average_metric,
     load_operator,
     lorentzian_lift,
     peierls_decompose,
@@ -41,8 +45,10 @@ from geomqm import (
     reconstruction_report,
     roundtrip_report,
     row_sum_field,
+    tree_gauge_potential,
     unitarity_defect,
 )
+from geomqm.evolution import suggested_steps
 
 
 def _ring():
@@ -115,6 +121,21 @@ def _one_nan_link():
     theta = np.zeros(_torus4().n_links)
     theta[0] = np.nan  # the +e_0 link of site 0, on two plaquettes
     return theta
+
+
+def _ring_lift(g00=-1.0, times=None):
+    """A three-sample lift of the ring's metric, growing in time."""
+    g = constant_metric(_ring())
+    return lorentzian_lift(_ring(), [g, 2.0 * g, 3.0 * g], times, g00=g00)
+
+
+def _current_of_a_1_cochain():
+    cx = _torus_complex()
+    return current(hodge_factors(cx), Cochain(cx, 1, np.zeros(cx.n_cells(1))))
+
+
+def _cure(k, l, n=6):
+    return coordinate_cure_residual(_ring(), _hamiltonian(1.0), k, l, np.ones(n) / np.sqrt(n))
 
 
 def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
@@ -212,6 +233,40 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
      r"link field shape \(5,\) != \(128,\)"),
     (lambda: plaquette_sums(_ring(), np.zeros(5)), LatticeError,
      r"link field shape \(5,\) != \(12,\)"),
+    # seen before: the potential, the accepted input
+    (_current_of_a_1_cochain, ComplexError, "need a 2-cochain, got degree 1"),
+    # seen before: accepted, then non-finite Hodge factors of every degree
+    # (a division by zero), or all-NaN and constant residuals
+    (lambda: _ring_lift(g00=0.0), LatticeError, "g00 must be finite and nonzero, got 0.0"),
+    (lambda: _ring_lift(g00=np.nan), LatticeError, "g00 must be finite and nonzero, got nan"),
+    (lambda: _ring_lift(times=[0.0, 0.0, 0.0]), LatticeError,
+     "metric sample times must be finite and strictly increasing"),
+    (lambda: _ring_lift(times=[0.0, np.nan, 1.0]), LatticeError,
+     "metric sample times must be finite and strictly increasing"),
+    # seen before: a raw IndexError; accepted (a NaN gauge function)
+    (lambda: tree_gauge_potential(_ring(), np.ones(3)), LatticeError,
+     r"theta must have shape \(12,\), got \(3,\)"),
+    (lambda: tree_gauge_potential(_ring(), np.full(12, np.nan)), LatticeError,
+     "theta has non-finite entries"),
+    # seen before: a raw IndexError; axis -1 read as the last axis; a raw IndexError
+    (lambda: _cure(0, 3), OperatorError, r"axes must be in 0\.\.0, got k=0, l=3"),
+    (lambda: _cure(-1, 0), OperatorError, r"axes must be in 0\.\.0, got k=-1, l=0"),
+    (lambda: _cure(0, 0, n=5), OperatorError, r"psi must have shape \(6,\), got \(5,\)"),
+    # seen before: a raw IndexError
+    (lambda: link_average_metric(_ring(), np.ones((3, 1, 1))), LatticeError,
+     r"g must have shape \(6, 1, 1\), got \(3, 1, 1\)"),
+    # seen before: a raw TypeError; a scipy error that names no input; a NaN connection
+    (lambda: ab_spectrum(_ring(), 1.0, [[0.1]]), LatticeError,
+     r"alphas must be a 1-D array of angles, got shape \(1, 1\)"),
+    (lambda: ab_spectrum(_ring(), 1.0, [np.nan]), LatticeError,
+     r"holonomy targets must be finite, got \(nan,\)"),
+    (lambda: flat_connection(_ring(), [np.nan]), LatticeError,
+     r"holonomy targets must be finite, got \(nan,\)"),
+    # seen before: a raw OverflowError; one step for a backward span
+    (lambda: suggested_steps(_hamiltonian(1.0), 0.0, np.inf), OperatorError,
+     "need finite t1 < t2, got 0.0 -> inf"),
+    (lambda: suggested_steps(_hamiltonian(1.0), 1.0, 0.0), OperatorError,
+     "need finite t1 < t2, got 1.0 -> 0.0"),
 ], ids=["heisenberg-t-nan", "heisenberg-t-inf", "heisenberg-delta-nan", "mass-nan", "mass-inf",
         "reconstruction-mass-inf", "reconstruction-mass-nan", "reconstruction-mass-zero",
         "reconstruction-mass-negative", "propagator-t2-inf", "propagator-t1-nan",
@@ -224,7 +279,12 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
         "operator-row-count", "roundtrip-reference", "cure-imaginary-link",
         "hodge-no-complement-cells", "hodge-degree-above-dimension", "chern-nan-link",
         "flatness-nan-link", "chern-field-length", "flatness-field-length",
-        "plaquette-field-length", "plaquette-field-length-1d"])
+        "plaquette-field-length", "plaquette-field-length-1d", "current-of-a-potential",
+        "lift-g00-zero", "lift-g00-nan", "lift-times-repeated", "lift-times-nan",
+        "tree-gauge-shape", "tree-gauge-nan", "cure-axis-past-d", "cure-axis-negative",
+        "cure-psi-length", "link-average-metric-shape", "ab-spectrum-alphas-2d",
+        "ab-spectrum-alpha-nan", "flat-connection-nan", "suggested-steps-t2-inf",
+        "suggested-steps-backward"])
 def test_non_finite_or_fractional_scalar_is_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
