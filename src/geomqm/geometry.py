@@ -23,12 +23,17 @@ classic fixed-step 4th-order Runge-Kutta; Christoffel symbols come from
 central differences of the metric provider, its (2d+1)-point stencil
 evaluated in one ``evaluate`` call, one-sided within the step of an open
 chart edge.
+
+The spacetime lift holds one time grid: sample m of a SpacetimeMetric
+sits at t = m dt.  zeroth_residual differences the samples on that grid,
+centred on each trajectory point's nearest sample rint(t / dt).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from numbers import Real
 
 import numpy as np
 
@@ -204,7 +209,7 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
     """Integrate the geodesic equation from position q0 and velocity v0
     with classic RK4, in round(T / dt) steps; T / dt above STEP_LIMIT, and
     q0 or v0 of a shape other than (metric.ndim,), are refused before the
-    first step.
+    first step, as is a non-finite q0 or v0.
 
     Returns a Trajectory sampled every record_every steps (plus start and
     final point); speed2 tracks g(q_dot, q_dot) along the way.  On open
@@ -220,6 +225,9 @@ def geodesic_integrate(metric, q0, v0, dt, T, record_every=1):
         if np.shape(value) != (d,):
             raise ValueError(f"{name} must have shape ({d},) on a {d}-D metric, "
                              f"got {np.shape(value)}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got "
+                             f"{np.asarray(value, dtype=float).tolist()}")
 
     def rate(y):
         # y = (q, v); dq/dt = v, dv^k/dt = -Gamma^k_ij v^i v^j
@@ -271,29 +279,29 @@ def _step_count(dt, T):
 
 @dataclass(frozen=True, eq=False)
 class SpacetimeMetric:
-    """Block spacetime metric diag(g00, g_t) on time samples.
+    """Block spacetime metric diag(g00, g_t) on time samples m dt, m = 0..M-1.
 
     fields holds the spatial inverse-metric samples (M, n_sites, d, d);
-    g00 is the fixed upper lapse entry g^00 (-1 for the Lorentzian lift,
-    +1 for the Euclidean variant used in sign-independence checks), so
-    the lower entry is g_00 = 1 / g00.  g00 must be finite and nonzero,
-    and the times finite and strictly increasing.
+    dt is the step between samples, a positive finite number; g00 is the
+    fixed upper lapse entry g^00 (-1 for the Lorentzian lift, +1 for the
+    Euclidean variant used in sign-independence checks), so the lower
+    entry is g_00 = 1 / g00.  g00 must be finite and nonzero.
     """
 
     lattice: object
-    times: np.ndarray
+    dt: float
     fields: np.ndarray
     g00: float = -1.0
 
     def __post_init__(self):
+        if isinstance(self.dt, bool) or not (isinstance(self.dt, Real) and 0 < self.dt < np.inf):
+            raise LatticeError(f"dt must be a positive finite number, got {self.dt!r}")
         if not (np.isfinite(self.g00) and self.g00 != 0):
             raise LatticeError(f"g00 must be finite and nonzero, got {self.g00}")
-        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
-            raise LatticeError("metric sample times must be finite and strictly increasing")
 
     @property
     def n_samples(self):
-        return len(self.times)
+        return len(self.fields)
 
     def is_static(self):
         return self.n_samples < 2 or bool(
@@ -301,8 +309,8 @@ class SpacetimeMetric:
         )
 
 
-def lorentzian_lift(lattice, samples, times=None, g00=-1.0):
-    """Lift a series of spatial metric samples to a block spacetime metric.
+def lorentzian_lift(lattice, samples, dt=1.0, g00=-1.0):
+    """Lift spatial metric samples, sample m at time m dt, to a block spacetime metric.
 
     Every sample must be a MetricField of the lattice (metric_field); the
     upper lapse entry is exactly g^00 = g00 with zero shift.
@@ -310,15 +318,24 @@ def lorentzian_lift(lattice, samples, times=None, g00=-1.0):
     fields = np.asarray(samples, dtype=float)
     if fields.ndim == 3:
         fields = fields[None]
+    if len(fields) == 0:
+        raise LatticeError("need at least one metric sample, got 0")
     for sample in fields:
         metric_field(lattice, sample)
-    if times is None:
-        times = np.arange(len(fields), dtype=float)
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(fields) or len(fields) == 0:
-        raise LatticeError(f"need one metric sample per time, at least one; got {len(fields)} "
-                           f"on {len(times)} times")
-    return SpacetimeMetric(lattice=lattice, times=times, fields=fields, g00=g00)
+    return SpacetimeMetric(lattice=lattice, dt=dt, fields=fields, g00=g00)
+
+
+def _nearest_samples(times, dt, n_samples):
+    """Index rint(t / dt) of the sample nearest each time t of a series of
+    n_samples at step dt, refused outside 0..n_samples - 1."""
+    with np.errstate(over="ignore"):  # t / dt past the largest float is inf, refused below
+        s = np.rint(np.asarray(times, dtype=float) / dt)
+    outside = ~((s >= 0) & (s <= n_samples - 1))
+    if outside.any():
+        i = np.argmax(outside)
+        raise LatticeError(f"time {times[i]:.7g} has its nearest metric sample {s[i]:.7g} "
+                           f"outside 0..{n_samples - 1} (samples {dt:.7g} apart)")
+    return s.astype(int)
 
 
 def zeroth_residual(st_metric, trajectory):
@@ -328,26 +345,37 @@ def zeroth_residual(st_metric, trajectory):
     qddot^0 = 0); dg/dt comes from central differences over the metric's
     time samples, evaluated spatially at the trajectory points.  A
     nonzero residual is the obstruction to interpreting time-dependent
-    metrics through this nonrelativistic lift.
+    metrics through this nonrelativistic lift.  The trajectory's times
+    must be finite, and its positions (n_points, d) on the lattice's d
+    axes; a series of more than one sample spans only its samples, so
+    each time's nearest sample must be one of them.
     """
     lat = st_metric.lattice
+    times, positions = trajectory.times, trajectory.positions
+    if np.shape(positions) != (len(times), lat.ndim):
+        raise LatticeError(f"trajectory positions must have shape ({len(times)}, {lat.ndim}) "
+                           f"on a {lat.ndim}-D lattice, got {np.shape(positions)}")
+    if not np.isfinite(times).all():
+        raise LatticeError("trajectory times must be finite")
+    n = st_metric.n_samples
+    if n > 1:  # a series spans its samples; one sample stands for every time
+        s = _nearest_samples(times, st_metric.dt, n)
     if st_metric.is_static():
-        return np.zeros(len(trajectory.times))
-    if st_metric.n_samples < 3:
+        return np.zeros(len(times))
+    if n < 3:
         raise LatticeError(
             "time-dependent metric needs at least 3 time samples for "
             "central differences"
         )
-    ts = st_metric.times
-    s = np.rint((trajectory.times - ts[0]) / (ts[1] - ts[0])).astype(int)
-    s = np.clip(s, 1, st_metric.n_samples - 2)
+    ts = np.arange(n) * st_metric.dt
+    s = np.clip(s, 1, n - 2)
     ends = np.stack([s + 1, s - 1], axis=1)
     g = np.empty(ends.shape + (lat.ndim, lat.ndim))
     # one lower call per time sample, on the points whose difference uses it
     for m in np.unique(ends):
         hit = ends == m
         g[hit] = LatticeMetricInterpolant(lat, st_metric.fields[m]).lower(
-            trajectory.positions[hit.any(axis=1)]
+            positions[hit.any(axis=1)]
         )
     dg = (g[:, 0] - g[:, 1]) / (ts[s + 1] - ts[s - 1])[:, None, None]
     return _bilinear(0.5 * trajectory.velocities, dg, trajectory.velocities)

@@ -326,9 +326,10 @@ def d0(lattice, f):
     """Discrete differential of a scalar field: value f_j - f_i on link i->j.
 
     Plain difference; periodic wrap is handled entirely by the site
-    identification, never by unwrapping values.
+    identification, never by unwrapping values.  f must be a ScalarField
+    (scalar_field).
     """
-    f = np.asarray(f, dtype=float)
+    f = scalar_field(lattice, f)
     return f[lattice.link_dst] - f[lattice.link_src]
 
 

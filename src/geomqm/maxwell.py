@@ -264,8 +264,8 @@ class HodgeStar:
 
 def hodge_factors(cx, metric=None):
     """The Hodge star of every degree of cx under metric, a SpacetimeMetric
-    over cx's lattice with one sample (static) or one per time slice and a
-    diagonal spatial part at every vertex; None is flat Lorentzian.  Per cell
+    over cx's lattice with one sample (static) or one per slice at cx.dt, and
+    a diagonal spatial part at every vertex; None is flat Lorentzian.  Per cell
 
     lambda = eps(S, S~) sqrt|det g| prod_{mu in S} g^mumu
              * prod_{nu in S~} h_nu / prod_{mu in S} h_mu
@@ -287,6 +287,8 @@ def hodge_factors(cx, metric=None):
     if metric is not None and metric.lattice.spec != cx.lattice.spec:
         raise ComplexError(f"metric lift is over {metric.lattice.spec}; the complex's "
                            f"lattice is {cx.lattice.spec}")
+    if fields.shape[0] > 1 and metric.dt != cx.dt:
+        raise ComplexError(f"metric lift has dt = {metric.dt}; the complex has dt = {cx.dt}")
     _diagonal_only(fields)
     it, site = np.divmod(np.arange(n_verts), ns)
     g = fields[it if fields.shape[0] == cx.n_t else 0, site]

@@ -86,16 +86,18 @@ def velocity(H, a):
     """Heisenberg velocity of a multiplication operator: i [H, mult(a)], entrywise
     i (H_ij a_j - a_i H_ij) without its zeros, each product a sparse product term (_cmul)."""
     mat = _asmat(H)
-    a = _diagonal_of(mat, np.asarray(a, dtype=float).astype(complex))
+    a = _diagonal_of(mat, np.asarray(a, dtype=float).astype(complex), "a")
     d = _cmul(mat.data, a[mat.col]) - _cmul(a[mat.row], mat.data)
     keep = d != 0
     return HermitianOperator(Triplets(mat.row[keep], mat.col[keep], 1j * d[keep], mat.shape))
 
 
-def _diagonal_of(mat, x):
-    """x, refused unless it has one value per row of mat."""
+def _diagonal_of(mat, x, name):
+    """x, refused unless it has one finite value per row of mat; name is the field's."""
     if x.shape != mat.shape[:1]:
         raise OperatorError(f"dimension mismatch {mat.shape} vs diagonal {x.shape}")
+    if not np.isfinite(x).all():
+        raise OperatorError(f"{name} must be finite")
     return x
 
 
@@ -263,7 +265,7 @@ def gauge_transform(H, chi):
     """Conjugation exp(i chi) H exp(-i chi); spectrum preserved.  Entrywise (u_i H_ij)
     conj(u_j), u = exp(i chi), without its zeros, each product a sparse product term (_cmul)."""
     mat = _asmat(H)
-    u = _diagonal_of(mat, np.exp(1j * np.asarray(chi, dtype=float)))
+    u = _diagonal_of(mat, np.exp(1j * np.asarray(chi, dtype=float)), "chi")
     out = _cmul(_cmul(u[mat.row], mat.data), u.conj()[mat.col])
     keep = out != 0
     return HermitianOperator(Triplets(mat.row[keep], mat.col[keep], out[keep], mat.shape))

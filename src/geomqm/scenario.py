@@ -70,8 +70,7 @@ _KEYS = (
     Key("fields.potential", "profile", None, None, _FIELD_TASKS, "default zero"),
     Key("fields.time.samples", "int", None, COUNT, ("geodesic", "maxwell"),
         f"default 4 for maxwell, 1 for geodesic; times the sites at most {SERIES_LIMIT}"),
-    Key("fields.time.dt", "float", None, POSITIVE, ("geodesic", "maxwell"),
-        "default 1.0; geodesic: duration / (samples - 1), set only with samples >= 3"),
+    Key("fields.time.dt", "float", 1.0, POSITIVE, ("maxwell",)),
     Key("fields.time.scale", "scale", None, None, ("geodesic",),
         "lower metric scale s(t); needs fields.time.samples >= 3"),
     Key("params.reference", "str", "link_average", _one_of("link_average", "pointwise"),
@@ -210,14 +209,10 @@ def validate_config(doc):
     # the table's rules exclude 0 and empty values, so `or` only fills unset ones
     if task == "maxwell":
         cfg["fields.time.samples"] = cfg["fields.time.samples"] or 4
-        cfg["fields.time.dt"] = cfg["fields.time.dt"] or 1.0
     elif task == "geodesic":
         samples = cfg["fields.time.samples"] = cfg["fields.time.samples"] or 1
-        if samples >= 3:  # a time series of the metric, lifted along the path
-            cfg["fields.time.dt"] = cfg["fields.time.dt"] or cfg["params.duration"] / (samples - 1)
-        for path in ("fields.time.dt", "fields.time.scale"):
-            if samples < 3 and cfg[path] is not None:
-                raise ConfigError(f"{path}: needs fields.time.samples >= 3, got {samples}")
+        if samples < 3 and cfg["fields.time.scale"] is not None:
+            raise ConfigError(f"fields.time.scale: needs fields.time.samples >= 3, got {samples}")
         cfg["params.initial.position"] = cfg["params.initial.position"] or [0.0] * spec.ndim
         cfg["params.initial.velocity"] = (cfg["params.initial.velocity"]
                                           or [1.0] + [0.0] * (spec.ndim - 1))
@@ -263,12 +258,16 @@ def validate_config(doc):
     if cfg.get("fields.time.scale") is not None:
         scale = time_scale_function(cfg["fields.time.scale"])  # raises on a bad scale profile
         # linear in t: positive and finite at every sample time iff at both ends
-        for t in (0.0, (cfg["fields.time.samples"] - 1) * cfg["fields.time.dt"]):
+        for t in (0.0, (cfg["fields.time.samples"] - 1) * _lift_dt(cfg)):
             if not 0 < scale(t) < math.inf:
                 raise ConfigError(f"fields.time.scale: must be positive and finite at every "
                                   f"sample time, got {scale(t):.7g} at t = {t:.7g}")
     if "params.dt" in cfg:
-        _gate("params.dt", geometry._step_count, cfg["params.dt"], cfg["params.duration"])
+        steps = _gate("params.dt", geometry._step_count, cfg["params.dt"], cfg["params.duration"])
+        if cfg["fields.time.samples"] >= 3:  # the path's end, summed as the integrator sums it
+            end = np.full(steps, cfg["params.dt"]).cumsum()[-1:]
+            _gate("params.dt", geometry._nearest_samples, end, _lift_dt(cfg),
+                  cfg["fields.time.samples"])
     hamiltonian_file = cfg.get("params.hamiltonian_file")
     if hamiltonian_file is not None:
         if not Path(hamiltonian_file).is_file():
@@ -282,6 +281,11 @@ def validate_config(doc):
         raise ConfigError(f"params.probe_delta: must be <= params.duration / 2 = "
                           f"{duration / 2}, got {probe}")
     return cfg, lattice, (g, theta, phi)
+
+
+def _lift_dt(cfg):
+    """The geodesic lift's sample step: its samples span the path, [0, duration]."""
+    return cfg["params.duration"] / (cfg["fields.time.samples"] - 1)
 
 
 def _gate(path, check, *args):
@@ -416,9 +420,8 @@ def _task_geodesic(cfg, lattice, fields, out):
     samples = cfg["fields.time.samples"]
     if samples >= 3:  # a time series of the metric
         scale = time_scale_function(cfg["fields.time.scale"])
-        times = np.arange(samples) * cfg["fields.time.dt"]
-        series = np.array([fields[0] / scale(t) for t in times])
-        st = geometry.lorentzian_lift(lattice, series, times)
+        series = np.array([fields[0] / scale(t) for t in np.arange(samples) * _lift_dt(cfg)])
+        st = geometry.lorentzian_lift(lattice, series, _lift_dt(cfg))
         residual = geometry.zeroth_residual(st, traj)
     else:
         residual = np.zeros(len(traj.times))

@@ -170,7 +170,7 @@ def _maxwell_ensemble():
     g = constant_metric(lat)
     series = np.broadcast_to(g, (8,) + g.shape).copy()
     met = {
-        s: lorentzian_lift(lat, series, np.arange(8) * 0.5, g00=s) for s in (-1.0, 1.0)
+        s: lorentzian_lift(lat, series, 0.5, g00=s) for s in (-1.0, 1.0)
     }
     rng = np.random.default_rng(2024)
     pots = []
@@ -265,15 +265,14 @@ def test_acceptance_10_zeroth_component_obstruction():
         qs = np.array([[2.0, 2.0] + v * tt for tt in ts])
         traj = Trajectory(ts, qs, np.broadcast_to(v, (11, 2)).copy(),
                           np.full(11, float(v @ v)))
-        static = lorentzian_lift(lat, np.broadcast_to(g, (5,) + g.shape).copy(),
-                                 np.linspace(0.0, 2.0, 5))
+        static = lorentzian_lift(lat, np.broadcast_to(g, (5,) + g.shape).copy(), 0.5)
         static_max = float(np.max(np.abs(zeroth_residual(static, traj))))
         assert static_max <= 1e-12
 
         eps = 0.01
         times = np.linspace(0.0, 2.0, 9)
         samples = np.array([g / (1.0 + eps * tt) for tt in times])
-        st = lorentzian_lift(lat, samples, times)
+        st = lorentzian_lift(lat, samples, 0.25)
         r = zeroth_residual(st, traj)
         expect = 0.5 * eps * float(v @ v)
         rel = float(np.max(np.abs(r - expect)) / expect)

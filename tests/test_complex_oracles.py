@@ -348,7 +348,7 @@ def test_products_equal_the_csr_products_bit_for_bit(topology, sizes, spacings, 
         omega = Cochain(cx, k, spread_values(rng, cx.n_cells(k)))
         assert_bits_equal(d_cochain(omega).values, D @ omega.values)
     D0, D1, _ = ox.incidence
-    metric = lorentzian_lift(lat, diagonal_series(lat, n_t, rng), np.arange(n_t) * dt)
+    metric = lorentzian_lift(lat, diagonal_series(lat, n_t, rng), dt)
     for star in (hodge_factors(cx), hodge_factors(cx, metric)):
         pot = Cochain(cx, 1, spread_values(rng, cx.n_cells(1)))
         want = D1.T @ (star.factors[2] * (D1 @ pot.values))
@@ -368,7 +368,7 @@ def test_hodge_matches_loop_oracle(topology, sizes, spacings, n_t, g00):
     series = diagonal_series(lat, n_t, rng)
     metrics = [
         None,
-        lorentzian_lift(lat, series, np.arange(n_t) * dt, g00=g00),
+        lorentzian_lift(lat, series, dt, g00=g00),
         lorentzian_lift(lat, series[0], g00=g00),  # one sample for every time
     ]
     for metric in metrics:
@@ -384,8 +384,8 @@ def test_hodge_matches_loop_oracle(topology, sizes, spacings, n_t, g00):
 @pytest.mark.parametrize("topology,sizes,spacings", LATTICES, ids=LATTICE_IDS)
 def test_hodge_matches_loop_oracle_off_unit_lapse(topology, sizes, spacings):
     lat, dt, cx, ox = complexes(topology, sizes, spacings, 3)
-    metric = lorentzian_lift(lat, diagonal_series(lat, 3, np.random.default_rng(12)),
-                             np.arange(3) * dt, g00=-4.0)
+    metric = lorentzian_lift(lat, diagonal_series(lat, 3, np.random.default_rng(12)), dt,
+                             g00=-4.0)
     star = hodge_factors(cx, metric)
     for k in range(4):
         assert_bits_equal(star.factors[k], loop_hodge_factors(ox, k, metric))
@@ -403,7 +403,7 @@ def test_nondiagonal_metric_rejected_for_the_same_degrees(topology, sizes, spaci
     lat, dt, cx, ox = complexes(topology, sizes, spacings, n_t)
     series = diagonal_series(lat, n_t, np.random.default_rng(13))
     series[-1, -1, 0, 1] = series[-1, -1, 1, 0] = 0.1
-    metric = lorentzian_lift(lat, series, np.arange(n_t) * dt)
+    metric = lorentzian_lift(lat, series, dt)
     with pytest.raises(ComplexError, match="diagonal spatial metrics only"):
         loop_hodge_factors(ox, 0, metric)
     with pytest.raises(ComplexError, match="diagonal spatial metrics only"):

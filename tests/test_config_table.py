@@ -79,13 +79,14 @@ BAD_CONFIGS = [
     ("fields.connection.components",
      TORUS_BUILD + "fields: {connection: {components: [{profile: zero}]}}\n",
      "fields.connection.components-one-of-two"),
-    # a Chern run reads no spectral flow row, and a geodesic without a lift no time step
+    # a Chern run reads no spectral flow row, and a geodesic no time step: its
+    # lift spans the path
     ("params.check_periodicity", CHERN + ", check_periodicity: true}\n",
      "params.check_periodicity-chern"),
     ("params.alphas.count", CHERN + ", alphas: {count: 5}}\n", "params.alphas.count-chern"),
     ("params.alphas.start", CHERN + ", alphas: {start: 0.5}}\n"),
     ("tolerances.periodicity", CHERN + "}\ntolerances: {periodicity: 1.0e-30}\n"),
-    ("fields.time.dt", GEODESIC + "fields: {time: {dt: 0.5}}\n"),
+    ("fields.time.dt", GEODESIC + "fields: {time: {samples: 5, dt: 0.5}}\n"),
 ]
 
 
@@ -186,6 +187,11 @@ def test_shipped_and_benchmark_documents_validate(tmp_path, monkeypatch):
 CYLINDER = "lattice: {topology: cylinder, sizes: [%d, %d], spacings: [1.0, 1.0]}\nmass: 1.0\n"
 TORUS = CYLINDER.replace("cylinder", "torus")
 
+# A geodesic whose path ends at t = 1.2 (2 steps of 0.6), on a lift of the
+# given sample count over [0, 1]
+PAST_THE_LIFT = ("fields: {time: {samples: %d, scale: {profile: linear, rate: 0.1}}}\n"
+                 "params: {dt: 0.6, duration: 1.0}\n")
+
 # A refusal of a library gate that the run reaches before its work, one
 # per gate that `validate` once skipped; each was exit 0 under validate.
 RUN_GATES = [
@@ -208,6 +214,9 @@ RUN_GATES = [
                  + "params: {hamiltonian_file: header.txt}\n", id="operator-header"),
     pytest.param("params.hamiltonian_file", RING_BUILD.replace("build", "reconstruct")
                  + "params: {hamiltonian_file: ring6.txt}\n", id="operator-size"),
+    # t = 1.2 lies nearest sample 8 of 8 samples over [0, 1]; the run took
+    # the residual there from samples 5 and 7
+    pytest.param("params.dt", GEODESIC + PAST_THE_LIFT % 8, id="path-past-the-lift"),
 ]
 # The operator files that RUN_GATES rows name, relative to the working
 # directory: a malformed header, and a 6x6 operator for the 8-site ring.
@@ -237,6 +246,7 @@ def test_validate_calls_every_gate_the_run_reaches(tmp_path, capsys, monkeypatch
     pytest.param(TORUS % (16, 16) + "task: holonomy\nparams: {chern_flux_quanta: 1}\n",
                  id="chern-on-a-torus"),
     pytest.param(RING_BUILD + "fields:\n", id="empty-fields-section"),
+    pytest.param(GEODESIC + PAST_THE_LIFT % 3, id="path-within-half-a-sample-of-the-lift"),
 ])
 def test_documents_at_the_run_gates_validate(tmp_path, text):
     # negative controls: the sparse tasks have no dense gate, each bound admits
@@ -349,7 +359,7 @@ def test_validate_fills_every_row_the_run_reads(tmp_path, monkeypatch):
             assert unset == [], (task, i)
             read |= cfg.read
     # the rows whose defaults depend on other values
-    assert {"fields.time.samples", "fields.time.dt", "params.initial.position",
+    assert {"fields.time.samples", "params.initial.position",
             "params.initial.velocity", "tolerances.e_g", "tolerances.e_phi"} <= read
 
 

@@ -50,7 +50,7 @@ def random_series(lat, n_t, amplitude, rng):
 def flat_metric(lat, n_t, dt, g00=-1.0):
     g = constant_metric(lat)
     series = np.broadcast_to(g, (n_t,) + g.shape).copy()
-    return lorentzian_lift(lat, series, np.arange(n_t) * dt, g00=g00)
+    return lorentzian_lift(lat, series, dt, g00=g00)
 
 
 # ------------------------------------------------------------ structure
@@ -271,7 +271,7 @@ def position_dependent_metric(lat, n_t, dt, g00):
     g[:, 0, 0] = 1.0 + 0.3 * np.sin(2 * np.pi * lat.positions[:, 0] / lat.axis_extent(0))
     g[:, 1, 1] = 1.5 + 0.2 * np.cos(2 * np.pi * lat.positions[:, 1] / lat.axis_extent(1))
     series = np.array([g * (1.0 + 0.1 * s) for s in range(n_t)])
-    return lorentzian_lift(lat, series, np.arange(n_t) * dt, g00=g00)
+    return lorentzian_lift(lat, series, dt, g00=g00)
 
 
 @pytest.mark.parametrize("g00", [-1.0, 1.0, -4.0])
@@ -305,24 +305,27 @@ def test_double_star_defect_measures_a_wrong_star(g00):
 def test_hodge_rejects_nondiagonal_metric():
     lat, cx = cylinder_complex()
     g = constant_metric(lat, np.array([[1.0, 0.2], [0.2, 1.0]]))
-    met = lorentzian_lift(lat, np.broadcast_to(g, (cx.n_t,) + g.shape).copy(),
-                          np.arange(cx.n_t) * cx.dt)
+    met = lorentzian_lift(lat, np.broadcast_to(g, (cx.n_t,) + g.shape).copy(), cx.dt)
     with pytest.raises(ComplexError, match="diagonal spatial metrics only"):
         hodge_factors(cx, met)
 
 
 def test_hodge_rejects_a_lift_whose_sample_count_is_not_the_slice_count():
-    # nor the lift of another lattice, whose site count is not the complex's
+    # nor the lift of another lattice, whose site count is not the complex's,
+    # nor a lift of one sample per slice at another dt; one sample stands for
+    # every slice, at any dt
     lat = build_lattice(LatticeSpec("ring", (5,), (1.0,)))
     cx = build_spacetime_complex(lat, 4, 1.0)
     g = constant_metric(lat)
     rings = [build_lattice(LatticeSpec("ring", (n,), (1.0,))) for n in (7, 4)]
-    for bad, match in [(lorentzian_lift(lat, [g, 2 * g], [0, 1]), "2 samples.*4 time slices"),
+    for bad, match in [(lorentzian_lift(lat, [g, 2 * g]), "2 samples.*4 time slices"),
                        *((lorentzian_lift(r, constant_metric(r)), f"{r.n_sites} sites.*5 sites")
-                         for r in rings)]:
+                         for r in rings),
+                       (lorentzian_lift(lat, [g] * 4, 0.5),
+                        r"metric lift has dt = 0\.5; the complex has dt = 1\.0")]:
         with pytest.raises(ComplexError, match=match):
             hodge_factors(cx, bad)
-    static = hodge_factors(cx, lorentzian_lift(lat, g))
+    static = hodge_factors(cx, lorentzian_lift(lat, g, 0.5))
     per_slice = hodge_factors(cx, lorentzian_lift(lat, [g] * 4))
     for k in range(4):
         assert np.array_equal(static.factors[k], per_slice.factors[k])
@@ -407,8 +410,7 @@ def test_continuity_with_position_dependent_diagonal_metric():
     g = constant_metric(lat)
     g[:, 0, 0] = 1.0 + 0.3 * np.sin(2 * np.pi * lat.positions[:, 0] / 6)
     g[:, 1, 1] = 1.5 + 0.2 * np.cos(2 * np.pi * lat.positions[:, 1] / 6)
-    met = lorentzian_lift(lat, np.broadcast_to(g, (4,) + g.shape).copy(),
-                          np.arange(4) * 0.5)
+    met = lorentzian_lift(lat, np.broadcast_to(g, (4,) + g.shape).copy(), 0.5)
     rng = np.random.default_rng(8)
     A_series, phi_series = random_series(lat, 4, 0.3, rng)
     pot = assemble_potential(cx, A_series, phi_series)

@@ -20,6 +20,7 @@ from geomqm import (
     LatticeSpec,
     OperatorError,
     PhaseAmbiguity,
+    Trajectory,
     ab_spectrum,
     build_hamiltonian,
     build_lattice,
@@ -28,9 +29,11 @@ from geomqm import (
     constant_metric,
     coordinate_cure_residual,
     current,
+    d0,
     default_test_vector,
     flat_connection,
     flatness_defect,
+    gauge_transform,
     geodesic_integrate,
     heisenberg_evolve,
     heisenberg_residual,
@@ -47,6 +50,8 @@ from geomqm import (
     row_sum_field,
     tree_gauge_potential,
     unitarity_defect,
+    velocity,
+    zeroth_residual,
 )
 from geomqm.evolution import suggested_steps
 
@@ -123,10 +128,32 @@ def _one_nan_link():
     return theta
 
 
-def _ring_lift(g00=-1.0, times=None):
+def _ring_lift(g00=-1.0, dt=1.0):
     """A three-sample lift of the ring's metric, growing in time."""
     g = constant_metric(_ring())
-    return lorentzian_lift(_ring(), [g, 2.0 * g, 3.0 * g], times, g00=g00)
+    return lorentzian_lift(_ring(), [g, 2.0 * g, 3.0 * g], dt, g00=g00)
+
+
+def _torus_residual(times, positions):
+    """The zeroth residual on a three-sample lift of a 4x4 torus's metric, growing
+    in time at dt = 1, along a unit-velocity path of the given times and positions."""
+    lat = _torus4()
+    g = constant_metric(lat)
+    n = len(times)
+    path = Trajectory(np.asarray(times, dtype=float), positions, np.ones((n, 2)), np.ones(n))
+    return zeroth_residual(lorentzian_lift(lat, [g, 2.0 * g, 3.0 * g]), path)
+
+
+def _geodesic_from(q0, v0):
+    met = AnalyticMetric(lambda q: pytest.fail("a step was taken"), ndim=2)
+    return geodesic_integrate(met, q0, v0, 0.1, 1.0)
+
+
+def _hamiltonian_field(transform, value):
+    """transform(H, x) on the ring's H, x zero but for site 2, set to value."""
+    x = np.zeros(6)
+    x[2] = value
+    return transform(_hamiltonian(1.0), x)
 
 
 def _current_of_a_1_cochain():
@@ -239,10 +266,41 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
     # (a division by zero), or all-NaN and constant residuals
     (lambda: _ring_lift(g00=0.0), LatticeError, "g00 must be finite and nonzero, got 0.0"),
     (lambda: _ring_lift(g00=np.nan), LatticeError, "g00 must be finite and nonzero, got nan"),
-    (lambda: _ring_lift(times=[0.0, 0.0, 0.0]), LatticeError,
-     "metric sample times must be finite and strictly increasing"),
-    (lambda: _ring_lift(times=[0.0, np.nan, 1.0]), LatticeError,
-     "metric sample times must be finite and strictly increasing"),
+    (lambda: _ring_lift(dt=0.0), LatticeError, "dt must be a positive finite number, got 0.0"),
+    (lambda: _ring_lift(dt=np.nan), LatticeError, "dt must be a positive finite number, got nan"),
+    (lambda: _ring_lift(dt=True), LatticeError,
+     "dt must be a positive finite number, got True"),
+    # seen before: a time grid in this place, read as the sample times
+    (lambda: _ring_lift(dt=np.arange(3.0)), LatticeError,
+     r"dt must be a positive finite number, got array\(\[0\., 1\., 2\.\]\)"),
+    # seen before: a raw ValueError from numpy's matmul; a RuntimeWarning and a
+    # clipped value; -0.333 at t = 50 and at t = -5 on a lift over [0, 2]
+    (lambda: _torus_residual([0.0, 1.0], np.ones((2, 1))), LatticeError,
+     r"trajectory positions must have shape \(2, 2\) on a 2-D lattice, got \(2, 1\)"),
+    (lambda: _torus_residual([0.0, np.nan], np.ones((2, 2))), LatticeError,
+     "trajectory times must be finite"),
+    (lambda: _torus_residual([1.0, 50.0], np.ones((2, 2))), LatticeError,
+     r"time 50 has its nearest metric sample 50 outside 0\.\.2 \(samples 1 apart\)"),
+    (lambda: _torus_residual([-5.0, 1.0], np.ones((2, 2))), LatticeError,
+     r"time -5 has its nearest metric sample -5 outside 0\.\.2 \(samples 1 apart\)"),
+    (lambda: zeroth_residual(_ring_lift(dt=0.5), Trajectory(np.array([0.0, 1e308]),
+                                                            *np.ones((2, 2, 1)), np.ones(2))),
+     LatticeError, r"time 1e\+308 has its nearest metric sample inf outside 0\.\.2"),
+    # seen before: a one-point trajectory marked truncated; RuntimeWarnings and
+    # a truncated trajectory
+    (lambda: _geodesic_from([np.nan, 0.0], [1.0, 0.0]), ValueError,
+     r"q0 must be finite, got \[nan, 0\.0\]"),
+    (lambda: _geodesic_from([0.0, 0.0], [np.inf, 0.0]), ValueError,
+     r"v0 must be finite, got \[inf, 0\.0\]"),
+    # seen before: 12 link values of a 9-value field; an all-NaN difference; a
+    # raw IndexError
+    (lambda: d0(_ring(), np.zeros(9)), LatticeError, r"scalar field shape \(9,\) != \(6,\)"),
+    (lambda: d0(_ring(), np.full(6, np.nan)), LatticeError,
+     "scalar field has non-finite entries"),
+    (lambda: d0(_ring(), np.zeros(3)), LatticeError, r"scalar field shape \(3,\) != \(6,\)"),
+    # seen before: 5 NaN entries of 5, and of 18
+    (lambda: _hamiltonian_field(velocity, np.nan), OperatorError, "a must be finite"),
+    (lambda: _hamiltonian_field(gauge_transform, np.nan), OperatorError, "chi must be finite"),
     # seen before: a raw IndexError; accepted (a NaN gauge function)
     (lambda: tree_gauge_potential(_ring(), np.ones(3)), LatticeError,
      r"theta must have shape \(12,\), got \(3,\)"),
@@ -280,7 +338,12 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
         "hodge-no-complement-cells", "hodge-degree-above-dimension", "chern-nan-link",
         "flatness-nan-link", "chern-field-length", "flatness-field-length",
         "plaquette-field-length", "plaquette-field-length-1d", "current-of-a-potential",
-        "lift-g00-zero", "lift-g00-nan", "lift-times-repeated", "lift-times-nan",
+        "lift-g00-zero", "lift-g00-nan", "lift-dt-zero", "lift-dt-nan", "lift-dt-bool",
+        "lift-dt-array", "residual-positions-shape", "residual-time-nan",
+        "residual-time-past-samples", "residual-time-before-samples", "residual-time-overflow",
+        "geodesic-q0-nan",
+        "geodesic-v0-inf", "d0-field-long", "d0-field-nan", "d0-field-short",
+        "velocity-field-nan", "gauge-field-nan",
         "tree-gauge-shape", "tree-gauge-nan", "cure-axis-past-d", "cure-axis-negative",
         "cure-psi-length", "link-average-metric-shape", "ab-spectrum-alphas-2d",
         "ab-spectrum-alpha-nan", "flat-connection-nan", "suggested-steps-t2-inf",

@@ -233,18 +233,30 @@ def test_maxwell_task_writes_cochains(tmp_path):
 
 
 def test_maxwell_task_builds_one_star_per_lift_sign(tmp_path, monkeypatch):
-    # the stars are built before the ensemble loop, not per ensemble
-    calls = []
+    # the stars are built before the ensemble loop, not per ensemble, from
+    # one lift per run; each ensemble forms F = dA and dF, once each
+    calls, counts = [], {"d_cochain": 0, "lorentzian_lift": 0}
     factors = maxwell.hodge_factors
 
     def counting(cx, metric=None):
         calls.append(metric.g00)
         return factors(cx, metric)
 
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
     monkeypatch.setattr(maxwell, "hodge_factors", counting)
+    counted(maxwell, "d_cochain")
+    counted(scenario.geometry, "lorentzian_lift")
     path = write(tmp_path, "mx.yaml", RING6 + "task: maxwell\nparams: {ensembles: 3}\n")
     assert run_scenario(path, tmp_path / "out").passed
     assert calls == [-1.0, 1.0]
+    assert counts == {"d_cochain": 6, "lorentzian_lift": 1}
 
 
 def _random_series_by_sample(lattice, samples, amplitude, rng):
@@ -381,7 +393,6 @@ def test_geodesic_task_time_dependent_residual_column(tmp_path):
         "  metric: {components: {}}\n"
         "  time:\n"
         "    samples: 5\n"
-        "    dt: 0.5\n"
         "    scale: {profile: linear, rate: 0.02}\n"
         "params:\n"
         "  initial: {position: [2.0, 2.0], velocity: [0.4, 0.3]}\n"
@@ -821,7 +832,7 @@ def _zeroth_residual_with_metric(monkeypatch, lat, g):
     # a hand-made series skips the lift's gate; the interpolant of each
     # sample that a difference reads applies it
     times = np.arange(3.0)
-    st = SpacetimeMetric(lat, times, np.array([g, 2.0 * g, 3.0 * g]))
+    st = SpacetimeMetric(lat, 1.0, np.array([g, 2.0 * g, 3.0 * g]))
     ones = np.ones((3, lat.ndim))
     zeroth_residual(st, Trajectory(times, 0.5 * ones, ones, np.ones(3)))
 
