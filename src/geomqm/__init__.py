@@ -58,11 +58,9 @@ from .operators import (
     HermitianOperator,
     OperatorError,
     build_hamiltonian,
-    commutator,
     eigenvalues,
     hermiticity_defect,
     load_operator,
-    mult_op,
     row_sum_field,
     save_operator,
     validate_operator,

@@ -285,7 +285,7 @@ class SpacetimeMetric:
     dt is the step between samples, a positive finite number; g00 is the
     fixed upper lapse entry g^00 (-1 for the Lorentzian lift, +1 for the
     Euclidean variant used in sign-independence checks), so the lower
-    entry is g_00 = 1 / g00.  g00 must be finite and nonzero.
+    entry is g_00 = 1 / g00.  g00 must be finite and nonzero, and not a bool.
     """
 
     lattice: object
@@ -296,7 +296,7 @@ class SpacetimeMetric:
     def __post_init__(self):
         if isinstance(self.dt, bool) or not (isinstance(self.dt, Real) and 0 < self.dt < np.inf):
             raise LatticeError(f"dt must be a positive finite number, got {self.dt!r}")
-        if not (np.isfinite(self.g00) and self.g00 != 0):
+        if isinstance(self.g00, bool) or not (np.isfinite(self.g00) and self.g00 != 0):
             raise LatticeError(f"g00 must be finite and nonzero, got {self.g00}")
 
     @property

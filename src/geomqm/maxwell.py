@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 
@@ -120,11 +121,12 @@ class SpacetimeComplex:
 
 
 def build_spacetime_complex(lattice, n_t, dt):
-    """Cubical complex on lattice x {0..n_t-1} time samples."""
+    """Cubical complex on lattice x {0..n_t-1} time samples, dt apart; dt must be a
+    positive finite real number (not a bool or an array)."""
     if not isinstance(n_t, (int, np.integer)) or isinstance(n_t, bool) or n_t < 1:
         raise ComplexError(f"need an integer count of time samples >= 1, got {n_t!r}")
-    if not 0 < dt < np.inf:
-        raise ComplexError(f"dt must be positive and finite, got {dt}")
+    if isinstance(dt, bool) or not (isinstance(dt, Real) and 0 < dt < np.inf):
+        raise ComplexError(f"dt must be positive and finite, got {dt!r}")
     ns, n = lattice.n_sites, lattice.ndim + 1
     verts = np.arange(ns * n_t)
     it, site = np.divmod(verts, ns)

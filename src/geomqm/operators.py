@@ -2,7 +2,8 @@
 
 Operators are sparse complex matrices over lattice sites, held as numpy
 Triplets records; each product rounds as scipy's CSR product would, and
-only `commutator` imports scipy's sparse package.  The builder assembles
+no function imports scipy's sparse package.  A commutator with a position
+field is `reconstruct.velocity`.  The builder assembles
 the covariant Laplacian in symmetrized divergence form: every directed
 link i->j carries the entry
 
@@ -114,24 +115,6 @@ def _site_shape(lattice, shape):
     if shape != (lattice.n_sites, lattice.n_sites):
         raise OperatorError(f"operator is {shape[0]}x{shape[1]} but the lattice has "
                             f"{lattice.n_sites} sites")
-
-
-def mult_op(lattice, f):
-    """Multiplication operator: the diagonal matrix of a scalar field, its zeros not stored."""
-    f = scalar_field(lattice, f).astype(complex)
-    sites = np.flatnonzero(f)
-    return HermitianOperator(Triplets(sites, sites, f[sites], (len(f), len(f))))
-
-
-def commutator(x, y):
-    """XY - YX as a scipy CSR matrix."""
-    import scipy.sparse as sp
-    xm, ym = (sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape) for m in map(_asmat, (x, y)))
-    if xm.shape != ym.shape:
-        raise OperatorError(f"dimension mismatch {xm.shape} vs {ym.shape}")
-    c = (xm @ ym - ym @ xm).tocsr()
-    c.eliminate_zeros()
-    return c
 
 
 def link_couplings(lattice, g, m):

@@ -7,8 +7,13 @@ the ring spectrum load `scipy.linalg` and no `scipy.sparse`.
 One fresh interpreter, with PYTHONPATH set to this tree's `src`, runs the
 cases in order of growing imports and records after each one which
 `scipy` modules `sys.modules` holds and what the CLI returned.
+
+A static guard covers the paths that no case runs: no `import` or
+`from ... import` statement under `src/geomqm/`, at module level or
+inside a function, names `scipy.sparse`.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -21,6 +26,7 @@ import pytest
 import geomqm
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "geomqm"
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
 
 PROBE = """
@@ -94,3 +100,30 @@ def test_band_solver_loads_linalg_but_not_sparse(seen, case):
 def test_operator_annotation_resolves():
     # mat is spelled without a module-level scipy binding
     assert typing.get_type_hints(geomqm.HermitianOperator) == {"mat": object}
+
+
+def sparse_imports(source):
+    """(line, module) of every import of scipy.sparse or a submodule in source, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if (name + ".").startswith("scipy.sparse.")]
+    return found
+
+
+def test_no_module_imports_scipy_sparse():
+    # the guard sees each spelling, a function-local one included
+    planted = ("import scipy.sparse as sp\nfrom scipy import sparse, linalg\n"
+               "def f():\n    from scipy.sparse.linalg import eigsh\n")
+    assert sparse_imports(planted) == [(1, "scipy.sparse"), (2, "scipy.sparse"),
+                                       (4, "scipy.sparse.linalg.eigsh")]
+    assert sparse_imports("import scipy.linalg\nfrom scipy import sparsetools\n") == []
+    found = {str(p.relative_to(SRC)): sparse_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.rglob("*.py"))}
+    assert len(found) > 10
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -25,7 +25,6 @@ from geomqm import (
     build_hamiltonian,
     build_lattice,
     build_spacetime_complex,
-    commutator,
     constant_metric,
     coordinate_cure_residual,
     d0,
@@ -290,7 +289,8 @@ def loop_validate_operator(lat, M, tol=1e-12):
     max_offdiag = np.max(np.abs(mat.data[offdiag]), initial=0.0)
     comm_max = 0.0
     for k in range(lat.ndim):
-        cm = commutator(M, sp.diags(lat.positions[:, k].astype(complex)))
+        a = sp.diags(lat.positions[:, k].astype(complex))
+        cm = mat @ a - a @ mat
         comm_max = max(comm_max, np.max(np.abs(cm.data), initial=0.0))
     return {
         "hermiticity_defect": float(herm),

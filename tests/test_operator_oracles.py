@@ -3,7 +3,7 @@
 Operators are Triplets records (row, col, data) in CSR canonical order,
 and every constructor and product is computed entrywise in numpy.  The
 oracles below are the scipy expressions they replace: the sparse add of
-the links and the diagonal, `diags`, the CSR constructor, `M - M^H`, the
+the links and the diagonal, the CSR constructor, `M - M^H`, the
 row sum, the matvec and the `diags` products.  Each record must equal
 scipy's CSR result bit for bit: the same nnz, the same entries in the
 same (sorted) order, the same values, signs of zeros included.  scipy is
@@ -19,7 +19,6 @@ from geomqm import (
     OperatorError,
     build_hamiltonian,
     build_lattice,
-    commutator,
     constant_metric,
     default_test_vector,
     eigenvalues,
@@ -27,7 +26,6 @@ from geomqm import (
     gauge_transform,
     hermiticity_defect,
     load_operator,
-    mult_op,
     row_sum_field,
     save_operator,
     validate_operator,
@@ -161,12 +159,6 @@ def test_build_matches_the_sparse_add(case, kind):
         assert not np.signbit(H.data.imag[H.data.imag == 0.0]).any()
 
 
-@pytest.mark.parametrize("f", [[0.5, -0.0, 2.0, 0.0, -1.5, 3.0, 0.0], np.arange(7) - 3.0])
-def test_mult_op_matches_diags(f):
-    lat = lattice(("ring", (7,), (0.5,)))
-    assert_same(mult_op(lat, np.array(f)).mat, sp.diags(np.asarray(f, dtype=complex)).tocsr())
-
-
 def test_load_keeps_explicit_zeros_in_csr_order(tmp_path):
     rows = [line.split() for line in LOADED.splitlines()[1:]]
     i, j = (np.array([int(r[k]) for r in rows]) for k in (0, 1))
@@ -296,15 +288,6 @@ def test_products_of_a_loaded_file_with_signed_zeros(tmp_path):
     for a in (np.array([0.0, 1.0, -2.0, 0.5]), np.ones(4)):
         assert_same(velocity(op, a).mat, scipy_velocity(op, a))
     assert _row_sums(op.mat, op.mat.data).tobytes() == np.asarray(csr(op).sum(axis=1)).ravel().tobytes()
-
-
-def test_commutator_still_returns_scipy_csr():
-    lat, H = operator(LATTICES[3], "generic")
-    a = lat.positions[:, 1]
-    C = commutator(H, mult_op(lat, a))
-    want = (csr(H) @ csr(mult_op(lat, a)) - csr(mult_op(lat, a)) @ csr(H)).tocsr()
-    want.eliminate_zeros()
-    assert sp.issparse(C) and (C != want).nnz == 0
 
 
 # ---------------------------------------------------------------- band

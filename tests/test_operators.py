@@ -8,7 +8,6 @@ from geomqm import (
     OperatorError,
     build_hamiltonian,
     build_lattice,
-    commutator,
     constant_metric,
     d0,
     eigenvalues,
@@ -16,7 +15,6 @@ from geomqm import (
     gauge_transform,
     hermiticity_defect,
     load_operator,
-    mult_op,
     save_operator,
     validate_operator,
 )
@@ -32,51 +30,6 @@ def free_ring_spectrum(n, h, m, alpha=0.0):
 @pytest.fixture
 def ring4():
     return build_lattice(LatticeSpec("ring", (4,), (1.0,)))
-
-
-def test_mult_identity(ring4):
-    assert np.allclose(mult_op(ring4, np.ones(4)).mat.toarray(), np.eye(4))
-
-
-def test_mult_coordinate_diagonal():
-    lat = build_lattice(LatticeSpec("interval", (5,), (0.5,)))
-    M = mult_op(lat, lat.positions[:, 0]).mat.toarray()
-    assert np.allclose(M, np.diag([0.0, 0.5, 1.0, 1.5, 2.0]))
-
-
-def test_mult_pointwise_product(ring4):
-    rng = np.random.default_rng(0)
-    f, g = rng.normal(size=4), rng.normal(size=4)
-    lhs = mult_op(ring4, f).mat.toarray() @ mult_op(ring4, g).mat.toarray()
-    assert np.allclose(lhs, mult_op(ring4, f * g).mat.toarray())
-
-
-def test_commutator_of_multiplications_vanishes(ring4):
-    rng = np.random.default_rng(1)
-    f, g = rng.normal(size=4), rng.normal(size=4)
-    c = commutator(mult_op(ring4, f), mult_op(ring4, g))
-    assert c.nnz == 0
-
-
-def test_commutator_diagonal_identity(ring4):
-    # [diag(a), M]_ij = (a_i - a_j) M_ij
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=4)
-    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    c = commutator(mult_op(ring4, a), sp.csr_matrix(M)).toarray()
-    expect = (a[:, None] - a[None, :]) * M
-    assert np.allclose(c, expect, atol=1e-13)
-
-
-def test_commutator_self_vanishes(ring4):
-    H = build_hamiltonian(ring4, constant_metric(ring4), None, None, 1.0)
-    assert np.max(np.abs(commutator(H, H).toarray())) < 1e-14
-
-
-def test_commutator_dimension_mismatch(ring4):
-    other = sp.identity(7, dtype=complex, format="csr")
-    with pytest.raises(OperatorError):
-        commutator(mult_op(ring4, np.ones(4)), other)
 
 
 def test_free_ring_matches_fourier_oracle(ring4):
@@ -119,8 +72,6 @@ def test_non_finite_potential_is_refused(ring4, bad):
     phi[2] = bad
     with pytest.raises(LatticeError, match="non-finite"):
         build_hamiltonian(ring4, constant_metric(ring4), None, phi, 1.0)
-    with pytest.raises(LatticeError, match="non-finite"):
-        mult_op(ring4, phi)
 
 
 @pytest.mark.parametrize("alpha", [0.7, np.pi, -1.2])
@@ -209,7 +160,7 @@ def test_nonpositive_mass_rejected(ring4):
 
 
 def test_validate_diagonal_operator(ring4):
-    M = mult_op(ring4, np.array([1.0, -2.0, 3.0, 0.5]))
+    M = np.diag([1.0, -2.0, 3.0, 0.5])
     rep = validate_operator(ring4, M)
     assert rep["commutant_defect"] == (0.0, 0.0)
     assert rep["locality_radius"] == 0

@@ -198,6 +198,12 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
     (lambda: build_spacetime_complex(_ring(), True, 1.0), ComplexError, "count of time samples"),
     (lambda: build_spacetime_complex(_ring(), 3, np.nan), ComplexError, "dt must be positive"),
     (lambda: build_spacetime_complex(_ring(), 3, np.inf), ComplexError, "dt must be positive"),
+    # seen before: a complex of dt True, matched by a lift of dt 1.0; a raw
+    # numpy ValueError in hodge_factors
+    (lambda: build_spacetime_complex(_ring(), 3, True), ComplexError,
+     "dt must be positive and finite, got True"),
+    (lambda: build_spacetime_complex(_ring(), 3, np.array([1.0])), ComplexError,
+     r"dt must be positive and finite, got array\(\[1\.\]\)"),
     # seen before: a trajectory truncated at its start; a raw ValueError
     (lambda: _flat_geodesic(eta=np.nan), ValueError, "eta must be positive and finite"),
     (lambda: _flat_geodesic(dt=np.nan), ValueError, "need dt > 0 and T >= dt"),
@@ -266,6 +272,8 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
     # (a division by zero), or all-NaN and constant residuals
     (lambda: _ring_lift(g00=0.0), LatticeError, "g00 must be finite and nonzero, got 0.0"),
     (lambda: _ring_lift(g00=np.nan), LatticeError, "g00 must be finite and nonzero, got nan"),
+    # seen before: a Euclidean lift, without a warning
+    (lambda: _ring_lift(g00=True), LatticeError, "g00 must be finite and nonzero, got True"),
     (lambda: _ring_lift(dt=0.0), LatticeError, "dt must be a positive finite number, got 0.0"),
     (lambda: _ring_lift(dt=np.nan), LatticeError, "dt must be a positive finite number, got nan"),
     (lambda: _ring_lift(dt=True), LatticeError,
@@ -329,7 +337,7 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
         "reconstruction-mass-inf", "reconstruction-mass-nan", "reconstruction-mass-zero",
         "reconstruction-mass-negative", "propagator-t2-inf", "propagator-t1-nan",
         "propagator-t1-minus-inf", "spacing-nan", "spacing-inf", "size-fractional", "size-nan", "n_t-fractional",
-        "n_t-bool", "dt-nan", "dt-inf", "eta-nan", "geodesic-dt-nan", "propagator-steps-bool",
+        "n_t-bool", "dt-nan", "dt-inf", "dt-bool", "dt-array", "eta-nan", "geodesic-dt-nan", "propagator-steps-bool",
         "record_every-bool", "heisenberg-field-shape", "heisenberg-field-nan",
         "heisenberg-unitary-not-square", "unitarity-not-square", "cochain-2d", "cochain-strings",
         "cochain-nan", "cochain-degree-4", "hodge-metric-of-another-lattice", "cochain-length",
@@ -338,7 +346,7 @@ def _flat_geodesic(eta=1e-3, dt=0.1, record_every=1):
         "hodge-no-complement-cells", "hodge-degree-above-dimension", "chern-nan-link",
         "flatness-nan-link", "chern-field-length", "flatness-field-length",
         "plaquette-field-length", "plaquette-field-length-1d", "current-of-a-potential",
-        "lift-g00-zero", "lift-g00-nan", "lift-dt-zero", "lift-dt-nan", "lift-dt-bool",
+        "lift-g00-zero", "lift-g00-nan", "lift-g00-bool", "lift-dt-zero", "lift-dt-nan", "lift-dt-bool",
         "lift-dt-array", "residual-positions-shape", "residual-time-nan",
         "residual-time-past-samples", "residual-time-before-samples", "residual-time-overflow",
         "geodesic-q0-nan",
