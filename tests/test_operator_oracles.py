@@ -3,7 +3,7 @@
 Operators are Triplets records (row, col, data) in CSR canonical order,
 and every constructor and product is computed entrywise in numpy.  The
 oracles below are the scipy expressions they replace: the sparse add of
-the links and the diagonal, the CSR constructor, `M - M^H`, the
+the links and the diagonal, `diags`, the CSR constructor, `M - M^H`, the
 row sum, the matvec and the `diags` products.  Each record must equal
 scipy's CSR result bit for bit: the same nnz, the same entries in the
 same (sorted) order, the same values, signs of zeros included.  scipy is
@@ -157,6 +157,12 @@ def test_build_matches_the_sparse_add(case, kind):
         # entry keeps a -0.0 part
         assert np.signbit(np.exp(-1j * t).imag[t == 0.0]).all()
         assert not np.signbit(H.data.imag[H.data.imag == 0.0]).any()
+
+
+@pytest.mark.parametrize("f", [[0.5, -0.0, 2.0, 0.0, -1.5, 3.0, 0.0], np.arange(7) - 3.0])
+def test_diagonal_array_matches_diags(f):
+    # a diagonal operator is passed as np.diag(f): its record keeps the nonzeros in row order
+    assert_same(_asmat(np.diag(np.asarray(f, dtype=complex))), sp.diags(np.asarray(f, dtype=complex)).tocsr())
 
 
 def test_load_keeps_explicit_zeros_in_csr_order(tmp_path):

@@ -81,6 +81,41 @@ def test_velocity_hermitian():
     assert hermiticity_defect(velocity(H, lat.positions[:, 0])) < 1e-12
 
 
+def _diagonal_identity_cases():
+    rng = np.random.default_rng(2)
+    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    lat = interval(5, 0.5)
+    return [(M, rng.normal(size=4)), (free_hamiltonian(lat).mat.toarray(), lat.positions[:, 0])]
+
+
+@pytest.mark.parametrize("M, a", _diagonal_identity_cases(), ids=["random", "interval-coordinate"])
+def test_velocity_diagonal_identity(M, a):
+    # i [M, diag(a)]_ij = i (a_j - a_i) M_ij
+    expect = 1j * (a[None, :] - a[:, None]) * M
+    assert np.allclose(velocity(M, a).mat.toarray(), expect, atol=1e-13)
+
+
+def test_velocity_product_rule():
+    # i [H, fg] = i [H, f] g + f i [H, g]
+    lat = interval(7)
+    H = free_hamiltonian(lat)
+    rng = np.random.default_rng(3)
+    f, g = rng.normal(size=7), rng.normal(size=7)
+    lhs = velocity(H, f * g).mat.toarray()
+    rhs = velocity(H, f).mat.toarray() @ np.diag(g) + np.diag(f) @ velocity(H, g).mat.toarray()
+    assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+def test_velocity_double_commutator_symmetric():
+    # Jacobi with [a, b] = 0: [[H, a], b] = [[H, b], a]
+    lat = build_lattice(LatticeSpec("rectangle", (4, 5), (1.0, 0.3)))
+    H = build_hamiltonian(lat, constant_metric(lat, [[1.3, 0.2], [0.2, 0.9]]), None, None, 1.0)
+    x, y = lat.positions[:, 0], lat.positions[:, 1]
+    xy = velocity(velocity(H, x), y).mat.toarray()
+    assert np.count_nonzero(np.abs(xy) > 0.01) > 0  # diagonal links: not vacuous
+    assert np.allclose(xy, velocity(velocity(H, y), x).mat.toarray(), atol=1e-13)
+
+
 # ---------------------------------------------------------------- peierls
 
 def test_peierls_single_phase_roundtrip():
